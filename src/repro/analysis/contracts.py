@@ -16,8 +16,10 @@ operations the runtime performs:
 - RPL903: ``server_state`` → pickle → ``load_server_state`` →
   ``server_state`` must reproduce the original state (else checkpoints
   drift on resume);
-- RPL904: ``config_fingerprint`` must be invariant under worker-count /
-  executor changes (resume-anywhere is part of the checkpoint contract);
+- RPL904: ``config_fingerprint`` must ignore every knob the
+  :class:`~repro.fl.config.FLConfig` table marks ``execution_only``
+  (resume-anywhere is part of the checkpoint contract) and move with every
+  other one (else a checkpoint resumes into a different trajectory);
 - RPL905: a stateful :class:`~repro.fl.robust.RobustAggregator` (e.g.
   autoclip's running threshold) must ride through ``server_state()`` under
   the reserved ``"_defense"`` key and survive the
@@ -84,7 +86,7 @@ def _tiny_harness() -> "tuple[Any, Any, Any]":
     """A federation small enough that instantiating 10 algorithms is fast."""
     from repro.data.federated import build_federated_dataset
     from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
-    from repro.fl.algorithms.base import FLConfig
+    from repro.fl.config import FLConfig
     from repro.nn.models import build_model
 
     spec = SyntheticSpec(num_classes=4, channels=1, image_size=8, noise_std=0.25)
@@ -267,32 +269,54 @@ class ServerStateRoundTrip(ContractRule):
             )
 
 
+def _another_value(knob: Any, value: Any) -> Any:
+    """A valid value of ``knob`` other than ``value``, from its declaration."""
+    if knob.type is bool:
+        return not value
+    if knob.type is str:
+        options = knob.choices or (knob.example, knob.default)
+        return next(v for v in options if v != value)
+    base = value if value is not None else knob.min or knob.above or 0
+    return base / 2 if knob.max is not None else base + 1
+
+
 class FingerprintExecutionFree(ContractRule):
     code = "RPL904"
     name = "fingerprint-execution-free"
     invariant = (
-        "config_fingerprint() ignores execution-only knobs (workers/"
-        "executor) so a checkpoint resumes under any backend"
+        "config_fingerprint() ignores exactly the knobs the FLConfig table "
+        "marks execution_only, so a checkpoint resumes under any backend and "
+        "never into a different trajectory"
     )
 
     def run(self, name: str, cls: "type[Any]", algo: Any) -> Iterator[Violation]:
+        from repro.fl.config import FLConfig, knobs
+
         original_cfg = algo.cfg
         try:
             baseline = algo.config_fingerprint()
-            algo.cfg = original_cfg.with_overrides(workers=3, executor="persistent")
-            shifted = algo.config_fingerprint()
+            for knob in knobs(FLConfig):
+                flipped = _another_value(knob, getattr(original_cfg, knob.name))
+                algo.cfg = original_cfg.with_overrides(**{knob.name: flipped})
+                moved = algo.config_fingerprint() != baseline
+                if moved and knob.execution_only:
+                    yield self.fail(
+                        cls,
+                        f"{name}: config_fingerprint changes with the execution-only "
+                        f"knob {knob.name!r}; checkpoints from this algorithm cannot "
+                        "resume on a different backend",
+                    )
+                elif not moved and not knob.execution_only:
+                    yield self.fail(
+                        cls,
+                        f"{name}: config_fingerprint ignores {knob.name!r}, which "
+                        "can change the trajectory; a checkpoint would resume "
+                        "into a different run",
+                    )
         except Exception as exc:  # noqa: BLE001
             yield self.fail(cls, f"{name}: config_fingerprint raised ({exc!r})")
-            return
         finally:
             algo.cfg = original_cfg
-        if baseline != shifted:
-            yield self.fail(
-                cls,
-                f"{name}: config_fingerprint changes with workers/executor; "
-                "checkpoints from this algorithm cannot resume on a "
-                "different backend",
-            )
 
 
 class RobustStateRoundTrip(ContractRule):

@@ -25,14 +25,13 @@ from typing import Sequence
 from repro.core.distill import DistillConfig
 from repro.core.fusion import fuse_ensemble_distill
 from repro.core.mutual import DeepMutualTrainer, train_stacked_mutual
-from repro.data.dataset import ArrayDataset
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
 from repro.fl.state_store import ClientModelBank, LazyFactoryBank
 from repro.nn.batched import build_stacked
 from repro.nn.module import Module
 from repro.nn.serialization import state_dict_signature
-from repro.runtime.adversary import LABELFLIP
+from repro.runtime.adversary import LABELFLIP, labelflip_clone
 from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import FLRuntime
 
@@ -107,9 +106,6 @@ class FedKEMF(FLAlgorithm):
             seed=self.cfg.seed,
         )
         self.last_distill_loss: float | None = None
-        # Flipped-label DeepMutualTrainer clones, mirroring the base
-        # class's _labelflip_trainers for the mutual-learning local pass.
-        self._labelflip_mutual_trainers: "dict[int, DeepMutualTrainer]" = {}
 
     def make_mutual_trainer(self, cid: int) -> DeepMutualTrainer:
         """Construct client ``cid``'s deep-mutual trainer. Pure in ``cid``
@@ -126,57 +122,20 @@ class FedKEMF(FLAlgorithm):
 
     def _prefetch_clients(self, round_idx: int, active: "list[int]") -> None:
         # On top of the base hook (cohort shards + LocalTrainer cache),
-        # drop cached mutual trainers and flipped-label mutual clones for
-        # clients outside the cohort — they pin evicted shards otherwise.
+        # drop cached mutual trainers for clients outside the cohort —
+        # they pin evicted shards otherwise.
         super()._prefetch_clients(round_idx, active)
-        if getattr(self.fed, "prefetch", None) is None:
-            return
-        keep = set(active)
-        self.mutual_trainers.retain(keep)
-        for cid in [c for c in self._labelflip_mutual_trainers if c not in keep]:
-            del self._labelflip_mutual_trainers[cid]
-
-    def _make_labelflip_mutual_trainer(self, cid: int) -> DeepMutualTrainer:
-        """Build a flipped-label clone of client ``cid``'s mutual trainer
-        (same hyperparameters and seed → identical batch schedule). Pure
-        construction: no algorithm state is touched."""
-        base = self.mutual_trainers[cid]
-        x, y = base.dataset.arrays()
-        return DeepMutualTrainer(
-            ArrayDataset(x, (self.fed.num_classes - 1) - y),
-            batch_size=base.batch_size,
-            lr=base.lr,
-            momentum=base.momentum,
-            weight_decay=base.weight_decay,
-            kl_weight=base.kl_weight,
-            seed=base.seed,
-        )
-
-    def _prepare_attack_state(self, round_idx: int, active: "list[int]") -> None:
-        # The mutual-learning local pass uses DeepMutualTrainer clones,
-        # not the base class's LocalTrainer clones: prebuild exactly those
-        # parent-side so client_work stays a pure read in forked workers.
-        for cid in active:
-            if (
-                self.runtime.attack_role(round_idx, cid) == LABELFLIP
-                and cid not in self._labelflip_mutual_trainers
-            ):
-                self._labelflip_mutual_trainers[cid] = (
-                    self._make_labelflip_mutual_trainer(cid)
-                )
+        if getattr(self.fed, "prefetch", None) is not None:
+            self.mutual_trainers.retain(set(active))
 
     def _mutual_trainer(self, round_idx: int, cid: int) -> DeepMutualTrainer:
         """The mutual trainer for this (round, client) pair: the honest
-        one, or a flipped-label clone under the adversary's ``labelflip``
-        role. Pure read of the prepared cache; on a miss (direct call
-        outside the round pipeline) the clone is rebuilt without caching —
-        this may run in a forked worker where ``self`` writes are lost."""
-        if self.runtime.attack_role(round_idx, cid) != LABELFLIP:
-            return self.mutual_trainers[cid]
-        trainer = self._labelflip_mutual_trainers.get(cid)
-        if trainer is not None:
-            return trainer
-        return self._make_labelflip_mutual_trainer(cid)
+        one, or a flipped-label clone of it under the adversary's
+        ``labelflip`` role (see :meth:`FLAlgorithm._client_trainer`)."""
+        trainer = self.mutual_trainers[cid]
+        if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
+            return labelflip_clone(trainer, self.fed.num_classes)
+        return trainer
 
     def server_state(self) -> dict:
         # The heterogeneous local models are the on-device deployment

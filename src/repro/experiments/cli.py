@@ -19,10 +19,10 @@ import pathlib
 import sys
 
 from repro.experiments import figures, tables
-from repro.experiments.configs import get_scale
+from repro.experiments.configs import RUN_KNOBS, get_scale
 from repro.experiments.runner import ExperimentRunner
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "export_knobs"]
 
 EXPERIMENTS = ("table1", "table2", "table3", "figure4", "figure5", "figure6", "figure7")
 
@@ -48,113 +48,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=pathlib.Path, default=None, help="also write artifacts here")
-    rt = p.add_argument_group("execution runtime")
-    rt.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="process-parallel client execution (0/1 = serial; default: $REPRO_WORKERS)",
-    )
-    rt.add_argument(
-        "--executor",
-        default=None,
-        choices=["serial", "parallel", "persistent", "batched"],
-        help="executor backend: serial, parallel (fork per round), persistent "
-        "(long-lived worker pool), or batched (homogeneous cohorts train as one "
-        "stacked program; default: $REPRO_EXECUTOR or by --workers)",
-    )
-    rt.add_argument(
-        "--faults",
-        default=None,
-        help="fault injection spec; mixes infrastructure and Byzantine attack "
-        "keys, e.g. 'dropout=0.3,loss=0.1' or 'signflip=0.2,scale=10@0.1' "
-        "(default: $REPRO_FAULTS)",
-    )
-    rt.add_argument(
-        "--defense",
-        default=None,
-        help="robust server aggregation: mean | clip[=tau] | autoclip | "
-        "trimmed[=beta] | median | krum[=f] (default: $REPRO_DEFENSE; "
-        "unset = plain averaging)",
-    )
-    rt.add_argument(
-        "--norm-ceiling",
-        type=float,
-        default=None,
-        help="server-boundary gate: reject client updates whose L2 delta from "
-        "the global model exceeds this norm (default: $REPRO_NORM_CEILING)",
-    )
-    rt.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help="virtual-clock round deadline in seconds (default: $REPRO_DEADLINE)",
-    )
-    rt.add_argument(
-        "--aggregation",
-        default=None,
-        choices=["sync", "buffered"],
-        help="server aggregation regime: sync (classic rounds) or buffered "
-        "(FedBuff-style staleness-weighted merges; default: $REPRO_AGGREGATION)",
-    )
-    rt.add_argument(
-        "--buffer-size",
-        type=int,
-        default=None,
-        help="buffered: merge after this many arrivals (default: "
-        "$REPRO_BUFFER_SIZE or the per-round cohort size)",
-    )
-    rt.add_argument(
-        "--staleness-alpha",
-        type=float,
-        default=None,
-        help="buffered: staleness discount exponent in w(s)=1/(1+s)^alpha "
-        "(0 = uniform; default: $REPRO_STALENESS_ALPHA or 0.5)",
-    )
-    rt.add_argument(
-        "--max-staleness",
-        type=int,
-        default=None,
-        help="buffered: evict updates staler than this many server versions "
-        "(default: $REPRO_MAX_STALENESS or never)",
-    )
-    sc = p.add_argument_group("population scale")
-    sc.add_argument(
-        "--lazy-data",
-        action="store_true",
-        help="build federations lazily: client shards materialize on demand, "
-        "one round's cohort at a time, bit-identical to the eager builder "
-        "(default: $REPRO_LAZY_DATA)",
-    )
-    sc.add_argument(
-        "--max-cohort",
-        type=int,
-        default=None,
-        help="hard cap on the per-round cohort regardless of population size "
-        "(trajectory-shaping; default: $REPRO_MAX_COHORT or uncapped)",
-    )
-    ck = p.add_argument_group("durability (checkpoint / resume)")
-    ck.add_argument(
-        "--checkpoint-dir",
-        type=pathlib.Path,
-        default=None,
-        help="snapshot complete run state here every --checkpoint-every rounds "
-        "(default: $REPRO_CHECKPOINT_DIR; unset = no checkpointing)",
-    )
-    ck.add_argument(
-        "--checkpoint-every",
-        type=int,
-        default=None,
-        help="checkpoint cadence in rounds (default: $REPRO_CHECKPOINT_EVERY or 1)",
-    )
-    ck.add_argument(
-        "--resume",
-        action="store_true",
-        help="continue each run from its checkpoint in --checkpoint-dir when one "
-        "exists (bit-identical replay); runs without one start fresh "
-        "(default: $REPRO_RESUME)",
-    )
+    groups: dict = {}
+    for k in RUN_KNOBS:
+        if k.flag is None:
+            continue
+        if k.group not in groups:
+            groups[k.group] = p.add_argument_group(k.group)
+        fallback = "" if k.default is None or k.default is False else f" or {k.default}"
+        example = f", e.g. {k.example!r}" if k.example else ""
+        kind = (
+            dict(action="store_true")
+            if k.type is bool
+            else dict(type=k.type, default=None, choices=k.choices)
+        )
+        groups[k.group].add_argument(
+            k.flag, help=f"{k.help}{example} (default: ${k.env}{fallback})", **kind
+        )
     return p
+
+
+def export_knobs(args: argparse.Namespace) -> None:
+    """Copy the knob flags that were given into their ``REPRO_*`` variables,
+    so every run the tables/figures spawn sees them
+    (:func:`repro.experiments.configs.runtime_defaults`)."""
+    for k in RUN_KNOBS:
+        value = getattr(args, k.flag[2:].replace("-", "_")) if k.flag else None
+        if value is not None and value is not False:
+            os.environ[k.env] = "1" if value is True else str(value)
 
 
 def _emit(name: str, text: str, out_dir: pathlib.Path | None) -> None:
@@ -214,38 +134,7 @@ def main(argv: "list[str] | None" = None) -> int:
         print("scales: smoke (default), small, paper — set with --scale or $REPRO_SCALE")
         return 0
     scale = get_scale(args.scale)
-    # Runtime flags travel via the environment so every run the tables/
-    # figures spawn (repro.experiments.configs.runtime_defaults) sees them.
-    if args.workers is not None:
-        os.environ["REPRO_WORKERS"] = str(args.workers)
-    if args.executor is not None:
-        os.environ["REPRO_EXECUTOR"] = args.executor
-    if args.faults is not None:
-        os.environ["REPRO_FAULTS"] = args.faults
-    if args.defense is not None:
-        os.environ["REPRO_DEFENSE"] = args.defense
-    if args.norm_ceiling is not None:
-        os.environ["REPRO_NORM_CEILING"] = str(args.norm_ceiling)
-    if args.deadline is not None:
-        os.environ["REPRO_DEADLINE"] = str(args.deadline)
-    if args.aggregation is not None:
-        os.environ["REPRO_AGGREGATION"] = args.aggregation
-    if args.buffer_size is not None:
-        os.environ["REPRO_BUFFER_SIZE"] = str(args.buffer_size)
-    if args.staleness_alpha is not None:
-        os.environ["REPRO_STALENESS_ALPHA"] = str(args.staleness_alpha)
-    if args.max_staleness is not None:
-        os.environ["REPRO_MAX_STALENESS"] = str(args.max_staleness)
-    if args.lazy_data:
-        os.environ["REPRO_LAZY_DATA"] = "1"
-    if args.max_cohort is not None:
-        os.environ["REPRO_MAX_COHORT"] = str(args.max_cohort)
-    if args.checkpoint_dir is not None:
-        os.environ["REPRO_CHECKPOINT_DIR"] = str(args.checkpoint_dir)
-    if args.checkpoint_every is not None:
-        os.environ["REPRO_CHECKPOINT_EVERY"] = str(args.checkpoint_every)
-    if args.resume:
-        os.environ["REPRO_RESUME"] = "1"
+    export_knobs(args)
     print(f"[scale={scale.name}: image {scale.image_size}px, rounds {scale.rounds}, "
           f"clients {scale.clients}]\n")
     runner = ExperimentRunner(scale)

@@ -21,6 +21,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.fl.config import SCALE_GROUP, FLConfig, Knob, knob, knobs
+
 __all__ = [
     "Scale",
     "SCALES",
@@ -29,7 +31,10 @@ __all__ = [
     "CLIENT_SETTINGS",
     "scaled_clients",
     "scaled_target",
+    "RunOptions",
+    "RUN_KNOBS",
     "runtime_defaults",
+    "lazy_data_enabled",
     "checkpoint_defaults",
 ]
 
@@ -164,104 +169,90 @@ def scaled_target(setting_key: str, scale: Scale | None = None) -> float:
     return (scale or get_scale()).target_for(setting_key)
 
 
-def runtime_defaults() -> dict:
-    """Execution-runtime config overrides from the environment.
+_DURABILITY = "durability (checkpoint / resume)"
 
-    ``REPRO_WORKERS`` (int), ``REPRO_EXECUTOR`` (serial | parallel |
-    persistent | batched), ``REPRO_FAULTS`` (fault spec string, e.g.
-    ``"dropout=0.3,loss=0.1"``) and ``REPRO_DEADLINE`` (float seconds) map
-    onto :class:`repro.fl.algorithms.FLConfig`'s ``workers`` / ``executor``
-    / ``faults`` / ``deadline`` fields; ``REPRO_AGGREGATION`` (sync |
-    buffered), ``REPRO_BUFFER_SIZE`` (int), ``REPRO_STALENESS_ALPHA``
-    (float) and ``REPRO_MAX_STALENESS`` (int) map onto the buffered-server
-    fields ``aggregation`` / ``buffer_size`` / ``staleness_alpha`` /
-    ``max_staleness``; ``REPRO_DEFENSE`` (robust-aggregation spec, e.g.
-    ``"trimmed=0.3"``) and ``REPRO_NORM_CEILING`` (float) map onto the
-    Byzantine-robustness fields ``defense`` / ``norm_ceiling``;
-    ``REPRO_MAX_COHORT`` (int, trajectory-shaping per-round cohort cap) and
-    ``REPRO_STATE_RESIDENCY`` (int, per-client state kept in RAM before
-    spilling) map onto ``max_cohort`` / ``state_residency``. The CLI's
-    ``--workers/--executor/--faults/--defense/--norm-ceiling/
-    --deadline/--aggregation/--buffer-size/--staleness-alpha/
-    --max-staleness`` flags set these variables so one invocation
-    configures every run it spawns. Unset variables are omitted, leaving
-    the config defaults in force.
-    """
+
+@dataclass(frozen=True)
+class RunOptions:
+    """The run-level knobs that are not :class:`FLConfig` fields, declared
+    with the same record: the federation builder switch and the durability
+    keyword arguments of :meth:`repro.fl.algorithms.FLAlgorithm.run`."""
+
+    lazy_data: bool = knob(
+        False,
+        "build federations lazily: client shards materialize on demand, one "
+        "round's cohort at a time, bit-identical to the eager builder",
+        env="REPRO_LAZY_DATA", flag="--lazy-data", group=SCALE_GROUP,
+        execution_only=True,
+    )
+    checkpoint_dir: str | None = knob(
+        None,
+        "snapshot complete run state here every --checkpoint-every rounds "
+        "(unset = no checkpointing)",
+        env="REPRO_CHECKPOINT_DIR", flag="--checkpoint-dir", group=_DURABILITY,
+        execution_only=True, verbatim=True,
+    )
+    checkpoint_every: int = knob(
+        1,
+        "checkpoint cadence in rounds",
+        env="REPRO_CHECKPOINT_EVERY", flag="--checkpoint-every", group=_DURABILITY,
+        execution_only=True,
+    )
+    resume_from: bool = knob(
+        False,
+        "continue each run from its checkpoint in --checkpoint-dir when one "
+        "exists (bit-identical replay); runs without one start fresh",
+        env="REPRO_RESUME", flag="--resume", group=_DURABILITY, execution_only=True,
+    )
+
+
+# Every run knob (the algorithm hyperparameters have no group), in the order
+# the CLI registers them and the README lists them.
+RUN_KNOBS: "tuple[Knob, ...]" = tuple(
+    k for k in knobs(FLConfig) + knobs(RunOptions) if k.group
+)
+
+
+def _env_overrides(cls: type) -> dict:
+    """``{field: parsed value}`` for each of ``cls``'s knobs whose
+    environment variable is set and non-empty."""
     out: dict = {}
-    workers = os.environ.get("REPRO_WORKERS")
-    if workers:
-        out["workers"] = int(workers)
-    executor = os.environ.get("REPRO_EXECUTOR")
-    if executor:
-        out["executor"] = executor.strip().lower()
-    faults = os.environ.get("REPRO_FAULTS")
-    if faults:
-        out["faults"] = faults
-    defense = os.environ.get("REPRO_DEFENSE")
-    if defense:
-        out["defense"] = defense.strip().lower()
-    norm_ceiling = os.environ.get("REPRO_NORM_CEILING")
-    if norm_ceiling:
-        out["norm_ceiling"] = float(norm_ceiling)
-    deadline = os.environ.get("REPRO_DEADLINE")
-    if deadline:
-        out["deadline"] = float(deadline)
-    aggregation = os.environ.get("REPRO_AGGREGATION")
-    if aggregation:
-        out["aggregation"] = aggregation.strip().lower()
-    buffer_size = os.environ.get("REPRO_BUFFER_SIZE")
-    if buffer_size:
-        out["buffer_size"] = int(buffer_size)
-    alpha = os.environ.get("REPRO_STALENESS_ALPHA")
-    if alpha:
-        out["staleness_alpha"] = float(alpha)
-    max_staleness = os.environ.get("REPRO_MAX_STALENESS")
-    if max_staleness:
-        out["max_staleness"] = int(max_staleness)
-    max_cohort = os.environ.get("REPRO_MAX_COHORT")
-    if max_cohort:
-        out["max_cohort"] = int(max_cohort)
-    state_residency = os.environ.get("REPRO_STATE_RESIDENCY")
-    if state_residency:
-        out["state_residency"] = int(state_residency)
+    for k in knobs(cls):
+        raw = os.environ.get(k.env) if k.env else None
+        if raw:
+            out[k.name] = k.parse(raw)
     return out
+
+
+def runtime_defaults() -> dict:
+    """:class:`FLConfig` overrides from the environment.
+
+    Each knob's ``REPRO_*`` variable (the table in
+    :mod:`repro.fl.config` names them) is parsed by the field's type and
+    keyed by the field's name. The CLI's flags set these variables so one
+    invocation configures every run it spawns. Unset variables are
+    omitted, leaving the config defaults in force.
+    """
+    return _env_overrides(FLConfig)
 
 
 def lazy_data_enabled() -> bool:
     """Whether federations should be built lazily (``REPRO_LAZY_DATA``).
 
-    The CLI's ``--lazy-data`` flag sets the variable; lazy and eager
-    builders produce bit-identical client shards (property-tested), so
-    this toggles memory behavior, never results.
+    Lazy and eager builders produce bit-identical client shards
+    (property-tested), so this toggles memory behavior, never results.
     """
-    return os.environ.get("REPRO_LAZY_DATA", "").strip().lower() in (
-        "1",
-        "true",
-        "yes",
-        "on",
-    )
+    return _env_overrides(RunOptions).get("lazy_data", False)
 
 
 def checkpoint_defaults() -> dict:
-    """Durability settings from the environment.
+    """Durability keyword arguments for
+    :meth:`repro.fl.algorithms.FLAlgorithm.run` from the environment.
 
-    ``REPRO_CHECKPOINT_DIR`` (path; enables mid-run checkpointing),
-    ``REPRO_CHECKPOINT_EVERY`` (int rounds, default 1) and ``REPRO_RESUME``
-    ("1"/"true" to continue from each run's own checkpoint when present)
-    map onto the ``checkpoint_dir`` / ``checkpoint_every`` / ``resume_from``
-    keyword arguments of :meth:`repro.fl.algorithms.FLAlgorithm.run`. The
-    CLI's ``--checkpoint-dir/--checkpoint-every/--resume`` flags set these
-    variables. Returns ``{}`` when no checkpoint dir is configured —
-    durability is strictly opt-in.
+    Returns ``{}`` when no checkpoint directory is configured —
+    durability is strictly opt-in, and a cadence or a resume request
+    without a directory means nothing.
     """
-    directory = os.environ.get("REPRO_CHECKPOINT_DIR")
-    if not directory:
-        return {}
-    out: dict = {"checkpoint_dir": directory}
-    every = os.environ.get("REPRO_CHECKPOINT_EVERY")
-    if every:
-        out["checkpoint_every"] = int(every)
-    resume = os.environ.get("REPRO_RESUME", "").strip().lower()
-    if resume in ("1", "true", "yes", "on"):
-        out["resume_from"] = True
-    return out
+    out = _env_overrides(RunOptions)
+    out.pop("lazy_data", None)  # the one RunOptions knob run() does not take
+    return out if "checkpoint_dir" in out else {}

@@ -31,11 +31,8 @@ import hashlib
 import json
 import pathlib
 import time
-from collections import defaultdict
-from dataclasses import dataclass, replace
 from typing import Callable
 
-from repro.data.dataset import ArrayDataset
 from repro.data.federated import FederatedDataset
 from repro.fl.checkpoint import (
     RunCheckpoint,
@@ -44,6 +41,7 @@ from repro.fl.checkpoint import (
     save_run_checkpoint,
 )
 from repro.fl.comm import Channel, CommMeter
+from repro.fl.config import FLConfig, knobs
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.metrics import average_local_accuracy, evaluate_model
 from repro.fl.robust import parse_defense, validate_update
@@ -57,14 +55,9 @@ from repro.nn.serialization import (
     state_dict_num_bytes,
     state_dict_signature,
 )
-from repro.runtime.adversary import LABELFLIP, poison_states
-from repro.runtime.async_server import (
-    AGGREGATION_KINDS,
-    BufferedMerge,
-    UpdateBuffer,
-)
-from repro.runtime.executors import EXECUTOR_KINDS, ClientUpdate
-from repro.runtime.faults import parse_fault_spec
+from repro.runtime.adversary import LABELFLIP, labelflip_clone, poison_states
+from repro.runtime.async_server import BufferedMerge, UpdateBuffer
+from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import (
     REJECTED_UPDATE,
     STALE_EVICTED,
@@ -81,104 +74,6 @@ log = get_logger("fl")
 ALGORITHM_REGISTRY: Registry[type] = Registry("algorithm")
 
 ModelFn = Callable[[], Module]
-
-
-@dataclass(frozen=True)
-class FLConfig:
-    """Hyperparameters shared by all FL algorithms.
-
-    Defaults follow the non-IID benchmark conventions (Li et al. 2021) that
-    the paper adopts; experiment presets override per table/figure.
-    """
-
-    rounds: int = 20
-    sample_ratio: float = 0.4
-    local_epochs: int = 2
-    batch_size: int = 32
-    lr: float = 0.02
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    eval_batch_size: int = 256
-    seed: int = 0
-    eval_local: bool = False  # also track average local accuracy (Table 3)
-    # algorithm-specific knobs (ignored by algorithms that don't use them)
-    prox_mu: float = 0.01  # FedProx proximal strength
-    server_lr: float = 1.0  # SCAFFOLD/FedNova global step size
-    distill_epochs: int = 1  # server distillation epochs (FedDF / FedKEMF)
-    distill_lr: float = 1e-3
-    distill_batch_size: int = 64
-    distill_temperature: float = 1.0
-    distill_init_from_average: bool = True  # FedDF-style warm start
-    kl_weight: float = 1.0  # DML coupling strength (FedKEMF ablation)
-    ensemble: str = "max"  # max | mean | vote (paper §Ensemble Knowledge)
-    fusion: str = "ensemble-distill"  # or "weight-average"
-    compression: str | None = None  # wire codec: fp16 | q8 | q4 (extension)
-    # execution runtime (repro.runtime)
-    workers: int = 0  # 0/1 = serial; >= 2 = process-parallel client execution
-    executor: str | None = None  # serial|parallel|persistent|batched (None = by workers)
-    faults: str | None = None  # fault spec, e.g. "dropout=0.3,loss=0.1,slowdown=4"
-    deadline: float | None = None  # virtual-clock round deadline (seconds)
-    over_provision: bool = True  # sample ceil(K/(1-dropout)) when dropout > 0
-    aggregation: str = "sync"  # sync | buffered (FedBuff-style server regime)
-    buffer_size: int | None = None  # buffered: merge after K arrivals (None = per-round K)
-    staleness_alpha: float = 0.5  # buffered: discount w(s) = 1/(1+s)^alpha
-    max_staleness: int | None = None  # buffered: evict updates staler than this
-    # Byzantine robustness (repro.fl.robust)
-    defense: str | None = None  # mean | clip[=tau] | autoclip | trimmed[=beta] | median | krum[=f]
-    norm_ceiling: float | None = None  # validate_update: reject state deltas above this L2 norm
-    # population scale (repro.data.lazy / repro.fl.state_store)
-    max_cohort: int | None = None  # hard cap on the per-round cohort (trajectory-shaping)
-    state_residency: int | None = None  # per-client state kept in RAM; excess spills to disk
-
-    def __post_init__(self) -> None:
-        if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1; got {self.rounds}")
-        if not 0.0 < self.sample_ratio <= 1.0:
-            raise ValueError(f"sample_ratio must be in (0, 1]; got {self.sample_ratio}")
-        if self.local_epochs < 1:
-            raise ValueError(f"local_epochs must be >= 1; got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1; got {self.batch_size}")
-        if self.lr <= 0 or self.distill_lr <= 0:
-            raise ValueError("learning rates must be positive")
-        if self.kl_weight < 0:
-            raise ValueError(f"kl_weight must be non-negative; got {self.kl_weight}")
-        if self.prox_mu < 0:
-            raise ValueError(f"prox_mu must be non-negative; got {self.prox_mu}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be >= 0; got {self.workers}")
-        if self.executor is not None and self.executor not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"executor must be one of {EXECUTOR_KINDS}; got {self.executor!r}"
-            )
-        if self.deadline is not None and self.deadline <= 0:
-            raise ValueError(f"deadline must be positive; got {self.deadline}")
-        if self.aggregation not in AGGREGATION_KINDS:
-            raise ValueError(
-                f"aggregation must be one of {AGGREGATION_KINDS}; got {self.aggregation!r}"
-            )
-        if self.buffer_size is not None and self.buffer_size < 1:
-            raise ValueError(f"buffer_size must be >= 1; got {self.buffer_size}")
-        if self.staleness_alpha < 0:
-            raise ValueError(
-                f"staleness_alpha must be >= 0; got {self.staleness_alpha}"
-            )
-        if self.max_staleness is not None and self.max_staleness < 0:
-            raise ValueError(f"max_staleness must be >= 0; got {self.max_staleness}")
-        if self.norm_ceiling is not None and self.norm_ceiling <= 0:
-            raise ValueError(f"norm_ceiling must be positive; got {self.norm_ceiling}")
-        if self.max_cohort is not None and self.max_cohort < 1:
-            raise ValueError(f"max_cohort must be >= 1; got {self.max_cohort}")
-        if self.state_residency is not None and self.state_residency < 1:
-            raise ValueError(
-                f"state_residency must be >= 1; got {self.state_residency}"
-            )
-        parse_fault_spec(self.faults)  # raises on a malformed spec string
-        parse_defense(self.defense)  # raises on a malformed defense spec
-
-    def with_overrides(self, **kwargs) -> "FLConfig":
-        """Functional update (configs are frozen; revalidates)."""
-        return replace(self, **kwargs)
 
 
 class FLAlgorithm:
@@ -246,9 +141,6 @@ class FLAlgorithm:
         # Robust aggregation policy (None = plain averaging, the bitwise
         # pre-defense path). Stateful defenses ride in server_state().
         self.defense = parse_defense(config.defense)
-        # Lazily-built flipped-label trainer clones for clients the
-        # adversary assigns the labelflip role (training-time attack).
-        self._labelflip_trainers: "dict[int, LocalTrainer]" = {}
         self.setup()
 
     # hooks ------------------------------------------------------------- #
@@ -275,83 +167,34 @@ class FLAlgorithm:
 
     # adversary / defense ------------------------------------------------ #
 
-    def _make_labelflip_trainer(self, cid: int) -> LocalTrainer:
-        """Build a clone of client ``cid``'s trainer over a flipped-label
-        view (``y → C−1−y``). Same hyperparameters and the *same seed*, so
-        the shuffle schedule — hence the batch order — is identical to the
-        honest trainer's; only the labels differ. Pure construction: no
-        algorithm state is touched."""
-        base = self.trainers[cid]
-        x, y = base.dataset.arrays()
-        flipped = ArrayDataset(x, (self.fed.num_classes - 1) - y)
-        return LocalTrainer(
-            flipped,
-            batch_size=base.batch_size,
-            lr=base.lr,
-            momentum=base.momentum,
-            weight_decay=base.weight_decay,
-            seed=base.seed,
-        )
-
-    def _labelflip_trainer(self, cid: int) -> LocalTrainer:
-        """Client ``cid``'s flipped-label trainer clone.
-
-        Normally a pure cache read: :meth:`_prepare_attack_state` prebuilds
-        the clone parent-side before the executor snapshots the algorithm.
-        On a miss (a direct call outside the round pipeline) a fresh clone
-        is built *without* caching — this may run in a forked worker, where
-        a ``self`` write would be silently lost (reprolint RPL702), and
-        construction is deterministic so the uncached clone is identical.
-        """
-        trainer = self._labelflip_trainers.get(cid)
-        if trainer is not None:
-            return trainer
-        return self._make_labelflip_trainer(cid)
-
     def _prefetch_clients(self, round_idx: int, active: "list[int]") -> None:
         """Bound resident per-client state to this round's cohort.
 
         Under a lazy federation (one exposing ``prefetch``) the cohort's
         data shards are materialized in a single streaming pass and
-        everything outside the cohort is evicted; cached trainers (honest
-        and flipped-label clones) over evicted shards are dropped too, so
-        they stop pinning the arrays. Construction purity makes all of this
-        invisible to the trajectory — a rebuilt shard/trainer is bitwise
-        the evicted one. Eager federations skip the hook entirely, keeping
-        the legacy keep-everything behavior.
+        everything outside the cohort is evicted; cached trainers over
+        evicted shards are dropped too, so they stop pinning the arrays.
+        Construction purity makes all of this invisible to the trajectory —
+        a rebuilt shard/trainer is bitwise the evicted one. Eager
+        federations skip the hook entirely, keeping the legacy
+        keep-everything behavior.
         """
         prefetch = getattr(self.fed, "prefetch", None)
         if prefetch is None:
             return
         prefetch(active)
-        keep = set(active)
-        self.trainers.retain(keep)
-        for cid in [c for c in self._labelflip_trainers if c not in keep]:
-            del self._labelflip_trainers[cid]
-
-    def _prepare_attack_state(self, round_idx: int, active: "list[int]") -> None:
-        """Parent-side prebuild of per-client adversarial state.
-
-        Anything :meth:`client_work` would lazily cache on ``self`` (the
-        flipped-label trainer clones) is built here instead, before the
-        executor fan-out, so the worker-side path is a pure read and every
-        executor backend sees the same snapshot.
-        """
-        for cid in active:
-            if (
-                self.runtime.attack_role(round_idx, cid) == LABELFLIP
-                and cid not in self._labelflip_trainers
-            ):
-                self._labelflip_trainers[cid] = self._make_labelflip_trainer(cid)
+        self.trainers.retain(set(active))
 
     def _client_trainer(self, round_idx: int, cid: int) -> LocalTrainer:
         """The trainer a client-work hook must use for this (round, client)
-        pair: the honest one, or the flipped-label clone when the adversary
-        assigns the ``labelflip`` role. Pure in ``(seed, round, client)``,
-        so every executor backend resolves the same trainer."""
+        pair: the honest one, or a flipped-label clone of it (built on
+        demand, never stored) when the adversary assigns the ``labelflip``
+        role. Pure in ``(seed, round, client)``, so every executor backend
+        resolves the same trainer."""
+        trainer = self.trainers[cid]
         if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-            return self._labelflip_trainer(cid)
-        return self.trainers[cid]
+            return labelflip_clone(trainer, self.fed.num_classes)
+        return trainer
 
     def _combine_states(self, states, weights, reference=None):
         """Fuse client state dicts under the configured robust-aggregation
@@ -580,7 +423,6 @@ class FLAlgorithm:
         }
         active = [cid for cid in selected if cid not in failures]
         self._prefetch_clients(round_idx, active)
-        self._prepare_attack_state(round_idx, active)
         tasks = [(cid, self.client_payload(round_idx, cid)) for cid in active]
         work = functools.partial(self.client_work, round_idx)
         updates = rt.executor.run_round(work, tasks)
@@ -787,16 +629,17 @@ class FLAlgorithm:
 
         Two runs with the same fingerprint produce bit-identical histories;
         a checkpoint only resumes into an algorithm with a matching one.
-        Execution-only knobs (``workers`` / ``executor`` /
-        ``state_residency``) are excluded — the parity guarantee makes
-        backends interchangeable, so a run may be resumed under a different
-        worker count, a different spill budget, or on another machine.
-        ``max_cohort`` stays in: capping the cohort changes which clients
-        train, hence the trajectory.
+        The knobs the table marks ``execution_only`` (worker count,
+        executor backend, spill budget) are excluded — the parity guarantee
+        makes backends interchangeable, so a run may be resumed under a
+        different worker count, a different spill budget, or on another
+        machine. ``max_cohort`` stays in: capping the cohort changes which
+        clients train, hence the trajectory.
         """
         cfg = dataclasses.asdict(self.cfg)
-        for execution_only in ("workers", "executor", "state_residency"):
-            cfg.pop(execution_only, None)
+        for k in knobs(FLConfig):
+            if k.execution_only:
+                del cfg[k.name]
         payload = {
             "algorithm": self.name,
             "model": type(self.global_model).__name__,
@@ -816,11 +659,7 @@ class FLAlgorithm:
             next_round=next_round,
             global_state=self.global_model.state_dict(),
             server_state=self.server_state(),
-            meter_state={
-                "uplink": dict(self.meter.uplink),
-                "downlink": dict(self.meter.downlink),
-                "round_bytes": list(self.meter.round_bytes),
-            },
+            meter_state=self.meter.state(),
             history=history.to_dict(),
         )
 
@@ -842,11 +681,7 @@ class FLAlgorithm:
             )
         self.global_model.load_state_dict(ckpt.global_state)
         self.load_server_state(ckpt.server_state)
-        meter = ckpt.meter_state
-        self.meter.uplink = defaultdict(int, {int(k): v for k, v in meter["uplink"].items()})
-        self.meter.downlink = defaultdict(int, {int(k): v for k, v in meter["downlink"].items()})
-        self.meter.round_bytes = list(meter["round_bytes"])
-        self.meter._current_round = len(self.meter.round_bytes) - 1
+        self.meter.load_state(ckpt.meter_state)
         return RunHistory.from_dict(ckpt.history), int(ckpt.next_round)
 
     # driver ------------------------------------------------------------ #
@@ -929,17 +764,13 @@ class FLAlgorithm:
                 num_clients=self.fed.num_clients,
                 sample_ratio=self.cfg.sample_ratio,
             )
+        # Every run knob as configured, then what the runtime resolved
+        # (an explicit ``runtime=`` may differ from the config).
         history.meta["runtime"] = {
+            **{k.name: getattr(self.cfg, k.name) for k in knobs(FLConfig) if k.group},
             "executor": type(self.runtime.executor).__name__,
             "workers": self.runtime.executor.workers,
-            "faults": self.cfg.faults,
-            "deadline": self.cfg.deadline,
             "aggregation": self.runtime.aggregation.kind,
-            "buffer_size": self.cfg.buffer_size,
-            "staleness_alpha": self.cfg.staleness_alpha,
-            "max_staleness": self.cfg.max_staleness,
-            "defense": self.cfg.defense,
-            "norm_ceiling": self.cfg.norm_ceiling,
         }
         if history_stream is not None:
             history.stream_to(history_stream, keep_records=history_keep_records)
@@ -985,7 +816,9 @@ class FLAlgorithm:
             selected = self.select_clients(t)
             self._last_outcome = None
             self.round(t, selected)
-            outcome = self._last_outcome
+            # A wholesale round() override records no outcome: everyone
+            # selected took part and nothing failed.
+            outcome = self._last_outcome or RoundOutcome(t, aggregated=selected)
             acc, loss = evaluate_model(
                 self.evaluation_model(), self.fed.server_test, self.cfg.eval_batch_size
             )
@@ -997,7 +830,7 @@ class FLAlgorithm:
                 local_acc = average_local_accuracy(
                     models, self.fed.client_test, self.cfg.eval_batch_size
                 )
-            participated = len(outcome.aggregated) if outcome is not None else len(selected)
+            participated = len(outcome.aggregated)
             history.append(
                 RoundRecord(
                     round_idx=t + 1,
@@ -1009,11 +842,11 @@ class FLAlgorithm:
                     local_accuracy=local_acc,
                     wall_time=time.perf_counter() - start,
                     num_sampled=len(selected),
-                    num_failed=len(outcome.failures) if outcome is not None else 0,
-                    failures=dict(outcome.failures) if outcome is not None else {},
-                    sim_time_s=outcome.sim_time_s if outcome is not None else 0.0,
-                    staleness=dict(outcome.staleness) if outcome is not None else {},
-                    buffer_len=outcome.buffer_len if outcome is not None else 0,
+                    num_failed=len(outcome.failures),
+                    failures=dict(outcome.failures),
+                    sim_time_s=outcome.sim_time_s,
+                    staleness=dict(outcome.staleness),
+                    buffer_len=outcome.buffer_len,
                 )
             )
             log.info(

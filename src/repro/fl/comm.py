@@ -56,6 +56,22 @@ class CommMeter:
         self.round_bytes.append(0)
         self._current_round = round_idx
 
+    def state(self) -> dict:
+        """The ledger as plain data (what a run checkpoint stores)."""
+        return {
+            "uplink": dict(self.uplink),
+            "downlink": dict(self.downlink),
+            "round_bytes": list(self.round_bytes),
+        }
+
+    def load_state(self, state: dict) -> None:
+        """Restore a :meth:`state` snapshot; the last recorded round stays
+        open, so :meth:`begin_round` continues with the next one."""
+        self.uplink = defaultdict(int, {int(k): v for k, v in state["uplink"].items()})
+        self.downlink = defaultdict(int, {int(k): v for k, v in state["downlink"].items()})
+        self.round_bytes = list(state["round_bytes"])
+        self._current_round = len(self.round_bytes) - 1
+
     def charge_up(self, client_id: int, nbytes: int) -> None:
         self._charge(self.uplink, client_id, nbytes)
 

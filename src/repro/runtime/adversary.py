@@ -34,17 +34,21 @@ from its sibling :mod:`repro.runtime.faults` (which imports *us* for the
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping
 
 import numpy as np
 
+from repro.data.dataset import ArrayDataset
+
 __all__ = [
     "ATTACK_KINDS",
     "LABELFLIP",
     "AttackSpec",
     "AdversaryPlan",
+    "labelflip_clone",
     "poison_states",
 ]
 
@@ -204,6 +208,19 @@ def _poison_array(
     else:  # pragma: no cover - guarded by poison_states
         raise ValueError(f"unknown payload attack role {role!r}")
     return out.astype(x.dtype)
+
+
+def labelflip_clone(trainer, num_classes: int):
+    """A copy of a client trainer over the flipped-label view ``y → C−1−y``
+    of its shard. Hyperparameters and *seed* are the trainer's own, so the
+    batch order is the honest one and only the labels differ. Pure — the
+    trainer and its dataset are untouched — so client work may call it in
+    a forked worker; the clone costs one pass over the shard (a label flip,
+    plus the feature gather when the shard is a ``Subset`` view)."""
+    x, y = trainer.dataset.arrays()
+    clone = copy.copy(trainer)
+    clone.dataset = ArrayDataset(x, (num_classes - 1) - y)
+    return clone
 
 
 def poison_states(

@@ -36,6 +36,7 @@ from repro.runtime.faults import NO_FAULTS, ClientFaults, FaultPlan, parse_fault
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.data.federated import FederatedDataset
+    from repro.fl.config import FLConfig
 
 __all__ = [
     "FLRuntime",
@@ -174,7 +175,7 @@ class FLRuntime:
         return self.plan.retry_delay_s(faults.uplink_attempts)
 
     @classmethod
-    def from_config(cls, cfg, fed: "FederatedDataset") -> "FLRuntime":
+    def from_config(cls, cfg: "FLConfig", fed: "FederatedDataset") -> "FLRuntime":
         """Build the runtime an :class:`FLConfig` describes.
 
         Reads ``cfg.workers`` (executor), ``cfg.faults`` (fault spec
@@ -188,16 +189,15 @@ class FLRuntime:
         Under ``aggregation="buffered"``, ``deadline`` only materializes
         the clock; the buffer replaces the drop-late-clients policy.
         """
-        spec = parse_fault_spec(getattr(cfg, "faults", None))
+        spec = parse_fault_spec(cfg.faults)
         plan = FaultPlan(spec, seed=cfg.seed) if spec is not None else None
         adversary = (
             AdversaryPlan(spec.attacks, seed=cfg.seed)
             if spec is not None and not spec.attacks.is_null
             else None
         )
-        deadline = getattr(cfg, "deadline", None)
         clock = None
-        if (plan is not None and not spec.is_null) or deadline is not None:
+        if (plan is not None and not spec.is_null) or cfg.deadline is not None:
             from repro.fl.devices import sample_device_profiles
 
             # Both federation flavors expose sample_shape without touching
@@ -214,18 +214,16 @@ class FLRuntime:
                 batch_input_shape=(cfg.batch_size, *shape),
             )
         return cls(
-            executor=make_executor(
-                getattr(cfg, "workers", 0), getattr(cfg, "executor", None)
-            ),
+            executor=make_executor(cfg.workers, cfg.executor),
             plan=plan,
-            deadline_s=deadline,
-            over_provision=getattr(cfg, "over_provision", True),
+            deadline_s=cfg.deadline,
+            over_provision=cfg.over_provision,
             clock=clock,
             aggregation=make_aggregation_policy(
-                getattr(cfg, "aggregation", "sync"),
-                buffer_size=getattr(cfg, "buffer_size", None),
-                staleness_alpha=getattr(cfg, "staleness_alpha", 0.5),
-                max_staleness=getattr(cfg, "max_staleness", None),
+                cfg.aggregation,
+                buffer_size=cfg.buffer_size,
+                staleness_alpha=cfg.staleness_alpha,
+                max_staleness=cfg.max_staleness,
             ),
             adversary=adversary,
         )

@@ -1,8 +1,7 @@
-"""Shared utilities: seeded RNG management, registries, timers, logging."""
+"""Shared utilities: seeded RNG management, registries, logging."""
 
 from repro.utils.rng import RngMixin, new_rng, spawn_rngs, temp_seed
 from repro.utils.registry import Registry
-from repro.utils.timer import Timer
 from repro.utils.logging import get_logger
 
 __all__ = [
@@ -11,6 +10,5 @@ __all__ = [
     "spawn_rngs",
     "temp_seed",
     "Registry",
-    "Timer",
     "get_logger",
 ]

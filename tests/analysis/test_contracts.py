@@ -46,6 +46,32 @@ class _ExecutionTaintedFingerprint(FedAvg):
         return f"{super().config_fingerprint()}-w{self.cfg.workers}"
 
 
+class _ResidencyTaintedFingerprint(FedAvg):
+    """Leaks the execution-only field the pre-table RPL904 never flipped."""
+
+    def config_fingerprint(self):
+        return f"{super().config_fingerprint()}-r{self.cfg.state_residency}"
+
+
+class _DecoratedFingerprint(FedAvg):
+    """The good twin: reshapes the fingerprint without reading any knob."""
+
+    def config_fingerprint(self):
+        return f"v2-{super().config_fingerprint()}"
+
+
+class _CohortBlindFingerprint(FedAvg):
+    """Drops a trajectory-shaping knob from the fingerprint."""
+
+    def config_fingerprint(self):
+        cfg = self.cfg
+        self.cfg = cfg.with_overrides(max_cohort=None)
+        try:
+            return super().config_fingerprint()
+        finally:
+            self.cfg = cfg
+
+
 class _Uninstantiable(FedAvg):
     def __init__(self, model_fn, fed, cfg):  # wrong: rejects the standard signature
         raise TypeError("needs extra arguments")
@@ -95,6 +121,27 @@ def test_broken_algorithm_is_caught_by_its_contract(code):
     violations = run_contract_checks(entries=[("broken", cls)])
     codes = {v.code for v in violations}
     assert code in codes, f"{cls.__name__} should trip {code}; got {codes or 'nothing'}"
+
+
+def _rpl904(cls):
+    found = run_contract_checks(entries=[("broken", cls)])
+    return [v.message for v in found if v.code == "RPL904"]
+
+
+def test_rpl904_flips_every_execution_only_field():
+    (message,) = _rpl904(_ResidencyTaintedFingerprint)
+    assert "execution-only knob 'state_residency'" in message
+    (message,) = _rpl904(_ExecutionTaintedFingerprint)
+    assert "execution-only knob 'workers'" in message
+
+
+def test_rpl904_clean_when_no_execution_only_field_leaks():
+    assert _rpl904(_DecoratedFingerprint) == []
+
+
+def test_rpl904_requires_every_other_knob_to_move_the_fingerprint():
+    (message,) = _rpl904(_CohortBlindFingerprint)
+    assert "ignores 'max_cohort'" in message
 
 
 def test_amnesiac_defense_load_is_caught_by_rpl905():

@@ -35,6 +35,27 @@ class TestMeter:
         m.charge_down(1, 5)
         assert m.round_bytes == [0, 0, 0, 10, 5]
 
+    def test_state_round_trip(self):
+        """state() is the plain-data ledger a run checkpoint stores;
+        load_state() leaves the meter ready for the next round."""
+        m = CommMeter()
+        m.begin_round(0)
+        m.charge_up(2, 10)
+        m.begin_round(1)
+        m.charge_down(0, 7)
+        state = m.state()
+        assert state == {"uplink": {2: 10}, "downlink": {0: 7}, "round_bytes": [10, 7]}
+        assert all(type(state[k]) is dict for k in ("uplink", "downlink"))
+        restored = CommMeter()
+        # checkpoint formats may stringify the client ids
+        restored.load_state({**state, "uplink": {"2": 10}})
+        assert restored.state() == state
+        restored.charge_up(5, 1)  # a late charge lands in the last open round
+        assert restored.round_bytes == [10, 8]
+        restored.begin_round(2)
+        restored.charge_up(9, 3)  # unseen client: the ledgers are still defaultdicts
+        assert restored.round_bytes == [10, 8, 3]
+
     def test_charges_accumulate(self):
         m = CommMeter()
         m.begin_round(0)

@@ -264,6 +264,44 @@ class TestRuntimeWiring:
         assert rt["norm_ceiling"] == 50.0
 
 
+class TestLabelflipClone:
+    """The flipped-label trainer is built on demand from the honest one —
+    nothing is cached on the algorithm, so nothing rides in the persistent
+    pool's snapshot and forked client work writes nothing to ``self``."""
+
+    def _check(self, algo, honest, clone):
+        x, y = honest.dataset.arrays()
+        cx, cy = clone.dataset.arrays()
+        assert clone is not honest and type(clone) is type(honest)
+        np.testing.assert_array_equal(cx, x)
+        np.testing.assert_array_equal(cy, (algo.fed.num_classes - 1) - y)
+        # same hyperparameters and seed => the honest batch schedule
+        assert {k: v for k, v in vars(clone).items() if k != "dataset"} == {
+            k: v for k, v in vars(honest).items() if k != "dataset"
+        }
+        assert not [name for name in vars(algo) if "labelflip" in name]
+
+    def test_local_trainer(self, micro_fed, micro_model_fn):
+        algo = ALGORITHM_REGISTRY.get("scaffold")(
+            micro_model_fn, micro_fed, _config(faults="labelflip=1.0")
+        )
+        honest = algo.trainers[2]
+        self._check(algo, honest, algo._client_trainer(0, 2))
+        assert algo.trainers[2] is honest  # the honest trainer is untouched
+        assert algo._client_trainer(0, 2) is not algo._client_trainer(0, 2)
+
+    def test_mutual_trainer(self, micro_fed, micro_model_fn):
+        from repro.core import FedKEMF
+
+        algo = FedKEMF(micro_model_fn, micro_fed, _config(faults="labelflip=1.0"))
+        honest = algo.mutual_trainers[1]
+        self._check(algo, honest, algo._mutual_trainer(0, 1))
+
+    def test_honest_role_returns_the_bank_entry(self, micro_fed, micro_model_fn):
+        algo = ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, _config())
+        assert algo._client_trainer(0, 3) is algo.trainers[3]
+
+
 def _assert_same_run(a, b):
     ha, hb = a.run(), b.run()
     assert ha.fingerprint() == hb.fingerprint()

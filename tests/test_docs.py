@@ -1,12 +1,33 @@
 """Documentation consistency: the promises in DESIGN.md/README point at
 things that exist."""
 
+import dataclasses
 import pathlib
 import re
 
 import pytest
 
 ROOT = pathlib.Path(__file__).parent.parent
+
+KNOB_TABLE_HEADER = "| flag | `FLConfig` field | env | execution-only | meaning |"
+
+
+def knob_table_rows():
+    """The README's run-knob table as the field table spells it."""
+    from repro.experiments.configs import RUN_KNOBS
+    from repro.fl import FLConfig
+
+    fields = {f.name for f in dataclasses.fields(FLConfig)}
+    return [
+        "| {} | {} | {} | {} | {} |".format(
+            f"`{k.flag}`" if k.flag else "—",
+            f"`{k.name}`" if k.name in fields else "—",
+            f"`${k.env}`" if k.env else "—",
+            "yes" if k.execution_only else "no",
+            k.help.replace("|", "\\|"),
+        )
+        for k in RUN_KNOBS
+    ]
 
 
 class TestDesignDoc:
@@ -34,6 +55,15 @@ class TestReadme:
             if script in ("setup.py",):
                 continue
             assert (ROOT / "examples" / script).exists(), f"missing example {script}"
+
+    def test_knob_table_matches_the_field_table(self):
+        """One knob table, and it is the one the code derives everything
+        from: same rows, same order, same flag/env/execution-only/meaning."""
+        lines = (ROOT / "README.md").read_text().splitlines()
+        assert lines.count(KNOB_TABLE_HEADER) == 1
+        start = lines.index(KNOB_TABLE_HEADER) + 2  # header + |---| rule
+        end = next(i for i in range(start, len(lines)) if not lines[i].startswith("|"))
+        assert lines[start:end] == knob_table_rows()
 
     def test_quickstart_snippet_runs_conceptually(self):
         """The README's code block must at least name real API symbols."""

@@ -1,12 +1,11 @@
-"""Utility-layer tests: RNG streams, registry, timer, logging."""
+"""Utility-layer tests: RNG streams, registry, logging."""
 
 import logging
-import time
 
 import numpy as np
 import pytest
 
-from repro.utils import Registry, Timer, get_logger, new_rng, spawn_rngs, temp_seed
+from repro.utils import Registry, get_logger, new_rng, spawn_rngs, temp_seed
 from repro.utils.rng import RngMixin, choice_without_replacement, derive_seed
 
 
@@ -94,30 +93,6 @@ class TestRegistry:
         assert "a" in reg and "z" not in reg
         assert list(reg) == ["a", "b"]
         assert reg.names() == ["a", "b"]
-
-
-class TestTimer:
-    def test_context_manager(self):
-        t = Timer()
-        with t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-        assert len(t.laps) == 1
-
-    def test_accumulates(self):
-        t = Timer()
-        for _ in range(3):
-            with t:
-                pass
-        assert len(t.laps) == 3
-        assert abs(t.mean_lap - t.elapsed / 3) < 1e-9
-
-    def test_stop_without_start(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_mean_lap_empty(self):
-        assert Timer().mean_lap == 0.0
 
 
 class TestLogging:
