@@ -13,6 +13,7 @@ Two claims to demonstrate:
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 
@@ -27,8 +28,8 @@ from repro.runtime.executors import fork_available
 
 
 def _bench_fed(num_clients=8, seed=0, heavy=False):
-    # The speedup measurement needs per-client work that dwarfs the
-    # per-round fork cost (~100 ms), hence the larger "heavy" federation;
+    # The speedup measurement needs per-client work that dwarfs the pool's
+    # spin-up cost (~100 ms), hence the larger "heavy" federation;
     # the fault bench only needs the behaviour, so it stays tiny.
     if heavy:
         spec = SyntheticSpec(num_classes=10, channels=3, image_size=16, noise_std=0.25)
@@ -62,8 +63,9 @@ def _run(workers: int, fed, rounds=1, heavy=False, **overrides) -> tuple[float, 
         batch_size=32 if heavy else 16,
         lr=0.05, seed=0, workers=workers, **overrides,
     )
+    # a partial (not a lambda) pickles, so the pool is shipped its snapshot
     algo = ALGORITHM_REGISTRY.get("fedavg")(
-        lambda: _model_fn(heavy=heavy), fed, cfg
+        functools.partial(_model_fn, heavy=heavy), fed, cfg
     )
     start = time.perf_counter()
     history = algo.run()

@@ -4,10 +4,9 @@ These are conventional pytest-benchmark timings (many iterations) — they
 track the throughput of the kernels every experiment above is built on.
 
 ``test_substrate_speedup`` is the hot-path benchmark *gate*: it times the
-fast conv kernels against their reference oracles and the persistent worker
-pool against per-round forking, writes the table to
+fast conv kernels against their reference oracles, writes the table to
 ``benchmarks/results/substrate_speedup.txt``, and asserts the col2im
-speedup floor (≥2×) everywhere plus the executor win on ≥4-core hosts.
+speedup floor (≥2×).
 
 Runnable standalone for CI smoke checks (no pytest-benchmark needed)::
 
@@ -15,10 +14,8 @@ Runnable standalone for CI smoke checks (no pytest-benchmark needed)::
 """
 
 import argparse
-import functools
 import os
 import sys
-import time
 import timeit
 
 import numpy as np
@@ -32,10 +29,9 @@ from repro.nn.functional import (
     _im2col_gather,
     _im2col_strided,
 )
-from repro.nn.models import build_model, resnet20, vgg11
+from repro.nn.models import resnet20, vgg11
 from repro.nn.serialization import dumps_state_dict, loads_state_dict, average_states
 from repro.nn.tensor import Tensor
-from repro.runtime.executors import fork_available
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +143,7 @@ def test_payload_size_ratios(benchmark):
 
 
 # --------------------------------------------------------------------- #
-# speedup gate: fast kernels vs reference oracles, persistent vs forked
+# speedup gate: fast kernels vs reference oracles
 # --------------------------------------------------------------------- #
 
 # conv2d-backward-shaped workload: cols of a (32, 16, 16, 16) k3 s1 p1 conv
@@ -176,55 +172,7 @@ def _kernel_speedups(repeats: int = 5, number: int = 3) -> dict:
     return out
 
 
-def _executor_times(rounds: int = 20, workers: int = 4) -> dict:
-    """Wall-clock of a ``rounds``-round FedAvg run: per-round fork pool vs
-    one persistent pool. Per-client work is deliberately tiny so the pool
-    spin-up cost the persistent executor eliminates dominates."""
-    from repro.data.federated import build_federated_dataset
-    from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
-    from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
-    from repro.runtime.executors import PersistentParallelExecutor
-
-    spec = SyntheticSpec(num_classes=4, channels=1, image_size=8, noise_std=0.25)
-    world = SyntheticImageDataset(spec, seed=0)
-    fed = build_federated_dataset(
-        world, num_clients=8, n_train=640, n_test=80, n_public=80, alpha=0.5, seed=0
-    )
-    # module-level partial: picklable, so the persistent pool actually ships
-    model_fn = functools.partial(
-        build_model, "mlp", num_classes=4, in_channels=1, image_size=8,
-        width_mult=0.25, seed=1,
-    )
-
-    def run(kind):
-        cfg = FLConfig(
-            rounds=rounds, sample_ratio=1.0, local_epochs=1, batch_size=32,
-            lr=0.05, seed=0, workers=workers, executor=kind,
-        )
-        algo = ALGORITHM_REGISTRY.get("fedavg")(model_fn, fed, cfg)
-        start = time.perf_counter()
-        history = algo.run()
-        return time.perf_counter() - start, history, algo
-
-    t_forked, h_forked, _ = run("parallel")
-    t_persistent, h_persistent, algo = run("persistent")
-    shipped = getattr(algo.runtime.executor, "last_round_mode", None) == "shipped"
-    identical = all(
-        a.accuracy == b.accuracy and a.loss == b.loss
-        for a, b in zip(h_forked.records, h_persistent.records)
-    )
-    return {
-        "rounds": rounds,
-        "workers": workers,
-        "forked_s": t_forked,
-        "persistent_s": t_persistent,
-        "speedup": t_forked / t_persistent,
-        "shipped": shipped,
-        "identical": identical,
-    }
-
-
-def _render_speedup(kern: dict, execu: dict, cores: int) -> str:
+def _render_speedup(kern: dict, cores: int) -> str:
     lines = [
         "substrate speedup (fast paths vs references)",
         "=" * 52,
@@ -235,41 +183,20 @@ def _render_speedup(kern: dict, execu: dict, cores: int) -> str:
         f"fast {kern['col2im_fast'] * 1e3:8.2f} ms   {kern['col2im_speedup']:5.2f}x",
         f"  im2col   reference {kern['im2col_ref'] * 1e3:8.2f} ms   "
         f"fast {kern['im2col_fast'] * 1e3:8.2f} ms   {kern['im2col_speedup']:5.2f}x",
-        "",
-        f"executors (FedAvg, {execu['rounds']} rounds x 8 clients, "
-        f"{execu['workers']} workers):",
-        f"  fork-per-round  {execu['forked_s']:6.2f} s",
-        f"  persistent pool {execu['persistent_s']:6.2f} s   {execu['speedup']:5.2f}x",
-        f"  snapshot shipping active: {execu['shipped']}",
-        f"  histories bit-identical:  {execu['identical']}",
     ]
     return "\n".join(lines)
 
 
 @pytest.mark.benchmark(group="substrate-speedup")
 def test_substrate_speedup(benchmark, save_result):
-    """The PR's acceptance gate: col2im fast path ≥2× its reference
-    everywhere; the persistent pool beats per-round forking on hosts with
-    enough cores to make parallelism real (reported, not asserted, below
-    4 cores — matching bench_runtime's convention)."""
+    """The acceptance gate: col2im fast path ≥2× its reference."""
     cores = os.cpu_count() or 1
-
-    def measure():
-        return _kernel_speedups(), _executor_times()
-
-    kern, execu = benchmark.pedantic(measure, rounds=1, iterations=1)
-    save_result("substrate_speedup", _render_speedup(kern, execu, cores))
+    kern = benchmark.pedantic(_kernel_speedups, rounds=1, iterations=1)
+    save_result("substrate_speedup", _render_speedup(kern, cores))
 
     assert kern["col2im_speedup"] >= 2.0, (
         f"col2im fast path regressed: {kern['col2im_speedup']:.2f}x < 2x"
     )
-    assert execu["identical"], "persistent executor diverged from per-round fork"
-    if fork_available():
-        assert execu["shipped"], "persistent executor silently fell back"
-    if cores >= 4 and fork_available():
-        assert execu["speedup"] > 1.0, (
-            f"persistent pool slower than per-round forking: {execu['speedup']:.2f}x"
-        )
 
 
 # --------------------------------------------------------------------- #
@@ -278,9 +205,8 @@ def test_substrate_speedup(benchmark, save_result):
 
 def _smoke() -> int:
     """Fast correctness-first pass for CI: fast paths must be bitwise equal
-    to their references on a few geometries, and a short persistent-pool
-    run must match per-round forking. Timings are printed, not asserted —
-    CI hosts are too noisy for wall-clock gates."""
+    to their references on a few geometries. Timings are printed, not
+    asserted — CI hosts are too noisy for wall-clock gates."""
     for geom in [(2, 3, 8, 8, 3, 1, 1), (1, 2, 9, 9, 5, 2, 0), (2, 1, 7, 7, 1, 1, 1)]:
         n, c, h, w, k, stride, pad = geom
         x = np.random.default_rng(0).standard_normal((n, c, h, w)).astype(np.float32)
@@ -296,10 +222,6 @@ def _smoke() -> int:
     kern = _kernel_speedups(repeats=3, number=1)
     print(f"col2im speedup {kern['col2im_speedup']:.2f}x, "
           f"im2col speedup {kern['im2col_speedup']:.2f}x (informational)")
-    execu = _executor_times(rounds=3, workers=2)
-    assert execu["identical"], "persistent executor diverged from per-round fork"
-    print(f"executor parity ok over {execu['rounds']} rounds "
-          f"(shipped={execu['shipped']}, {execu['speedup']:.2f}x)")
     return 0
 
 
@@ -311,8 +233,7 @@ def main(argv=None) -> int:
     if args.smoke:
         return _smoke()
     cores = os.cpu_count() or 1
-    kern, execu = _kernel_speedups(), _executor_times()
-    print(_render_speedup(kern, execu, cores))
+    print(_render_speedup(_kernel_speedups(), cores))
     return 0
 
 

@@ -11,8 +11,8 @@ operations the runtime performs:
 
 - RPL901: the downlink payload must pickle (parallel executors fork and
   ship it across a process boundary);
-- RPL902: the algorithm object itself must pickle (the persistent worker
-  pool ships a pickled round-start snapshot of the whole algorithm);
+- RPL902: the algorithm object itself must pickle (the run-long worker
+  pool is shipped a pickled round-start snapshot of the whole algorithm);
 - RPL903: ``server_state`` → pickle → ``load_server_state`` →
   ``server_state`` must reproduce the original state (else checkpoints
   drift on resume);
@@ -166,8 +166,8 @@ class AlgorithmPicklable(ContractRule):
     code = "RPL902"
     name = "algorithm-picklable"
     invariant = (
-        "the algorithm object pickles — PersistentParallelExecutor ships a "
-        "pickled round-start snapshot of the whole algorithm each round"
+        "the algorithm object pickles — ParallelExecutor ships a pickled "
+        "round-start snapshot of the whole algorithm to its run-long pool"
     )
 
     def run(self, name: str, cls: "type[Any]", algo: Any) -> Iterator[Violation]:
@@ -177,7 +177,7 @@ class AlgorithmPicklable(ContractRule):
             yield self.fail(
                 cls,
                 f"{name}: the algorithm instance does not pickle ({exc!r}); "
-                "the persistent executor will fall back to per-round forks",
+                "the pool executor will fork a pool per round instead of shipping",
             )
 
 

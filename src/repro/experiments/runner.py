@@ -8,6 +8,7 @@ deterministic in the seed, so cached and fresh results are identical.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -136,17 +137,17 @@ class ExperimentRunner:
         image_size = self.image_size(dataset)
         width = self.scale.width_for(name)
 
-        def build() -> Module:
-            return build_model(
-                name,
-                num_classes=10,
-                in_channels=in_channels,
-                image_size=image_size,
-                width_mult=width,
-                seed=seed,
-            )
-
-        return build
+        # a partial, not a closure: it pickles, so --workers runs ship their
+        # round snapshot to the run-long pool instead of forking per round
+        return functools.partial(
+            build_model,
+            name,
+            num_classes=10,
+            in_channels=in_channels,
+            image_size=image_size,
+            width_mult=width,
+            seed=seed,
+        )
 
     def knowledge_fn(self, dataset: str, seed: int = 2) -> Callable[[], Module]:
         """Builder for the paper's knowledge network for ``dataset``."""

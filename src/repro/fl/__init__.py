@@ -25,7 +25,6 @@ from repro.fl.devices import DeviceProfile, DEVICE_TIERS, assign_models_by_resou
 from repro.fl.latency import estimate_client_time, estimate_round_time, simulate_epoch_times
 from repro.fl.checkpoint import (
     CheckpointError,
-    CheckpointManager,
     save_history,
     load_history,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "estimate_round_time",
     "simulate_epoch_times",
     "CheckpointError",
-    "CheckpointManager",
     "save_history",
     "load_history",
     "DEFENSE_KINDS",

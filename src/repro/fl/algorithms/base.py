@@ -129,9 +129,10 @@ class FLAlgorithm:
         self.trainers = LazyFactoryBank(self.make_trainer, fed.num_clients)
         self._last_outcome: "RoundOutcome | None" = None
         # Buffered (FedBuff-style) server regime: the event queue of
-        # in-flight updates. None under synchronous aggregation. The base
-        # class owns its checkpointing (server_state / load_server_state),
-        # so subclass overrides must merge super()'s dict.
+        # in-flight updates, kept across rounds. None under synchronous
+        # aggregation, whose queue lives for one round (see round()). The
+        # base class owns its checkpointing (server_state /
+        # load_server_state), so subclass overrides must merge super()'s dict.
         policy = self.runtime.aggregation
         self._update_buffer = UpdateBuffer(policy) if policy.buffered else None
         # Per-merge staleness discounts, set by aggregate_buffered for the
@@ -413,8 +414,8 @@ class FLAlgorithm:
         Pipeline: fault decisions → downlink broadcast (dropped clients
         never receive it) → executor fan-out of :meth:`client_work` →
         per-client write-back → metered uplink with bounded retransmission
-        → virtual-clock deadline / first-K acceptance → :meth:`aggregate`
-        over the survivors.
+        → virtual-clock first-K acceptance → :meth:`aggregate_buffered`
+        over the merged updates.
         """
         rt = self.runtime
         decisions = {cid: rt.decide(round_idx, cid) for cid in selected}
@@ -501,117 +502,60 @@ class FLAlgorithm:
             update.received = received
             survivors.append(update)
 
-        if self._update_buffer is not None:
-            accepted, stale_counts, sim_time = self._buffered_step(
-                round_idx, survivors, times, failures
-            )
-            buffer_len = len(self._update_buffer)
-        else:
-            # Straggler policy: reject deadline misses, accept the first K
-            # by virtual finish time (over-provisioned sampling provides
-            # slack), then restore client-id order so aggregation is
-            # order-stable.
-            accepted = survivors
-            if rt.clock is not None:
-                target_k = self.sampler.per_round
-                accepted = []
-                for update in sorted(
-                    survivors, key=lambda u: (times[u.client_id], u.client_id)
-                ):
-                    cid = update.client_id
-                    if rt.deadline_s is not None and times[cid] > rt.deadline_s:
-                        failures[cid] = "deadline"
-                    elif len(accepted) >= target_k:
-                        failures[cid] = "surplus"
-                    else:
-                        accepted.append(update)
-                accepted.sort(key=lambda u: u.client_id)
-
-            if accepted:
-                self.aggregate(round_idx, accepted)
-            else:
-                log.warning(
-                    "%s round %d: no surviving clients (%s); server state unchanged",
-                    self.name,
-                    round_idx + 1,
-                    {cid: r for cid, r in failures.items()},
-                )
-
-            sim_time = 0.0
-            if times:
-                if any(reason == "deadline" for reason in failures.values()):
-                    sim_time = float(rt.deadline_s)  # server waited out the deadline
-                elif accepted:
-                    sim_time = max(times[u.client_id] for u in accepted)
-                else:
-                    sim_time = max(times.values())
-            # A synchronous merge is an all-fresh merge: recorded the same
-            # way the buffered regime records it, so the two regimes'
-            # histories are directly comparable (and bit-identical in the
-            # degenerate buffered configuration).
-            stale_counts = {0: len(accepted)} if accepted else {}
-            buffer_len = 0
-        self._last_outcome = RoundOutcome(
-            round_idx=round_idx,
-            sampled=list(selected),
-            trained=active,
-            aggregated=[u.client_id for u in accepted],
-            failures=failures,
-            sim_time_s=sim_time,
-            staleness=stale_counts,
-            buffer_len=buffer_len,
-        )
-
-    def _buffered_step(
-        self,
-        round_idx: int,
-        survivors: "list[ClientUpdate]",
-        times: "dict[int, float]",
-        failures: "dict[int, str]",
-    ) -> "tuple[list[ClientUpdate], dict[int, int], float]":
-        """One server step of the buffered regime.
-
-        Push this round's survivors into the event queue at their virtual
-        arrival instants, drain the earliest ``buffer_size`` arrivals
-        (evicting anything beyond ``max_staleness``), fuse them through
-        :meth:`aggregate_buffered`, and advance the server's virtual clock
-        to the merge instant. On the configured final round
-        (``cfg.rounds``) the buffer is flushed completely so no surviving
-        client's work is silently discarded.
-
-        The round's deadline (if any) is ignored here by design: the
-        buffer replaces the drop-late-clients policy, and a client that
-        would have missed the deadline simply lands in a later server
-        version with a staleness discount.
-        """
-        buf = self._update_buffer
-        for update in sorted(survivors, key=lambda u: u.client_id):
+        # Accept → merge, one step for both server regimes. Survivors enter
+        # the event queue at their virtual arrival instants, the earliest K
+        # arrivals are merged, and client-id order is restored so
+        # aggregation is order-stable. The regimes differ in what becomes
+        # of the rest. The buffered server keeps its queue across rounds: a
+        # late update lands in a later server version with a staleness
+        # discount, so the round deadline is ignored by design, and the
+        # configured final round (``cfg.rounds``) flushes the queue so no
+        # surviving client's work is silently discarded. The sync server's
+        # queue lives for this round only: what it does not merge is
+        # dropped, as "deadline" past the deadline and as "surplus" when on
+        # time but beyond K (over-provisioned sampling provides that
+        # slack). Without a clock sync has no arrival order to cut by and
+        # accepts every survivor.
+        policy = rt.aggregation
+        carry = policy.buffered
+        buf = self._update_buffer if carry else UpdateBuffer(policy)
+        for update in survivors:
             buf.push(round_idx, update.client_id, times.get(update.client_id, 0.0), update)
-        target_k = buf.policy.buffer_size or self.sampler.per_round
-        flush = round_idx + 1 >= self.cfg.rounds
-        merges, evicted = buf.drain(round_idx, target_k=None if flush else target_k)
+        drain_all = round_idx + 1 >= self.cfg.rounds if carry else rt.clock is None
+        target_k = None if drain_all else policy.buffer_size or self.sampler.per_round
+        merges, evicted = buf.drain(
+            round_idx, target_k, deadline_s=None if carry else rt.deadline_s
+        )
         for cid in evicted:
             # A client may appear twice in one round's ledger (evicted
             # stale update + a fresh fault); keep the first reason.
             failures.setdefault(cid, STALE_EVICTED)
+        timed_out = False
+        if not carry:
+            for entry in buf.clear():
+                late = rt.deadline_s is not None and entry.rel_time > rt.deadline_s
+                failures[entry.client_id] = "deadline" if late else "surplus"
+                timed_out = timed_out or late
         merges.sort(key=lambda m: m.update.client_id)
 
         if merges:
             self.aggregate_buffered(round_idx, merges)
         else:
             log.warning(
-                "%s round %d: buffer drained no updates (%s); server state unchanged",
+                "%s round %d: no updates to merge (%s); server state unchanged",
                 self.name,
                 round_idx + 1,
                 {cid: r for cid, r in failures.items()},
             )
 
-        # Round time = latest arrival among the merged updates, measured
-        # from this round's start. Fresh updates use their own relative
-        # finish time verbatim (bitwise what the sync path would compute);
-        # an empty merge mirrors the sync no-survivors rule.
+        # Round time, measured from this round's start: the deadline when
+        # the server waited it out, else the latest arrival among the merged
+        # updates (a fresh update's own relative finish time, verbatim),
+        # else — nothing merged — the latest finisher.
         sim_time = 0.0
-        if merges:
+        if timed_out:
+            sim_time = float(rt.deadline_s)
+        elif merges:
             sim_time = max(m.wait_s for m in merges)
         elif times:
             sim_time = max(times.values())
@@ -620,7 +564,16 @@ class FLAlgorithm:
         stale_counts: "dict[int, int]" = {}
         for m in merges:
             stale_counts[m.staleness] = stale_counts.get(m.staleness, 0) + 1
-        return [m.update for m in merges], stale_counts, sim_time
+        self._last_outcome = RoundOutcome(
+            round_idx=round_idx,
+            sampled=list(selected),
+            trained=active,
+            aggregated=[m.update.client_id for m in merges],
+            failures=failures,
+            sim_time_s=sim_time,
+            staleness=stale_counts,
+            buffer_len=len(buf),
+        )
 
     # checkpoint / resume ------------------------------------------------ #
 

@@ -11,13 +11,11 @@ Long FL sweeps (the `paper` scale runs for hours) need durable artifacts:
   :func:`load_run_checkpoint` — the *complete* mid-schedule state of a run
   (global model, algorithm server state, comm-meter ledger, partial
   history, config fingerprint) so a crashed or killed run resumes
-  bit-identically (``FLAlgorithm.run(resume_from=...)``);
-- :class:`CheckpointManager` — a directory layout with one JSON + one
-  weights file per run, plus a manifest for discovery.
+  bit-identically (``FLAlgorithm.run(resume_from=...)``).
 
 Every write in this module is **atomic**: content goes to a same-directory
 ``*.tmp`` file first and is moved into place with ``os.replace``, so a
-SIGKILL mid-write can never leave a half-written manifest, history or
+SIGKILL mid-write can never leave a half-written history or
 checkpoint — the reader sees either the old version or the new one.
 """
 
@@ -47,7 +45,6 @@ __all__ = [
     "save_run_checkpoint",
     "load_run_checkpoint",
     "run_checkpoint_path",
-    "CheckpointManager",
 ]
 
 
@@ -237,112 +234,3 @@ def load_run_checkpoint(path: "str | pathlib.Path") -> RunCheckpoint:
         raise CheckpointError(
             f"{path} is corrupted (unexpected checkpoint fields: {exc})"
         ) from exc
-
-
-class CheckpointManager:
-    """One directory per experiment sweep.
-
-    Layout::
-
-        root/
-          manifest.json              # run name → files + headline numbers
-          <name>.history.json
-          <name>.weights.bin
-          <name>.ckpt                # resumable mid-run state (optional)
-
-    All writes (including the manifest) are atomic, so a killed process
-    never corrupts the sweep directory.
-    """
-
-    def __init__(self, root: "str | pathlib.Path") -> None:
-        self.root = pathlib.Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._manifest_path = self.root / "manifest.json"
-
-    def _read_manifest(self) -> dict:
-        if self._manifest_path.exists():
-            return json.loads(self._manifest_path.read_text())
-        return {}
-
-    def _write_manifest(self, manifest: dict) -> None:
-        _atomic_write_text(
-            self._manifest_path, json.dumps(manifest, indent=2, sort_keys=True)
-        )
-
-    def _update_entry(self, name: str, **fields) -> None:
-        manifest = self._read_manifest()
-        entry = manifest.setdefault(name, {})
-        entry.update(fields)
-        self._write_manifest(manifest)
-
-    def save(self, name: str, history: RunHistory, model: "Module | None" = None) -> None:
-        """Persist one run (history always; weights when a model is given)."""
-        if "/" in name or name.startswith("."):
-            raise ValueError(f"invalid checkpoint name {name!r}")
-        save_history(history, self.root / f"{name}.history.json")
-        fields = {
-            "history": f"{name}.history.json",
-            "algorithm": history.algorithm,
-            "rounds": history.num_rounds,
-            "final_accuracy": history.final_accuracy if history.records else None,
-            "total_bytes": history.total_bytes,
-        }
-        if model is not None:
-            save_model(model, self.root / f"{name}.weights.bin")
-            fields["weights"] = f"{name}.weights.bin"
-        self._update_entry(name, **fields)
-
-    def save_run_checkpoint(self, name: str, ckpt: RunCheckpoint) -> pathlib.Path:
-        """Persist mid-run state for ``name`` and track it in the manifest."""
-        path = run_checkpoint_path(self.root, name)
-        save_run_checkpoint(ckpt, path)
-        self._update_entry(
-            name,
-            checkpoint=path.name,
-            algorithm=ckpt.algorithm,
-            next_round=ckpt.next_round,
-        )
-        return path
-
-    def load_run_checkpoint(self, name: str) -> RunCheckpoint:
-        entry = self._read_manifest().get(name)
-        if entry is None or "checkpoint" not in entry:
-            raise KeyError(f"no run checkpoint for {name!r}")
-        return load_run_checkpoint(self.root / entry["checkpoint"])
-
-    def runs(self) -> list[str]:
-        return sorted(self._read_manifest())
-
-    def load_history(self, name: str) -> RunHistory:
-        entry = self._read_manifest().get(name)
-        if entry is None or "history" not in entry:
-            raise KeyError(f"no checkpointed run named {name!r}")
-        return load_history(self.root / entry["history"])
-
-    def load_weights(self, name: str, into: "Module | None" = None):
-        entry = self._read_manifest().get(name)
-        if entry is None or "weights" not in entry:
-            raise KeyError(f"no checkpointed weights for {name!r}")
-        return load_model(self.root / entry["weights"], into)
-
-    def summary(self) -> str:
-        """Human-readable index of stored runs.
-
-        Tolerates manifest entries written by older versions (or by
-        :meth:`save_run_checkpoint` alone) that lack headline fields.
-        """
-        manifest = self._read_manifest()
-        lines = [f"checkpoints in {self.root} ({len(manifest)} runs)"]
-        for name in sorted(manifest):
-            e = manifest[name]
-            acc_v = e.get("final_accuracy")
-            acc = f"{acc_v:.2%}" if acc_v is not None else "—"
-            algo = e.get("algorithm", "?")
-            rounds = e.get("rounds", e.get("next_round", 0))
-            tail = f"bytes={e['total_bytes']}" if "total_bytes" in e else "bytes=—"
-            if "checkpoint" in e:
-                tail += f" resumable@r{e.get('next_round', '?')}"
-            lines.append(
-                f"  {name:30s} {algo:9s} rounds={rounds:<4d} final={acc} {tail}"
-            )
-        return "\n".join(lines)

@@ -130,9 +130,9 @@ class FLConfig:
     )
     executor: str | None = knob(
         None,
-        "executor backend: serial, parallel (fork per round), persistent "
-        "(long-lived worker pool) or batched (homogeneous cohorts train as one "
-        "stacked program); unset = by --workers",
+        "executor backend: serial, parallel or persistent (two names for the one "
+        "worker pool) or batched (homogeneous cohorts train as one stacked "
+        "program); unset = by --workers",
         env="REPRO_EXECUTOR", flag="--executor", group=RUNTIME_GROUP, execution_only=True,
         choices=EXECUTOR_KINDS,
     )

@@ -28,15 +28,10 @@ executor is fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
 The conv path deliberately reuses ``F._im2col`` / ``F._col2im`` on per-client
 slices: the calls hit the same cached geometries as serial training, so
 batching introduces no new ``(K·B, ...)`` shapes into ``im2col_indices``.
-
-``REPRO_BATCHED=0`` disables cohort batching at the executor level, keeping
-the serial per-client loop selectable as the in-tree oracle (the
-``REPRO_REFERENCE_KERNELS`` pattern from PR 2).
 """
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from typing import Callable
 
@@ -68,7 +63,6 @@ from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
 __all__ = [
-    "batched_enabled",
     "linear_k",
     "conv2d_k",
     "batch_norm2d_k",
@@ -80,11 +74,6 @@ __all__ = [
     "StackedModel",
     "build_stacked",
 ]
-
-
-def batched_enabled() -> bool:
-    """Whether cohort batching is active (``REPRO_BATCHED=0`` disables)."""
-    return os.environ.get("REPRO_BATCHED", "1") != "0"
 
 
 # ---------------------------------------------------------------------- #

@@ -3,17 +3,20 @@
 The synchronous regime ends a round when every accepted client has
 reported; the deadline policy simply *drops* late clients — throwing away
 exactly the straggler compute the paper tries to harvest. This module adds
-the alternative regime: an :class:`AggregationPolicy` choice between
+the alternative regime. Both run the round loop's one accept → merge step
+over an :class:`UpdateBuffer`; the :class:`AggregationPolicy` says what
+becomes of an update the step did not merge:
 
-- :class:`SyncAggregation` — today's behaviour, the server aggregates each
-  round's survivors immediately; and
-- :class:`BufferedAggregation` — the server pushes every surviving update
-  into an :class:`UpdateBuffer` keyed by its virtual arrival time and
-  aggregates the earliest ``buffer_size`` arrivals per server step, so an
-  update dispatched in round *t* can land in server version *t + s*. Each
-  merged update is discounted by the staleness weight
-  ``w(s) = 1 / (1 + s)^alpha`` (Nguyen et al., FedBuff), and updates
-  staler than ``max_staleness`` are evicted instead of merged.
+- :class:`SyncAggregation` — the buffer lives for one round; the server
+  aggregates the round's first ``K`` on-time survivors and drops the rest
+  (``deadline`` / ``surplus``); and
+- :class:`BufferedAggregation` — the buffer lives for the run, keyed by
+  virtual arrival time, and the server aggregates the earliest
+  ``buffer_size`` arrivals per server step, so an update dispatched in
+  round *t* can land in server version *t + s*. Each merged update is
+  discounted by the staleness weight ``w(s) = 1 / (1 + s)^alpha`` (Nguyen
+  et al., FedBuff), and updates staler than ``max_staleness`` are evicted
+  instead of merged.
 
 Determinism: arrival times come from the existing
 :class:`~repro.runtime.clock.VirtualClock` (pure in ``(seed, round,
@@ -24,8 +27,8 @@ including across a mid-buffer checkpoint/resume.
 
 Parity anchor: ``BufferedAggregation(buffer_size=num_sampled,
 staleness_alpha=0)`` drains exactly the round's own cohort with discount
-1.0 and reproduces the synchronous path bit for bit (the round loop
-delegates an all-fresh buffer straight to ``aggregate``).
+1.0 and reproduces the synchronous path bit for bit (``aggregate_buffered``
+delegates an all-fresh merge straight to ``aggregate``).
 
 Like the rest of :mod:`repro.runtime`, this module must not import
 :mod:`repro.fl` (the algorithm layer imports us).
@@ -72,13 +75,24 @@ def staleness_weight(staleness: int, alpha: float) -> float:
 
 @dataclass(frozen=True)
 class AggregationPolicy:
-    """How the server folds client updates into its state (base class)."""
+    """How the server folds client updates into its state (base class).
+
+    Every policy merges the earliest ``buffer_size`` arrivals per server
+    step (``None`` = the sampler's per-round cohort) at weight
+    :meth:`weight`; ``buffered`` says whether the rest waits for a later
+    server version or is dropped with the round.
+    """
 
     kind = "sync"
+    buffer_size = None
+    max_staleness = None
 
     @property
     def buffered(self) -> bool:
         return False
+
+    def weight(self, staleness: int) -> float:
+        return 1.0
 
 
 @dataclass(frozen=True)
@@ -218,7 +232,7 @@ class UpdateBuffer:
     identical drain order.
     """
 
-    def __init__(self, policy: BufferedAggregation) -> None:
+    def __init__(self, policy: AggregationPolicy) -> None:
         self.policy = policy
         self.virtual_now = 0.0  # server virtual clock: advances per merge
         self.version = 0  # server version counter: one per aggregation
@@ -241,20 +255,27 @@ class UpdateBuffer:
         heapq.heappush(self._heap, (arrival, dispatch_round, client_id, entry))
 
     def drain(
-        self, merge_round: int, target_k: "int | None"
+        self,
+        merge_round: int,
+        target_k: "int | None",
+        deadline_s: "float | None" = None,
     ) -> "tuple[list[BufferedMerge], dict[int, int]]":
         """Pop arrivals in virtual-time order until ``target_k`` accepted.
 
-        ``target_k = None`` drains everything (the end-of-run flush).
-        Returns ``(merges, evicted)`` where ``evicted`` maps client id →
-        staleness for entries beyond the policy's ``max_staleness`` bound
-        (evictions do not consume buffer capacity).
+        ``target_k = None`` drains everything (the end-of-run flush);
+        ``deadline_s`` stops at the first update that finished later than
+        that after its dispatch. Returns ``(merges, evicted)`` where
+        ``evicted`` maps client id → staleness for entries beyond the
+        policy's ``max_staleness`` bound (evictions do not consume buffer
+        capacity).
         """
         policy = self.policy
         start = self.virtual_now
         merges: "list[BufferedMerge]" = []
         evicted: "dict[int, int]" = {}
         while self._heap and (target_k is None or len(merges) < target_k):
+            if deadline_s is not None and self._heap[0][3].rel_time > deadline_s:
+                break
             arrival, _, cid, entry = heapq.heappop(self._heap)
             staleness = merge_round - entry.dispatch_round
             if policy.max_staleness is not None and staleness > policy.max_staleness:
@@ -265,6 +286,16 @@ class UpdateBuffer:
                 BufferedMerge(entry.update, staleness, policy.weight(staleness), wait)
             )
         return merges, evicted
+
+    def _pending(self) -> "list[PendingUpdate]":
+        """The queued entries in drain order."""
+        return [item[3] for item in sorted(self._heap, key=lambda item: item[:3])]
+
+    def clear(self) -> "list[PendingUpdate]":
+        """Drop everything still pending; returns the dropped entries."""
+        dropped = self._pending()
+        self._heap = []
+        return dropped
 
     def advance(self, sim_time_s: float) -> None:
         """Move the server clock past one aggregation and bump the version."""
@@ -286,7 +317,7 @@ class UpdateBuffer:
                     "rel_time": entry.rel_time,
                     "update": _update_state(entry.update),
                 }
-                for _, _, _, entry in sorted(self._heap, key=lambda item: item[:3])
+                for entry in self._pending()
             ],
         }
 

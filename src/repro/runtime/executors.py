@@ -11,17 +11,16 @@ client. The executor decides the mechanics:
   runs whatever it declines serially — bit-identical results to
   :class:`SerialExecutor`, far fewer (much larger) kernel launches;
 - :class:`ParallelExecutor` fans tasks out over a fork-based
-  ``ProcessPoolExecutor``. Workers are forked *per round*, so every child
-  sees an exact snapshot of the algorithm's round-start state; the work
-  closure itself never crosses a pipe (children inherit it through the
-  fork), and only picklable payloads/updates do.
-- :class:`PersistentParallelExecutor` keeps one long-lived fork pool for
-  the whole run and ships the round-start state explicitly: the work
-  closure is pickled **once per round** in the parent and each worker
-  unpickles it at most once per round. Eliminates the per-round pool
-  spin-up of :class:`ParallelExecutor` on many-round runs while keeping
-  the same snapshot semantics (a pickle round-trip reproduces numpy state
-  bit-exactly, like a fork does).
+  ``ProcessPoolExecutor`` and hands every worker the round-start state.
+  When the work closure pickles, it is pickled **once per round** in the
+  parent, each worker unpickles it at most once per round, and the pool
+  lives for the whole run (``last_round_mode == "shipped"``). When it does
+  not pickle (a local-closure model factory, say), the pool is forked for
+  that one round so the children inherit the closure (``"forked"``); only
+  picklable payloads/updates cross a pipe. A pickle round-trip and a fork
+  both reproduce numpy state bit-exactly, so the two lifetimes agree bit
+  for bit. ``PersistentParallelExecutor`` is the same class under its
+  historical name.
 
 The contract that makes all backends bit-identical: ``work`` may *read*
 algorithm state (the round-start snapshot) but must not rely on *writes* to
@@ -30,8 +29,8 @@ it — anything a client changes must come back inside the returned
 
 **Crash tolerance.** A worker process dying mid-round (OOM kill, segfault,
 ``os._exit`` in client code) used to abort the whole run: the pool raises
-``BrokenProcessPool`` for every in-flight future. The parallel backends now
-drive each round through a recovery ladder (:func:`resilient_round`):
+``BrokenProcessPool`` for every in-flight future. :class:`ParallelExecutor`
+drives each round through a recovery ladder:
 
 1. retry unfinished tasks on a fresh pool, with bounded exponential
    backoff (:class:`RetryPolicy`);
@@ -67,6 +66,7 @@ Like :mod:`repro.runtime.faults`, this module must not import
 
 from __future__ import annotations
 
+import functools
 import itertools
 import multiprocessing
 import os
@@ -78,7 +78,7 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.nn.batched import batched_enabled
+from repro.utils.logging import get_logger
 
 __all__ = [
     "ClientUpdate",
@@ -89,10 +89,11 @@ __all__ = [
     "PersistentParallelExecutor",
     "RetryPolicy",
     "WORKER_CRASH",
-    "resilient_round",
     "EXECUTOR_KINDS",
     "make_executor",
 ]
+
+log = get_logger("runtime")
 
 # work(client_id, payload) -> ClientUpdate
 WorkFn = Callable[[int, Mapping[str, Any]], "ClientUpdate"]
@@ -196,82 +197,6 @@ class RetryPolicy:
 _INFRA_FAILURES = (BrokenExecutor, pickle.PicklingError, _FuturesTimeout)
 
 
-def resilient_round(
-    tasks: "Sequence[Task]",
-    submit: "Callable[[Any, int, Mapping[str, Any]], Any]",
-    acquire_pool: "Callable[[int], Any]",
-    release_pool: "Callable[[Any, bool], None]",
-    serial_work: WorkFn,
-    policy: RetryPolicy,
-) -> "tuple[list[ClientUpdate], dict[int, str]]":
-    """Run one round of tasks with crash recovery (the ladder in the module
-    docstring). Returns ``(updates_in_task_order, failures)`` where
-    ``failures`` maps client id → ``"worker-crash"`` for tasks whose every
-    attempt died with its worker.
-
-    Parameters
-    ----------
-    submit:
-        ``submit(pool, cid, payload) -> Future`` for one task.
-    acquire_pool:
-        ``acquire_pool(batch_size) -> pool``; may raise ``OSError`` when no
-        pool can be created (triggers the serial last resort).
-    release_pool:
-        ``release_pool(pool, broken)``; called after every wave, with
-        ``broken=True`` when the wave hit an infrastructure failure and the
-        pool must not be reused.
-    serial_work:
-        In-process fallback used only when pools cannot be created at all.
-    """
-    order = [cid for cid, _ in tasks]
-    pending: "dict[int, Mapping[str, Any]]" = dict(tasks)
-    attempts: "dict[int, int]" = {cid: 0 for cid in order}
-    results: "dict[int, ClientUpdate]" = {}
-    failures: "dict[int, str]" = {}
-    consecutive_breaks = 0
-
-    while pending:
-        isolate = consecutive_breaks >= policy.isolate_after
-        batch = (
-            [next(iter(pending))] if isolate else list(pending)
-        )  # isolation: one suspect at a time
-        try:
-            pool = acquire_pool(len(batch))
-        except OSError:
-            # Forking is impossible (fd/memory exhaustion, platform loss):
-            # run what's left in-process rather than killing the run.
-            for cid in list(pending):
-                results[cid] = serial_work(cid, pending.pop(cid))
-            break
-        broken = False
-        futures = {cid: submit(pool, cid, pending[cid]) for cid in batch}
-        try:
-            for cid, fut in futures.items():
-                try:
-                    results[cid] = fut.result(timeout=policy.task_timeout_s)
-                    pending.pop(cid)
-                except _INFRA_FAILURES:
-                    broken = True
-                    attempts[cid] += 1
-                    if attempts[cid] >= policy.max_attempts:
-                        failures[cid] = WORKER_CRASH
-                        pending.pop(cid)
-        except BaseException:
-            # A work-raised exception propagates (programming error); the
-            # pool is abandoned without waiting on its stragglers.
-            release_pool(pool, True)
-            raise
-        release_pool(pool, broken)
-        if broken:
-            consecutive_breaks += 1
-            if policy.backoff_s > 0:
-                time.sleep(policy.backoff_s * 2 ** (consecutive_breaks - 1))
-        else:
-            consecutive_breaks = 0
-
-    return [results[cid] for cid in order if cid in results], failures
-
-
 class ClientExecutor:
     """Interface: run one round of per-client work.
 
@@ -296,7 +221,7 @@ class ClientExecutor:
         raise NotImplementedError
 
     def close(self) -> None:
-        """Release executor resources (no-op for per-round pools)."""
+        """Release executor resources (no-op for in-process backends)."""
 
     def __enter__(self) -> "ClientExecutor":
         return self
@@ -330,9 +255,6 @@ class BatchedExecutor(ClientExecutor):
     ``work`` call. Results are bit-identical to :class:`SerialExecutor`
     either way.
 
-    ``REPRO_BATCHED=0`` disables the stacked path entirely, keeping the
-    per-client loop selectable as the in-tree oracle.
-
     :attr:`last_round_mode` records what happened: ``"batched"`` (every
     client stacked), ``"mixed"`` (some stacked, some serial), or
     ``"serial"`` (no batched path taken).
@@ -344,7 +266,7 @@ class BatchedExecutor(ClientExecutor):
     def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
         self.last_round_failures = {}
         batched: "dict[int, ClientUpdate] | None" = None
-        if batched_enabled() and tasks:
+        if tasks:
             algo = getattr(getattr(work, "func", None), "__self__", None)
             hook = getattr(algo, "client_work_batched", None)
             args = getattr(work, "args", ())
@@ -361,10 +283,11 @@ class BatchedExecutor(ClientExecutor):
         return results
 
 
-# Work closures for rounds in flight, as a stack so nested executor use is
-# reentrant: each run_round pushes its closure, forks (children inherit the
-# whole stack), and pops exactly its own frame on the way out. Closures
-# never cross a pipe — workers address them by stack index.
+# Unpicklable work closures for rounds in flight, as a stack so nested
+# executor use is reentrant: each run_round pushes its closure, forks
+# (children inherit the whole stack), and pops exactly its own frame on the
+# way out. These closures never cross a pipe — workers address them by
+# stack index.
 _FORK_WORK: "list[WorkFn]" = []
 
 
@@ -372,67 +295,6 @@ def _invoke(index: int, cid: int, payload: Mapping[str, Any]) -> "ClientUpdate":
     assert index < len(_FORK_WORK), "worker forked without a registered work fn"
     return _FORK_WORK[index](cid, payload)
 
-
-def fork_available() -> bool:
-    """Whether fork-based process pools exist on this platform."""
-    return hasattr(os, "fork") and "fork" in multiprocessing.get_all_start_methods()
-
-
-class ParallelExecutor(ClientExecutor):
-    """Process-parallel execution over a per-round fork pool.
-
-    A fresh pool per round costs one fork per worker (~ms) and buys the key
-    correctness property for free: children snapshot the algorithm exactly
-    at round start, so no stale per-client state can leak across rounds and
-    no explicit context shipping is needed. Falls back to serial execution
-    where fork is unavailable (non-POSIX) or for degenerate rounds.
-
-    Worker death mid-round is survived via :func:`resilient_round`: the
-    unfinished tasks are retried on fresh pools, the unrecoverable ones are
-    reported in :attr:`last_round_failures` as ``"worker-crash"``.
-    """
-
-    def __init__(
-        self, workers: "int | None" = None, retry: "RetryPolicy | None" = None
-    ) -> None:
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1; got {workers}")
-        self.workers = int(workers)
-        self.retry = retry if retry is not None else RetryPolicy()
-
-    def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
-        self.last_round_failures = {}
-        if self.workers < 2 or len(tasks) < 2 or not fork_available():
-            return [work(cid, payload) for cid, payload in tasks]
-        index = len(_FORK_WORK)
-        _FORK_WORK.append(work)
-        try:
-            ctx = multiprocessing.get_context("fork")
-            updates, failures = resilient_round(
-                tasks,
-                submit=lambda pool, cid, payload: pool.submit(
-                    _invoke, index, cid, payload
-                ),
-                acquire_pool=lambda n: _PoolExecutor(
-                    max_workers=min(self.workers, n), mp_context=ctx
-                ),
-                release_pool=lambda pool, broken: pool.shutdown(wait=not broken),
-                serial_work=work,
-                policy=self.retry,
-            )
-            self.last_round_failures = failures
-            return updates
-        finally:
-            # Pop our frame (and anything a misbehaving nested call leaked
-            # above it) even if pool shutdown itself raised.
-            del _FORK_WORK[index:]
-
-
-# ------------------------------------------------------------------ #
-# persistent pool with explicit per-round state shipping
-# ------------------------------------------------------------------ #
 
 # Per-worker cache of the last unpickled round snapshot. Tokens are unique
 # per (executor instance, round), so a worker unpickles each round's work
@@ -451,29 +313,31 @@ def _invoke_shipped(
     return _SHIPPED["work"](cid, payload)
 
 
-class PersistentParallelExecutor(ClientExecutor):
-    """Process-parallel execution over one long-lived fork pool.
+def fork_available() -> bool:
+    """Whether fork-based process pools exist on this platform."""
+    return hasattr(os, "fork") and "fork" in multiprocessing.get_all_start_methods()
 
-    Where :class:`ParallelExecutor` re-forks its workers every round to get
-    a fresh state snapshot, this executor forks once (lazily, on the first
-    parallel round) and ships the round-start state explicitly: the work
-    closure — a bound method whose ``self`` is the algorithm — is pickled
-    once per round, sent along with each task as an opaque byte blob, and
-    unpickled at most once per round in each worker. The pickle round-trip
-    reproduces numpy arrays and RNG state bit-exactly, so results stay
-    bit-identical to the serial and per-round-fork backends.
 
-    If the work closure is not picklable (e.g. the model factory is a local
-    closure), the round transparently degrades to the per-round fork
-    strategy — correctness never depends on picklability, only the
-    spin-up saving does. ``last_round_mode`` records which strategy the
-    most recent round actually used (``"serial"``, ``"shipped"`` or
-    ``"forked"``).
+class ParallelExecutor(ClientExecutor):
+    """Process-parallel execution over a fork pool.
 
-    A worker death breaks the long-lived pool; recovery
-    (:func:`resilient_round`) discards it and lazily re-arms a fresh one,
-    so later rounds keep their pooled fast path. Unrecoverable tasks are
-    reported in :attr:`last_round_failures` as ``"worker-crash"``.
+    Every worker must see the algorithm exactly as it was at round start.
+    The work closure — a bound method whose ``self`` is the algorithm — is
+    pickled once per round, sent along with each task as an opaque byte
+    blob, and unpickled at most once per round in each worker; the pool is
+    forked lazily on the first parallel round and kept until :meth:`close`.
+    If the closure is not picklable, the pool is instead forked for that
+    one round, after the closure is registered in ``_FORK_WORK``, and shut
+    down when the round ends — correctness never depends on picklability,
+    only the spin-up saving does. The first such round logs the pickling
+    error once per executor. ``last_round_mode`` records what the most
+    recent round did: ``"serial"`` (fewer than two workers or tasks, or no
+    fork on this platform), ``"shipped"`` or ``"forked"``.
+
+    A worker death breaks the pool; the recovery ladder (module docstring)
+    discards it and lazily forks a fresh one, so later waves and rounds
+    keep running pooled. Unrecoverable tasks are reported in
+    :attr:`last_round_failures` as ``"worker-crash"``.
 
     Use as a context manager (or call :meth:`close`, or let
     :class:`~repro.runtime.runtime.FLRuntime` do it) to shut the pool
@@ -493,7 +357,7 @@ class PersistentParallelExecutor(ClientExecutor):
         self._id = next(_EXECUTOR_IDS)
         self._pool: "_PoolExecutor | None" = None
         self._round_seq = 0
-        self._fallback = ParallelExecutor(self.workers, retry=self.retry)
+        self._warned_unpicklable = False
         self.last_round_mode: "str | None" = None
 
     # The live pool (threads, pipes, locks) must never ride along when the
@@ -505,22 +369,6 @@ class PersistentParallelExecutor(ClientExecutor):
     def __setstate__(self, state: dict) -> None:
         self.__init__(state["workers"], retry=state.get("retry"))
 
-    def _ensure_pool(self) -> _PoolExecutor:
-        if self._pool is None:
-            ctx = multiprocessing.get_context("fork")
-            self._pool = _PoolExecutor(max_workers=self.workers, mp_context=ctx)
-        return self._pool
-
-    def _acquire(self, _batch_size: int) -> _PoolExecutor:
-        return self._ensure_pool()
-
-    def _release(self, pool: _PoolExecutor, broken: bool) -> None:
-        if broken and pool is self._pool:
-            # The long-lived pool died with its worker; drop it so the next
-            # wave (and the next round) lazily fork a fresh one.
-            pool.shutdown(wait=False)
-            self._pool = None
-
     def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
         self.last_round_failures = {}
         if self.workers < 2 or len(tasks) < 2 or not fork_available():
@@ -528,31 +376,115 @@ class PersistentParallelExecutor(ClientExecutor):
             return [work(cid, payload) for cid, payload in tasks]
         try:
             blob = pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            self.last_round_mode = "forked"
-            updates = self._fallback.run_round(work, tasks)
-            self.last_round_failures = self._fallback.last_round_failures
-            return updates
+        except Exception as exc:  # pickle raises whatever __reduce__ raises
+            if not self._warned_unpicklable:
+                self._warned_unpicklable = True
+                log.warning(
+                    "round snapshot does not pickle (%s: %s); forking a pool "
+                    "per round instead of shipping to a long-lived one",
+                    type(exc).__name__, exc,
+                )
+            return self._run_forked(work, tasks)
         self._round_seq += 1
-        token = (self._id, self._round_seq)
         self.last_round_mode = "shipped"
-        updates, failures = resilient_round(
-            tasks,
-            submit=lambda pool, cid, payload: pool.submit(
-                _invoke_shipped, token, blob, cid, payload
-            ),
-            acquire_pool=self._acquire,
-            release_pool=self._release,
-            serial_work=work,
-            policy=self.retry,
-        )
-        self.last_round_failures = failures
-        return updates
+        call = functools.partial(_invoke_shipped, (self._id, self._round_seq), blob)
+        return self._run_with_recovery(call, work, tasks)
 
-    def close(self) -> None:
+    def _run_forked(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
+        """One round on a pool that lives for this round only."""
+        self.last_round_mode = "forked"
+        self.close()  # a pool forked earlier cannot see this round's closure
+        index = len(_FORK_WORK)
+        _FORK_WORK.append(work)
+        try:
+            return self._run_with_recovery(
+                functools.partial(_invoke, index), work, tasks
+            )
+        finally:
+            # Pop our frame (and anything a misbehaving nested call leaked
+            # above it) even if pool shutdown itself raises.
+            del _FORK_WORK[index:]
+            self.close()
+
+    def _run_with_recovery(
+        self,
+        call: "Callable[[int, Mapping[str, Any]], ClientUpdate]",
+        work: WorkFn,
+        tasks: "Sequence[Task]",
+    ) -> "list[ClientUpdate]":
+        """Run the tasks through ``call`` on the pool, climbing the recovery
+        ladder of the module docstring. Returns the updates in task order
+        and records ``"worker-crash"`` for tasks whose every attempt died
+        with its worker in :attr:`last_round_failures`. ``work`` is the
+        in-process fallback used only when no pool can be forked at all.
+        """
+        policy = self.retry
+        pending: "dict[int, Mapping[str, Any]]" = dict(tasks)
+        attempts = dict.fromkeys(pending, 0)
+        results: "dict[int, ClientUpdate]" = {}
+        failures: "dict[int, str]" = {}
+        consecutive_breaks = 0
+
+        while pending:
+            # isolation: one suspect at a time
+            isolate = consecutive_breaks >= policy.isolate_after
+            batch = [next(iter(pending))] if isolate else list(pending)
+            try:
+                if self._pool is None:
+                    self._pool = _PoolExecutor(
+                        max_workers=self.workers,
+                        mp_context=multiprocessing.get_context("fork"),
+                    )
+                futures = {
+                    cid: self._pool.submit(call, cid, pending[cid]) for cid in batch
+                }
+            except OSError:
+                # Forking is impossible (fd/memory exhaustion, platform loss):
+                # run what's left in-process rather than killing the run.
+                self.close(wait=False)
+                for cid in list(pending):
+                    results[cid] = work(cid, pending.pop(cid))
+                break
+            broken = False
+            try:
+                for cid, fut in futures.items():
+                    try:
+                        results[cid] = fut.result(timeout=policy.task_timeout_s)
+                        pending.pop(cid)
+                    except _INFRA_FAILURES:
+                        broken = True
+                        attempts[cid] += 1
+                        if attempts[cid] >= policy.max_attempts:
+                            failures[cid] = WORKER_CRASH
+                            pending.pop(cid)
+            except BaseException:
+                # A work-raised exception propagates (programming error); the
+                # pool is abandoned without waiting on its stragglers.
+                self.close(wait=False)
+                raise
+            if broken:
+                # The pool died with its worker: the next wave (and the next
+                # round) lazily fork a fresh one.
+                self.close(wait=False)
+                consecutive_breaks += 1
+                if policy.backoff_s > 0:
+                    time.sleep(policy.backoff_s * 2 ** (consecutive_breaks - 1))
+            else:
+                consecutive_breaks = 0
+
+        self.last_round_failures = failures
+        return [results[cid] for cid, _ in tasks if cid in results]
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the pool down; ``wait=False`` abandons a broken or
+        poisoned pool without waiting on its stragglers."""
         if self._pool is not None:
-            self._pool.shutdown(wait=True)
+            self._pool.shutdown(wait=wait)
             self._pool = None
+
+
+# The historical name of the run-long ("shipped") pool lifetime.
+PersistentParallelExecutor = ParallelExecutor
 
 
 EXECUTOR_KINDS = ("serial", "parallel", "persistent", "batched")
@@ -561,27 +493,22 @@ EXECUTOR_KINDS = ("serial", "parallel", "persistent", "batched")
 def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor:
     """Build the executor for a worker count and optional explicit kind.
 
-    With ``kind=None`` (the default) the historical mapping applies:
-    0/1 workers → serial, ≥2 → per-round :class:`ParallelExecutor`. An
-    explicit ``kind`` — ``"serial"``, ``"parallel"``, ``"persistent"`` or
-    ``"batched"``, e.g. from ``--executor`` / ``$REPRO_EXECUTOR`` — picks
-    the backend directly; the parallel kinds then treat ``workers < 2`` as
-    "use all cores".
+    With ``kind=None`` (the default) 0/1 workers → serial and ≥2 →
+    :class:`ParallelExecutor`. An explicit ``kind`` — ``"serial"``,
+    ``"parallel"``, ``"persistent"`` or ``"batched"``, e.g. from
+    ``--executor`` / ``$REPRO_EXECUTOR`` — picks the backend directly;
+    ``"parallel"`` and ``"persistent"`` are two spellings of the same pool
+    and treat ``workers < 2`` as "use all cores".
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0; got {workers}")
-    if kind is not None:
-        kind = kind.strip().lower()
-        if kind not in EXECUTOR_KINDS:
-            raise ValueError(
-                f"unknown executor kind {kind!r}; options: {EXECUTOR_KINDS}"
-            )
-        if kind == "serial":
-            return SerialExecutor()
-        if kind == "batched":
-            return BatchedExecutor()
-        cls = ParallelExecutor if kind == "parallel" else PersistentParallelExecutor
-        return cls(workers if workers >= 2 else None)
-    if workers >= 2:
-        return ParallelExecutor(workers)
-    return SerialExecutor()
+    if kind is None:
+        kind = "parallel" if workers >= 2 else "serial"
+    kind = kind.strip().lower()
+    if kind not in EXECUTOR_KINDS:
+        raise ValueError(f"unknown executor kind {kind!r}; options: {EXECUTOR_KINDS}")
+    if kind == "serial":
+        return SerialExecutor()
+    if kind == "batched":
+        return BatchedExecutor()
+    return ParallelExecutor(workers if workers >= 2 else None)

@@ -23,6 +23,7 @@ import pytest
 from repro.core.fedkemf import FedKEMF
 from repro.data.federated import build_federated_dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
+from repro.fl.algorithms import ALGORITHM_REGISTRY
 from repro.fl.algorithms.base import FLConfig
 from repro.fl.algorithms.fedavg import FedAvg
 from repro.nn.models import build_model
@@ -173,3 +174,84 @@ class TestSmallBuffer:
         assert any(s > 0 for s in a.staleness_histogram())
         # same arrivals, different discounts ⇒ different trajectories
         assert a.fingerprint() != b.fingerprint()
+
+
+# --- parent-captured trajectories ------------------------------------- #
+# Every cell was recorded at the commit *before* the sync tail and
+# ``_buffered_step`` were merged into one accept→merge step, so a literal
+# that moves means the merged tail changed a trajectory.
+
+MATRIX_FAULTS = "dropout=0.3,slowdown=10,straggler=0.4,loss=0.1"
+# seed 3 on the 6-client federation: over-provisioned cohorts of 5 for a
+# target of 3, with lost-uplink retries pushing some finishers past 0.5 s.
+MATRIX_BASE = dict(seed=3, over_provision=True)
+
+REGIMES = {
+    "sync": dict(),
+    "sync-faults": dict(faults=MATRIX_FAULTS, deadline=0.5),
+    "buffered": dict(aggregation="buffered", faults=MATRIX_FAULTS),
+    "buffered-degenerate": dict(
+        aggregation="buffered", staleness_alpha=0.0, faults=MATRIX_FAULTS,
+        over_provision=False,  # buffer_size is filled in with the cohort
+    ),
+    "buffered-max-staleness-0": dict(
+        aggregation="buffered", max_staleness=0, faults=MATRIX_FAULTS
+    ),
+}
+
+PARENT_FINGERPRINTS = {
+    ("fedavg", "buffered"): "3d67e61954097870",
+    ("fedavg", "buffered-degenerate"): "f3240c0dd7b40180",
+    ("fedavg", "buffered-max-staleness-0"): "52f797043ef7e2e2",
+    ("fedavg", "sync"): "25c56c1e4a5fa64f",
+    ("fedavg", "sync-faults"): "60486adcdc110d4d",
+    ("fedkemf", "buffered"): "f8fec7749c4d0b9d",
+    ("fedkemf", "buffered-degenerate"): "971b6946244ddd55",
+    ("fedkemf", "buffered-max-staleness-0"): "d8fc9825f3a9739f",
+    ("fedkemf", "sync"): "53e3e6cc88e3d9fb",
+    ("fedkemf", "sync-faults"): "b25b57b72c29f1d7",
+    ("fedmd", "buffered"): "6889c390d65a3178",
+    ("fedmd", "buffered-degenerate"): "5f5be207cbf26009",
+    ("fedmd", "buffered-max-staleness-0"): "0d99c1e65bdeab9b",
+    ("fedmd", "sync"): "e322e04e8fda2c0f",
+    ("fedmd", "sync-faults"): "e669b344b03a20ce",
+    ("scaffold", "buffered"): "9c83bef49df2c356",
+    ("scaffold", "buffered-degenerate"): "50d19ac160dc2efa",
+    ("scaffold", "buffered-max-staleness-0"): "9467984c20d4f6de",
+    ("scaffold", "sync"): "7811a31ad0843525",
+    ("scaffold", "sync-faults"): "6374e5e73b35923a",
+}
+
+
+def run_matrix_cell(name, regime, fed, model_fn):
+    cls = ALGORITHM_REGISTRY.get(name)
+    overrides = {**MATRIX_BASE, **REGIMES[regime]}
+    if regime == "buffered-degenerate":
+        probe = cls(model_fn, fed, make_cfg(**overrides))
+        overrides["buffer_size"] = probe.sampler.per_round
+    return cls(model_fn, fed, make_cfg(**overrides)).run()
+
+
+class TestParentCapturedFingerprints:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", ["fedavg", "fedkemf", "fedmd", "scaffold"])
+    def test_trajectory_unmoved(self, name, regime, fed, model_fn):
+        history = run_matrix_cell(name, regime, fed, model_fn)
+        assert history.fingerprint() == PARENT_FINGERPRINTS[name, regime]
+        counts = history.total_failures()
+        if regime == "sync-faults":  # both sync drop reasons are exercised
+            assert counts.get("deadline", 0) > 0 and counts.get("surplus", 0) > 0
+        elif regime == "buffered":  # the carry-over really carried over
+            assert any(s > 0 for s in history.staleness_histogram())
+            assert "deadline" not in counts and "surplus" not in counts
+        elif regime == "buffered-max-staleness-0":
+            assert counts.get(STALE_EVICTED, 0) > 0
+
+    def test_sync_server_state_carries_no_buffer(self, fed, model_fn):
+        cfg = make_cfg(**{**MATRIX_BASE, **REGIMES["sync-faults"]})
+        algo = FedAvg(model_fn, fed, cfg)
+        history = algo.run()
+        # updates were left unmerged, and dropped rather than carried over
+        assert history.total_failures().get("surplus", 0) > 0
+        assert algo._update_buffer is None
+        assert "_async_buffer" not in algo.server_state()

@@ -1,7 +1,6 @@
 """Persistence round trips, atomicity under simulated crashes, and the
 resumable RunCheckpoint format."""
 
-import json
 import os
 
 import numpy as np
@@ -11,7 +10,6 @@ from repro.fl import checkpoint as ckpt_mod
 from repro.fl.checkpoint import (
     RUN_CHECKPOINT_VERSION,
     CheckpointError,
-    CheckpointManager,
     RunCheckpoint,
     load_history,
     load_model,
@@ -69,64 +67,6 @@ class TestModelRoundTrip:
         assert set(state) == set(m.state_dict())
 
 
-class TestManager:
-    def test_save_and_discover(self, tmp_path):
-        mgr = CheckpointManager(tmp_path / "ckpt")
-        m = MLP(8, 4, seed=0)
-        mgr.save("fedkemf-30", make_history(), model=m)
-        mgr.save("fedavg-30", make_history(2))
-        assert mgr.runs() == ["fedavg-30", "fedkemf-30"]
-
-    def test_load_back(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        m = MLP(8, 4, seed=0)
-        mgr.save("run", make_history(), model=m)
-        h = mgr.load_history("run")
-        assert h.num_rounds == 3
-        m2 = mgr.load_weights("run", into=MLP(8, 4, seed=5))
-        np.testing.assert_array_equal(
-            next(iter(m2.parameters())).data, next(iter(m.parameters())).data
-        )
-
-    def test_missing_entries(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        with pytest.raises(KeyError):
-            mgr.load_history("nope")
-        mgr.save("no-weights", make_history())
-        with pytest.raises(KeyError):
-            mgr.load_weights("no-weights")
-
-    def test_invalid_names(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        with pytest.raises(ValueError):
-            mgr.save("../evil", make_history())
-        with pytest.raises(ValueError):
-            mgr.save(".hidden", make_history())
-
-    def test_summary(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        mgr.save("run-a", make_history())
-        text = mgr.summary()
-        assert "run-a" in text and "FedKEMF" in text
-
-    def test_manifest_survives_reopen(self, tmp_path):
-        CheckpointManager(tmp_path).save("r1", make_history())
-        assert CheckpointManager(tmp_path).runs() == ["r1"]
-
-    def test_summary_tolerates_legacy_entries(self, tmp_path):
-        """Manifests written by older versions (or by save_run_checkpoint
-        alone) lack final_accuracy/total_bytes — summary must not KeyError."""
-        mgr = CheckpointManager(tmp_path)
-        mgr.save("full", make_history())
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["legacy"] = {"history": "legacy.history.json"}
-        manifest["mid-run"] = {"checkpoint": "mid-run.ckpt", "next_round": 7}
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        text = mgr.summary()
-        assert "legacy" in text and "mid-run" in text
-        assert "resumable@r7" in text
-
-
 def make_run_checkpoint(next_round=3):
     return RunCheckpoint(
         algorithm="FedAvg",
@@ -175,15 +115,6 @@ class TestRunCheckpointFormat:
     def test_checkpoint_error_is_a_value_error(self):
         # back-compat: callers catching ValueError keep working
         assert issubclass(CheckpointError, ValueError)
-
-    def test_manager_tracks_checkpoints(self, tmp_path):
-        mgr = CheckpointManager(tmp_path)
-        ckpt = make_run_checkpoint(next_round=5)
-        mgr.save_run_checkpoint("run", ckpt)
-        back = mgr.load_run_checkpoint("run")
-        assert back.next_round == 5
-        with pytest.raises(KeyError):
-            mgr.load_run_checkpoint("absent")
 
 
 class TestCorruptedCheckpoints:
@@ -269,17 +200,6 @@ class TestAtomicity:
         with pytest.raises(OSError):
             save_run_checkpoint(make_run_checkpoint(4), path)
         assert load_run_checkpoint(path).next_round == 2
-        assert list(tmp_path.glob("*.tmp")) == []
-
-    def test_manifest_survives_crashed_update(self, tmp_path, monkeypatch):
-        mgr = CheckpointManager(tmp_path)
-        mgr.save("first", make_history())
-        self._crash_on_replace(monkeypatch)
-        with pytest.raises(OSError):
-            mgr.save("second", make_history())
-        monkeypatch.undo()
-        # the manifest is still valid JSON listing only the completed save
-        assert CheckpointManager(tmp_path).runs() == ["first"]
         assert list(tmp_path.glob("*.tmp")) == []
 
     def test_interrupted_write_never_partial(self, tmp_path, monkeypatch):

@@ -16,7 +16,6 @@ from repro.nn import functional as F
 from repro.nn.batched import (
     StackedModel,
     batch_norm2d_k,
-    batched_enabled,
     build_stacked,
     conv2d_k,
     cross_entropy_k,
@@ -284,16 +283,6 @@ class TestBuildStacked:
         after = template.state_dict()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key], err_msg=key)
-
-
-class TestEscapeHatch:
-    def test_batched_enabled_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCHED", raising=False)
-        assert batched_enabled()
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        assert not batched_enabled()
-        monkeypatch.setenv("REPRO_BATCHED", "1")
-        assert batched_enabled()
 
 
 class TestStackedModelContract:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.core import FedKEMF
 from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
-from repro.nn.batched import batched_enabled
 from repro.nn.models import build_model
 from repro.runtime.executors import (
     EXECUTOR_KINDS,
@@ -71,10 +70,8 @@ class TestFedAvgParity:
             micro_model_fn, micro_fed_equal, _config(executor="batched")
         )
         _assert_same_run(serial, batched)
-        # Homogeneous models + equal shards: the whole cohort must stack
-        # (unless the oracle escape hatch disabled stacking for this run).
-        if batched_enabled():
-            assert batched.runtime.executor.last_round_mode == "batched"
+        # Homogeneous models + equal shards: the whole cohort must stack.
+        assert batched.runtime.executor.last_round_mode == "batched"
 
     def test_ragged_shards_fall_back(self, micro_fed, micro_model_fn):
         # Dirichlet shards are unequal, so grouping yields singletons; the
@@ -94,17 +91,6 @@ class TestFedAvgParity:
             micro_model_fn, micro_fed_equal, _config(faults=faults, executor="batched")
         )
         _assert_same_run(serial, batched)
-
-    def test_oracle_escape_hatch(self, micro_fed_equal, micro_model_fn, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "0")
-        serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config()
-        )
-        batched = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(executor="batched")
-        )
-        _assert_same_run(serial, batched)
-        assert batched.runtime.executor.last_round_mode == "serial"
 
     def test_custom_client_work_falls_back(self, micro_fed_equal, micro_model_fn):
         # FedProx overrides client_work (proximal grad hook) — the default
@@ -138,8 +124,7 @@ class TestFedKEMFParity:
     def test_equal_shards_engage_stacked_path(self, micro_fed_equal, micro_model_fn):
         serial, batched = self._pair(micro_fed_equal, micro_model_fn, micro_model_fn)
         _assert_same_run(serial, batched)
-        if batched_enabled():
-            assert batched.runtime.executor.last_round_mode == "batched"
+        assert batched.runtime.executor.last_round_mode == "batched"
         self._assert_local_models_equal(serial, batched)
 
     def test_with_faults(self, micro_fed_equal, micro_model_fn):
@@ -167,8 +152,7 @@ class TestFedKEMFParity:
             micro_fed_equal, know_fn, local_fns, sample_ratio=1.0
         )
         _assert_same_run(serial, batched)
-        if batched_enabled():
-            assert batched.runtime.executor.last_round_mode == "mixed"
+        assert batched.runtime.executor.last_round_mode == "mixed"
         self._assert_local_models_equal(serial, batched)
 
     def test_ragged_shards_fall_back(self, micro_fed, micro_model_fn):
@@ -194,9 +178,7 @@ class TestBatchedExecutorUnit:
         assert ex.last_round_mode == "serial"
         assert ex.last_round_failures == {}
 
-    def test_results_in_task_order_when_mixed(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCHED", "1")  # immune to the oracle run
-
+    def test_results_in_task_order_when_mixed(self):
         class FakeAlgo:
             def client_work(self, round_idx, cid, payload):
                 return ClientUpdate(client_id=cid, weight=-1.0)

@@ -9,6 +9,7 @@ re-armed pool.
 
 from __future__ import annotations
 
+import functools
 import os
 
 import numpy as np
@@ -66,20 +67,31 @@ class TestRetryPolicy:
         assert p.max_attempts >= 1 and p.task_timeout_s is None
 
 
+def _explode(cid, payload):
+    raise RuntimeError(f"client {cid} exploded")
+
+
+def _forked(work):
+    """``work`` behind a lambda: it cannot pickle, so the executor forks a
+    pool for the round instead of shipping to its run-long one."""
+    return functools.partial(lambda inner, cid, payload: inner(cid, payload), work)
+
+
+# One ladder, two pool lifetimes. The ids are the names the two cases have
+# always had: "parallel" was the fork-per-round class, "persistent" the
+# shipped pool.
 @needs_fork
 @pytest.mark.parametrize(
-    "make_executor",
-    [
-        lambda: ParallelExecutor(2, retry=FAST_RETRY),
-        lambda: PersistentParallelExecutor(2, retry=FAST_RETRY),
-    ],
+    "lifetime, wrap",
+    [("forked", _forked), ("shipped", lambda work: work)],
     ids=["parallel", "persistent"],
 )
 class TestWorkerCrash:
-    def test_round_survives_and_reports(self, make_executor):
+    def test_round_survives_and_reports(self, lifetime, wrap):
         tasks = _tasks(5)
-        with make_executor() as ex:
-            updates = ex.run_round(_crashing_work, tasks)
+        with ParallelExecutor(2, retry=FAST_RETRY) as ex:
+            updates = ex.run_round(wrap(_crashing_work), tasks)
+            assert ex.last_round_mode == lifetime
             # every healthy client finished, in task order
             assert [u.client_id for u in updates] == [0, 1, 3, 4]
             for (cid, payload), u in zip(
@@ -89,22 +101,23 @@ class TestWorkerCrash:
             # the poison client is a failure, not an exception
             assert ex.last_round_failures == {CRASH_CID: WORKER_CRASH}
 
-    def test_next_round_rearms(self, make_executor):
+    def test_next_round_rearms(self, lifetime, wrap):
         tasks = _tasks(5)
-        with make_executor() as ex:
-            ex.run_round(_crashing_work, tasks)
-            clean = ex.run_round(_healthy_work, tasks)
+        with ParallelExecutor(2, retry=FAST_RETRY) as ex:
+            ex.run_round(wrap(_crashing_work), tasks)
+            clean = ex.run_round(wrap(_healthy_work), tasks)
+            # recovery did not change how the executor hands out state
+            assert ex.last_round_mode == lifetime
             assert [u.client_id for u in clean] == [0, 1, 2, 3, 4]
             assert ex.last_round_failures == {}
 
-    def test_work_exception_still_propagates(self, make_executor):
+    def test_work_exception_still_propagates(self, lifetime, wrap):
         # Programming errors are not infrastructure failures: no retry, no
         # "worker-crash" masking — the exception reaches the caller.
-        def boom(cid, payload):
-            raise RuntimeError(f"client {cid} exploded")
-
-        with make_executor() as ex, pytest.raises(RuntimeError, match="exploded"):
-            ex.run_round(boom, _tasks(4))
+        with ParallelExecutor(2, retry=FAST_RETRY) as ex:
+            with pytest.raises(RuntimeError, match="exploded"):
+                ex.run_round(wrap(_explode), _tasks(4))
+            assert ex.last_round_mode == lifetime
 
 
 @needs_fork

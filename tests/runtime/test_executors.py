@@ -1,9 +1,11 @@
-"""Executor contract: serial, parallel and persistent backends return
-identical updates, in task order, for pure work functions."""
+"""Executor contract: the serial backend and the process pool, under both
+pool lifetimes, return identical updates, in task order, for pure work
+functions."""
 
 from __future__ import annotations
 
 import functools
+import logging
 import pickle
 
 import numpy as np
@@ -36,6 +38,19 @@ def _tasks(n=6):
     return [(cid, {"x": rng.normal(size=(3, 3))}) for cid in range(n)]
 
 
+def _unpicklable(work):
+    """``work`` behind a lambda, which defeats pickle-by-reference."""
+    wrapped = functools.partial(lambda inner, cid, payload: inner(cid, payload), work)
+    with pytest.raises(Exception):
+        pickle.dumps(wrapped)
+    return wrapped
+
+
+# The pool's lifetime follows from whether the round's work closure pickles:
+# shipped to a run-long pool, or inherited by a pool forked for the round.
+LIFETIMES = {"shipped": lambda work: work, "forked": _unpicklable}
+
+
 class TestMakeExecutor:
     def test_mapping(self):
         assert isinstance(make_executor(0), SerialExecutor)
@@ -62,6 +77,25 @@ class TestMakeExecutor:
         assert make_executor(0, "persistent").workers >= 1
         with pytest.raises(ValueError):
             make_executor(2, "threads")
+
+    @needs_fork
+    def test_pool_spellings_are_one_executor(self, micro_fed, micro_model_fn):
+        from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
+
+        pools = [make_executor(4), make_executor(4, "parallel"), make_executor(4, "persistent")]
+        assert len({type(ex) for ex in pools}) == 1
+        assert ParallelExecutor is PersistentParallelExecutor
+
+        def fingerprint(**runtime):
+            cfg = FLConfig(
+                rounds=2, sample_ratio=0.5, local_epochs=1, batch_size=16, seed=0, **runtime
+            )
+            return ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, cfg).run().fingerprint()
+
+        serial = fingerprint()
+        assert fingerprint(workers=4) == serial
+        assert fingerprint(workers=4, executor="parallel") == serial
+        assert fingerprint(workers=4, executor="persistent") == serial
 
 
 class TestRunRound:
@@ -113,6 +147,10 @@ def _scaled_work(scale, cid, payload):
     return ClientUpdate(client_id=cid, states={"s": {"x": payload["x"] * scale}})
 
 
+def _raise_work(what, cid, payload):
+    raise RuntimeError(f"client {cid} {what}")
+
+
 @needs_fork
 class TestNestedExecutors:
     def test_fork_work_stack_is_reentrant(self):
@@ -162,13 +200,7 @@ class TestPersistentExecutor:
             ex.close()
 
     def test_unpicklable_work_falls_back_to_fork(self):
-        # a partial over a lambda defeats pickle-by-reference
-        work = functools.partial(_scaled_work, np.float64(2.0))
-        unpicklable = functools.partial(
-            lambda inner, cid, payload: inner(cid, payload), work
-        )
-        with pytest.raises(Exception):
-            pickle.dumps(unpicklable)  # the premise of this test
+        unpicklable = _unpicklable(functools.partial(_scaled_work, np.float64(2.0)))
         ex = PersistentParallelExecutor(2)
         try:
             tasks = _tasks(4)
@@ -212,6 +244,74 @@ class TestPersistentExecutor:
         got = ex.run_round(_square_work, tasks)  # forks a fresh pool
         assert ex.last_round_mode == "shipped" and len(got) == len(tasks)
         ex.close()
+
+
+@needs_fork
+@pytest.mark.parametrize("lifetime", sorted(LIFETIMES))
+class TestPoolLifetimes:
+    def test_matches_serial_every_round(self, lifetime):
+        work = LIFETIMES[lifetime](_square_work)
+        tasks = _tasks()
+        serial = SerialExecutor().run_round(_square_work, tasks)
+        with ParallelExecutor(4) as ex:
+            for _round in range(2):
+                got = ex.run_round(work, tasks)
+                assert ex.last_round_mode == lifetime
+                assert ex.last_round_failures == {}
+                # shipped: the pool outlives the round; forked: it does not
+                assert (ex._pool is not None) == (lifetime == "shipped")
+                assert [u.client_id for u in got] == [u.client_id for u in serial]
+                for s, p in zip(serial, got):
+                    np.testing.assert_array_equal(
+                        s.states["state"]["x"], p.states["state"]["x"]
+                    )
+                    assert s.weight == p.weight and s.steps == p.steps
+        assert ex._pool is None and ex_mod._FORK_WORK == []
+
+    def test_work_exception_propagates_and_leaves_nothing_behind(self, lifetime):
+        work = LIFETIMES[lifetime](functools.partial(_raise_work, "exploded"))
+        with ParallelExecutor(2) as ex:
+            with pytest.raises(RuntimeError, match="exploded"):
+                ex.run_round(work, _tasks(4))
+            assert ex.last_round_mode == lifetime
+            assert ex._pool is None  # abandoned, not reused
+            assert ex_mod._FORK_WORK == []
+            # and the executor re-arms for the next round
+            assert len(ex.run_round(LIFETIMES[lifetime](_square_work), _tasks(4))) == 4
+
+    def test_fork_failure_runs_the_round_serially(self, lifetime, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise OSError("fork: resource temporarily unavailable")
+
+        monkeypatch.setattr(ex_mod, "_PoolExecutor", no_pool)
+        tasks = _tasks(4)
+        with ParallelExecutor(2) as ex:
+            got = ex.run_round(LIFETIMES[lifetime](_square_work), tasks)
+        assert [u.client_id for u in got] == [cid for cid, _ in tasks]
+        assert ex.last_round_failures == {} and ex_mod._FORK_WORK == []
+
+
+@needs_fork
+class TestUnpicklableSnapshotIsLoud:
+    def test_warns_once_per_executor_with_the_reason(self):
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        ex_mod.log.addHandler(handler)
+        try:
+            with ParallelExecutor(2) as ex:
+                for _round in range(3):
+                    ex.run_round(_unpicklable(_square_work), _tasks(4))
+                    assert ex.last_round_mode == "forked"
+                ex.run_round(_square_work, _tasks(4))
+                assert ex.last_round_mode == "shipped"
+        finally:
+            ex_mod.log.removeHandler(handler)
+        assert len(records) == 1 and records[0].levelno == logging.WARNING
+        message = records[0].getMessage()
+        # the exception type and its message, not just "fell back"
+        assert "PicklingError" in message or "AttributeError" in message
+        assert "lambda" in message
 
 
 @needs_fork

@@ -98,21 +98,28 @@ class TestSerialParallelParity:
 
 @needs_fork
 class TestThreeWayParity:
-    """Serial vs per-round-fork vs persistent-pool: bit-identical histories
-    and models under the same seed, and the persistent run must actually
-    take the shipped-snapshot path (not silently fall back)."""
+    """Serial vs the pool under both lifetimes: bit-identical histories and
+    models under the same seed. The picklable factory must really be
+    shipped to the run-long pool (not silently forked per round), and the
+    closure factory — which cannot pickle — must really be forked."""
 
-    def _run(self, algo_factory, executor_kind):
-        algo = algo_factory(_config(workers=4, executor=executor_kind))
-        history = algo.run()
-        return history, algo
+    def _check(self, algo_factory, model_fn):
+        def closure_fn():  # local closure: defeats pickle-by-reference
+            return model_fn()
 
-    def _check(self, algo_factory):
-        runs = {k: self._run(algo_factory, k) for k in ("serial", "parallel", "persistent")}
-        assert isinstance(runs["parallel"][1].runtime.executor, ParallelExecutor)
-        persistent_ex = runs["persistent"][1].runtime.executor
-        assert isinstance(persistent_ex, PersistentParallelExecutor)
-        assert persistent_ex.last_round_mode == "shipped"
+        kinds = {
+            "serial": ("serial", model_fn, None),
+            "parallel": ("parallel", closure_fn, "forked"),
+            "persistent": ("persistent", model_fn, "shipped"),
+        }
+        runs = {}
+        for kind, (executor, fn, mode) in kinds.items():
+            algo = algo_factory(_config(workers=4, executor=executor), fn)
+            runs[kind] = (algo.run(), algo)
+            if mode is not None:
+                assert isinstance(algo.runtime.executor, ParallelExecutor)
+                assert algo.runtime.executor.last_round_mode == mode
+        assert ParallelExecutor is PersistentParallelExecutor
         for kind in ("parallel", "persistent"):
             _assert_histories_identical(runs["serial"][0], runs[kind][0])
             _assert_models_identical(
@@ -123,14 +130,14 @@ class TestThreeWayParity:
 
     def test_fedavg(self, micro_fed, micro_model_fn):
         self._check(
-            lambda cfg: ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, cfg)
+            lambda cfg, fn: ALGORITHM_REGISTRY.get("fedavg")(fn, micro_fed, cfg),
+            micro_model_fn,
         )
 
     def test_fedkemf(self, micro_fed, micro_model_fn):
         runs = self._check(
-            lambda cfg: FedKEMF(
-                micro_model_fn, micro_fed, cfg, local_model_fns=micro_model_fn
-            )
+            lambda cfg, fn: FedKEMF(fn, micro_fed, cfg, local_model_fns=fn),
+            micro_model_fn,
         )
         # persistent on-device models must round-trip through the pool too
         for kind in ("parallel", "persistent"):
