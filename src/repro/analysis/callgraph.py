@@ -155,7 +155,7 @@ class Reached:
 
     fn: FunctionInfo
     cls: "ClassInfo | None"  # concrete class context (for methods)
-    path: tuple[str, ...]  # call chain, e.g. ("FedKEMF.client_work", "_mutual_trainer")
+    path: tuple[str, ...]  # call chain, e.g. ("FedKEMF.client_work", "_client_trainer")
 
     def via(self) -> str:
         return " -> ".join(self.path)

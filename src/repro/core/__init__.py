@@ -15,7 +15,6 @@ from repro.core.ensemble import (
     ensemble_max,
     ensemble_mean,
     ensemble_vote,
-    collect_member_logits,
 )
 from repro.core.distill import DistillConfig, distill_to_student, distill_from_teacher_logits
 from repro.core.mutual import DeepMutualTrainer, MutualTrainStats
@@ -30,7 +29,6 @@ __all__ = [
     "ensemble_max",
     "ensemble_mean",
     "ensemble_vote",
-    "collect_member_logits",
     "DistillConfig",
     "distill_to_student",
     "distill_from_teacher_logits",

@@ -39,6 +39,18 @@ class DistillConfig:
     # amortize per-batch overhead)
     eval_batch_size: int = 256
 
+    @classmethod
+    def from_config(cls, cfg) -> "DistillConfig":
+        """The solver an :class:`~repro.fl.config.FLConfig` describes: its
+        ``distill_*`` fields and its seed."""
+        return cls(
+            epochs=cfg.distill_epochs,
+            lr=cfg.distill_lr,
+            batch_size=cfg.distill_batch_size,
+            temperature=cfg.distill_temperature,
+            seed=cfg.seed,
+        )
+
 
 def distill_from_teacher_logits(
     student: Module,

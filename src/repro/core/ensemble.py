@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.data.dataset import Dataset
 from repro.nn.autograd import no_grad
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
@@ -31,8 +30,6 @@ __all__ = [
     "ensemble_logits",
     "weighted_ensemble_logits",
     "member_logits",
-    "stack_member_logits",
-    "collect_member_logits",
     "EnsembleModule",
 ]
 
@@ -144,7 +141,8 @@ def member_logits(
     written straight into ``out`` (allocated on the first chunk when not
     supplied), so a full pass costs zero list/concatenate copies. Pass a
     slice of a preallocated stacked buffer to collect many members without
-    intermediate allocation (see :func:`collect_member_logits`).
+    intermediate allocation (as :func:`repro.core.fusion.fuse_ensemble_distill`
+    does).
     """
     was_training = model.training
     model.eval()
@@ -183,38 +181,3 @@ class EnsembleModule(Module):
     def forward(self, x: Tensor) -> Tensor:
         stacked = np.stack([m(x).data for m in self.members], axis=0)
         return Tensor(ensemble_logits(stacked, self.strategy))
-
-
-def stack_member_logits(
-    models: Sequence[Module],
-    x: np.ndarray,
-    batch_size: int = 256,
-    out: "np.ndarray | None" = None,
-) -> np.ndarray:
-    """Stack logits of many member models over an input array → (M, N, C).
-
-    Members are evaluated sequentially so only one activation set is alive
-    at a time (single-core memory discipline), and every member writes into
-    one preallocated (M, N, C) buffer — no per-member arrays, no final
-    ``np.stack`` copy. Pass ``out`` to reuse the buffer across rounds.
-    """
-    if not models:
-        raise ValueError("cannot stack logits of zero members")
-    if out is None:
-        first = member_logits(models[0], x, batch_size)
-        out = np.empty((len(models), *first.shape), dtype=first.dtype)
-        out[0] = first
-        rest = enumerate(models[1:], start=1)
-    else:
-        rest = enumerate(models)
-    for mi, model in rest:
-        member_logits(model, x, batch_size, out=out[mi])
-    return out
-
-
-def collect_member_logits(
-    models: Sequence[Module], dataset: Dataset, batch_size: int = 256
-) -> np.ndarray:
-    """Stack logits of many member models over a dataset → (M, N, C)."""
-    x, _ = dataset.arrays()
-    return stack_member_logits(models, x, batch_size)

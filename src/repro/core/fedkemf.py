@@ -27,11 +27,10 @@ from repro.core.fusion import fuse_ensemble_distill
 from repro.core.mutual import DeepMutualTrainer, train_stacked_mutual
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
-from repro.fl.state_store import ClientModelBank, LazyFactoryBank
+from repro.fl.state_store import ClientModelBank
 from repro.nn.batched import build_stacked
 from repro.nn.module import Module
 from repro.nn.serialization import state_dict_signature
-from repro.runtime.adversary import LABELFLIP, labelflip_clone
 from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import FLRuntime
 
@@ -93,49 +92,17 @@ class FedKEMF(FLAlgorithm):
         self.local_models = ClientModelBank(
             self._local_model_fns, resident_limit=self.cfg.state_residency
         )
-        # Mutual trainers mirror the base class's lazy trainer bank: pure
-        # in the client id, built on demand, droppable between rounds.
-        self.mutual_trainers = LazyFactoryBank(
-            self.make_mutual_trainer, self.fed.num_clients
-        )
-        self._distill_config = DistillConfig(
-            epochs=self.cfg.distill_epochs,
-            lr=self.cfg.distill_lr,
-            batch_size=self.cfg.distill_batch_size,
-            temperature=self.cfg.distill_temperature,
-            seed=self.cfg.seed,
-        )
+        self._distill_config = DistillConfig.from_config(self.cfg)
         self.last_distill_loss: float | None = None
 
-    def make_mutual_trainer(self, cid: int) -> DeepMutualTrainer:
-        """Construct client ``cid``'s deep-mutual trainer. Pure in ``cid``
-        (fixed config/seed), so dropped entries rebuild bit-identically."""
+    def make_trainer(self, cid: int) -> DeepMutualTrainer:
+        """Alg. 1 in place of plain local SGD: the base trainer's shard,
+        loader seed and solver settings, plus the KL coupling. Everything
+        else a client is — the lazy trainer bank, cohort retention, the
+        ``labelflip`` clone of :meth:`_client_trainer` — is inherited."""
         return DeepMutualTrainer(
-            self.fed.client_train[cid],
-            batch_size=self.cfg.batch_size,
-            lr=self.cfg.lr,
-            momentum=self.cfg.momentum,
-            weight_decay=self.cfg.weight_decay,
-            kl_weight=self.cfg.kl_weight,
-            seed=self.cfg.seed * 7919 + cid,
+            kl_weight=self.cfg.kl_weight, **vars(super().make_trainer(cid))
         )
-
-    def _prefetch_clients(self, round_idx: int, active: "list[int]") -> None:
-        # On top of the base hook (cohort shards + LocalTrainer cache),
-        # drop cached mutual trainers for clients outside the cohort —
-        # they pin evicted shards otherwise.
-        super()._prefetch_clients(round_idx, active)
-        if getattr(self.fed, "prefetch", None) is not None:
-            self.mutual_trainers.retain(set(active))
-
-    def _mutual_trainer(self, round_idx: int, cid: int) -> DeepMutualTrainer:
-        """The mutual trainer for this (round, client) pair: the honest
-        one, or a flipped-label clone of it under the adversary's
-        ``labelflip`` role (see :meth:`FLAlgorithm._client_trainer`)."""
-        trainer = self.mutual_trainers[cid]
-        if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-            return labelflip_clone(trainer, self.fed.num_classes)
-        return trainer
 
     def server_state(self) -> dict:
         # The heterogeneous local models are the on-device deployment
@@ -163,7 +130,7 @@ class FedKEMF(FLAlgorithm):
         # Client loads θ_g (tiny payload) into its working copy.
         self._scratch.load_state_dict(payload["state"])
         # Alg. 1: deep mutual learning of (θ, θ_g) on the local shard.
-        stats = self._mutual_trainer(round_idx, cid).train(
+        stats = self._client_trainer(round_idx, cid).train(
             self.local_models[cid],
             self._scratch,
             epochs=self.cfg.local_epochs,
@@ -185,31 +152,18 @@ class FedKEMF(FLAlgorithm):
     ) -> "dict[int, ClientUpdate] | None":
         # Stacked deep mutual learning: both the knowledge networks and the
         # local models of a homogeneous cohort train as one program each.
-        # Grouping key adds the *local* architecture (the multi-model
-        # setting of Table 3 mixes them) on top of shard size; clients the
+        # The grouping key adds the *local* architecture (the multi-model
+        # setting of Table 3 mixes them) to the base rule; clients the
         # stack can't absorb run through the serial client_work unchanged.
         # Local models are NOT mutated here — trained weights return via
         # ``local_state`` and the parent writes them back through
         # apply_client_update, exactly like the serial/forked paths.
-        sig = state_dict_signature(self._scratch.state_dict(copy=False))
-        groups: "dict[tuple, list[tuple[int, dict]]]" = {}
-        for cid, payload in tasks:
-            state = payload.get("state")
-            if state is None or state_dict_signature(state) != sig:
-                continue
-            if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-                continue  # trains a flipped-label view: serial client_work path
+        def local_arch(cid: int) -> tuple:
             local = self.local_models[cid]
-            key = (
-                type(local),
-                state_dict_signature(local.state_dict(copy=False)),
-                self.fed.client_size(cid),
-            )
-            groups.setdefault(key, []).append((cid, payload))
+            return type(local), state_dict_signature(local.state_dict(copy=False))
+
         results: "dict[int, ClientUpdate]" = {}
-        for (_ltype, _lsig, shard), group in groups.items():
-            if len(group) < 2:
-                continue  # a singleton stack is pure overhead
+        for group in self._stackable_cohorts(round_idx, tasks, key=local_arch):
             k = len(group)
             stacked_know = build_stacked(self._scratch, k)
             stacked_local = build_stacked(self.local_models[group[0][0]], k)
@@ -222,7 +176,7 @@ class FedKEMF(FLAlgorithm):
             stats = train_stacked_mutual(
                 stacked_local,
                 stacked_know,
-                [self.mutual_trainers[cid] for cid, _ in group],
+                [self.trainers[cid] for cid, _ in group],
                 self.cfg.local_epochs,
                 round_idx,
             )
@@ -230,7 +184,7 @@ class FedKEMF(FLAlgorithm):
                 results[cid] = ClientUpdate(
                     client_id=cid,
                     states={"state": stacked_know.client_state(i)},
-                    weight=float(shard),
+                    weight=float(self.fed.client_size(cid)),
                     steps=stats[i].steps,
                     stats=stats[i],
                     local_state=stacked_local.client_state(i),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.data.dataset import Dataset
-from repro.data.loader import DataLoader
+from repro.fl.trainer import LocalTrainer, lockstep_batches
 from repro.nn import functional as F
 from repro.nn.batched import StackedModel, cross_entropy_k, kl_div_with_logits_k
 from repro.nn.module import Module
@@ -39,40 +39,20 @@ class MutualTrainStats:
     mean_kl: float
 
 
-class DeepMutualTrainer:
+class DeepMutualTrainer(LocalTrainer):
     """Runs Alg. 1 on one client shard.
 
-    Parameters mirror :class:`repro.fl.trainer.LocalTrainer`; ``kl_weight``
-    scales both KL terms symmetrically.
+    A :class:`~repro.fl.trainer.LocalTrainer` — same shard, loader seeding
+    and ``solver`` keyword settings (``batch_size``, ``lr``, ``momentum``,
+    ``weight_decay``, ``seed``) — whose :meth:`train` couples two networks;
+    ``kl_weight`` scales both KL terms symmetrically.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        batch_size: int = 32,
-        lr: float = 0.05,
-        momentum: float = 0.9,
-        weight_decay: float = 0.0,
-        kl_weight: float = 1.0,
-        seed: int = 0,
-    ) -> None:
+    def __init__(self, dataset: Dataset, kl_weight: float = 1.0, **solver) -> None:
         if kl_weight < 0:
             raise ValueError("kl_weight must be non-negative")
-        self.dataset = dataset
-        self.batch_size = batch_size
-        self.lr = lr
-        self.momentum = momentum
-        self.weight_decay = weight_decay
+        super().__init__(dataset, **solver)
         self.kl_weight = kl_weight
-        self.seed = seed
-
-    def make_loader(self, round_idx: int = 0) -> DataLoader:
-        return DataLoader(
-            self.dataset,
-            batch_size=self.batch_size,
-            shuffle=True,
-            seed=self.seed * 100003 + round_idx,
-        )
 
     def train(
         self,
@@ -152,25 +132,10 @@ def train_stacked_mutual(
     step, so per-client trajectories are bit-identical.
     """
     k = stacked_local.k
-    if stacked_know.k != k or len(trainers) != k:
-        raise ValueError("cohort size mismatch between stacks and trainers")
+    if stacked_know.k != k:
+        raise ValueError("cohort size mismatch between the two stacks")
+    batches = lockstep_batches(trainers, k, epochs, round_idx)
     first = trainers[0]
-    for tr in trainers[1:]:
-        if (
-            tr.batch_size != first.batch_size
-            or tr.lr != first.lr
-            or tr.momentum != first.momentum
-            or tr.weight_decay != first.weight_decay
-            or tr.kl_weight != first.kl_weight
-        ):
-            raise ValueError("cohort trainers must share solver hyperparameters")
-    from repro.fl.trainer import collect_batches
-
-    schedules = collect_batches(trainers, epochs, round_idx)
-    n_steps = len(schedules[0])
-    if any(len(s) != n_steps for s in schedules):
-        raise ValueError("cohort clients must share a batch schedule")
-
     kl_weight = first.kl_weight
     opt_local = SGD(
         stacked_local.parameters(),
@@ -193,9 +158,7 @@ def train_stacked_mutual(
     sum_local = [0.0] * k
     sum_know = [0.0] * k
     sum_kl = [0.0] * k
-    for t in range(n_steps):
-        xb = np.stack([schedules[j][t][0] for j in range(k)])
-        yb = np.stack([schedules[j][t][1] for j in range(k)])
+    for xb, yb in batches:
         x = Tensor(xb)
         logits_local = stacked_local(x)
         logits_know = stacked_know(x)

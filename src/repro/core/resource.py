@@ -8,6 +8,7 @@ because only the shared knowledge network crosses the wire.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -90,11 +91,13 @@ def local_model_builders(
     width_mult: float = 1.0,
     seed: int = 0,
 ) -> "list[Callable[[], Module]]":
-    """One zero-arg builder per client, honouring the plan's assignment."""
-
-    def make(name: str, client_seed: int) -> Callable[[], Module]:
-        return lambda: build_model(
-            name, num_classes, in_channels, image_size, width_mult, seed=client_seed
+    """One zero-arg builder per client, honouring the plan's assignment.
+    Each is a ``functools.partial`` over :func:`build_model`, so the
+    algorithm holding them pickles and its rounds ship to a run-long pool."""
+    return [
+        functools.partial(
+            build_model, name, num_classes, in_channels, image_size, width_mult,
+            seed=seed * 1009 + i,
         )
-
-    return [make(name, seed * 1009 + i) for i, name in enumerate(plan.assignment)]
+        for i, name in enumerate(plan.assignment)
+    ]

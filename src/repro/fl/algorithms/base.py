@@ -247,6 +247,33 @@ class FLAlgorithm:
             stats=stats,
         )
 
+    def _stackable_cohorts(self, round_idx: int, tasks: "list[tuple[int, dict]]", key=None):
+        """This round's tasks grouped into the cohorts (lists of tasks) that
+        may train as one stack — the rule every :meth:`client_work_batched`
+        shares.
+
+        A client joins a cohort when its payload carries the communicated
+        model's signature and it is not a ``labelflip`` adversary (that one
+        trains a flipped-label view through the serial :meth:`client_work`).
+        Cohort members share a shard size — an equal shard plus the shared
+        ``batch_size`` gives an identical per-step batch schedule, which is
+        what lets the stack train in lockstep and replay bit-identically
+        to the serial loop — and ``key(cid)`` when the algorithm has more
+        to keep apart (FedKEMF: the local architecture). A singleton stack
+        is pure overhead, so only cohorts of two or more are returned.
+        """
+        sig = state_dict_signature(self._scratch.state_dict(copy=False))
+        groups: "dict[tuple, list[tuple[int, dict]]]" = {}
+        for cid, payload in tasks:
+            state = payload.get("state")
+            if state is None or state_dict_signature(state) != sig:
+                continue
+            if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
+                continue
+            cohort = (self.fed.client_size(cid), key(cid) if key else None)
+            groups.setdefault(cohort, []).append((cid, payload))
+        return [group for group in groups.values() if len(group) >= 2]
+
     def client_work_batched(
         self, round_idx: int, tasks: "list[tuple[int, dict]]"
     ) -> "dict[int, ClientUpdate] | None":
@@ -258,29 +285,15 @@ class FLAlgorithm:
 
         The default covers algorithms that keep the stock
         :meth:`client_work` (plain local SGD: FedAvg and the server-side
-        optimizer variants). Cohorts are grouped by (model signature,
-        shard size): an equal shard plus the shared ``batch_size`` gives
-        an identical per-step batch schedule, which is what lets the stack
-        train in lockstep and replay bit-identically to the serial loop.
-        Algorithms that customise local training (FedProx, SCAFFOLD,
-        FedNova) fall back to serial automatically.
+        optimizer variants), over the cohorts of
+        :meth:`_stackable_cohorts`. Algorithms that customise local
+        training (FedProx, SCAFFOLD, FedNova) fall back to serial
+        automatically.
         """
         if type(self).client_work is not FLAlgorithm.client_work:
             return None  # custom local pass: no generic stacked equivalent
-        sig = state_dict_signature(self._scratch.state_dict(copy=False))
-        groups: "dict[int, list[tuple[int, dict]]]" = {}
-        for cid, payload in tasks:
-            state = payload.get("state")
-            if state is None or state_dict_signature(state) != sig:
-                continue
-            if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
-                continue  # trains a flipped-label view: serial client_work path
-            shard = self.fed.client_size(cid)
-            groups.setdefault(shard, []).append((cid, payload))
         results: "dict[int, ClientUpdate]" = {}
-        for shard, group in groups.items():
-            if len(group) < 2:
-                continue  # a singleton stack is pure overhead
+        for group in self._stackable_cohorts(round_idx, tasks):
             stacked = build_stacked(self._scratch, len(group))
             if stacked is None:
                 continue  # architecture not stackable: serial fallback
@@ -295,7 +308,7 @@ class FLAlgorithm:
                 results[cid] = ClientUpdate(
                     client_id=cid,
                     states={"state": stacked.client_state(i)},
-                    weight=float(shard),
+                    weight=float(self.fed.client_size(cid)),
                     steps=stats[i].steps,
                     stats=stats[i],
                 )

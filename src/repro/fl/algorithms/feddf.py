@@ -30,13 +30,7 @@ class FedDF(FLAlgorithm):
     name = "FedDF"
 
     def setup(self) -> None:
-        self._distill_config = DistillConfig(
-            epochs=self.cfg.distill_epochs,
-            lr=self.cfg.distill_lr,
-            batch_size=self.cfg.distill_batch_size,
-            temperature=self.cfg.distill_temperature,
-            seed=self.cfg.seed,
-        )
+        self._distill_config = DistillConfig.from_config(self.cfg)
 
     def aggregate(self, round_idx: int, updates: "list[ClientUpdate]") -> None:
         states = [u.received["state"] for u in updates]

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.distill import DistillConfig, distill_from_teacher_logits
-from repro.core.ensemble import EnsembleModule, member_logits
+from repro.core.ensemble import EnsembleModule, member_logits, weighted_ensemble_logits
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
 from repro.fl.state_store import ClientModelBank
@@ -77,13 +77,7 @@ class FedMD(FLAlgorithm):
         self.client_models = ClientModelBank(
             self._local_model_fns, resident_limit=self.cfg.state_residency
         )
-        self._digest_config = DistillConfig(
-            epochs=self.cfg.distill_epochs,
-            lr=self.cfg.distill_lr,
-            batch_size=self.cfg.distill_batch_size,
-            temperature=self.cfg.distill_temperature,
-            seed=self.cfg.seed,
-        )
+        self._digest_config = DistillConfig.from_config(self.cfg)
         x, _ = self.fed.server_public.arrays()
         self._public_x = x
         num_classes = self.fed.num_classes
@@ -142,9 +136,7 @@ class FedMD(FLAlgorithm):
         resulting weights keep the unweighted mean path bitwise."""
         stacked = np.stack(uploads)
         weights = self._ensemble_member_filter(stacked, base_weights)
-        if weights is None:
-            return stacked.mean(axis=0).astype(np.float32)
-        return np.average(stacked, axis=0, weights=weights).astype(np.float32)
+        return weighted_ensemble_logits(stacked, "mean", weights)
 
     def aggregate(self, round_idx: int, updates: "list[ClientUpdate]") -> None:
         uploads = [u.received["scores"]["scores"] for u in updates]

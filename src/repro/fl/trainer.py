@@ -10,7 +10,7 @@ exactly (FedNova's τ_i normalization depends on the true count).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
 
-__all__ = ["LocalTrainer", "TrainStats", "train_stacked"]
+__all__ = ["LocalTrainer", "TrainStats", "lockstep_batches", "train_stacked"]
 
 # hook(model) runs after backward and before the optimizer step;
 # it may modify p.grad in place.
@@ -116,22 +116,43 @@ class LocalTrainer:
         )
 
 
-def collect_batches(
-    trainers: "list[LocalTrainer] | list", epochs: int, round_idx: int
-) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-    """Materialize each trainer's full E-epoch batch schedule.
+def lockstep_batches(
+    trainers: "list[LocalTrainer]", k: int, epochs: int, round_idx: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Shared scaffold of the lockstep cohort trainers (:func:`train_stacked`
+    and :func:`repro.core.mutual.train_stacked_mutual`).
 
-    Consumes each client's loader RNG exactly like the serial nested loops,
-    so the minibatch contents are bit-identical to a serial run. Callers
-    group clients by shard size beforehand: equal shard sizes plus a shared
-    ``batch_size`` yield identical per-step batch shapes, which is what lets
-    the cohort train in lockstep without padding or masking.
+    Checks — eagerly, before the caller has touched a model — that the ``k``
+    trainers agree on every solver hyperparameter (all a trainer holds but
+    its shard and loader seed), materializes each client's full E-epoch
+    batch schedule, and returns an iterator that builds the per-step
+    ``(K, B, …)`` input and label stacks one step at a time.
+
+    Each schedule consumes its client's loader RNG exactly like the serial
+    nested loops, so the minibatch contents are bit-identical to a serial
+    run. Callers group clients by shard size beforehand: equal shard sizes
+    plus a shared ``batch_size`` yield identical per-step batch shapes,
+    which is what lets the cohort train in lockstep without padding or
+    masking.
     """
-    per_client: list[list[tuple[np.ndarray, np.ndarray]]] = []
+    if len(trainers) != k:
+        raise ValueError(f"expected {k} trainers, got {len(trainers)}")
+    solver = [
+        {name: v for name, v in vars(tr).items() if name not in ("dataset", "seed")}
+        for tr in trainers
+    ]
+    if any(s != solver[0] for s in solver[1:]):
+        raise ValueError("cohort trainers must share solver hyperparameters")
+    schedules = []
     for tr in trainers:
         loader = tr.make_loader(round_idx)
-        per_client.append([(xb, yb) for _epoch in range(epochs) for xb, yb in loader])
-    return per_client
+        schedules.append([batch for _epoch in range(epochs) for batch in loader])
+    if any(len(s) != len(schedules[0]) for s in schedules):
+        raise ValueError("cohort clients must share a batch schedule")
+    return (
+        (np.stack([xb for xb, _yb in step]), np.stack([yb for _xb, yb in step]))
+        for step in zip(*schedules)
+    )
 
 
 def train_stacked(
@@ -146,25 +167,12 @@ def train_stacked(
     Trains K clients' models (folded into ``stacked``) as one vectorized
     program; per-client results are bit-identical to K sequential
     :meth:`LocalTrainer.train` calls. Requires every trainer to share solver
-    hyperparameters and an equal-length batch schedule.
+    hyperparameters and an equal-length batch schedule
+    (:func:`lockstep_batches`).
     """
     k = stacked.k
-    if len(trainers) != k:
-        raise ValueError(f"expected {k} trainers, got {len(trainers)}")
+    batches = lockstep_batches(trainers, k, epochs, round_idx)
     first = trainers[0]
-    for tr in trainers[1:]:
-        if (
-            tr.batch_size != first.batch_size
-            or tr.lr != first.lr
-            or tr.momentum != first.momentum
-            or tr.weight_decay != first.weight_decay
-        ):
-            raise ValueError("cohort trainers must share solver hyperparameters")
-    schedules = collect_batches(trainers, epochs, round_idx)
-    n_steps = len(schedules[0])
-    if any(len(s) != n_steps for s in schedules):
-        raise ValueError("cohort clients must share a batch schedule")
-
     opt = SGD(
         stacked.parameters(),
         lr=lr if lr is not None else first.lr,
@@ -178,9 +186,7 @@ def train_stacked(
     # Per-client float64 accumulators updated in step order — the identical
     # sequence of Python-float ops the serial loop performs.
     loss_sums = [0.0] * k
-    for t in range(n_steps):
-        xb = np.stack([schedules[j][t][0] for j in range(k)])
-        yb = np.stack([schedules[j][t][1] for j in range(k)])
+    for xb, yb in batches:
         stacked.zero_grad()
         losses = cross_entropy_k(stacked(Tensor(xb)), yb)
         losses.backward(ones)

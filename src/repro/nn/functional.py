@@ -14,7 +14,6 @@ distillation (Eq. 4).
 from __future__ import annotations
 
 import functools
-import os
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -236,15 +235,9 @@ def mse_loss(pred: Tensor, target: Tensor | np.ndarray, reduction: str = "mean")
 # convolution (im2col / col2im)
 # ---------------------------------------------------------------------- #
 
-# Kernel-path switch. The reference gather/scatter implementations are kept
-# as the correctness oracle (tests diff the fast paths against them); set
-# ``REPRO_REFERENCE_KERNELS=1`` to run everything through the slow oracles.
-_USE_REFERENCE_KERNELS = os.environ.get("REPRO_REFERENCE_KERNELS", "0") == "1"
-
-
-def reference_kernels_enabled() -> bool:
-    """Whether the slow reference gather/scatter conv kernels are active."""
-    return _USE_REFERENCE_KERNELS
+# The reference gather/scatter implementations (``_im2col_gather``,
+# ``_col2im_scatter``) are kept as the correctness oracle: tests diff the
+# fast paths against them bitwise. Nothing at run time selects them.
 
 
 @functools.lru_cache(maxsize=256)
@@ -313,10 +306,7 @@ def _im2col_strided(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return buf.transpose(2, 0, 1), out_h, out_w
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    if _USE_REFERENCE_KERNELS:
-        return _im2col_gather(x, kh, kw, stride, pad)
-    return _im2col_strided(x, kh, kw, stride, pad)
+_im2col = _im2col_strided  # the one im2col conv2d and nn.batched run
 
 
 def _col2im_scatter(
@@ -358,12 +348,7 @@ def _col2im_accumulate(
     return padded
 
 
-def _col2im(
-    cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
-) -> np.ndarray:
-    if _USE_REFERENCE_KERNELS:
-        return _col2im_scatter(cols, x_shape, kh, kw, stride, pad)
-    return _col2im_accumulate(cols, x_shape, kh, kw, stride, pad)
+_col2im = _col2im_accumulate  # the one col2im conv2d and nn.batched run
 
 
 def conv2d(

@@ -6,13 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.ensemble import (
     ENSEMBLE_REGISTRY,
-    collect_member_logits,
     ensemble_logits,
     ensemble_max,
     ensemble_mean,
     ensemble_vote,
     member_logits,
-    stack_member_logits,
     weighted_ensemble_logits,
 )
 from repro.data.synthetic import make_blobs
@@ -152,7 +150,7 @@ class TestWeightedEnsembleEdgeCases:
         # synchronous teacher bit for bit, not just approximately.
         ds = make_blobs(24, num_classes=4, dim=8, seed=3)
         models = [MLP(8, 4, seed=s) for s in range(3)]
-        s = stack_member_logits(models, ds.x, batch_size=16)
+        s = np.stack([member_logits(m, ds.x, batch_size=16) for m in models])
         unweighted = ensemble_logits(s, strategy)
         np.testing.assert_array_equal(
             weighted_ensemble_logits(s, strategy, weights=[1.0, 1.0, 1.0]),
@@ -183,12 +181,6 @@ class TestMemberLogits:
         member_logits(m, ds.x)
         assert m.training
 
-    def test_collect_shape(self):
-        ds = make_blobs(20, num_classes=4, dim=8, seed=0)
-        models = [MLP(8, 4, seed=s) for s in range(3)]
-        out = collect_member_logits(models, ds)
-        assert out.shape == (3, 20, 4)
-
     def test_ensemble_of_experts_beats_members(self):
         """Three oracle models, each only knowing some classes: the max
         ensemble must outperform every individual member — the mechanism
@@ -209,7 +201,7 @@ class TestMemberLogits:
             return m
 
         experts = [expert([0, 1]), expert([1, 2]), expert([2, 3, 0])]
-        stacked_l = collect_member_logits(experts, ds)
+        stacked_l = np.stack([member_logits(m, ds.x) for m in experts])
         member_acc = [(s.argmax(axis=1) == ds.y).mean() for s in stacked_l]
         ens_acc = (ensemble_max(stacked_l).argmax(axis=1) == ds.y).mean()
         assert ens_acc > max(member_acc)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import FedKEMF
+from repro.core import DeepMutualTrainer, FedKEMF
 from repro.data.federated import build_federated_dataset
 from repro.fl import FedAvg, FLConfig
+from repro.fl.state_store import LazyFactoryBank
 from repro.nn.models import MLP
 
 
@@ -46,6 +47,16 @@ class TestBasics:
         algo = FedKEMF(knowledge_fn, fed, CFG, local_model_fns=fns)
         sizes = [m.num_parameters() for m in algo.local_models]
         assert sizes[0] != sizes[1]
+
+    def test_single_trainer_bank(self, fed):
+        # the client seam is the base class's: no second bank beside it
+        algo = FedKEMF(knowledge_fn, fed, CFG.with_overrides(kl_weight=0.5))
+        banks = [k for k, v in vars(algo).items() if isinstance(v, LazyFactoryBank)]
+        assert banks == ["trainers"]
+        trainer, plain = algo.trainers[0], FedAvg(knowledge_fn, fed, CFG).trainers[0]
+        assert isinstance(trainer, DeepMutualTrainer) and trainer.kl_weight == 0.5
+        # same shard, loader seed and solver settings as the baselines' trainer
+        assert {**vars(trainer), "kl_weight": None} == {**vars(plain), "kl_weight": None}
 
     def test_builder_count_mismatch(self, fed):
         with pytest.raises(ValueError):

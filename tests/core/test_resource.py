@@ -45,6 +45,15 @@ class TestBuilders:
             depth = int(name.split("-")[1])
             assert m.depth == depth
 
+    def test_builders_pickle(self):
+        # a FedKEMF holding them must ship to the run-long worker pool
+        import pickle
+
+        plan = plan_multi_model(3, width_mult=0.125, image_size=8, seed=0)
+        builders = local_model_builders(plan, image_size=8, width_mult=0.125, seed=0)
+        for name, clone in zip(plan.assignment, pickle.loads(pickle.dumps(builders))):
+            assert clone().depth == int(name.split("-")[1])
+
     def test_builders_use_distinct_seeds(self):
         import numpy as np
 

@@ -179,7 +179,10 @@ class TestSmallBuffer:
 # --- parent-captured trajectories ------------------------------------- #
 # Every cell was recorded at the commit *before* the sync tail and
 # ``_buffered_step`` were merged into one accept→merge step, so a literal
-# that moves means the merged tail changed a trajectory.
+# that moves means the merged tail changed a trajectory. The
+# ``sync-labelflip`` cells were recorded at the commit before FedKEMF's
+# deep-mutual trainers moved into the base class's trainer bank and
+# ``_client_trainer``: they pin the flipped-label clone for all its users.
 
 MATRIX_FAULTS = "dropout=0.3,slowdown=10,straggler=0.4,loss=0.1"
 # seed 3 on the 6-client federation: over-provisioned cohorts of 5 for a
@@ -188,6 +191,7 @@ MATRIX_BASE = dict(seed=3, over_provision=True)
 
 REGIMES = {
     "sync": dict(),
+    "sync-labelflip": dict(faults="labelflip=0.3"),
     "sync-faults": dict(faults=MATRIX_FAULTS, deadline=0.5),
     "buffered": dict(aggregation="buffered", faults=MATRIX_FAULTS),
     "buffered-degenerate": dict(
@@ -205,21 +209,25 @@ PARENT_FINGERPRINTS = {
     ("fedavg", "buffered-max-staleness-0"): "52f797043ef7e2e2",
     ("fedavg", "sync"): "25c56c1e4a5fa64f",
     ("fedavg", "sync-faults"): "60486adcdc110d4d",
+    ("fedavg", "sync-labelflip"): "e49e70124475fbb3",
     ("fedkemf", "buffered"): "f8fec7749c4d0b9d",
     ("fedkemf", "buffered-degenerate"): "971b6946244ddd55",
     ("fedkemf", "buffered-max-staleness-0"): "d8fc9825f3a9739f",
     ("fedkemf", "sync"): "53e3e6cc88e3d9fb",
     ("fedkemf", "sync-faults"): "b25b57b72c29f1d7",
+    ("fedkemf", "sync-labelflip"): "ac3de695a1170a43",
     ("fedmd", "buffered"): "6889c390d65a3178",
     ("fedmd", "buffered-degenerate"): "5f5be207cbf26009",
     ("fedmd", "buffered-max-staleness-0"): "0d99c1e65bdeab9b",
     ("fedmd", "sync"): "e322e04e8fda2c0f",
     ("fedmd", "sync-faults"): "e669b344b03a20ce",
+    ("fedmd", "sync-labelflip"): "89875edbd42b68cd",
     ("scaffold", "buffered"): "9c83bef49df2c356",
     ("scaffold", "buffered-degenerate"): "50d19ac160dc2efa",
     ("scaffold", "buffered-max-staleness-0"): "9467984c20d4f6de",
     ("scaffold", "sync"): "7811a31ad0843525",
     ("scaffold", "sync-faults"): "6374e5e73b35923a",
+    ("scaffold", "sync-labelflip"): "6b1e69e294ee0733",
 }
 
 
@@ -246,6 +254,8 @@ class TestParentCapturedFingerprints:
             assert "deadline" not in counts and "surplus" not in counts
         elif regime == "buffered-max-staleness-0":
             assert counts.get(STALE_EVICTED, 0) > 0
+        elif regime == "sync-labelflip":  # some sampled client really flipped
+            assert history.fingerprint() != PARENT_FINGERPRINTS[name, "sync"]
 
     def test_sync_server_state_carries_no_buffer(self, fed, model_fn):
         cfg = make_cfg(**{**MATRIX_BASE, **REGIMES["sync-faults"]})

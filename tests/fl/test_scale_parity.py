@@ -145,3 +145,12 @@ class TestLazyResidencyDuringRun:
         provisioned = math.ceil(algo.sampler.per_round / (1.0 - 0.2))
         assert len(algo.fed.resident_clients()) <= provisioned + 1
         assert len(algo.fed.resident_clients()) < NUM_CLIENTS // 10
+
+    def test_fedkemf_trainer_bank_bounded_by_cohort(self):
+        """FedKEMF's deep-mutual trainers live in the base class's one bank,
+        so the base cohort-retention hook is what stops them pinning
+        evicted shards: after the last round only its cohort is cached."""
+        algo = _algo("fedkemf", "lazy")
+        algo.run()
+        cached = algo.trainers.cached_clients()
+        assert cached and set(cached) <= set(algo.select_clients(ROUNDS - 1))

@@ -1,10 +1,12 @@
 """Local trainer behavior."""
 
 import numpy as np
+import pytest
 
+from repro.core.mutual import DeepMutualTrainer
 from repro.data.synthetic import make_blobs
 from repro.fl.metrics import evaluate_model
-from repro.fl.trainer import LocalTrainer
+from repro.fl.trainer import LocalTrainer, lockstep_batches
 from repro.nn.models import MLP
 
 
@@ -77,3 +79,45 @@ class TestLocalTrainer:
         (x0, _), = list(l0)
         (x1, _), = list(l1)
         assert not np.allclose(x0, x1)
+
+
+class TestLockstepBatches:
+    """The scaffold ``train_stacked`` and ``train_stacked_mutual`` share."""
+
+    def test_stacks_replay_each_clients_serial_schedule(self):
+        shards = [make_blobs(40, num_classes=4, dim=8, seed=s) for s in range(3)]
+        trainers = [LocalTrainer(ds, batch_size=16, seed=s) for s, ds in enumerate(shards)]
+        steps = lockstep_batches(trainers, 3, epochs=2, round_idx=5)
+        assert iter(steps) is steps  # built one step at a time, not a list
+        steps = list(steps)
+        for j, tr in enumerate(trainers):
+            loader = tr.make_loader(5)
+            serial = [batch for _epoch in range(2) for batch in loader]
+            assert len(serial) == len(steps) == 6
+            for (xs, ys), (xb, yb) in zip(steps, serial):
+                np.testing.assert_array_equal(xs[j], xb)
+                np.testing.assert_array_equal(ys[j], yb)
+
+    @pytest.mark.parametrize(
+        "cls, odd_shard, odd_setting, message",
+        [
+            (LocalTrainer, 40, dict(lr=0.01), "solver hyperparameters"),
+            (LocalTrainer, 40, dict(weight_decay=1e-4), "solver hyperparameters"),
+            (LocalTrainer, 40, dict(batch_size=8), "solver hyperparameters"),
+            (DeepMutualTrainer, 40, dict(kl_weight=0.5), "solver hyperparameters"),
+            (LocalTrainer, 24, dict(), "batch schedule"),
+        ],
+    )
+    def test_rejects_a_cohort_that_cannot_train_in_lockstep(
+        self, cls, odd_shard, odd_setting, message
+    ):
+        settings = dict(batch_size=16, lr=0.05)
+        trainers = [
+            cls(make_blobs(40, num_classes=4, dim=8, seed=0), seed=0, **settings),
+            cls(make_blobs(odd_shard, num_classes=4, dim=8, seed=1), seed=1,
+                **{**settings, **odd_setting}),
+        ]
+        with pytest.raises(ValueError, match=message):  # at the call, not at the first step
+            lockstep_batches(trainers, 2, epochs=1, round_idx=0)
+        with pytest.raises(ValueError, match="expected 3 trainers"):
+            lockstep_batches(trainers, 3, epochs=1, round_idx=0)

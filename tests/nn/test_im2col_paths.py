@@ -39,6 +39,11 @@ GEOMETRIES = [
     # these are the geometries where layout (not value) bugs hide
     (2, 16, 1, 1, 3, 1, 1),
     (3, 8, 2, 2, 3, 1, 1),
+    # the (kernel, stride, pad) combinations test_conv_invariants.py draws
+    # that nothing above compares
+    (2, 3, 6, 6, 1, 1, 1),
+    (2, 3, 7, 7, 1, 2, 0),
+    (2, 3, 8, 8, 3, 1, 0),
 ]
 
 

@@ -294,8 +294,8 @@ class TestLabelflipClone:
         from repro.core import FedKEMF
 
         algo = FedKEMF(micro_model_fn, micro_fed, _config(faults="labelflip=1.0"))
-        honest = algo.mutual_trainers[1]
-        self._check(algo, honest, algo._mutual_trainer(0, 1))
+        honest = algo.trainers[1]
+        self._check(algo, honest, algo._client_trainer(0, 1))
 
     def test_honest_role_returns_the_bank_entry(self, micro_fed, micro_model_fn):
         algo = ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, _config())

@@ -137,8 +137,10 @@ class TestVirtualClock:
 
 
 class TestImportOrder:
-    """repro.runtime and repro.fl import each other's submodules lazily;
-    both import orders must work from a cold interpreter."""
+    """repro.runtime and repro.fl import each other's submodules lazily,
+    and repro.core.mutual imports repro.fl.trainer at module top while
+    repro.fl.algorithms imports repro.core; every import order must work
+    from a cold interpreter."""
 
     @pytest.mark.parametrize(
         "stmt",
@@ -146,6 +148,9 @@ class TestImportOrder:
             "import repro.runtime; import repro.fl.algorithms",
             "import repro.fl.algorithms; import repro.runtime",
             "from repro.fl.algorithms import FLConfig; FLConfig(faults='dropout=0.1')",
+            "import repro.core",
+            "import repro.core.mutual; import repro.fl",
+            "import repro.fl; import repro.core.mutual",
         ],
     )
     def test_cold_import(self, stmt):

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import FedKEMF
+from repro.core import FedKEMF, local_model_builders, plan_multi_model
 from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
 from repro.runtime.executors import (
     ParallelExecutor,
@@ -146,6 +146,23 @@ class TestThreeWayParity:
                 runs[kind][1].local_models_for_eval(),
             ):
                 _assert_models_identical(m_s, m_p)
+
+    def test_multi_model_fedkemf_is_shipped(self, micro_fed, micro_model_fn):
+        """Table 3's heterogeneous deployment: ``local_model_builders``
+        returns picklable builders, so the run takes the run-long pool."""
+        shape = dict(num_classes=4, in_channels=1, image_size=8, width_mult=0.125)
+        plan = plan_multi_model(micro_fed.num_clients, seed=0, **shape)
+        assert len(set(plan.assignment)) > 1
+        builders = local_model_builders(plan, seed=0, **shape)
+        runs = {}
+        for workers in (0, 2):
+            algo = FedKEMF(
+                micro_model_fn, micro_fed, _config(workers=workers), local_model_fns=builders
+            )
+            runs[workers] = (algo.run(), algo)
+        assert runs[2][1].runtime.executor.last_round_mode == "shipped"
+        assert runs[0][0].fingerprint() == runs[2][0].fingerprint()
+        _assert_models_identical(runs[0][1].global_model, runs[2][1].global_model)
 
 
 class TestRuntimeMeta:
