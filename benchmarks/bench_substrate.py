@@ -4,9 +4,9 @@ These are conventional pytest-benchmark timings (many iterations) — they
 track the throughput of the kernels every experiment above is built on.
 
 ``test_substrate_speedup`` is the hot-path benchmark *gate*: it times the
-fast conv kernels against their reference oracles, writes the table to
-``benchmarks/results/substrate_speedup.txt``, and asserts the col2im
-speedup floor (≥2×).
+fast conv and max-pool kernels against their reference formulations, writes
+the table to ``benchmarks/results/substrate_speedup.txt``, and asserts the
+col2im speedup floor (≥2×).
 
 Runnable standalone for CI smoke checks (no pytest-benchmark needed)::
 
@@ -26,8 +26,8 @@ from repro.nn import functional as F
 from repro.nn.functional import (
     _col2im_accumulate,
     _col2im_scatter,
+    _im2col,
     _im2col_gather,
-    _im2col_strided,
 )
 from repro.nn.models import resnet20, vgg11
 from repro.nn.serialization import dumps_state_dict, loads_state_dict, average_states
@@ -148,6 +148,9 @@ def test_payload_size_ratios(benchmark):
 
 # conv2d-backward-shaped workload: cols of a (32, 16, 16, 16) k3 s1 p1 conv
 _KERNEL_GEOM = (32, 16, 16, 16, 3, 1, 1)
+_CONV_FWD_SHAPE = (256, 3, 16, 16)  # → 8 channels, 5×5, pad 2
+_POOL_SHAPE = (256, 8, 16, 16)  # 2×2 windows
+_ROWS = ("col2im", "im2col", "conv_fwd", "max_pool")
 
 
 def _kernel_speedups(repeats: int = 5, number: int = 3) -> dict:
@@ -165,10 +168,24 @@ def _kernel_speedups(repeats: int = 5, number: int = 3) -> dict:
         "col2im_ref": best(lambda: _col2im_scatter(cols, shape, k, k, stride, pad)),
         "col2im_fast": best(lambda: _col2im_accumulate(cols, shape, k, k, stride, pad)),
         "im2col_ref": best(lambda: _im2col_gather(x, k, k, stride, pad)),
-        "im2col_fast": best(lambda: _im2col_strided(x, k, k, stride, pad)),
+        "im2col_fast": best(lambda: _im2col(x, k, k, stride, pad)),
     }
-    out["col2im_speedup"] = out["col2im_ref"] / out["col2im_fast"]
-    out["im2col_speedup"] = out["im2col_ref"] / out["im2col_fast"]
+    # conv forward and max-pool at the public-set chunk the ensemble teacher
+    # forwards (cnn-2's first layer): the reference operand pays the
+    # transposing copy einsum used to hide; the reference pool is the
+    # two-axis reduce.
+    xc = np.random.default_rng(1).standard_normal(_CONV_FWD_SHAPE).astype(np.float32)
+    w2 = np.random.default_rng(2).standard_normal((8, 3 * 5 * 5)).astype(np.float32)
+    for name, rows_fn in (("ref", F._im2col_rows_reference), ("fast", F._im2col_rows)):
+        out[f"conv_fwd_{name}"] = best(
+            lambda: F._conv_forward(rows_fn(F._pad_input(xc, 2), 5, 5, 1), w2, None, len(xc))
+        )
+    xp = np.random.default_rng(3).standard_normal(_POOL_SHAPE).astype(np.float32)
+    n, c, h, w = _POOL_SHAPE
+    out["max_pool_ref"] = best(lambda: xp.reshape(n, c, h // 2, 2, w // 2, 2).max(axis=(3, 5)))
+    out["max_pool_fast"] = best(lambda: F._window_max(xp, 2))
+    for row in _ROWS:
+        out[f"{row}_speedup"] = out[f"{row}_ref"] / out[f"{row}_fast"]
     return out
 
 
@@ -179,11 +196,17 @@ def _render_speedup(kern: dict, cores: int) -> str:
         f"host cores: {cores}",
         "",
         "kernels (conv (32,16,16,16) k3 s1 p1, best-of-5):",
-        f"  col2im   reference {kern['col2im_ref'] * 1e3:8.2f} ms   "
-        f"fast {kern['col2im_fast'] * 1e3:8.2f} ms   {kern['col2im_speedup']:5.2f}x",
-        f"  im2col   reference {kern['im2col_ref'] * 1e3:8.2f} ms   "
-        f"fast {kern['im2col_fast'] * 1e3:8.2f} ms   {kern['im2col_speedup']:5.2f}x",
     ]
+    for row in _ROWS:
+        if row == "conv_fwd":
+            lines += ["", f"conv forward {_CONV_FWD_SHAPE} -> 8ch k5 s1 p2, "
+                      f"2x2 max-pool {_POOL_SHAPE} (best-of-5):"]
+        lines.append(
+            f"  {row:<8} reference {kern[f'{row}_ref'] * 1e3:8.2f} ms   "
+            f"fast {kern[f'{row}_fast'] * 1e3:8.2f} ms   {kern[f'{row}_speedup']:5.2f}x"
+        )
+    lines += ["", "im2col: both sides gather; the fast one lands the (N*L, F) GEMM operand,",
+              "which is what removes the reference's transposing copy in conv_fwd."]
     return "\n".join(lines)
 
 
@@ -211,7 +234,7 @@ def _smoke() -> int:
         n, c, h, w, k, stride, pad = geom
         x = np.random.default_rng(0).standard_normal((n, c, h, w)).astype(np.float32)
         ref_cols, _, _ = _im2col_gather(x, k, k, stride, pad)
-        fast_cols, _, _ = _im2col_strided(x, k, k, stride, pad)
+        fast_cols, _, _ = _im2col(x, k, k, stride, pad)
         np.testing.assert_array_equal(fast_cols, ref_cols)
         cols = np.ascontiguousarray(ref_cols)
         np.testing.assert_array_equal(
@@ -220,8 +243,7 @@ def _smoke() -> int:
         )
         print(f"kernel parity ok: geom={geom}")
     kern = _kernel_speedups(repeats=3, number=1)
-    print(f"col2im speedup {kern['col2im_speedup']:.2f}x, "
-          f"im2col speedup {kern['im2col_speedup']:.2f}x (informational)")
+    print(", ".join(f"{row} {kern[f'{row}_speedup']:.2f}x" for row in _ROWS), "(informational)")
     return 0
 
 

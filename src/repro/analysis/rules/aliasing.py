@@ -20,7 +20,7 @@ __all__ = ["CacheEntryMutation", "OutAliasesTensorData"]
 
 # Functions whose return value is a shared lru_cache entry: mutating what
 # they return corrupts every other caller with the same arguments.
-CACHED_FUNCS = frozenset({"im2col_indices"})
+CACHED_FUNCS = frozenset({"im2col_indices", "_im2col_row_index"})
 
 # ndarray methods that write in place.
 _MUTATOR_METHODS = frozenset({"fill", "sort", "resize", "put", "itemset", "partition"})

@@ -25,9 +25,11 @@ executor is fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
   size, not dataset size) and carry ``reprolint: allow[RPL601]`` pragmas;
   RPL601 flags any *other* per-client loop that should use the stacked axis.
 
-The conv path deliberately reuses ``F._im2col`` / ``F._col2im`` on per-client
-slices: the calls hit the same cached geometries as serial training, so
-batching introduces no new ``(K·B, ...)`` shapes into ``im2col_indices``.
+The conv path owns no arithmetic: ``conv2d_k`` calls the serial kernel's
+``F._im2col_rows`` / ``F._conv_forward`` / ``F._im2col_cols`` /
+``F._conv_backward`` / ``F._col2im`` on per-client slices, so the three
+contractions, their operand arrangement and the degenerate-geometry rule are
+written once, in ``nn/functional.py``.
 """
 
 from __future__ import annotations
@@ -121,10 +123,9 @@ def conv2d_k(
 ) -> Tensor:
     """K-stacked conv2d: ``x``: (K,B,C,H,W), ``weight``: (K,OC,IC,kh,kw).
 
-    Runs the serial im2col/einsum kernel on each contiguous client slice —
-    the identical call sequence as :func:`repro.nn.functional.conv2d`, hence
-    bit-identical, and the ``im2col_indices`` cache sees only the serial
-    ``(C,H,W)`` geometries (no new ``K·B`` shapes).
+    Runs the serial kernels of :func:`repro.nn.functional.conv2d` — its
+    im2col, its three contractions, its col2im — on each contiguous client
+    slice, hence bit-identical per slice.
     """
     kk, n, c, h, w = x.data.shape
     _, oc, ic, kh, kw = weight.data.shape
@@ -132,16 +133,14 @@ def conv2d_k(
         raise ValueError(f"conv2d_k channel mismatch: input has {c}, weight expects {ic}")
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    cols_list = []
     w2 = weight.data.reshape(kk, oc, -1)
+    xp = F._pad_input(x.data.reshape(kk * n, c, h, w), padding)
+    xp = xp.reshape(kk, n, *xp.shape[1:])
     out = np.empty((kk, n, oc, out_h, out_w), dtype=x.data.dtype)
     for i in range(kk):  # reprolint: allow[RPL601]
-        cols, _, _ = F._im2col(x.data[i], kh, kw, stride, padding)
-        cols_list.append(cols)
-        o3 = np.einsum("of,nfl->nol", w2[i], cols, optimize=True)
-        if bias is not None:
-            o3 = o3 + bias.data[i].reshape(1, oc, 1)
-        out[i] = o3.reshape(n, oc, out_h, out_w)
+        rows = F._im2col_rows(xp[i], kh, kw, stride)
+        b = None if bias is None else bias.data[i]
+        out[i] = F._conv_forward(rows, w2[i], b, n).reshape(n, oc, out_h, out_w)
 
     def bwd(g):
         gx = np.empty((kk, n, c, h, w), dtype=x.data.dtype)
@@ -149,10 +148,9 @@ def conv2d_k(
         gb = None if bias is None else np.empty(bias.data.shape, dtype=bias.data.dtype)
         for i in range(kk):  # reprolint: allow[RPL601]
             gout = g[i].reshape(n, oc, -1)
-            gw[i] = np.einsum("nol,nfl->of", gout, cols_list[i], optimize=True).reshape(
-                weight.data.shape[1:]
-            )
-            gcols = np.einsum("of,nol->nfl", w2[i], gout, optimize=True)
+            cols = F._im2col_cols(xp[i], kh, kw, stride)
+            gcols, gw2 = F._conv_backward(cols, w2[i], gout)
+            gw[i] = gw2.reshape(weight.data.shape[1:])
             gx[i] = F._col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
             if gb is not None:
                 gb[i] = gout.sum(axis=(0, 2))
@@ -257,10 +255,10 @@ def max_pool2d_k(x: Tensor, kernel_size: int, stride: int | None = None) -> Tens
             f"k={k}, s={s}, h={h}, w={w}"
         )
     oh, ow = h // k, w // k
-    windows = x.data.reshape(kk, n, c, oh, k, ow, k)
-    out = windows.max(axis=(4, 6))
+    out = F._window_max(x.data, k)
 
     def bwd(g):
+        windows = x.data.reshape(kk, n, c, oh, k, ow, k)
         mask = windows == out.reshape(kk, n, c, oh, 1, ow, 1)
         counts = mask.sum(axis=(4, 6), keepdims=True)
         g7 = g.reshape(kk, n, c, oh, 1, ow, 1)

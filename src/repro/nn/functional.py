@@ -269,9 +269,12 @@ def im2col_indices(
 
 
 def _pad_input(x: np.ndarray, pad: int) -> np.ndarray:
-    if pad > 0:
-        return np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    return x
+    if pad == 0:
+        return x
+    n, c, h, w = x.shape
+    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    padded[:, :, pad:-pad, pad:-pad] = x
+    return padded
 
 
 def _im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
@@ -282,31 +285,69 @@ def _im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
     return cols, out_h, out_w
 
 
-def _im2col_strided(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """Fast im2col: a zero-copy ``as_strided`` window view, then a single
-    strided copy into column layout.
+def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Zero-copy (N, C, out_h, out_w, kh, kw) window view of a padded input."""
+    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
 
-    ``sliding_window_view`` builds the (N, C, OH', OW', kh, kw) window view
-    without touching memory; subsampling by ``stride`` is another view; one
-    strided copy then materializes the columns — no per-element index
-    arithmetic like the gather's. The copy deliberately lands in the *same
-    memory layout* the gather produces (physically (C·kh·kw, L, N), i.e.
-    the batch axis fastest): downstream ``einsum``/BLAS calls pick their
-    reduction order from operand strides, so matching values alone is not
-    enough for bit-identical conv outputs — the layout must match too.
+
+@functools.lru_cache(maxsize=256)
+def _im2col_row_index(c: int, hp: int, wp: int, kh: int, kw: int, stride: int) -> np.ndarray:
+    """Flat (L·F,) gather index into one padded (C, hp, wp) sample: entry
+    ``l·F + f`` is where window ``l`` reads element ``f = (c, ki, kj)``.
+    Cached per geometry and frozen, like :func:`im2col_indices`."""
+    out_h, out_w = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+    offset = (np.arange(c)[:, None, None] * hp + np.arange(kh)[:, None]) * wp + np.arange(kw)
+    corner = stride * (np.arange(out_h)[:, None] * wp + np.arange(out_w))
+    index = (corner.reshape(-1, 1) + offset.reshape(1, -1)).reshape(-1)
+    index.setflags(write=False)
+    return index
+
+
+def _im2col_rows_reference(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The (N·L, F) conv operand exactly as ``einsum("of,nfl->nol")`` derived
+    it from the gather's layout (physically (F, L, N), batch fastest): a
+    transposing ``reshape``, which copies to C order unless N, L or F is 1 —
+    then it returns a *view*, and BLAS is handed other transposition flags."""
+    win = _windows(xp, kh, kw, stride)
+    n, c, out_h, out_w = win.shape[:4]
+    buf = np.empty((c * kh * kw, out_h * out_w, n), dtype=xp.dtype)
+    buf.reshape(c, kh, kw, out_h, out_w, n)[...] = win.transpose(1, 4, 5, 2, 3, 0)
+    return buf.transpose(2, 1, 0).reshape(n * out_h * out_w, c * kh * kw)
+
+
+def _im2col_rows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The forward GEMM operand ``rows[n·L + l, f]``, ``f`` running over
+    (c, ki, kj): C-contiguous, one gather per sample through a cached index.
+
+    Degenerate geometries (N, L or F of 1: deep VGG stages at smoke scale,
+    single-sample evaluation tails) are tiny and keep the reference operand,
+    whose bits come from a view's flags rather than from this layout.
     """
-    n, c, h, w = x.shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    win = sliding_window_view(_pad_input(x, pad), (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]  # (N, C, out_h, out_w, kh, kw), still a view
-    buf = np.empty((c * kh * kw, out_h * out_w, n), dtype=x.dtype)
-    dst = buf.reshape(c, kh, kw, out_h, out_w, n)
-    dst[...] = win.transpose(1, 4, 5, 2, 3, 0)
-    return buf.transpose(2, 0, 1), out_h, out_w
+    n, c, hp, wp = xp.shape
+    index, f = _im2col_row_index(c, hp, wp, kh, kw, stride), c * kh * kw
+    if 1 in (n, len(index) // f, f):  # N, L or F
+        return _im2col_rows_reference(xp, kh, kw, stride)
+    return np.take(xp.reshape(n, -1), index, axis=1).reshape(-1, f)
 
 
-_im2col = _im2col_strided  # the one im2col conv2d and nn.batched run
+def _im2col_cols(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The weight-gradient GEMM operand: the C-contiguous (F, N·L) transpose
+    of :func:`_im2col_rows`, one strided copy of the window view (the output
+    row is the contiguous axis on both sides; transposing rows is far dearer)."""
+    win = _windows(xp, kh, kw, stride)
+    n, c, out_h, out_w = win.shape[:4]
+    cols = np.empty((c * kh * kw, n * out_h * out_w), dtype=xp.dtype)
+    cols.reshape(c, kh, kw, n, out_h, out_w)[...] = win.transpose(1, 4, 5, 0, 2, 3)
+    return cols
+
+
+def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
+    """``(cols, out_h, out_w)`` with ``cols`` the logical (N, F, L) view of
+    :func:`_im2col_rows` — the gather's signature, for probes and tests."""
+    n, _, h, w = x.shape
+    out_h, out_w = (h + 2 * pad - kh) // stride + 1, (w + 2 * pad - kw) // stride + 1
+    rows = _im2col_rows(_pad_input(x, pad), kh, kw, stride)
+    return rows.reshape(n, out_h * out_w, -1).transpose(0, 2, 1), out_h, out_w
 
 
 def _col2im_scatter(
@@ -337,7 +378,9 @@ def _col2im_accumulate(
     out_h = (h + 2 * pad - kh) // stride + 1
     out_w = (w + 2 * pad - kw) // stride + 1
     padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    cols6 = cols.reshape(n, c, kh, kw, out_h, out_w)
+    # conv2d's column gradient arrives as a transposed view; one blocked
+    # copy to C order first makes each of the kh·kw folds a contiguous read.
+    cols6 = np.ascontiguousarray(cols).reshape(n, c, kh, kw, out_h, out_w)
     for ki in range(kh):
         hi = ki + stride * (out_h - 1) + 1
         for kj in range(kw):
@@ -351,6 +394,42 @@ def _col2im_accumulate(
 _col2im = _col2im_accumulate  # the one col2im conv2d and nn.batched run
 
 
+# The three conv contractions, once, for conv2d and nn.batched.conv2d_k.
+# They hand BLAS the operands the parent's ``einsum(optimize=True)`` ended
+# up handing it, and operand arrangement is part of the bits: OpenBLAS picks
+# small-matrix kernels by transposition flag, so ``(O,F) @ (F,N·L)`` or a
+# ``.T`` view in place of a contiguous copy moves the last ulp. Where a
+# contraction runs over a single element einsum multiplied instead (no
+# accumulator, so a product of -0.0 keeps its sign); those cases do too.
+
+
+def _conv_forward(rows: np.ndarray, w2: np.ndarray, bias: np.ndarray | None, n: int) -> np.ndarray:
+    """``rows`` (N·L, F) and ``w2`` (OC, F) to the (N, OC, L) output, C-ordered."""
+    oc, f = w2.shape
+    res = rows * w2.T if f == 1 else np.matmul(rows, w2.T)  # (N·L, OC)
+    res = res.reshape(n, -1, oc).transpose(0, 2, 1)
+    # One pass lands the channel-fastest product (plus bias) in C order, so
+    # downstream multi-axis reductions (BatchNorm statistics, pool means)
+    # reduce in one stride order on the serial and the stacked path alike.
+    out = np.empty(res.shape, dtype=res.dtype)
+    if bias is None:
+        out[...] = res
+    else:
+        np.add(res, bias.reshape(oc, 1), out=out)
+    return out
+
+
+def _conv_backward(cols: np.ndarray, w2: np.ndarray, gout: np.ndarray):
+    """``cols`` (F, N·L) and upstream ``gout`` (N, OC, L) to ``(gcols, gw2)``:
+    the column gradient as a logical (N, F, L) view for :func:`_col2im` and
+    the (OC, F) weight gradient."""
+    n, oc = gout.shape[:2]
+    g_rows = gout.transpose(0, 2, 1).reshape(-1, oc)  # (N·L, OC), shared
+    gw2 = g_rows.T * cols.T if len(g_rows) == 1 else np.matmul(cols, g_rows).T
+    gcols = np.matmul(g_rows, w2).reshape(n, -1, len(cols)).transpose(0, 2, 1)
+    return gcols, gw2
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -361,35 +440,30 @@ def conv2d(
     """2-D convolution, NCHW layout, square kernel/stride/padding.
 
     Forward and backward are both expressed as one big matmul over im2col
-    columns, so >95% of runtime lands in BLAS.
+    operands, so the arithmetic lands in BLAS.
     """
     n, c, h, w = x.data.shape
     oc, ic, kh, kw = weight.data.shape
     if ic != c:
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
-    cols, out_h, out_w = _im2col(x.data, kh, kw, stride, padding)
+    out_h = (h + 2 * padding - kh) // stride + 1
+    out_w = (w + 2 * padding - kw) // stride + 1
+    xp = _pad_input(x.data, padding)
     w2 = weight.data.reshape(oc, -1)  # (OC, C*kh*kw)
-    out = np.einsum("of,nfl->nol", w2, cols, optimize=True)
+    out = _conv_forward(
+        _im2col_rows(xp, kh, kw, stride), w2, None if bias is None else bias.data, n
+    ).reshape(n, oc, out_h, out_w)
     if profiler.is_counting():
         profiler.add_flops("conv2d", 2 * n * oc * out_h * out_w * c * kh * kw)
-    if bias is not None:
-        out = out + bias.data.reshape(1, oc, 1)
-    # einsum's optimized path returns a channel-fastest view; canonicalize to
-    # C order so downstream multi-axis reductions (BatchNorm statistics, pool
-    # means) always reduce in the same stride order — required for the
-    # batched executor's per-client-slice bit-identity (layout, not just
-    # values, decides the pairwise summation tree).
-    out = np.ascontiguousarray(out.reshape(n, oc, out_h, out_w))
 
     def bwd(g):
         gout = g.reshape(n, oc, -1)  # (N, OC, L)
-        gw = np.einsum("nol,nfl->of", gout, cols, optimize=True).reshape(weight.data.shape)
-        gcols = np.einsum("of,nol->nfl", w2, gout, optimize=True)
+        gcols, gw2 = _conv_backward(_im2col_cols(xp, kh, kw, stride), w2, gout)
         gx = _col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
+        gw = gw2.reshape(weight.data.shape)
         if bias is None:
             return gx, gw
-        gb = gout.sum(axis=(0, 2))
-        return gx, gw, gb
+        return gx, gw, gout.sum(axis=(0, 2))
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, bwd)
@@ -542,6 +616,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 # ---------------------------------------------------------------------- #
 
 
+def _window_max(x: np.ndarray, k: int) -> np.ndarray:
+    """Max over the non-overlapping k×k windows of the last two axes: k²
+    elementwise ``np.maximum`` passes over strided slices instead of one
+    two-axis reduce (max has no reduction order, so the bits are the same)."""
+    cells = [x[..., i::k, j::k] for i in range(k) for j in range(k)]
+    out = cells[0].copy()
+    for cell in cells[1:]:
+        np.maximum(out, cell, out=out)
+    return out
+
+
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
     """Max pooling; fast path requires ``kernel_size == stride`` and
     spatial dims divisible by the kernel (true for every model in the zoo).
@@ -557,12 +642,10 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     oh, ow = h // k, w // k
     if profiler.is_counting():
         profiler.add_flops("pool", x.data.size)
-    # Pre-reshaped window view: no copy (x is contiguous), shared by the
-    # forward reduction and the backward mask.
-    windows = x.data.reshape(n, c, oh, k, ow, k)
-    out = windows.max(axis=(3, 5))
+    out = _window_max(x.data, k)
 
     def bwd(g):
+        windows = x.data.reshape(n, c, oh, k, ow, k)
         # The winner mask and tie counts are only needed for the gradient,
         # so they are built lazily here — eval-mode forwards (the ensemble
         # teacher hot loop) never pay for the two full-size temporaries.

@@ -16,11 +16,13 @@ clients the buffered server would happily merge later, which is a real
 from __future__ import annotations
 
 import functools
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.core.fedkemf import FedKEMF
+from repro.data import IIDPartitioner
 from repro.data.federated import build_federated_dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
 from repro.fl.algorithms import ALGORITHM_REGISTRY
@@ -265,3 +267,84 @@ class TestParentCapturedFingerprints:
         assert history.total_failures().get("surplus", 0) > 0
         assert algo._update_buffer is None
         assert "_async_buffer" not in algo.server_state()
+
+
+# --- parent-captured conv trajectories --------------------------------- #
+# Every literal above runs an MLP. These cells were recorded at the commit
+# *before* the conv and max-pool kernels stopped going through
+# ``np.einsum`` / a two-axis ``max``: a literal that moves means a kernel
+# changed a bit somewhere. Equal IID shards, so ``executor="batched"``
+# really stacks the cohort and ``conv2d_k`` / ``max_pool2d_k`` carry it.
+# ``vgg-11`` on 8×8 inputs reaches 1×1 feature maps (``L == 1``); the
+# ``-tail1`` cell evaluates in chunks of 59 + 1 samples (``N == 1``).
+
+CONV_MODELS = {
+    "cnn-2": dict(in_channels=1, width_mult=0.25),
+    "resnet-20": dict(in_channels=3, width_mult=0.25),
+    "vgg-11": dict(in_channels=3, width_mult=0.125),
+}
+
+# (algorithm, model, eval_batch_size) -> (history fingerprint, state SHA-256)
+PARENT_CONV = {
+    ("fedavg", "cnn-2", 256): (
+        "9dc25af2e791260c",
+        "601b74100cde8ebc3cf2cf4f7331e09abd4b7bd6a913e4c4ced42daed595ab9c",
+    ),
+    ("fedavg", "resnet-20", 256): (
+        "647e019125bcb9cc",
+        "a9e768014a0b255b0b8f8e38c8d026c47b3d7645f74c3010a648753f973da6bc",
+    ),
+    ("fedavg", "vgg-11", 256): (
+        "05b346c541bcc413",
+        "8e6a56ffbcff901f5ae171cf5ccd3501902b7ecc92f02d406d660fba4319c565",
+    ),
+    ("fedavg", "vgg-11", 59): (
+        "a964c33597c9c115",
+        "8e6a56ffbcff901f5ae171cf5ccd3501902b7ecc92f02d406d660fba4319c565",
+    ),
+    ("fedkemf", "cnn-2", 256): (
+        "5d09d28197047e57",
+        "d42be56c4ac981d98b03572b68eb9704c711d7a4566c1df30b15d4aae07d2a24",
+    ),
+    ("fedkemf", "resnet-20", 256): (
+        "71eaa80632354992",
+        "7e627b407eff57475be8d9abba1a32aa02404e635931f9b73597175a08397929",
+    ),
+    ("fedkemf", "vgg-11", 256): (
+        "94625b9914c37df0",
+        "5dc6fa01f9b6c7b85169568a80469ea408d3c6bc7a92a154afb9f66346812969",
+    ),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def conv_fed(channels):
+    spec = SyntheticSpec(num_classes=4, channels=channels, image_size=8, noise_std=0.25)
+    return build_federated_dataset(
+        SyntheticImageDataset(spec, seed=0), num_clients=6, n_train=240, n_test=60,
+        n_public=60, partitioner=IIDPartitioner(6, seed=0), seed=0,
+    )
+
+
+def run_conv_cell(name, model, eval_batch_size, executor):
+    shape = CONV_MODELS[model]
+    net_fn = functools.partial(
+        build_model, model, num_classes=4, image_size=8, seed=1, **shape
+    )
+    cfg = make_cfg(rounds=3, eval_batch_size=eval_batch_size, executor=executor)
+    algo = ALGORITHM_REGISTRY.get(name)(net_fn, conv_fed(shape["in_channels"]), cfg)
+    history = algo.run()
+    digest = hashlib.sha256()
+    for arr in algo.global_model.state_dict().values():
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return algo, history.fingerprint(), digest.hexdigest()
+
+
+class TestParentCapturedConvFingerprints:
+    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    @pytest.mark.parametrize("name,model,eval_batch_size", sorted(PARENT_CONV))
+    def test_conv_trajectory_unmoved(self, name, model, eval_batch_size, executor):
+        algo, fingerprint, state_sha = run_conv_cell(name, model, eval_batch_size, executor)
+        assert (fingerprint, state_sha) == PARENT_CONV[name, model, eval_batch_size]
+        if executor == "batched":  # the stacked kernels really ran
+            assert algo.runtime.executor.last_round_mode == "batched"
