@@ -16,17 +16,19 @@ almost none of that state is ever touched.
   array, replayed from the same rng stream the eager builder consumes).
 
 Client shards are materialized on demand — :meth:`prefetch` builds one
-round's cohort in a single streaming pass over the corpus draw and evicts
-everything else. Materialization is pure in ``(seed, client)``: whatever
-subset of clients is built, in whatever order, the shard bytes are
-identical to the eager builder's (property-tested in
+round's cohort in a single draw through the federation's
+:class:`~repro.data.synthetic.NoiseSeekTable` (the first draw walks the
+corpus noise stream once, later ones seek to the rows they want) and
+evicts everything else. Materialization is pure in ``(seed, client)``:
+whatever subset of clients is built, in whatever order, the shard bytes
+are identical to the eager builder's (property-tested in
 ``tests/data/test_lazy.py``), so lazy and eager runs produce bit-identical
 histories.
 
 Pickling (the persistent/parallel executors snapshot the algorithm, fed
-included) drops the materialized shard cache and the split permutations:
-workers rebuild their own shards from the recipe instead of receiving
-pickled sample arrays.
+included) drops the materialized shard cache, the split permutations and
+the seek table: workers rebuild their own shards from the recipe instead
+of receiving pickled sample arrays.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset, Dataset
 from repro.data.partition import DirichletPartitioner, Partitioner
-from repro.data.synthetic import SyntheticImageDataset
+from repro.data.synthetic import NoiseSeekTable, SyntheticImageDataset
 
 __all__ = ["LazyFederatedDataset"]
 
@@ -75,6 +77,10 @@ class LazyFederatedDataset:
     The server-side sets (global test, public distillation set) are small
     and round-invariant, so they are materialized eagerly.
     """
+
+    #: Seek table of the corpus draw: built by the first ``_materialize``
+    #: (never the constructor) and left out of the pickle altogether.
+    _seek: NoiseSeekTable | None = None
 
     def __init__(
         self,
@@ -177,12 +183,18 @@ class LazyFederatedDataset:
         self._split_concat = out
 
     def _materialize(self, cids: "list[int]") -> None:
-        """Build the listed clients' shards in one streaming corpus pass."""
+        """Build the listed clients' shards in one seek-table draw: the
+        first call pays for the corpus noise stream up to its furthest row,
+        later calls draw O(rows wanted)."""
         self._ensure_split_perms()
+        if self._seek is None:
+            self._seek = NoiseSeekTable()
         rows = np.concatenate(
             [self._order[self._offsets[c] : self._offsets[c + 1]] for c in cids]
         ) if cids else np.array([], dtype=np.int64)
-        block = self.world.sample_rows(self.n_train, rows, seed=self.seed * 31 + 1)
+        block = self.world.sample_rows(
+            self.n_train, rows, seed=self.seed * 31 + 1, seek=self._seek
+        )
         pos = 0
         for c in cids:
             size = self.shard_size(c)
@@ -217,12 +229,11 @@ class LazyFederatedDataset:
         purity makes eviction invisible: a re-built shard is bitwise the
         evicted one.
         """
-        want = [int(c) for c in cids]
+        want = dict.fromkeys(int(c) for c in cids)  # request order, no repeats
         missing = [c for c in want if c not in self._cache]
         if missing:
             self._materialize(missing)
-        keep = set(want)
-        for c in [c for c in self._cache if c not in keep]:
+        for c in [c for c in self._cache if c not in want]:
             del self._cache[c]
 
     def resident_clients(self) -> "list[int]":
@@ -236,11 +247,12 @@ class LazyFederatedDataset:
     def __getstate__(self) -> dict:
         # Workers materialize their own shards from the recipe: the pickle
         # that crosses the executor boundary carries no client sample
-        # arrays and no O(n) split permutations — only the world, the
-        # assignment, and the (small, eager) server-side sets.
+        # arrays, no O(n) split permutations and no seek table — only the
+        # world, the assignment, and the (small, eager) server-side sets.
         state = dict(self.__dict__)
         state["_cache"] = {}
         state["_split_concat"] = None
+        state.pop("_seek", None)
         state.pop("client_train", None)
         state.pop("client_test", None)
         return state

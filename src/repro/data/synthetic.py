@@ -32,6 +32,7 @@ from repro.utils.rng import new_rng
 __all__ = [
     "SyntheticSpec",
     "SyntheticImageDataset",
+    "NoiseSeekTable",
     "make_synthetic_cifar10",
     "make_synthetic_mnist",
     "make_blobs",
@@ -73,6 +74,106 @@ class SyntheticSpec:
             raise ValueError("need at least two classes")
         if self.image_size < self.low_freq:
             raise ValueError("image_size must be >= low_freq")
+
+
+# Images between two recorded generator states. Measured on the 2-vCPU dev
+# host (PCG64, 64 normals per image): state set 1.6 µs, state get 1.5 µs,
+# 64 normals 1.7 µs, 512 normals 7.4 µs; a 400 000-image first pass that
+# stops every k images to record the state costs 0.55 s (k = 4), 0.43 s (8),
+# 0.39 s (16), 0.38 s (32) against 0.42 s for one uninterrupted chunked
+# pass. 8 is the largest stride that keeps the first pass neutral and still
+# leaves a wanted row only ≈ 4.5 images of drawing at 2 % row density.
+SEEK_STRIDE = 8
+
+
+class NoiseSeekTable:
+    """Makes one corpus draw's Gaussian noise stream seekable.
+
+    ``standard_normal`` is a ziggurat — a variable number of raw draws per
+    value — so ``PCG64.advance`` has no count to skip by. The generator's
+    whole position is 128 bits, though: the table keeps the state standing
+    before every ``SEEK_STRIDE``-th image (``(n // SEEK_STRIDE + 1, 2)``
+    uint64, 2 B per corpus image), filled front to back as far as the
+    furthest row anyone has asked for. A recorded block is reached by
+    restoring its state; a block beyond the table by walking forward from
+    the last recorded state, recording every boundary crossed.
+
+    The table binds to the first draw it serves (``n``, per-image element
+    count, and the generator's full state at the start of the noise stream:
+    bit generator, position, ``inc``, ``has_uint32``, ``uinteger``) and
+    refuses any other with ``ValueError``.
+    """
+
+    def __init__(self) -> None:
+        self._bound: tuple | None = None
+        self._filled = 0  # boundaries 0 .. _filled-1 are recorded
+        #: images whose noise this table has generated (work counter)
+        self.images_drawn = 0
+
+    def _record(self, bg) -> None:
+        pos = bg.state["state"]["state"]
+        self._states[self._filled] = (pos >> 64, pos & 0xFFFF_FFFF_FFFF_FFFF)
+        self._filled += 1
+
+    def _restore(self, bg, block: int) -> None:
+        hi, lo = self._states[block].tolist()
+        # the full state mapping with the position swapped in, never a partial one
+        self._mapping["state"]["state"] = (hi << 64) | lo
+        bg.state = self._mapping
+
+    def _seek(self, rng: np.random.Generator, block: int, at: int) -> None:
+        """Stand ``rng`` before ``block``; it stands before ``at`` (-1: nowhere)."""
+        bg = rng.bit_generator
+        if block < self._filled:
+            self._restore(bg, block)
+            return
+        if at != self._filled - 1:
+            self._restore(bg, self._filled - 1)
+        while self._filled <= block:
+            rng.standard_normal(out=self._buf)
+            self.images_drawn += SEEK_STRIDE
+            self._record(bg)
+
+    def draw(
+        self, rng: np.random.Generator, n: int, per_image: int, rows: np.ndarray
+    ) -> np.ndarray:
+        """Noise of images ``rows`` (any order, repeats allowed) of the
+        ``(n, per_image)`` standard-normal fill ``rng`` is about to make,
+        as ``(len(rows), per_image)`` float64 in the order given."""
+        bg = rng.bit_generator
+        if self._bound is None:
+            self._bound = (n, per_image, bg.state)
+            self._mapping = bg.state  # a second copy: _restore writes positions into it
+            self._states = np.empty((n // SEEK_STRIDE + 1, 2), dtype=np.uint64)
+            self._buf = np.empty((SEEK_STRIDE, per_image))
+            self._record(bg)
+        elif self._bound != (n, per_image, bg.state):
+            raise ValueError("seek table was built on another corpus draw")
+        out = np.empty((len(rows), per_image))
+        order = np.argsort(rows, kind="stable")
+        srows = rows[order]
+        blocks, first = np.unique(srows // SEEK_STRIDE, return_index=True)
+        last = np.append(first[1:], len(srows))
+        # Beyond the table whole blocks are drawn, so the boundary behind each
+        # can be recorded; inside it, only up to the last wanted image.
+        need = np.where(
+            blocks >= self._filled - 1,
+            np.minimum(SEEK_STRIDE, n - blocks * SEEK_STRIDE),
+            srows[last - 1] % SEEK_STRIDE + 1,
+        )
+        dest, offs = order.tolist(), (srows % SEEK_STRIDE).tolist()
+        at = 0
+        for b, lo, hi, m in zip(blocks.tolist(), first.tolist(), last.tolist(), need.tolist()):
+            if b != at:
+                self._seek(rng, b, at)
+            rng.standard_normal(out=self._buf[:m])
+            self.images_drawn += m
+            for i in range(lo, hi):
+                out[dest[i]] = self._buf[offs[i]]
+            at = b + 1 if m == SEEK_STRIDE else -1
+            if at == self._filled:
+                self._record(bg)
+        return out
 
 
 class SyntheticImageDataset:
@@ -151,18 +252,21 @@ class SyntheticImageDataset:
         seed: int = 0,
         labels: np.ndarray | None = None,
         class_probs: np.ndarray | None = None,
-        chunk_elems: int = 4_194_304,
+        seek: NoiseSeekTable | None = None,
     ) -> ArrayDataset:
         """Materialize only ``rows`` of the notional ``sample(n, seed)`` draw.
 
         Bitwise identical to ``sample(n, seed, ...)`` restricted to ``rows``
         (in the given row order): the cheap full-corpus draws (labels,
         prototype choice, shifts, contrast) are replayed verbatim at size
-        ``n``, and the one memory-dominant draw — the Gaussian pixel noise —
-        is streamed in chunks. NumPy ``Generator`` array fills are sequential
-        draws, so chunked fills concatenate to the single-fill stream bit for
-        bit; every arithmetic op is elementwise, so restricting rows commutes
-        with it. Peak memory is O(len(rows)·C·H·W + chunk), never O(n·C·H·W).
+        ``n``, and the one dominant draw — the Gaussian pixel noise — goes
+        through a :class:`NoiseSeekTable`. NumPy ``Generator`` array fills are
+        sequential draws, so block fills concatenate to the single-fill
+        stream bit for bit; every arithmetic op is elementwise, so restricting
+        rows commutes with it. Pass the same ``seek`` table to every call on
+        one ``(n, seed)`` draw and only the first pays for the stream up to
+        its furthest row; later calls draw O(len(rows)) images. Without one a
+        throwaway table serves the call. Peak memory is O(len(rows)·C·H·W).
         """
         s = self.spec
         rows = np.asarray(rows, dtype=np.int64)
@@ -194,26 +298,10 @@ class SyntheticImageDataset:
             amp = rng.uniform(1 - s.contrast_jitter, 1 + s.contrast_jitter, size=(n, 1, 1, 1))
             x = x * amp[rows]
         if s.noise_std > 0 and k:
-            # Stream the full-corpus noise tensor chunk by chunk, keeping
-            # only the selected rows (float64, matching the eager draw's
-            # dtype promotion). Draws after the last selected row never
-            # influence the output, so the stream stops there.
-            order = np.argsort(rows, kind="stable")
-            sorted_rows = rows[order]
-            per_image = s.channels * s.image_size * s.image_size
-            chunk = max(1, chunk_elems // per_image)
-            noise = np.empty((k, s.channels, s.image_size, s.image_size), dtype=np.float64)
-            lo = 0
-            for start in range(0, int(sorted_rows[-1]) + 1, chunk):
-                stop = min(start + chunk, n)
-                block = rng.standard_normal(
-                    (stop - start, s.channels, s.image_size, s.image_size)
-                )
-                hi = int(np.searchsorted(sorted_rows, stop, side="left"))
-                if hi > lo:
-                    noise[order[lo:hi]] = block[sorted_rows[lo:hi] - start]
-                lo = hi
-            x = x + noise * s.noise_std
+            # float64, matching the eager draw's dtype promotion
+            table = NoiseSeekTable() if seek is None else seek
+            noise = table.draw(rng, n, x[0].size, rows)
+            x = x + noise.reshape(x.shape) * s.noise_std
         return ArrayDataset(x.astype(np.float32), y[rows])
 
     def sample(

@@ -17,6 +17,7 @@ quantization step.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Mapping
 
@@ -153,7 +154,7 @@ class QuantizedCodec(Codec):
                 out[k] = v
                 continue
             shape = tuple(int(s) for s in np.asarray(state[k + _SHAPE_GUARD]))
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)
             q = self._unpack(v, n).astype(np.float32)
             scale = float(np.asarray(state[scale_key])[0])
             lo = float(np.asarray(state[k + _MIN_SUFFIX])[0])

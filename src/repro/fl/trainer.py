@@ -99,7 +99,7 @@ class LocalTrainer:
         loss_sum = 0.0
         for _epoch in range(epochs):
             for xb, yb in loader:
-                model.zero_grad()
+                opt.zero_grad()
                 loss = F.cross_entropy(model(Tensor(xb)), yb)
                 loss.backward()
                 if grad_hook is not None:

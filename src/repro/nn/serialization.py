@@ -14,6 +14,7 @@ Wire format (little-endian, versioned):
 
 from __future__ import annotations
 
+import math
 import struct
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Mapping
@@ -89,7 +90,7 @@ def loads_state_dict(payload: bytes) -> "OrderedDict[str, np.ndarray]":
         shape = struct.unpack_from(f"<{ndim}I", payload, off)
         off += 4 * ndim
         dtype = _CODE_DTYPES[code]
-        count = int(np.prod(shape)) if ndim else 1
+        count = math.prod(shape)
         arr = np.frombuffer(payload, dtype=dtype, count=count, offset=off).reshape(shape)
         off += arr.nbytes
         out[name] = arr.copy()  # decouple from the payload buffer
