@@ -30,7 +30,6 @@ from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, 
 from repro.fl.state_store import ClientModelBank
 from repro.nn.batched import build_stacked
 from repro.nn.module import Module
-from repro.nn.serialization import state_dict_signature
 from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import FLRuntime
 
@@ -152,18 +151,14 @@ class FedKEMF(FLAlgorithm):
     ) -> "dict[int, ClientUpdate] | None":
         # Stacked deep mutual learning: both the knowledge networks and the
         # local models of a homogeneous cohort train as one program each.
-        # The grouping key adds the *local* architecture (the multi-model
-        # setting of Table 3 mixes them) to the base rule; clients the
-        # stack can't absorb run through the serial client_work unchanged.
+        # The grouping rule also keys on the *local* architecture (the
+        # multi-model setting of Table 3 mixes them); clients the stack
+        # can't absorb run through the serial client_work unchanged.
         # Local models are NOT mutated here — trained weights return via
         # ``local_state`` and the parent writes them back through
         # apply_client_update, exactly like the serial/forked paths.
-        def local_arch(cid: int) -> tuple:
-            local = self.local_models[cid]
-            return type(local), state_dict_signature(local.state_dict(copy=False))
-
         results: "dict[int, ClientUpdate]" = {}
-        for group in self._stackable_cohorts(round_idx, tasks, key=local_arch):
+        for group in self._stackable_cohorts(round_idx, tasks, local=self.local_models.__getitem__):
             k = len(group)
             stacked_know = build_stacked(self._scratch, k)
             stacked_local = build_stacked(self.local_models[group[0][0]], k)

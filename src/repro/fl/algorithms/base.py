@@ -48,7 +48,7 @@ from repro.fl.robust import parse_defense, validate_update
 from repro.fl.sampler import ClientSampler
 from repro.fl.state_store import LazyFactoryBank
 from repro.fl.trainer import LocalTrainer, train_stacked
-from repro.nn.batched import build_stacked
+from repro.nn.batched import build_stacked, fully_batched
 from repro.nn.module import Module
 from repro.nn.serialization import (
     average_states,
@@ -74,6 +74,20 @@ log = get_logger("fl")
 ALGORITHM_REGISTRY: Registry[type] = Registry("algorithm")
 
 ModelFn = Callable[[], Module]
+
+# Widest stack the grouping rule builds (DESIGN §11 has the sweep): a
+# cache-sized stack trains faster than one cohort-wide stack, and the width
+# bounds the activation memory a stacked step holds.
+MAX_STACK_WIDTH = 64
+
+
+def split_cohort(cohort: list) -> "list[list]":
+    """``cohort`` cut, in order, into ⌈n / MAX_STACK_WIDTH⌉ stacks whose
+    sizes differ by at most one — so a cohort of two or more never leaves a
+    singleton tail."""
+    n = len(cohort)
+    parts = -(-n // MAX_STACK_WIDTH)
+    return [cohort[i * n // parts:(i + 1) * n // parts] for i in range(parts)]
 
 
 class FLAlgorithm:
@@ -247,10 +261,15 @@ class FLAlgorithm:
             stats=stats,
         )
 
-    def _stackable_cohorts(self, round_idx: int, tasks: "list[tuple[int, dict]]", key=None):
-        """This round's tasks grouped into the cohorts (lists of tasks) that
-        may train as one stack — the rule every :meth:`client_work_batched`
-        shares.
+    def _stackable_cohorts(
+        self,
+        round_idx: int,
+        tasks: "list[tuple[int, dict]]",
+        local: "Callable[[int], Module] | None" = None,
+    ):
+        """This round's tasks grouped into the stacks (lists of tasks) that
+        may each train as one program — the rule every
+        :meth:`client_work_batched` shares.
 
         A client joins a cohort when its payload carries the communicated
         model's signature and it is not a ``labelflip`` adversary (that one
@@ -258,10 +277,19 @@ class FLAlgorithm:
         Cohort members share a shard size — an equal shard plus the shared
         ``batch_size`` gives an identical per-step batch schedule, which is
         what lets the stack train in lockstep and replay bit-identically
-        to the serial loop — and ``key(cid)`` when the algorithm has more
-        to keep apart (FedKEMF: the local architecture). A singleton stack
-        is pure overhead, so only cohorts of two or more are returned.
+        to the serial loop — and, when the algorithm trains a persistent
+        on-device model beside the communicated one (FedKEMF), that model's
+        type and state signature, ``local(cid)``. A singleton stack is pure
+        overhead, so only cohorts of two or more are kept.
+
+        Under an executor with ``fully_batched_only`` set (the in-process
+        default) a cohort stacks only when every model it trains is
+        :func:`~repro.nn.batched.fully_batched`. Each kept cohort is split
+        by :func:`split_cohort` into stacks of at most ``MAX_STACK_WIDTH``.
         """
+        only_full = getattr(self.runtime.executor, "fully_batched_only", False)
+        if only_full and not fully_batched(self._scratch):
+            return []
         sig = state_dict_signature(self._scratch.state_dict(copy=False))
         groups: "dict[tuple, list[tuple[int, dict]]]" = {}
         for cid, payload in tasks:
@@ -270,9 +298,19 @@ class FLAlgorithm:
                 continue
             if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
                 continue
-            cohort = (self.fed.client_size(cid), key(cid) if key else None)
-            groups.setdefault(cohort, []).append((cid, payload))
-        return [group for group in groups.values() if len(group) >= 2]
+            arch = None
+            if local is not None:
+                model = local(cid)
+                arch = type(model), state_dict_signature(model.state_dict(copy=False))
+            groups.setdefault((self.fed.client_size(cid), arch), []).append((cid, payload))
+        stacks: "list[list[tuple[int, dict]]]" = []
+        for group in groups.values():
+            if len(group) < 2:
+                continue
+            if only_full and local is not None and not fully_batched(local(group[0][0])):
+                continue
+            stacks.extend(split_cohort(group))
+        return stacks
 
     def client_work_batched(
         self, round_idx: int, tasks: "list[tuple[int, dict]]"
@@ -734,7 +772,7 @@ class FLAlgorithm:
         # (an explicit ``runtime=`` may differ from the config).
         history.meta["runtime"] = {
             **{k.name: getattr(self.cfg, k.name) for k in knobs(FLConfig) if k.group},
-            "executor": type(self.runtime.executor).__name__,
+            "executor": self.runtime.executor.name,
             "workers": self.runtime.executor.workers,
             "aggregation": self.runtime.aggregation.kind,
         }

@@ -125,14 +125,15 @@ class FLConfig:
     # execution runtime (repro.runtime)
     workers: int = knob(
         0,
-        "process-parallel client execution (0/1 = serial)",
+        "process-parallel client execution (0/1 = in process)",
         env="REPRO_WORKERS", flag="--workers", group=RUNTIME_GROUP, execution_only=True, min=0,
     )
     executor: str | None = knob(
         None,
-        "executor backend: serial, parallel or persistent (two names for the one "
-        "worker pool) or batched (homogeneous cohorts train as one stacked "
-        "program); unset = by --workers",
+        "executor backend: serial (the reference loop), parallel or persistent (two "
+        "names for the one worker pool) or batched (homogeneous cohorts, conv models "
+        "too, train as one stacked program); unset = the pool for --workers >= 2, "
+        "else batched for fully batched (MLP) cohorts only",
         env="REPRO_EXECUTOR", flag="--executor", group=RUNTIME_GROUP, execution_only=True,
         choices=EXECUTOR_KINDS,
     )

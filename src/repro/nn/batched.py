@@ -25,6 +25,10 @@ executor is fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
   size, not dataset size) and carry ``reprolint: allow[RPL601]`` pragmas;
   RPL601 flags any *other* per-client loop that should use the stacked axis.
 
+:func:`fully_batched` tells the two apart for a whole model: stacking a
+program with per-slice ops buys no speed and holds K clients' activations
+at once, so the in-process default executor stacks only fully batched ones.
+
 The conv path owns no arithmetic: ``conv2d_k`` calls the serial kernel's
 ``F._im2col_rows`` / ``F._conv_forward`` / ``F._im2col_cols`` /
 ``F._conv_backward`` / ``F._col2im`` on per-client slices, so the three
@@ -75,6 +79,7 @@ __all__ = [
     "kl_div_with_logits_k",
     "StackedModel",
     "build_stacked",
+    "fully_batched",
 ]
 
 
@@ -492,6 +497,17 @@ def build_stacked(template: Module, k: int) -> StackedModel | None:
     except _Unsupported:
         return None
     return sm
+
+
+# Layers whose stacked op loops over per-client slices (the RPL601-allowed
+# loops of conv2d_k, batch_norm2d_k, avg_pool2d_k, adaptive_avg_pool2d_k).
+_PER_SLICE_LAYERS = (Conv2d, BatchNorm2d, AvgPool2d, AdaptiveAvgPool2d)
+
+
+def fully_batched(template: Module) -> bool:
+    """Whether ``template``'s stacked program has no per-client-slice op,
+    i.e. every layer runs as one vectorized call across the client axis."""
+    return not any(isinstance(m, _PER_SLICE_LAYERS) for m in template.modules())
 
 
 # -- leaf layers --------------------------------------------------------- #

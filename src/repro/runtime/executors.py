@@ -9,7 +9,10 @@ client. The executor decides the mechanics:
 - :class:`BatchedExecutor` asks the algorithm to fold homogeneous client
   cohorts into one stacked tensor program (:mod:`repro.nn.batched`) and
   runs whatever it declines serially — bit-identical results to
-  :class:`SerialExecutor`, far fewer (much larger) kernel launches;
+  :class:`SerialExecutor`, far fewer (much larger) kernel launches. With
+  ``fully_batched_only`` it is the in-process default: it stacks only
+  programs without per-client-slice ops (tiny MLP cohorts) and leaves
+  conv / batch-norm models to the serial call;
 - :class:`ParallelExecutor` fans tasks out over a fork-based
   ``ProcessPoolExecutor`` and hands every worker the round-start state.
   When the work closure pickles, it is pickled **once per round** in the
@@ -212,6 +215,11 @@ class ClientExecutor:
     #: beyond recovery. Reassigned (never mutated) each round.
     last_round_failures: "dict[int, str]" = {}
 
+    @property
+    def name(self) -> str:
+        """The backend and its policy, as run-meta records it."""
+        return type(self).__name__
+
     def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
         """Execute ``work`` for every task; results in task order.
 
@@ -248,12 +256,20 @@ class BatchedExecutor(ClientExecutor):
     ``functools.partial(algorithm.client_work, round_idx)``; the executor
     unwraps the algorithm and offers it the whole task list via
     ``client_work_batched``. The algorithm folds every cohort it can prove
-    homogeneous (same model signature, same shard size) into one stacked
-    tensor program (:mod:`repro.nn.batched`) and returns those updates;
+    homogeneous (same model signature, same shard size) into stacked
+    tensor programs of at most 64 clients each (:mod:`repro.nn.batched`)
+    and returns those updates;
     clients it declines — unique architectures, singleton groups,
     algorithms without a batched path — run through the ordinary serial
     ``work`` call. Results are bit-identical to :class:`SerialExecutor`
     either way.
+
+    ``fully_batched_only`` is the stacking policy the algorithm's grouping
+    rule reads: when set, only programs without per-client-slice ops
+    (:func:`repro.nn.batched.fully_batched`) stack, because stacking conv
+    and batch-norm layers buys no speed and multiplies activation memory by
+    the stack width. :func:`make_executor` sets it for the in-process
+    default; ``--executor batched`` leaves it off and stacks both regimes.
 
     :attr:`last_round_mode` records what happened: ``"batched"`` (every
     client stacked), ``"mixed"`` (some stacked, some serial), or
@@ -262,6 +278,14 @@ class BatchedExecutor(ClientExecutor):
 
     workers = 1
     last_round_mode = "serial"
+
+    def __init__(self, fully_batched_only: bool = False) -> None:
+        self.fully_batched_only = fully_batched_only
+
+    @property
+    def name(self) -> str:
+        suffix = "(fully_batched_only)" if self.fully_batched_only else ""
+        return type(self).__name__ + suffix
 
     def run_round(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
         self.last_round_failures = {}
@@ -493,17 +517,22 @@ EXECUTOR_KINDS = ("serial", "parallel", "persistent", "batched")
 def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor:
     """Build the executor for a worker count and optional explicit kind.
 
-    With ``kind=None`` (the default) 0/1 workers → serial and ≥2 →
-    :class:`ParallelExecutor`. An explicit ``kind`` — ``"serial"``,
-    ``"parallel"``, ``"persistent"`` or ``"batched"``, e.g. from
-    ``--executor`` / ``$REPRO_EXECUTOR`` — picks the backend directly;
-    ``"parallel"`` and ``"persistent"`` are two spellings of the same pool
-    and treat ``workers < 2`` as "use all cores".
+    With ``kind=None`` (the default) ≥2 workers → :class:`ParallelExecutor`
+    and 0/1 → a :class:`BatchedExecutor` that stacks only fully batched
+    programs (homogeneous MLP cohorts) and runs everything else serially,
+    bit-identical to :class:`SerialExecutor`. An explicit ``kind`` —
+    ``"serial"`` (the reference), ``"parallel"``, ``"persistent"`` or
+    ``"batched"`` (stacks conv models too), e.g. from ``--executor`` /
+    ``$REPRO_EXECUTOR`` — picks the backend directly; ``"parallel"`` and
+    ``"persistent"`` are two spellings of the same pool and treat
+    ``workers < 2`` as "use all cores".
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0; got {workers}")
     if kind is None:
-        kind = "parallel" if workers >= 2 else "serial"
+        if workers < 2:
+            return BatchedExecutor(fully_batched_only=True)
+        kind = "parallel"
     kind = kind.strip().lower()
     if kind not in EXECUTOR_KINDS:
         raise ValueError(f"unknown executor kind {kind!r}; options: {EXECUTOR_KINDS}")

@@ -15,7 +15,8 @@
 
 The default runtime (``FLRuntime.from_config`` with no workers/faults/
 deadline configured) degenerates to exactly the pre-runtime behaviour:
-serial execution, every sampled client participates, zero overhead.
+in-process execution (homogeneous MLP cohorts stacked, bit-identical to the
+serial loop), every sampled client participates, zero overhead.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.runtime.async_server import (
     make_aggregation_policy,
 )
 from repro.runtime.clock import VirtualClock
-from repro.runtime.executors import ClientExecutor, SerialExecutor, make_executor
+from repro.runtime.executors import ClientExecutor, make_executor
 from repro.runtime.faults import NO_FAULTS, ClientFaults, FaultPlan, parse_fault_spec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -124,7 +125,7 @@ class RoundOutcome:
 class FLRuntime:
     """Execution policy for one FL run (see module docstring)."""
 
-    executor: ClientExecutor = field(default_factory=SerialExecutor)
+    executor: ClientExecutor = field(default_factory=make_executor)
     plan: "FaultPlan | None" = None
     deadline_s: "float | None" = None
     over_provision: bool = True

@@ -233,20 +233,48 @@ PARENT_FINGERPRINTS = {
 }
 
 
-def run_matrix_cell(name, regime, fed, model_fn):
+# The matrix federation's six Dirichlet shards all differ in size, so no two
+# clients share a batch schedule and no executor can stack them: the matrix
+# pins the per-client path. These cells train the same MLP on equal IID
+# shards, where every cohort stacks under the default executor; they were
+# recorded with ``executor="serial"`` at the commit before the in-process
+# default started stacking.
+PARENT_STACKED_MLP = {
+    "fedavg": (
+        "5f57f3ed1e77c77c",
+        "dbb950b704b9c6d5234cecc34f57c45f24a6fbcf1b7c5168babce67ba9a54761",
+    ),
+    "fedkemf": (
+        "aee43d1cb8e7e03d",
+        "50a30fa925fb0cb69c5e550a0be6e6327637d18852ecf249773499f1805e0254",
+    ),
+}
+
+
+def run_matrix_cell(name, regime, fed, model_fn, executor=None):
     cls = ALGORITHM_REGISTRY.get(name)
-    overrides = {**MATRIX_BASE, **REGIMES[regime]}
+    overrides = {**MATRIX_BASE, **REGIMES[regime], "executor": executor}
     if regime == "buffered-degenerate":
         probe = cls(model_fn, fed, make_cfg(**overrides))
         overrides["buffer_size"] = probe.sampler.per_round
-    return cls(model_fn, fed, make_cfg(**overrides)).run()
+    algo = cls(model_fn, fed, make_cfg(**overrides))
+    return algo, algo.run()
+
+
+def state_sha(model) -> str:
+    digest = hashlib.sha256()
+    for arr in model.state_dict().values():
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    return digest.hexdigest()
 
 
 class TestParentCapturedFingerprints:
     @pytest.mark.parametrize("regime", sorted(REGIMES))
     @pytest.mark.parametrize("name", ["fedavg", "fedkemf", "fedmd", "scaffold"])
     def test_trajectory_unmoved(self, name, regime, fed, model_fn):
-        history = run_matrix_cell(name, regime, fed, model_fn)
+        algo, history = run_matrix_cell(name, regime, fed, model_fn)
+        # the in-process default: fully batched programs stack, the rest run serially
+        assert algo.runtime.executor.name == "BatchedExecutor(fully_batched_only)"
         assert history.fingerprint() == PARENT_FINGERPRINTS[name, regime]
         counts = history.total_failures()
         if regime == "sync-faults":  # both sync drop reasons are exercised
@@ -258,6 +286,23 @@ class TestParentCapturedFingerprints:
             assert counts.get(STALE_EVICTED, 0) > 0
         elif regime == "sync-labelflip":  # some sampled client really flipped
             assert history.fingerprint() != PARENT_FINGERPRINTS[name, "sync"]
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("name", ["fedavg", "fedkemf", "fedmd", "scaffold"])
+    def test_serial_oracle_unmoved(self, name, regime, fed, model_fn):
+        algo, history = run_matrix_cell(name, regime, fed, model_fn, executor="serial")
+        assert algo.runtime.executor.name == "SerialExecutor"
+        assert history.fingerprint() == PARENT_FINGERPRINTS[name, regime]
+
+    @pytest.mark.parametrize("executor", [None, "serial", "batched"])
+    @pytest.mark.parametrize("name", sorted(PARENT_STACKED_MLP))
+    def test_stacked_mlp_unmoved(self, name, executor, model_fn):
+        cfg = make_cfg(rounds=3, executor=executor)
+        algo = ALGORITHM_REGISTRY.get(name)(model_fn, conv_fed(1), cfg)
+        history = algo.run()
+        assert (history.fingerprint(), state_sha(algo.global_model)) == PARENT_STACKED_MLP[name]
+        if executor != "serial":  # the default stacks MLP cohorts as explicit batched does
+            assert algo.runtime.executor.last_round_mode == "batched"
 
     def test_sync_server_state_carries_no_buffer(self, fed, model_fn):
         cfg = make_cfg(**{**MATRIX_BASE, **REGIMES["sync-faults"]})
@@ -334,17 +379,16 @@ def run_conv_cell(name, model, eval_batch_size, executor):
     cfg = make_cfg(rounds=3, eval_batch_size=eval_batch_size, executor=executor)
     algo = ALGORITHM_REGISTRY.get(name)(net_fn, conv_fed(shape["in_channels"]), cfg)
     history = algo.run()
-    digest = hashlib.sha256()
-    for arr in algo.global_model.state_dict().values():
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return algo, history.fingerprint(), digest.hexdigest()
+    return algo, history.fingerprint(), state_sha(algo.global_model)
 
 
 class TestParentCapturedConvFingerprints:
-    @pytest.mark.parametrize("executor", ["serial", "batched"])
+    @pytest.mark.parametrize("executor", ["serial", "batched", None])
     @pytest.mark.parametrize("name,model,eval_batch_size", sorted(PARENT_CONV))
     def test_conv_trajectory_unmoved(self, name, model, eval_batch_size, executor):
-        algo, fingerprint, state_sha = run_conv_cell(name, model, eval_batch_size, executor)
-        assert (fingerprint, state_sha) == PARENT_CONV[name, model, eval_batch_size]
+        algo, fingerprint, sha = run_conv_cell(name, model, eval_batch_size, executor)
+        assert (fingerprint, sha) == PARENT_CONV[name, model, eval_batch_size]
         if executor == "batched":  # the stacked kernels really ran
             assert algo.runtime.executor.last_round_mode == "batched"
+        elif executor is None:  # the default leaves per-slice programs serial
+            assert algo.runtime.executor.last_round_mode == "serial"

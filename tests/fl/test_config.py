@@ -118,7 +118,7 @@ def test_run_meta_lists_every_run_knob(fed):
     meta = ALGORITHM_REGISTRY.get("fedavg")(model_fn, fed, cfg).run().meta["runtime"]
     assert list(meta) == [k.name for k in knobs(FLConfig) if k.group]
     # resolved values where the runtime knows better than the config ...
-    assert meta["executor"] == "SerialExecutor" and meta["workers"] == 1
+    assert meta["executor"] == "BatchedExecutor(fully_batched_only)" and meta["workers"] == 1
     # ... the configured ones elsewhere, including the three the hand-written
     # dict had forgotten
     assert meta["max_cohort"] == 2

@@ -31,7 +31,7 @@ DEFENSE = "trimmed=0.2"
 
 ALGOS = {"fedavg": FedAvg, "scaffold": Scaffold, "fedkemf": FedKEMF}
 EXECUTORS = {
-    "serial": dict(),
+    "serial": dict(executor="serial"),
     "persistent": dict(workers=2, executor="persistent"),
     "batched": dict(executor="batched"),
 }

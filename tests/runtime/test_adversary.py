@@ -341,7 +341,7 @@ class TestExecutorParityUnderAttack:
         a different label view) without breaking bit-parity."""
         make = ALGORITHM_REGISTRY.get("fedavg")
         cfg = dict(faults=ATTACKS)
-        serial = make(micro_model_fn, micro_fed_equal, _config(**cfg))
+        serial = make(micro_model_fn, micro_fed_equal, _config(executor="serial", **cfg))
         batched = make(
             micro_model_fn, micro_fed_equal, _config(executor="batched", **cfg)
         )
@@ -353,7 +353,7 @@ class TestExecutorParityUnderAttack:
 
         cfg = dict(faults="signflip=0.2,logitcorrupt=0.2,labelflip=0.2")
         serial = FedKEMF(
-            micro_model_fn, micro_fed_equal, _config(**cfg),
+            micro_model_fn, micro_fed_equal, _config(executor="serial", **cfg),
             local_model_fns=micro_model_fn,
         )
         batched = FedKEMF(

@@ -64,7 +64,7 @@ class TestMakeExecutor:
 class TestFedAvgParity:
     def test_equal_shards_engage_stacked_path(self, micro_fed_equal, micro_model_fn):
         serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config()
+            micro_model_fn, micro_fed_equal, _config(executor="serial")
         )
         batched = ALGORITHM_REGISTRY.get("fedavg")(
             micro_model_fn, micro_fed_equal, _config(executor="batched")
@@ -76,7 +76,9 @@ class TestFedAvgParity:
     def test_ragged_shards_fall_back(self, micro_fed, micro_model_fn):
         # Dirichlet shards are unequal, so grouping yields singletons; the
         # executor must still reproduce serial bits through its fallback.
-        serial = ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, _config())
+        serial = ALGORITHM_REGISTRY.get("fedavg")(
+            micro_model_fn, micro_fed, _config(executor="serial")
+        )
         batched = ALGORITHM_REGISTRY.get("fedavg")(
             micro_model_fn, micro_fed, _config(executor="batched")
         )
@@ -85,7 +87,7 @@ class TestFedAvgParity:
     def test_with_faults(self, micro_fed_equal, micro_model_fn):
         faults = "dropout=0.3,loss=0.1"
         serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(faults=faults)
+            micro_model_fn, micro_fed_equal, _config(faults=faults, executor="serial")
         )
         batched = ALGORITHM_REGISTRY.get("fedavg")(
             micro_model_fn, micro_fed_equal, _config(faults=faults, executor="batched")
@@ -96,7 +98,7 @@ class TestFedAvgParity:
         # FedProx overrides client_work (proximal grad hook) — the default
         # batched hook must decline rather than silently drop the hook.
         serial = ALGORITHM_REGISTRY.get("fedprox")(
-            micro_model_fn, micro_fed_equal, _config()
+            micro_model_fn, micro_fed_equal, _config(executor="serial")
         )
         batched = ALGORITHM_REGISTRY.get("fedprox")(
             micro_model_fn, micro_fed_equal, _config(executor="batched")
@@ -108,7 +110,9 @@ class TestFedAvgParity:
 
 class TestFedKEMFParity:
     def _pair(self, fed, know_fn, local_fns, **cfg_overrides):
-        serial = FedKEMF(know_fn, fed, _config(**cfg_overrides), local_model_fns=local_fns)
+        serial = FedKEMF(
+            know_fn, fed, _config(executor="serial", **cfg_overrides), local_model_fns=local_fns
+        )
         batched = FedKEMF(
             know_fn, fed, _config(executor="batched", **cfg_overrides),
             local_model_fns=local_fns,

@@ -13,6 +13,7 @@ import pytest
 
 from repro.runtime import executors as ex_mod
 from repro.runtime.executors import (
+    BatchedExecutor,
     ClientUpdate,
     ParallelExecutor,
     PersistentParallelExecutor,
@@ -53,8 +54,13 @@ LIFETIMES = {"shipped": lambda work: work, "forked": _unpicklable}
 
 class TestMakeExecutor:
     def test_mapping(self):
-        assert isinstance(make_executor(0), SerialExecutor)
-        assert isinstance(make_executor(1), SerialExecutor)
+        # In process, the default stacks fully batched cohorts only.
+        for workers in (0, 1):
+            ex = make_executor(workers)
+            assert isinstance(ex, BatchedExecutor) and ex.fully_batched_only
+            assert ex.name == "BatchedExecutor(fully_batched_only)"
+        assert not make_executor(0, "batched").fully_batched_only
+        assert make_executor(0, "batched").name == "BatchedExecutor"
         ex = make_executor(4)
         assert isinstance(ex, ParallelExecutor)
         assert ex.workers == 4

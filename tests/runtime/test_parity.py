@@ -170,6 +170,12 @@ class TestRuntimeMeta:
         algo = ALGORITHM_REGISTRY.get("fedavg")(micro_model_fn, micro_fed, _config())
         history = algo.run()
         rt = history.meta["runtime"]
-        assert rt["executor"] == "SerialExecutor"
+        assert rt["executor"] == "BatchedExecutor(fully_batched_only)"
         assert rt["workers"] == 1
         assert rt["faults"] is None and rt["deadline"] is None
+        # the explicit kinds record their own policy, not the default's
+        for kind, name in (("serial", "SerialExecutor"), ("batched", "BatchedExecutor")):
+            explicit = ALGORITHM_REGISTRY.get("fedavg")(
+                micro_model_fn, micro_fed, _config(rounds=1, executor=kind)
+            )
+            assert explicit.run().meta["runtime"]["executor"] == name
