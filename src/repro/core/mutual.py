@@ -164,7 +164,7 @@ def train_stacked_mutual(
         logits_know = stacked_know(x)
 
         # --- update θ (local models); θ_g's logits are constants ---
-        stacked_local.zero_grad()
+        opt_local.zero_grad()
         ce_l = cross_entropy_k(logits_local, yb)
         kl_l = kl_div_with_logits_k(logits_know.detach(), logits_local)
         loss_l = ce_l + kl_weight * kl_l
@@ -172,7 +172,7 @@ def train_stacked_mutual(
         opt_local.step()
 
         # --- update θ_g (knowledge nets); θ's logits are constants ---
-        stacked_know.zero_grad()
+        opt_know.zero_grad()
         ce_k = cross_entropy_k(logits_know, yb)
         kl_k = kl_div_with_logits_k(logits_local.detach(), logits_know)
         loss_k = ce_k + kl_weight * kl_k

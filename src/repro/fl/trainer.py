@@ -187,7 +187,7 @@ def train_stacked(
     # sequence of Python-float ops the serial loop performs.
     loss_sums = [0.0] * k
     for xb, yb in batches:
-        stacked.zero_grad()
+        opt.zero_grad()
         losses = cross_entropy_k(stacked(Tensor(xb)), yb)
         losses.backward(ones)
         opt.step()

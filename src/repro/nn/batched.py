@@ -34,10 +34,16 @@ The conv path owns no arithmetic: ``conv2d_k`` calls the serial kernel's
 ``F._conv_backward`` / ``F._col2im`` on per-client slices, so the three
 contractions, their operand arrangement and the degenerate-geometry rule are
 written once, in ``nn/functional.py``.
+
+No model's forward is written here. :func:`build_stacked` copies the
+template's own module tree, swapping each stateful or shape-dependent leaf
+for a stacked leaf that runs its ``*_k`` op; the containers' own
+``forward`` methods then run the stacked program on ``(K, B, ...)`` inputs.
 """
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from typing import Callable
 
@@ -380,123 +386,132 @@ def kl_div_with_logits_k(
 
 
 class _Unsupported(Exception):
-    """Raised during tracing when a module has no stacked equivalent."""
+    """Raised while copying a template that has no stacked equivalent."""
 
 
-class StackedModel:
-    """K client models folded into one set of (K,)+shape parameters.
+# Leaf type → its stacked op. ``m`` is the stacked leaf: the template leaf's
+# hyperparameters with (K,)+shape parameters and buffers under its names.
+_STACKED_OPS: dict[type, Callable[[Module, Tensor], Tensor]] = {
+    Linear: lambda m, x: linear_k(x, m.weight, m.bias),
+    Conv2d: lambda m, x: conv2d_k(x, m.weight, m.bias, stride=m.stride, padding=m.padding),
+    BatchNorm2d: lambda m, x: batch_norm2d_k(
+        x, m.gamma, m.beta, m.running_mean, m.running_var,
+        training=m.training, momentum=m.momentum, eps=m.eps,
+    ),
+    MaxPool2d: lambda m, x: max_pool2d_k(x, m.kernel_size, m.stride),
+    AvgPool2d: lambda m, x: avg_pool2d_k(x, m.kernel_size, m.stride),
+    AdaptiveAvgPool2d: lambda m, x: adaptive_avg_pool2d_k(x, m.output_size),
+    # The leading client axis shifts every dim by one.
+    Flatten: lambda m, x: x.flatten_from(m.start_dim + 1),
+}
 
-    Built by :func:`build_stacked` from a template :class:`Module`. The
-    forward runs on (K,B,...) inputs; parameters and buffers are keyed by
-    the template's ``state_dict`` names so client states load/unload by
-    slicing the leading axis.
+# Stateless leaves that act elementwise, so they run unchanged on (K, B, ...).
+_ELEMENTWISE = (ReLU, Tanh, Sigmoid, GELU, LeakyReLU, Identity, Dropout)
+
+# Containers whose own ``forward`` calls only their children and elementwise
+# Tensor ops, so it runs unchanged on (K, B, ...) once the leaves are stacked.
+# A model joins this list only if its forward meets that condition.
+_CONTAINERS = (Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG)
+
+
+class _StackedLeaf(Module):
+    """One template leaf for K clients: the leaf's hyperparameters, its
+    parameters and buffers as (K,)+shape arrays under the leaf's own names,
+    and a ``forward`` that runs the leaf type's stacked op."""
+
+    def __init__(self, leaf: Module, k: int) -> None:
+        super().__init__()
+        own = set(vars(self)) | set(leaf._parameters) | set(leaf._buffers)
+        # Hyperparameters (and a ``None`` bias) carry over as they are.
+        self.__dict__.update((n, v) for n, v in vars(leaf).items() if n not in own)
+        for name, p in leaf._parameters.items():
+            setattr(self, name, Parameter(np.empty((k,) + p.shape, dtype=p.dtype)))
+        for name, b in leaf._buffers.items():
+            self.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
+        self._op = _STACKED_OPS[type(leaf)]
+
+    def forward(self, x: Tensor) -> Tensor:
+        return self._op(self, x)
+
+
+def _twin(m: Module) -> Module:
+    """A shallow copy of ``m`` with registries of its own (and no entries)."""
+    twin = copy.copy(m)
+    for registry in ("_parameters", "_buffers", "_modules"):
+        object.__setattr__(twin, registry, OrderedDict())
+    return twin
+
+
+def _stack(m: Module, k: int) -> Module:
+    """Copy the module tree ``m`` for K clients (rules in :func:`build_stacked`)."""
+    kind = type(m)
+    if kind in _STACKED_OPS:
+        if kind is AdaptiveAvgPool2d and m.output_size != 1:
+            raise _Unsupported("adaptive pool with output_size != 1")
+        return _StackedLeaf(m, k)
+    if kind in _ELEMENTWISE:
+        if kind is Dropout and m.p > 0:
+            # Each client owns a private RNG stream; a stacked mask draw would
+            # diverge from the serial order. Fall back to serial training.
+            raise _Unsupported("dropout with p > 0")
+        return _twin(m)
+    if kind in _CONTAINERS and not (m._parameters or m._buffers):
+        twin = _twin(m)
+        for name, child in m._modules.items():
+            setattr(twin, name, _stack(child, k))
+        return twin
+    raise _Unsupported(f"no stacked equivalent for {kind.__name__}")
+
+
+class StackedModel(Module):
+    """K client models folded into one module tree of (K,)+shape arrays.
+
+    Built by :func:`build_stacked`; ``forward`` runs on (K,B,...) inputs.
+    Client states load and unload by slicing the leading axis of every
+    array, keyed and ordered like the template's ``state_dict``.
     """
 
-    def __init__(self, k: int) -> None:
+    def __init__(self, net: Module, k: int) -> None:
+        super().__init__()
         self.k = k
-        self.training = True
-        self.params: "OrderedDict[str, Parameter]" = OrderedDict()
-        self.buffers: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        self._key_order: tuple[str, ...] = ()
-        self._forward: Callable[[Tensor], Tensor] | None = None
+        self.net = net
+        # One flat view, taken once: SGD, the BN statistics and
+        # load_client_states all write these arrays in place.
+        self._state = net.state_dict(copy=False)
+        self.train()
 
-    # -- construction helpers (used by builders) ----------------------- #
-
-    def add_param(self, key: str, template_param: Parameter) -> Parameter:
-        sp = Parameter(
-            np.empty((self.k,) + template_param.data.shape, dtype=template_param.data.dtype)
-        )
-        self.params[key] = sp
-        return sp
-
-    def add_buffer(self, key: str, template_buffer: np.ndarray) -> np.ndarray:
-        sb = np.empty((self.k,) + template_buffer.shape, dtype=template_buffer.dtype)
-        self.buffers[key] = sb
-        return sb
-
-    def _finalize(self, template: Module) -> None:
-        keys = tuple(template.state_dict(copy=False).keys())
-        if set(keys) != set(self.params) | set(self.buffers):
-            raise _Unsupported(
-                "stacked build did not cover the template state_dict"
-            )
-        self._key_order = keys
-
-    # -- module-like surface -------------------------------------------- #
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self._forward(x)
-
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.grad = None
-
-    def train(self, mode: bool = True) -> "StackedModel":
-        self.training = mode
-        return self
-
-    def eval(self) -> "StackedModel":
-        return self.train(False)
-
-    # -- client state transfer ------------------------------------------ #
+    def forward(self, x: Tensor) -> Tensor:
+        return self.net(x)
 
     def load_client_states(self, states) -> None:
         """Fill slice ``i`` of every stacked array from ``states[i]``."""
-        for key in self._key_order:
-            target = self.params[key].data if key in self.params else self.buffers[key]
+        if len(states) != self.k:
+            raise ValueError(f"expected {self.k} client states, got {len(states)}")
+        for key, target in self._state.items():
             for i, state in enumerate(states):
                 target[i] = state[key]
 
     def client_state(self, i: int) -> "OrderedDict[str, np.ndarray]":
         """Slice client ``i``'s state out, in template ``state_dict`` order."""
-        out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for key in self._key_order:
-            source = self.params[key].data if key in self.params else self.buffers[key]
-            out[key] = source[i].copy()
-        return out
-
-
-_BUILDERS: dict[type, Callable] = {}
-
-
-def register_builder(module_type: type):
-    """Register a stacked-forward builder for an exact module type."""
-
-    def deco(fn):
-        _BUILDERS[module_type] = fn
-        return fn
-
-    return deco
-
-
-def _join(prefix: str, name: str) -> str:
-    return f"{prefix}.{name}" if prefix else name
-
-
-def _build_module(m: Module, prefix: str, sm: StackedModel) -> Callable[[Tensor], Tensor]:
-    builder = _BUILDERS.get(type(m))
-    if builder is None:
-        raise _Unsupported(f"no stacked builder for {type(m).__name__}")
-    return builder(m, prefix, sm)
+        return OrderedDict((key, source[i].copy()) for key, source in self._state.items())
 
 
 def build_stacked(template: Module, k: int) -> StackedModel | None:
-    """Trace ``template`` into a :class:`StackedModel` of K clients.
+    """Copy ``template``'s own module tree into a :class:`StackedModel` of K
+    clients.
 
-    Returns ``None`` when any submodule lacks a stacked equivalent — the
-    caller falls back to the serial per-client path (the ISSUE's "stragglers
-    with unique architectures fall back to serial").
+    Leaves with parameters or a shape-dependent kernel (Linear, Conv2d,
+    BatchNorm2d, the pools, Flatten) become stacked leaves; elementwise
+    leaves are copied unchanged; containers on the allowlist are copied
+    with stacked children, so their own ``forward`` is the stacked program.
+    Returns ``None`` for anything else — a type off the allowlist, active
+    dropout, adaptive pooling past 1×1, a container that owns parameters —
+    and the caller trains those clients through the serial path.
     """
-    sm = StackedModel(k)
     try:
-        sm._forward = _build_module(template, "", sm)
-        sm._finalize(template)
+        return StackedModel(_stack(template, k), k)
     except _Unsupported:
         return None
-    return sm
 
 
 # Layers whose stacked op loops over per-client slices (the RPL601-allowed
@@ -508,187 +523,3 @@ def fully_batched(template: Module) -> bool:
     """Whether ``template``'s stacked program has no per-client-slice op,
     i.e. every layer runs as one vectorized call across the client axis."""
     return not any(isinstance(m, _PER_SLICE_LAYERS) for m in template.modules())
-
-
-# -- leaf layers --------------------------------------------------------- #
-
-
-@register_builder(Linear)
-def _build_linear(m: Linear, prefix: str, sm: StackedModel):
-    w = sm.add_param(_join(prefix, "weight"), m.weight)
-    b = sm.add_param(_join(prefix, "bias"), m.bias) if m.bias is not None else None
-    return lambda x: linear_k(x, w, b)
-
-
-@register_builder(Conv2d)
-def _build_conv(m: Conv2d, prefix: str, sm: StackedModel):
-    w = sm.add_param(_join(prefix, "weight"), m.weight)
-    b = sm.add_param(_join(prefix, "bias"), m.bias) if m.bias is not None else None
-    stride, padding = m.stride, m.padding
-    return lambda x: conv2d_k(x, w, b, stride=stride, padding=padding)
-
-
-@register_builder(BatchNorm2d)
-def _build_bn(m: BatchNorm2d, prefix: str, sm: StackedModel):
-    gamma = sm.add_param(_join(prefix, "gamma"), m.gamma)
-    beta = sm.add_param(_join(prefix, "beta"), m.beta)
-    rm = sm.add_buffer(_join(prefix, "running_mean"), m.running_mean)
-    rv = sm.add_buffer(_join(prefix, "running_var"), m.running_var)
-    momentum, eps = m.momentum, m.eps
-    return lambda x: batch_norm2d_k(
-        x, gamma, beta, rm, rv, training=sm.training, momentum=momentum, eps=eps
-    )
-
-
-@register_builder(ReLU)
-def _build_relu(m, prefix, sm):
-    return lambda x: x.relu()
-
-
-@register_builder(Tanh)
-def _build_tanh(m, prefix, sm):
-    return lambda x: x.tanh()
-
-
-@register_builder(Sigmoid)
-def _build_sigmoid(m, prefix, sm):
-    return lambda x: x.sigmoid()
-
-
-@register_builder(GELU)
-def _build_gelu(m, prefix, sm):
-    return lambda x: F.gelu(x)
-
-
-@register_builder(LeakyReLU)
-def _build_leaky_relu(m: LeakyReLU, prefix, sm):
-    slope = m.negative_slope
-    return lambda x: F.leaky_relu(x, slope)
-
-
-@register_builder(MaxPool2d)
-def _build_max_pool(m: MaxPool2d, prefix, sm):
-    k, s = m.kernel_size, m.stride
-    return lambda x: max_pool2d_k(x, k, s)
-
-
-@register_builder(AvgPool2d)
-def _build_avg_pool(m: AvgPool2d, prefix, sm):
-    k, s = m.kernel_size, m.stride
-    return lambda x: avg_pool2d_k(x, k, s)
-
-
-@register_builder(AdaptiveAvgPool2d)
-def _build_adaptive_pool(m: AdaptiveAvgPool2d, prefix, sm):
-    if m.output_size != 1:
-        raise _Unsupported("adaptive pool with output_size != 1")
-    return lambda x: adaptive_avg_pool2d_k(x)
-
-
-@register_builder(Flatten)
-def _build_flatten(m: Flatten, prefix, sm):
-    # The leading client axis shifts every dim by one.
-    start = m.start_dim + 1
-    return lambda x: x.flatten_from(start)
-
-
-@register_builder(Identity)
-def _build_identity(m, prefix, sm):
-    return lambda x: x
-
-
-@register_builder(Dropout)
-def _build_dropout(m: Dropout, prefix, sm):
-    if m.p > 0:
-        # Each client owns a private RNG stream; a stacked mask draw would
-        # diverge from the serial order. Fall back to serial training.
-        raise _Unsupported("dropout with p > 0")
-    return lambda x: x
-
-
-@register_builder(Sequential)
-def _build_sequential(m: Sequential, prefix, sm):
-    fns = [
-        _build_module(child, _join(prefix, name), sm)
-        for name, child in m._modules.items()
-    ]
-
-    def fwd(x: Tensor) -> Tensor:
-        for fn in fns:
-            x = fn(x)
-        return x
-
-    return fwd
-
-
-# -- model zoo ------------------------------------------------------------ #
-
-
-@register_builder(MLP)
-def _build_mlp(m: MLP, prefix, sm):
-    return _build_module(m.net, _join(prefix, "net"), sm)
-
-
-@register_builder(CNN2Layer)
-def _build_cnn2(m: CNN2Layer, prefix, sm):
-    features = _build_module(m.features, _join(prefix, "features"), sm)
-    flatten = _build_module(m.flatten, _join(prefix, "flatten"), sm)
-    fc1 = _build_module(m.fc1, _join(prefix, "fc1"), sm)
-    fc2 = _build_module(m.fc2, _join(prefix, "fc2"), sm)
-
-    def fwd(x: Tensor) -> Tensor:
-        out = flatten(features(x))
-        out = fc1(out).relu()
-        return fc2(out)
-
-    return fwd
-
-
-@register_builder(BasicBlock)
-def _build_basic_block(m: BasicBlock, prefix, sm):
-    conv1 = _build_module(m.conv1, _join(prefix, "conv1"), sm)
-    bn1 = _build_module(m.bn1, _join(prefix, "bn1"), sm)
-    conv2 = _build_module(m.conv2, _join(prefix, "conv2"), sm)
-    bn2 = _build_module(m.bn2, _join(prefix, "bn2"), sm)
-    shortcut = _build_module(m.shortcut, _join(prefix, "shortcut"), sm)
-
-    def fwd(x: Tensor) -> Tensor:
-        out = bn1(conv1(x)).relu()
-        out = bn2(conv2(out))
-        out = out + shortcut(x)
-        return out.relu()
-
-    return fwd
-
-
-@register_builder(CifarResNet)
-def _build_resnet(m: CifarResNet, prefix, sm):
-    stem = _build_module(m.stem, _join(prefix, "stem"), sm)
-    bn_stem = _build_module(m.bn_stem, _join(prefix, "bn_stem"), sm)
-    blocks = _build_module(m.blocks, _join(prefix, "blocks"), sm)
-    pool = _build_module(m.pool, _join(prefix, "pool"), sm)
-    flatten = _build_module(m.flatten, _join(prefix, "flatten"), sm)
-    fc = _build_module(m.fc, _join(prefix, "fc"), sm)
-
-    def fwd(x: Tensor) -> Tensor:
-        out = bn_stem(stem(x)).relu()
-        out = blocks(out)
-        out = flatten(pool(out))
-        return fc(out)
-
-    return fwd
-
-
-@register_builder(VGG)
-def _build_vgg(m: VGG, prefix, sm):
-    features = _build_module(m.features, _join(prefix, "features"), sm)
-    pool = _build_module(m.pool, _join(prefix, "pool"), sm)
-    flatten = _build_module(m.flatten, _join(prefix, "flatten"), sm)
-    classifier = _build_module(m.classifier, _join(prefix, "classifier"), sm)
-
-    def fwd(x: Tensor) -> Tensor:
-        out = features(x)
-        out = flatten(pool(out))
-        return classifier(out)
-
-    return fwd

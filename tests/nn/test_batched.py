@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.nn import functional as F
+from repro.core.ensemble import EnsembleModule
 from repro.nn.batched import (
     StackedModel,
     batch_norm2d_k,
@@ -22,6 +23,18 @@ from repro.nn.batched import (
     kl_div_with_logits_k,
     linear_k,
     max_pool2d_k,
+)
+from repro.nn.layers import (
+    GELU,
+    AdaptiveAvgPool2d,
+    Dropout,
+    Flatten,
+    Identity,
+    LeakyReLU,
+    Linear,
+    Sequential,
+    Sigmoid,
+    Tanh,
 )
 from repro.nn.models.factory import build_model
 from repro.nn.module import Module, Parameter
@@ -146,7 +159,19 @@ MODEL_CASES = {
     "cnn-2": (dict(num_classes=4, in_channels=1, image_size=8, width_mult=0.25), (1, 8, 8)),
     "resnet-20": (dict(num_classes=4, in_channels=3, image_size=8, width_mult=0.25), (3, 8, 8)),
     "vgg-11": (dict(num_classes=4, in_channels=3, image_size=8, width_mult=0.125), (3, 8, 8)),
+    # Every elementwise leaf and a bias-less Linear, none of which the zoo uses.
+    "elementwise": (dict(num_classes=4), (1, 8, 8)),
 }
+
+
+def _build(name, seed, **kw):
+    if name != "elementwise":
+        return build_model(name, seed=seed, **kw)
+    rng = np.random.default_rng(seed)
+    return Sequential(
+        Flatten(), Linear(64, 16, bias=False, rng=rng), Tanh(), GELU(), LeakyReLU(0.2),
+        Sigmoid(), Identity(), Dropout(0.0), Linear(16, kw["num_classes"], rng=rng),
+    )
 
 
 def _train_pair(name, kw, shape, steps=2, kl_teacher=None):
@@ -154,13 +179,13 @@ def _train_pair(name, kw, shape, steps=2, kl_teacher=None):
     and per-step loss bits."""
     rng = np.random.default_rng(0)
     classes = kw["num_classes"]
-    states = [build_model(name, seed=10 + i, **kw).state_dict() for i in range(K)]
+    states = [_build(name, 10 + i, **kw).state_dict() for i in range(K)]
     xs = rng.standard_normal((steps, K, 4) + shape).astype(np.float32)
     ys = rng.integers(0, classes, size=(steps, K, 4))
 
     serial_states, serial_losses = [], []
     for i in range(K):
-        m = build_model(name, seed=0, **kw)
+        m = _build(name, 0, **kw)
         m.load_state_dict(states[i])
         opt = SGD(m.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
         m.train()
@@ -177,8 +202,11 @@ def _train_pair(name, kw, shape, steps=2, kl_teacher=None):
         serial_states.append(m.state_dict())
         serial_losses.append(ls)
 
-    sm = build_stacked(build_model(name, seed=7, **kw), K)
+    template = _build(name, 7, **kw)
+    sm = build_stacked(template, K)
     assert sm is not None
+    # The stack's flat keys are the template's state_dict keys, in order.
+    assert list(sm.client_state(0)) == list(template.state_dict())
     sm.load_client_states(states)
     opt = SGD(sm.parameters(), lr=0.05, momentum=0.9, weight_decay=1e-4)
     sm.train()
@@ -222,6 +250,24 @@ class TestStackedTrainingBitIdentity:
                 np.testing.assert_array_equal(want, got[key], err_msg=key)
 
 
+class _Exotic(Module):
+    def __init__(self):
+        super().__init__()
+        self.w = Parameter(np.zeros((2, 2), dtype=np.float32))
+
+    def forward(self, x):  # pragma: no cover - never traced
+        return x
+
+
+class _FlattenByBatch(Module):
+    def __init__(self):
+        super().__init__()
+        self.fc = Linear(64, 4, rng=np.random.default_rng(0))
+
+    def forward(self, x):  # pragma: no cover - never traced
+        return self.fc(x.reshape(x.shape[0], -1))
+
+
 class TestBuildStacked:
     def test_state_roundtrip(self):
         kw, _ = MODEL_CASES["cnn-2"]
@@ -234,16 +280,32 @@ class TestBuildStacked:
             for key in got:
                 np.testing.assert_array_equal(got[key], states[i][key], err_msg=key)
 
-    def test_unsupported_module_returns_none(self):
-        class Exotic(Module):
-            def __init__(self):
-                super().__init__()
-                self.w = Parameter(np.zeros((2, 2), dtype=np.float32))
+    def test_load_client_states_needs_one_state_per_client(self):
+        # A short list would leave the remaining slices uninitialised, and
+        # they would then train silently.
+        kw, _ = MODEL_CASES["mlp"]
+        sm = build_stacked(build_model("mlp", seed=0, **kw), K)
+        states = [build_model("mlp", seed=50 + i, **kw).state_dict() for i in range(K)]
+        for wrong in (states[:-1], states + states[:1]):
+            with pytest.raises(ValueError, match=f"expected {K} client states"):
+                sm.load_client_states(wrong)
 
-            def forward(self, x):  # pragma: no cover - never traced
-                return x
-
-        assert build_stacked(Exotic(), K) is None
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda: _Exotic(), id="exotic"),
+            # Off the allowlist, and its forward would flatten the client axis.
+            pytest.param(lambda: _FlattenByBatch(), id="container-off-allowlist"),
+            pytest.param(
+                lambda: EnsembleModule([build_model("mlp", seed=s, **MODEL_CASES["mlp"][0])
+                                        for s in (0, 1)]),
+                id="ensemble",
+            ),
+            pytest.param(lambda: Sequential(AdaptiveAvgPool2d(2), Flatten()), id="adaptive-pool-2"),
+        ],
+    )
+    def test_unsupported_module_returns_none(self, make):
+        assert build_stacked(make(), K) is None
 
     def test_active_dropout_returns_none(self):
         # Stochastic layers have no lockstep equivalent; the builder must
@@ -283,6 +345,15 @@ class TestBuildStacked:
         after = template.state_dict()
         for key in before:
             np.testing.assert_array_equal(before[key], after[key], err_msg=key)
+        for mine in sm.state_dict(copy=False).values():
+            for theirs in template.state_dict(copy=False).values():
+                assert not np.shares_memory(mine, theirs)
+        template.eval()
+        template.net[1].train()
+        flags = [m.training for m in template.modules()]
+        sm.eval()
+        sm.train()
+        assert [m.training for m in template.modules()] == flags
 
 
 class TestStackedModelContract:
