@@ -4,10 +4,11 @@ The whole point of the stacked tensor program is that the client axis K
 lives *inside* numpy calls — one batched matmul instead of K small ones. A
 ``for i in range(k)`` creeping back into the module silently reverts the
 hot path to the serial loop while still paying stacking overhead, the
-worst of both worlds. The few loops that are *required* for bit-identity
-(per-slice float reductions whose pairwise-summation tree must match the
-serial kernel, the im2col conv path) are explicitly annotated with
-``# reprolint: allow[RPL601]`` — anything unannotated is a regression.
+worst of both worlds. The one loop *required* for bit-identity is
+``_per_slice``'s, which runs a conv, batch-norm or pool layer's own serial
+``forward`` once per client slice (their multi-axis float reductions must
+keep the serial pairwise-summation tree); it is annotated with
+``# reprolint: allow[RPL601]`` — anything else is a regression.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class PerClientLoop(AstRule):
                     module,
                     node,
                     "per-client Python loop over the stacked axis K; "
-                    "vectorize along the leading axis, or annotate with "
-                    "`# reprolint: allow[RPL601]` when the serial kernel "
-                    "is required for bit-identity",
+                    "vectorize along the leading axis, or add the layer to "
+                    "`_PER_SLICE` so `_per_slice` runs its serial kernel "
+                    "when bit-identity requires it",
                 )

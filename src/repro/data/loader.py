@@ -58,7 +58,7 @@ class DataLoader:
 
     def __len__(self) -> int:
         n = len(self.x)
-        if self.drop_last:
+        if self.drop_last and n >= self.batch_size:  # a shorter shard is one batch
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 

@@ -2,43 +2,35 @@
 
 The paper's clients all distill into *tiny homogeneous knowledge networks*,
 so a round's K local training loops are structurally one batched computation.
-This module adds a leading client axis ``K`` to every op the model zoo uses:
-activations stack as ``(K, B, ...)``, parameters as ``(K,) + shape``, and a
-Linear layer becomes one batched matmul ``(K,B,in) @ (K,in,out)`` instead of
-K small GEMMs.
+Activations stack as ``(K, B, ...)`` and parameters as ``(K,) + shape``;
+a Linear layer becomes one batched matmul ``(K,B,in) @ (K,in,out)`` instead
+of K small GEMMs.
 
 Bit-identity contract
 ---------------------
-Every op here must replay the serial per-client kernels in
-:mod:`repro.nn.functional` **bit-for-bit** per client slice; the batched
-executor is fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
+Every client slice of a stacked program must replay the serial kernels in
+:mod:`repro.nn.functional` **bit-for-bit**; the batched executor is
+fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
 
-- *Fully batched* (exact by construction): matmuls with a leading batch axis,
-  elementwise broadcasting, last-axis reductions (log-softmax rows), window
-  max. NumPy evaluates these per-slice identically to the 2-D calls.
-- *Per-client slices* of the stacked tensor for multi-axis float reductions
-  (BatchNorm statistics, pooling means, conv bias gradients) and the whole
-  im2col path: ``x[k]`` of a contiguous ``(K,B,C,H,W)`` array is a contiguous
-  ``(B,C,H,W)`` slice, so calling the *identical* serial kernel on it is
-  bit-identical on any platform, whereas a fused multi-axis reduction may
-  pick a different pairwise summation tree. These loops are K-length (cohort
-  size, not dataset size) and carry ``reprolint: allow[RPL601]`` pragmas;
-  RPL601 flags any *other* per-client loop that should use the stacked axis.
+- *Fully batched* (exact by construction): Linear's batched matmul,
+  elementwise broadcasting and the losses' last-axis reductions. NumPy
+  evaluates these per slice identically to the 2-D calls.
+- *Per-client slices* for the ``_PER_SLICE`` layers (Conv2d, BatchNorm2d,
+  the pools): multi-axis float reductions and the im2col path, where a fused
+  call over the client axis may pick another pairwise summation tree. Their
+  stacked leaf runs the template layer's own ``forward`` once per client
+  slice (:func:`_per_slice`), so its forward and backward *are* the serial
+  kernel. That K-length loop is the one RPL601-allowed loop here; RPL601
+  flags any other per-client loop that should use the stacked axis.
 
 :func:`fully_batched` tells the two apart for a whole model: stacking a
-program with per-slice ops buys no speed and holds K clients' activations
+program with per-slice layers buys no speed and holds K clients' activations
 at once, so the in-process default executor stacks only fully batched ones.
-
-The conv path owns no arithmetic: ``conv2d_k`` calls the serial kernel's
-``F._im2col_rows`` / ``F._conv_forward`` / ``F._im2col_cols`` /
-``F._conv_backward`` / ``F._col2im`` on per-client slices, so the three
-contractions, their operand arrangement and the degenerate-geometry rule are
-written once, in ``nn/functional.py``.
 
 No model's forward is written here. :func:`build_stacked` copies the
 template's own module tree, swapping each stateful or shape-dependent leaf
-for a stacked leaf that runs its ``*_k`` op; the containers' own
-``forward`` methods then run the stacked program on ``(K, B, ...)`` inputs.
+for a stacked leaf; the containers' own ``forward`` methods then run the
+stacked program on ``(K, B, ...)`` inputs.
 """
 
 from __future__ import annotations
@@ -76,11 +68,6 @@ from repro.nn.tensor import Tensor
 
 __all__ = [
     "linear_k",
-    "conv2d_k",
-    "batch_norm2d_k",
-    "max_pool2d_k",
-    "avg_pool2d_k",
-    "adaptive_avg_pool2d_k",
     "cross_entropy_k",
     "kl_div_with_logits_k",
     "StackedModel",
@@ -123,199 +110,6 @@ def linear_k(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         )
 
     return Tensor._make(out, (x, weight, bias), bwd_b)
-
-
-def conv2d_k(
-    x: Tensor,
-    weight: Tensor,
-    bias: Tensor | None = None,
-    stride: int = 1,
-    padding: int = 0,
-) -> Tensor:
-    """K-stacked conv2d: ``x``: (K,B,C,H,W), ``weight``: (K,OC,IC,kh,kw).
-
-    Runs the serial kernels of :func:`repro.nn.functional.conv2d` — its
-    im2col, its three contractions, its col2im — on each contiguous client
-    slice, hence bit-identical per slice.
-    """
-    kk, n, c, h, w = x.data.shape
-    _, oc, ic, kh, kw = weight.data.shape
-    if ic != c:
-        raise ValueError(f"conv2d_k channel mismatch: input has {c}, weight expects {ic}")
-    out_h = (h + 2 * padding - kh) // stride + 1
-    out_w = (w + 2 * padding - kw) // stride + 1
-    w2 = weight.data.reshape(kk, oc, -1)
-    xp = F._pad_input(x.data.reshape(kk * n, c, h, w), padding)
-    xp = xp.reshape(kk, n, *xp.shape[1:])
-    out = np.empty((kk, n, oc, out_h, out_w), dtype=x.data.dtype)
-    for i in range(kk):  # reprolint: allow[RPL601]
-        rows = F._im2col_rows(xp[i], kh, kw, stride)
-        b = None if bias is None else bias.data[i]
-        out[i] = F._conv_forward(rows, w2[i], b, n).reshape(n, oc, out_h, out_w)
-
-    def bwd(g):
-        gx = np.empty((kk, n, c, h, w), dtype=x.data.dtype)
-        gw = np.empty(weight.data.shape, dtype=weight.data.dtype)
-        gb = None if bias is None else np.empty(bias.data.shape, dtype=bias.data.dtype)
-        for i in range(kk):  # reprolint: allow[RPL601]
-            gout = g[i].reshape(n, oc, -1)
-            cols = F._im2col_cols(xp[i], kh, kw, stride)
-            gcols, gw2 = F._conv_backward(cols, w2[i], gout)
-            gw[i] = gw2.reshape(weight.data.shape[1:])
-            gx[i] = F._col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
-            if gb is not None:
-                gb[i] = gout.sum(axis=(0, 2))
-        if bias is None:
-            return gx, gw
-        return gx, gw, gb
-
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._make(out, parents, bwd)
-
-
-def batch_norm2d_k(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    training: bool,
-    momentum: float = 0.1,
-    eps: float = 1e-5,
-) -> Tensor:
-    """K-stacked batch norm with *per-client* batch statistics.
-
-    ``x``: (K,B,C,H,W); ``gamma``/``beta``/running buffers: (K,C). Each
-    client normalizes over its own (B,H,W) — statistics are reduced per
-    contiguous slice with the serial kernel's exact calls, then the affine
-    transform is applied as one batched elementwise expression.
-    """
-    kk, n, c, h, w = x.data.shape
-    axes = (0, 2, 3)
-    if training:
-        mean = np.empty((kk, c), dtype=x.data.dtype)
-        var = np.empty((kk, c), dtype=x.data.dtype)
-        for i in range(kk):  # reprolint: allow[RPL601]
-            mean[i] = x.data[i].mean(axis=axes)
-            var[i] = x.data[i].var(axis=axes)
-        m = n * h * w
-        unbiased = var * (m / max(m - 1, 1))
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        mean = running_mean
-        var = running_var
-
-    inv_std = 1.0 / np.sqrt(var + eps)
-    mean5 = mean.reshape(kk, 1, c, 1, 1)
-    inv5 = inv_std.reshape(kk, 1, c, 1, 1)
-    xhat = (x.data - mean5) * inv5
-    gamma5 = gamma.data.reshape(kk, 1, c, 1, 1)
-    beta5 = beta.data.reshape(kk, 1, c, 1, 1)
-    out = gamma5 * xhat + beta5
-
-    if training:
-
-        def bwd(g):
-            m = n * h * w
-            dxhat = g * gamma5
-            prod = dxhat * xhat
-            sum_dxhat = np.empty((kk, 1, c, 1, 1), dtype=dxhat.dtype)
-            sum_dxhat_xhat = np.empty((kk, 1, c, 1, 1), dtype=dxhat.dtype)
-            for i in range(kk):  # reprolint: allow[RPL601]
-                sum_dxhat[i] = dxhat[i].sum(axis=axes, keepdims=True)
-                sum_dxhat_xhat[i] = prod[i].sum(axis=axes, keepdims=True)
-            gx = (inv5 / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
-            gxh = g * xhat
-            ggamma = np.empty((kk, c), dtype=gamma.data.dtype)
-            gbeta = np.empty((kk, c), dtype=beta.data.dtype)
-            for i in range(kk):  # reprolint: allow[RPL601]
-                ggamma[i] = gxh[i].sum(axis=axes)
-                gbeta[i] = g[i].sum(axis=axes)
-            return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-    else:
-
-        def bwd(g):
-            gx = g * gamma5 * inv5
-            gxh = g * xhat
-            ggamma = np.empty((kk, c), dtype=gamma.data.dtype)
-            gbeta = np.empty((kk, c), dtype=beta.data.dtype)
-            for i in range(kk):  # reprolint: allow[RPL601]
-                ggamma[i] = gxh[i].sum(axis=axes)
-                gbeta[i] = g[i].sum(axis=axes)
-            return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-    return Tensor._make(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
-
-
-def max_pool2d_k(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """K-stacked max pooling (kernel == stride, divisible dims).
-
-    Window max and the tie-splitting backward are exact (max and integer tie
-    counts have no float reduction order), so both stay fully batched.
-    """
-    k = kernel_size
-    s = stride if stride is not None else k
-    kk, n, c, h, w = x.data.shape
-    if s != k or h % k or w % k:
-        raise NotImplementedError(
-            f"max_pool2d_k supports kernel==stride with divisible dims; got "
-            f"k={k}, s={s}, h={h}, w={w}"
-        )
-    oh, ow = h // k, w // k
-    out = F._window_max(x.data, k)
-
-    def bwd(g):
-        windows = x.data.reshape(kk, n, c, oh, k, ow, k)
-        mask = windows == out.reshape(kk, n, c, oh, 1, ow, 1)
-        counts = mask.sum(axis=(4, 6), keepdims=True)
-        g7 = g.reshape(kk, n, c, oh, 1, ow, 1)
-        gx = (mask * g7 / counts).reshape(kk, n, c, h, w)
-        return (gx.astype(x.dtype, copy=False),)
-
-    return Tensor._make(out, (x,), bwd)
-
-
-def avg_pool2d_k(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """K-stacked average pooling (kernel == stride, divisible dims)."""
-    k = kernel_size
-    s = stride if stride is not None else k
-    kk, n, c, h, w = x.data.shape
-    if s != k or h % k or w % k:
-        raise NotImplementedError(
-            f"avg_pool2d_k supports kernel==stride with divisible dims; got "
-            f"k={k}, s={s}, h={h}, w={w}"
-        )
-    oh, ow = h // k, w // k
-    out = np.empty((kk, n, c, oh, ow), dtype=x.data.dtype)
-    for i in range(kk):  # reprolint: allow[RPL601]
-        out[i] = x.data[i].reshape(n, c, oh, k, ow, k).mean(axis=(3, 5))
-
-    def bwd(g):
-        g7 = g.reshape(kk, n, c, oh, 1, ow, 1) / (k * k)
-        gx = np.broadcast_to(g7, (kk, n, c, oh, k, ow, k)).reshape(kk, n, c, h, w)
-        return (gx.astype(x.dtype, copy=False),)
-
-    return Tensor._make(out, (x,), bwd)
-
-
-def adaptive_avg_pool2d_k(x: Tensor, output_size: int = 1) -> Tensor:
-    """K-stacked global average pooling to 1×1."""
-    if output_size != 1:
-        raise NotImplementedError("only global adaptive average pooling is supported")
-    kk, n, c, h, w = x.data.shape
-    out = np.empty((kk, n, c, 1, 1), dtype=x.data.dtype)
-    for i in range(kk):  # reprolint: allow[RPL601]
-        out[i] = x.data[i].mean(axis=(2, 3), keepdims=True)
-
-    def bwd(g):
-        gx = np.broadcast_to(g / (h * w), (kk, n, c, h, w))
-        return (gx.astype(x.dtype, copy=False),)
-
-    return Tensor._make(out, (x,), bwd)
 
 
 def cross_entropy_k(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -389,21 +183,20 @@ class _Unsupported(Exception):
     """Raised while copying a template that has no stacked equivalent."""
 
 
-# Leaf type → its stacked op. ``m`` is the stacked leaf: the template leaf's
-# hyperparameters with (K,)+shape parameters and buffers under its names.
+# Leaf type → its vectorised stacked op. ``m`` is the stacked leaf: the
+# template leaf's hyperparameters with (K,)+shape parameters and buffers under
+# its names.
 _STACKED_OPS: dict[type, Callable[[Module, Tensor], Tensor]] = {
     Linear: lambda m, x: linear_k(x, m.weight, m.bias),
-    Conv2d: lambda m, x: conv2d_k(x, m.weight, m.bias, stride=m.stride, padding=m.padding),
-    BatchNorm2d: lambda m, x: batch_norm2d_k(
-        x, m.gamma, m.beta, m.running_mean, m.running_var,
-        training=m.training, momentum=m.momentum, eps=m.eps,
-    ),
-    MaxPool2d: lambda m, x: max_pool2d_k(x, m.kernel_size, m.stride),
-    AvgPool2d: lambda m, x: avg_pool2d_k(x, m.kernel_size, m.stride),
-    AdaptiveAvgPool2d: lambda m, x: adaptive_avg_pool2d_k(x, m.output_size),
     # The leading client axis shifts every dim by one.
     Flatten: lambda m, x: x.flatten_from(m.start_dim + 1),
 }
+
+# Layers whose stacked leaf runs the template layer's own ``forward`` once per
+# client slice (:func:`_per_slice`): their multi-axis float reductions and the
+# im2col path would reduce in another order across the client axis. Max-pool
+# has no such reduction, but every zoo model that pools also convolves.
+_PER_SLICE = (Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, AdaptiveAvgPool2d)
 
 # Stateless leaves that act elementwise, so they run unchanged on (K, B, ...).
 _ELEMENTWISE = (ReLU, Tanh, Sigmoid, GELU, LeakyReLU, Identity, Dropout)
@@ -417,7 +210,8 @@ _CONTAINERS = (Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG)
 class _StackedLeaf(Module):
     """One template leaf for K clients: the leaf's hyperparameters, its
     parameters and buffers as (K,)+shape arrays under the leaf's own names,
-    and a ``forward`` that runs the leaf type's stacked op."""
+    and a ``forward`` that runs the leaf type's vectorised op or, for a
+    ``_PER_SLICE`` layer, the layer's own ``forward`` on each client slice."""
 
     def __init__(self, leaf: Module, k: int) -> None:
         super().__init__()
@@ -428,10 +222,50 @@ class _StackedLeaf(Module):
             setattr(self, name, Parameter(np.empty((k,) + p.shape, dtype=p.dtype)))
         for name, b in leaf._buffers.items():
             self.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
-        self._op = _STACKED_OPS[type(leaf)]
+        self._serial = type(leaf)
+        self._op = _STACKED_OPS.get(self._serial, _per_slice)
 
     def forward(self, x: Tensor) -> Tensor:
         return self._op(self, x)
+
+
+def _per_slice(m: _StackedLeaf, x: Tensor) -> Tensor:
+    """Run the template layer's own ``forward`` on each client slice.
+
+    Client ``i`` gets a shallow copy of ``m`` holding fresh slices of its
+    parameters and views ``b[i]`` of its buffers, so BatchNorm's in-place
+    running-stat update writes the stack. The forward is one
+    :mod:`repro.nn.functional` node per slice: its output is copied into one
+    (K, ...) array and dropped, and only its backward closure is kept, with
+    its parents mapped by identity to the stacked (x, parameters).
+    """
+    params = tuple(m._parameters.values())
+    k = len(x.data)
+    out = None
+    slices = []
+    for i in range(k):  # reprolint: allow[RPL601]
+        xi = Tensor(x.data[i], requires_grad=x.requires_grad)
+        pis = [Tensor(p.data[i], requires_grad=True) for p in params]
+        view = copy.copy(m)
+        vars(view).update(zip(m._parameters, pis))
+        vars(view).update((name, b[i]) for name, b in m._buffers.items())
+        y = m._serial.forward(view, xi)
+        if out is None:
+            out = np.empty((k,) + y.shape, dtype=y.dtype)
+        out[i] = y.data
+        where = {id(t): j for j, t in enumerate([xi, *pis])}
+        slices.append((y._backward_fn, [where[id(t)] for t in y._parents]))
+
+    def bwd(g):
+        grads = [None] * (1 + len(params))
+        for i, (fn, which) in enumerate(slices):
+            for j, gj in zip(which, fn(g[i])):
+                if grads[j] is None:
+                    grads[j] = np.empty((k,) + gj.shape, dtype=gj.dtype)
+                grads[j][i] = gj
+        return grads
+
+    return Tensor._make(out, (x,) + params, bwd)
 
 
 def _twin(m: Module) -> Module:
@@ -445,7 +279,7 @@ def _twin(m: Module) -> Module:
 def _stack(m: Module, k: int) -> Module:
     """Copy the module tree ``m`` for K clients (rules in :func:`build_stacked`)."""
     kind = type(m)
-    if kind in _STACKED_OPS:
+    if kind in _STACKED_OPS or kind in _PER_SLICE:
         if kind is AdaptiveAvgPool2d and m.output_size != 1:
             raise _Unsupported("adaptive pool with output_size != 1")
         return _StackedLeaf(m, k)
@@ -514,12 +348,7 @@ def build_stacked(template: Module, k: int) -> StackedModel | None:
         return None
 
 
-# Layers whose stacked op loops over per-client slices (the RPL601-allowed
-# loops of conv2d_k, batch_norm2d_k, avg_pool2d_k, adaptive_avg_pool2d_k).
-_PER_SLICE_LAYERS = (Conv2d, BatchNorm2d, AvgPool2d, AdaptiveAvgPool2d)
-
-
 def fully_batched(template: Module) -> bool:
-    """Whether ``template``'s stacked program has no per-client-slice op,
+    """Whether ``template``'s stacked program has no per-client-slice layer,
     i.e. every layer runs as one vectorized call across the client axis."""
-    return not any(isinstance(m, _PER_SLICE_LAYERS) for m in template.modules())
+    return not any(isinstance(m, _PER_SLICE) for m in template.modules())

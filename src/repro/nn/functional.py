@@ -391,10 +391,11 @@ def _col2im_accumulate(
     return padded
 
 
-_col2im = _col2im_accumulate  # the one col2im conv2d and nn.batched run
+_col2im = _col2im_accumulate  # the one col2im conv2d runs
 
 
-# The three conv contractions, once, for conv2d and nn.batched.conv2d_k.
+# The three conv contractions, once, for conv2d (nn.batched's stacked
+# Conv2d runs conv2d itself on each client slice).
 # They hand BLAS the operands the parent's ``einsum(optimize=True)`` ended
 # up handing it, and operand arrangement is part of the bits: OpenBLAS picks
 # small-matrix kernels by transposition flag, so ``(O,F) @ (F,N·L)`` or a

@@ -8,9 +8,13 @@ optional extra.
 
 from __future__ import annotations
 
+import ast
 import pathlib
 
 from repro.analysis import AnalysisConfig, lint_paths
+from repro.analysis.pragmas import parse_pragmas
+from repro.analysis.rules.base import SourceModule, collect_aliases
+from repro.analysis.rules.batched import PerClientLoop
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 LINT_TARGETS = [REPO_ROOT / "src" / "repro", REPO_ROOT / "benchmarks", REPO_ROOT / "examples"]
@@ -28,3 +32,19 @@ def test_repo_is_lint_clean():
     # live contract pass — must stay an order of magnitude under it.
     assert {"flow:index", "contracts"} <= set(result.timings)
     assert sum(result.timings.values()) < 60.0
+
+
+def test_batched_has_one_sanctioned_per_client_loop():
+    """``nn/batched.py`` has exactly one ``allow[RPL601]`` pragma, on the
+    loop RPL601 itself flags (``_per_slice``'s): a second hand-written
+    per-slice op fails here, not in review."""
+    path = REPO_ROOT / "src" / "repro" / "nn" / "batched.py"
+    source = path.read_text(encoding="utf-8")
+    allowed = [line for line, codes in parse_pragmas(source).allows.items() if "RPL601" in codes]
+    tree = ast.parse(source)
+    module = SourceModule(
+        path=path, display="src/repro/nn/batched.py", source=source, tree=tree,
+        aliases=collect_aliases(tree),
+    )
+    flagged = [v.line for v in PerClientLoop().check(module)]
+    assert len(allowed) == 1 and flagged == allowed

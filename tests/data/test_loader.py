@@ -27,6 +27,7 @@ class TestBatching:
         dl = DataLoader(ds, batch_size=16, drop_last=True)
         batches = list(dl)
         assert len(batches) == 1 and len(batches[0][1]) == 5
+        assert len(dl) == 1
 
     def test_covers_all_samples(self):
         ds = make_blobs(37, seed=0)

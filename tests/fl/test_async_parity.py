@@ -319,7 +319,7 @@ class TestParentCapturedFingerprints:
 # *before* the conv and max-pool kernels stopped going through
 # ``np.einsum`` / a two-axis ``max``: a literal that moves means a kernel
 # changed a bit somewhere. Equal IID shards, so ``executor="batched"``
-# really stacks the cohort and ``conv2d_k`` / ``max_pool2d_k`` carry it.
+# really stacks the cohort through the per-slice conv and pool leaves.
 # ``vgg-11`` on 8×8 inputs reaches 1×1 feature maps (``L == 1``); the
 # ``-tail1`` cell evaluates in chunks of 59 + 1 samples (``N == 1``).
 

@@ -3,8 +3,9 @@
 The contract behind ``--executor batched``: every per-client slice of a
 stacked program reproduces the serial kernels *bitwise* — same forward
 bits, same gradient bits, same SGD trajectory. These tests pin that at the
-op level (linear/conv/bn/pools/losses) and end-to-end (full training steps
-on every supported architecture family, momentum + weight decay on).
+op level (linear, losses), at the leaf level (conv, batch norm and the pools
+against their own serial layer) and end-to-end (full training steps on every
+supported architecture family, momentum + weight decay on).
 """
 
 from __future__ import annotations
@@ -16,22 +17,23 @@ from repro.nn import functional as F
 from repro.core.ensemble import EnsembleModule
 from repro.nn.batched import (
     StackedModel,
-    batch_norm2d_k,
     build_stacked,
-    conv2d_k,
     cross_entropy_k,
     kl_div_with_logits_k,
     linear_k,
-    max_pool2d_k,
 )
 from repro.nn.layers import (
     GELU,
     AdaptiveAvgPool2d,
+    AvgPool2d,
+    BatchNorm2d,
+    Conv2d,
     Dropout,
     Flatten,
     Identity,
     LeakyReLU,
     Linear,
+    MaxPool2d,
     Sequential,
     Sigmoid,
     Tanh,
@@ -69,64 +71,6 @@ class TestStackedOps:
             np.testing.assert_array_equal(w.grad[i], wi.grad)
             np.testing.assert_array_equal(b.grad[i], bi.grad)
 
-    def test_conv2d_k(self):
-        rng = np.random.default_rng(1)
-        x = Tensor(rng.standard_normal((K, 2, 3, 8, 8)).astype(np.float32), requires_grad=True)
-        w = _param(rng, (K, 4, 3, 3, 3))
-        b = _param(rng, (K, 4))
-        out = conv2d_k(x, w, b, stride=1, padding=1)
-        g = rng.standard_normal(out.data.shape).astype(np.float32)
-        out.backward(g)
-        for i in range(K):
-            xi = Tensor(x.data[i], requires_grad=True)
-            wi = Parameter(w.data[i])
-            bi = Parameter(b.data[i])
-            ref = F.conv2d(xi, wi, bi, stride=1, padding=1)
-            ref.backward(g[i])
-            np.testing.assert_array_equal(out.data[i], ref.data)
-            np.testing.assert_array_equal(x.grad[i], xi.grad)
-            np.testing.assert_array_equal(w.grad[i], wi.grad)
-            np.testing.assert_array_equal(b.grad[i], bi.grad)
-
-    @pytest.mark.parametrize("training", [True, False])
-    def test_batch_norm2d_k(self, training):
-        rng = np.random.default_rng(2)
-        x = Tensor(rng.standard_normal((K, 4, 3, 5, 5)).astype(np.float32), requires_grad=True)
-        gamma = _param(rng, (K, 3))
-        beta = _param(rng, (K, 3))
-        rm = rng.standard_normal((K, 3)).astype(np.float32)
-        rv = np.abs(rng.standard_normal((K, 3))).astype(np.float32) + 0.5
-        rm_ref, rv_ref = rm.copy(), rv.copy()
-        out = batch_norm2d_k(x, gamma, beta, rm, rv, training=training)
-        g = rng.standard_normal(out.data.shape).astype(np.float32)
-        out.backward(g)
-        for i in range(K):
-            xi = Tensor(x.data[i], requires_grad=True)
-            gi = Parameter(gamma.data[i])
-            bi = Parameter(beta.data[i])
-            rmi, rvi = rm_ref[i].copy(), rv_ref[i].copy()
-            ref = F.batch_norm2d(xi, gi, bi, rmi, rvi, training=training)
-            ref.backward(g[i])
-            np.testing.assert_array_equal(out.data[i], ref.data)
-            np.testing.assert_array_equal(x.grad[i], xi.grad)
-            np.testing.assert_array_equal(gamma.grad[i], gi.grad)
-            np.testing.assert_array_equal(beta.grad[i], bi.grad)
-            np.testing.assert_array_equal(rm[i], rmi)  # EMA updated identically
-            np.testing.assert_array_equal(rv[i], rvi)
-
-    def test_max_pool2d_k(self):
-        rng = np.random.default_rng(3)
-        x = Tensor(rng.standard_normal((K, 2, 3, 8, 8)).astype(np.float32), requires_grad=True)
-        out = max_pool2d_k(x, 2)
-        g = rng.standard_normal(out.data.shape).astype(np.float32)
-        out.backward(g)
-        for i in range(K):
-            xi = Tensor(x.data[i], requires_grad=True)
-            ref = F.max_pool2d(xi, 2)
-            ref.backward(g[i])
-            np.testing.assert_array_equal(out.data[i], ref.data)
-            np.testing.assert_array_equal(x.grad[i], xi.grad)
-
     def test_cross_entropy_k(self):
         rng = np.random.default_rng(4)
         logits = Tensor(rng.standard_normal((K, 6, 5)).astype(np.float32), requires_grad=True)
@@ -152,6 +96,73 @@ class TestStackedOps:
             ref.backward(np.float32(1.0))
             assert float(kl.data[i]) == ref.item()
             np.testing.assert_array_equal(student.grad[i], si.grad)
+
+
+def _conv(**kw):
+    return lambda: Conv2d(3, 4, rng=np.random.default_rng(0), **kw)
+
+
+# Every per-slice leaf: case id -> (template factory, training mode).
+LEAF_CASES = {
+    "conv-k3s1p1-bias": (_conv(kernel_size=3, padding=1, bias=True), True),
+    "conv-k3s1p1": (_conv(kernel_size=3, padding=1), True),
+    "conv-k3s2p0-bias": (_conv(kernel_size=3, stride=2, bias=True), True),
+    "conv-k3s2p0": (_conv(kernel_size=3, stride=2), True),
+    "conv-k1-bias": (_conv(kernel_size=1, bias=True), True),
+    "conv-k1": (_conv(kernel_size=1), True),
+    "bn-train": (lambda: BatchNorm2d(3), True),
+    "bn-eval": (lambda: BatchNorm2d(3), False),
+    "maxpool-2": (lambda: MaxPool2d(2), True),
+    "avgpool-2": (lambda: AvgPool2d(2), True),
+    "adaptive-avgpool-1": (lambda: AdaptiveAvgPool2d(1), True),
+}
+
+
+def _random_state(model, rng):
+    """A random client state for ``model`` (running variances positive)."""
+    state = {key: rng.standard_normal(v.shape).astype(v.dtype)
+             for key, v in model.state_dict().items()}
+    for key in state:
+        if key.endswith("running_var"):
+            state[key] = np.abs(state[key]) + 0.5
+    return state
+
+
+class TestPerSliceLeaves:
+    """A stacked ``Sequential(leaf)`` ≡ K serial calls of the template leaf:
+    output, ``x.grad``, every parameter grad and the state (BN's running
+    buffers included), compared as ``uint32`` views."""
+
+    @pytest.mark.parametrize("case", sorted(LEAF_CASES))
+    def test_leaf_matches_serial(self, case):
+        make, training = LEAF_CASES[case]
+        rng = np.random.default_rng(0)
+        states = [_random_state(Sequential(make()), rng) for _ in range(K)]
+        x = rng.standard_normal((K, 4, 3, 8, 8)).astype(np.float32)
+
+        sm = build_stacked(Sequential(make()), K)
+        sm.load_client_states(states)
+        sm.train(training)
+        xt = Tensor(x, requires_grad=True)
+        out = sm(xt)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+
+        for i in range(K):
+            m = Sequential(make())
+            m.load_state_dict(states[i])
+            m.train(training)
+            xi = Tensor(x[i], requires_grad=True)
+            ref = m(xi)
+            ref.backward(g[i])
+            want = [ref.data, xi.grad] + [p.grad for p in m.parameters()]
+            got = [out.data[i], xt.grad[i]] + [p.grad[i] for p in sm.parameters()]
+            want += m.state_dict().values()
+            got += sm.client_state(i).values()
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a.shape == b.shape and a.dtype == b.dtype
+                np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 MODEL_CASES = {

@@ -18,14 +18,15 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.nn import batched as B
 from repro.nn import functional as F
+from repro.nn.batched import build_stacked
 from repro.nn.functional import (
     _col2im_accumulate,
     _col2im_scatter,
     _im2col_gather,
     im2col_indices,
 )
+from repro.nn.layers import Conv2d, MaxPool2d, Sequential
 from repro.nn.tensor import Tensor
 from tests.helpers import check_grads
 
@@ -150,14 +151,18 @@ def _conv2d(x, wt, b, g, stride, pad):
 
 
 def _conv2d_k(x, wt, b, g, stride, pad):
-    """Two stacked clients holding the same slice; returns client 1's."""
-    def stack(a):
-        return Tensor(np.stack([a, a]), requires_grad=True)
-
-    xt, wtt, bt = stack(x), stack(wt), None if b is None else stack(b)
-    out = B.conv2d_k(xt, wtt, bt, stride=stride, padding=pad)
+    """A stacked Conv2d leaf, two clients holding the same slice; returns
+    client 1's out / gx / gw (/ gb)."""
+    oc, c, k, _ = wt.shape
+    conv = Conv2d(c, oc, k, stride=stride, padding=pad, bias=b is not None,
+                  rng=np.random.default_rng(0))
+    sm = build_stacked(Sequential(conv), 2)
+    state = {"0.weight": wt} if b is None else {"0.weight": wt, "0.bias": b}
+    sm.load_client_states([state, state])
+    xt = Tensor(np.stack([x, x]), requires_grad=True)
+    out = sm(xt)
     out.backward(np.stack([g, g]))
-    return tuple(t[1] for t in (out.data, xt.grad, wtt.grad) + (() if b is None else (bt.grad,)))
+    return tuple(t[1] for t in [out.data, xt.grad] + [p.grad for p in sm.parameters()])
 
 
 def assert_same_bits(got, want):
@@ -270,7 +275,8 @@ class TestMaxPoolBitwise:
             x = np.stack([self._inputs(k, seed), self._inputs(k, seed)[::-1]])
             kk, n, c, h, w = x.shape
             want = x.reshape(kk, n, c, h // k, k, w // k, k).max(axis=(4, 6))
-            assert_same_bits((B.max_pool2d_k(Tensor(x), k).data,), (want,))
+            stacked = build_stacked(Sequential(MaxPool2d(k)), kk)
+            assert_same_bits((stacked(Tensor(x)).data,), (want,))
 
 
 def _cols_for(geometry, seed=0):
