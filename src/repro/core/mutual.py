@@ -15,13 +15,14 @@ the paper and is swept in the DML ablation bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.data.dataset import Dataset
 from repro.fl.trainer import LocalTrainer, lockstep_batches
 from repro.nn import functional as F
-from repro.nn.batched import StackedModel, cross_entropy_k, kl_div_with_logits_k
+from repro.nn.batched import StackedModel
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
@@ -63,59 +64,85 @@ class DeepMutualTrainer(LocalTrainer):
     ) -> MutualTrainStats:
         """Mutually train ``local_model`` and ``knowledge_net`` for E epochs."""
         loader = self.make_loader(round_idx)
-        opt_local = SGD(
-            local_model.parameters(),
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
-        opt_know = SGD(
-            knowledge_net.parameters(),
-            lr=self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
-        local_model.train()
-        knowledge_net.train()
+        batches = (batch for _epoch in range(epochs) for batch in loader)
+        return _dml(local_model, knowledge_net, batches, self)[0]
 
-        steps = 0
-        sum_local, sum_know, sum_kl, seen = 0.0, 0.0, 0.0, 0
-        for _epoch in range(epochs):
-            for xb, yb in loader:
-                x = Tensor(xb)
-                logits_local = local_model(x)
-                logits_know = knowledge_net(x)
 
-                # --- update θ (local model); θ_g's logits are constants ---
-                local_model.zero_grad()
-                ce_l = F.cross_entropy(logits_local, yb)
-                kl_l = F.kl_div_with_logits(logits_know.detach(), logits_local)
-                loss_l = ce_l + self.kl_weight * kl_l
-                loss_l.backward()
-                opt_local.step()
+def _dml(
+    local_model: Module,
+    knowledge_net: Module,
+    batches: Iterator[tuple[np.ndarray, np.ndarray]],
+    solver: DeepMutualTrainer,
+) -> list[MutualTrainStats]:
+    """The one deep-mutual-learning loop (Alg. 1), for one client or a
+    stack of K.
 
-                # --- update θ_g (knowledge net); θ's logits are constants ---
-                knowledge_net.zero_grad()
-                ce_k = F.cross_entropy(logits_know, yb)
-                kl_k = F.kl_div_with_logits(logits_local.detach(), logits_know)
-                loss_k = ce_k + self.kl_weight * kl_k
-                loss_k.backward()
-                opt_know.step()
+    The two models are one client's networks, fed ``(B, …)`` batches, or
+    two stacks of K (:class:`StackedModel`), fed ``(K, B, …)`` ones; every
+    loss then has shape ``(K,)`` and each client keeps its own float
+    accumulators, updated in step order exactly as one client's are.
+    ``solver`` supplies the SGD settings and ``kl_weight``. Returns one
+    :class:`MutualTrainStats` per client.
+    """
+    opt_local = SGD(
+        local_model.parameters(),
+        lr=solver.lr,
+        momentum=solver.momentum,
+        weight_decay=solver.weight_decay,
+    )
+    opt_know = SGD(
+        knowledge_net.parameters(),
+        lr=solver.lr,
+        momentum=solver.momentum,
+        weight_decay=solver.weight_decay,
+    )
+    local_model.train()
+    knowledge_net.train()
 
-                n = len(yb)
-                steps += 1
-                seen += n
-                sum_local += loss_l.item() * n
-                sum_know += loss_k.item() * n
-                sum_kl += 0.5 * (kl_l.item() + kl_k.item()) * n
+    k = local_model.k if isinstance(local_model, StackedModel) else 1
+    steps = 0
+    seen = 0
+    sum_local, sum_know, sum_kl = [0.0] * k, [0.0] * k, [0.0] * k
+    for xb, yb in batches:
+        x = Tensor(xb)
+        logits_local = local_model(x)
+        logits_know = knowledge_net(x)
 
-        denom = max(seen, 1)
-        return MutualTrainStats(
+        # --- update θ (local model); θ_g's logits are constants ---
+        opt_local.zero_grad()
+        ce_l = F.cross_entropy(logits_local, yb)
+        kl_l = F.kl_div_with_logits(logits_know.detach(), logits_local)
+        loss_l = ce_l + solver.kl_weight * kl_l
+        loss_l.backward(np.ones_like(loss_l.data))
+        opt_local.step()
+
+        # --- update θ_g (knowledge net); θ's logits are constants ---
+        opt_know.zero_grad()
+        ce_k = F.cross_entropy(logits_know, yb)
+        kl_k = F.kl_div_with_logits(logits_local.detach(), logits_know)
+        loss_k = ce_k + solver.kl_weight * kl_k
+        loss_k.backward(np.ones_like(loss_k.data))
+        opt_know.step()
+
+        n = yb.shape[-1]
+        steps += 1
+        seen += n
+        per_client = (t.data.reshape(-1).tolist() for t in (loss_l, loss_k, kl_l, kl_k))
+        for j, (ll, lk, kll, klk) in enumerate(zip(*per_client)):
+            sum_local[j] += ll * n
+            sum_know[j] += lk * n
+            sum_kl[j] += 0.5 * (kll + klk) * n
+
+    denom = max(seen, 1)
+    return [
+        MutualTrainStats(
             steps=steps,
-            mean_local_loss=sum_local / denom,
-            mean_knowledge_loss=sum_know / denom,
-            mean_kl=sum_kl / denom,
+            mean_local_loss=sum_local[j] / denom,
+            mean_knowledge_loss=sum_know[j] / denom,
+            mean_kl=sum_kl[j] / denom,
         )
+        for j in range(k)
+    ]
 
 
 def train_stacked_mutual(
@@ -131,70 +158,7 @@ def train_stacked_mutual(
     both networks' forwards precede both updates exactly as in the serial
     step, so per-client trajectories are bit-identical.
     """
-    k = stacked_local.k
-    if stacked_know.k != k:
+    if stacked_know.k != stacked_local.k:
         raise ValueError("cohort size mismatch between the two stacks")
-    batches = lockstep_batches(trainers, k, epochs, round_idx)
-    first = trainers[0]
-    kl_weight = first.kl_weight
-    opt_local = SGD(
-        stacked_local.parameters(),
-        lr=first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    opt_know = SGD(
-        stacked_know.parameters(),
-        lr=first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    stacked_local.train()
-    stacked_know.train()
-
-    ones = np.ones(k, dtype=np.float32)
-    steps = 0
-    seen = [0] * k
-    sum_local = [0.0] * k
-    sum_know = [0.0] * k
-    sum_kl = [0.0] * k
-    for xb, yb in batches:
-        x = Tensor(xb)
-        logits_local = stacked_local(x)
-        logits_know = stacked_know(x)
-
-        # --- update θ (local models); θ_g's logits are constants ---
-        opt_local.zero_grad()
-        ce_l = cross_entropy_k(logits_local, yb)
-        kl_l = kl_div_with_logits_k(logits_know.detach(), logits_local)
-        loss_l = ce_l + kl_weight * kl_l
-        loss_l.backward(ones)
-        opt_local.step()
-
-        # --- update θ_g (knowledge nets); θ's logits are constants ---
-        opt_know.zero_grad()
-        ce_k = cross_entropy_k(logits_know, yb)
-        kl_k = kl_div_with_logits_k(logits_local.detach(), logits_know)
-        loss_k = ce_k + kl_weight * kl_k
-        loss_k.backward(ones)
-        opt_know.step()
-
-        n = yb.shape[1]
-        steps += 1
-        loss_l_data, loss_k_data = loss_l.data, loss_k.data
-        kl_l_data, kl_k_data = kl_l.data, kl_k.data
-        for j in range(k):
-            seen[j] += n
-            sum_local[j] += float(loss_l_data[j]) * n
-            sum_know[j] += float(loss_k_data[j]) * n
-            sum_kl[j] += 0.5 * (float(kl_l_data[j]) + float(kl_k_data[j])) * n
-
-    return [
-        MutualTrainStats(
-            steps=steps,
-            mean_local_loss=sum_local[j] / max(seen[j], 1),
-            mean_knowledge_loss=sum_know[j] / max(seen[j], 1),
-            mean_kl=sum_kl[j] / max(seen[j], 1),
-        )
-        for j in range(k)
-    ]
+    batches = lockstep_batches(trainers, stacked_local.k, epochs, round_idx)
+    return _dml(stacked_local, stacked_know, batches, trainers[0])

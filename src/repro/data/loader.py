@@ -62,10 +62,6 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    @property
-    def num_samples(self) -> int:
-        return len(self.x)
-
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         n = len(self.x)
         order = self._rng.permutation(n) if self.shuffle else np.arange(n)

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import Dataset
+from repro.nn import functional as F
 from repro.nn.autograd import no_grad
-from repro.nn.functional import _stable_log_softmax
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
@@ -40,10 +40,9 @@ def evaluate_model(
         for start in range(0, len(x), batch_size):
             xb = x[start : start + batch_size]
             yb = y[start : start + batch_size]
-            logits = model(Tensor(xb)).data
-            correct += int((logits.argmax(axis=1) == yb).sum())
-            logp = _stable_log_softmax(logits, axis=1)
-            total_nll += float(-logp[np.arange(len(yb)), yb].sum())
+            logits = model(Tensor(xb))
+            correct += int((logits.data.argmax(axis=1) == yb).sum())
+            total_nll += F.cross_entropy(logits, yb, reduction="sum").item()
     if was_training:
         model.train()
     n = len(x)

@@ -17,7 +17,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.data.loader import DataLoader
 from repro.nn import functional as F
-from repro.nn.batched import StackedModel, cross_entropy_k
+from repro.nn.batched import StackedModel
 from repro.nn.module import Module
 from repro.nn.optim import SGD
 from repro.nn.tensor import Tensor
@@ -87,33 +87,57 @@ class LocalTrainer:
     ) -> TrainStats:
         """Standard supervised local update (cross-entropy, Eq. 1)."""
         loader = self.make_loader(round_idx)
-        opt = SGD(
-            model.parameters(),
-            lr=lr if lr is not None else self.lr,
-            momentum=self.momentum,
-            weight_decay=self.weight_decay,
-        )
-        model.train()
-        steps = 0
-        samples = 0
-        loss_sum = 0.0
-        for _epoch in range(epochs):
-            for xb, yb in loader:
-                opt.zero_grad()
-                loss = F.cross_entropy(model(Tensor(xb)), yb)
-                loss.backward()
-                if grad_hook is not None:
-                    grad_hook(model)
-                opt.step()
-                steps += 1
-                samples += len(yb)
-                loss_sum += loss.item() * len(yb)
-        return TrainStats(
+        batches = (batch for _epoch in range(epochs) for batch in loader)
+        return _sgd(model, batches, self, epochs, lr, grad_hook)[0]
+
+
+def _sgd(
+    model: Module,
+    batches: Iterator[tuple[np.ndarray, np.ndarray]],
+    solver: LocalTrainer,
+    epochs: int,
+    lr: float | None,
+    grad_hook: GradHook | None = None,
+) -> list[TrainStats]:
+    """The one local SGD loop, for one client or a stack of K.
+
+    ``model`` is a client's network, fed ``(B, …)`` batches, or a
+    :class:`StackedModel`, fed ``(K, B, …)`` ones; the loss then has shape
+    ``(K,)`` and each client keeps its own float accumulators, updated in
+    step order exactly as one client's are. ``solver`` supplies the SGD
+    settings. Returns one :class:`TrainStats` per client.
+    """
+    opt = SGD(
+        model.parameters(),
+        lr=lr if lr is not None else solver.lr,
+        momentum=solver.momentum,
+        weight_decay=solver.weight_decay,
+    )
+    model.train()
+    steps = 0
+    samples = 0
+    loss_sums = [0.0] * (model.k if isinstance(model, StackedModel) else 1)
+    for xb, yb in batches:
+        opt.zero_grad()
+        loss = F.cross_entropy(model(Tensor(xb)), yb)
+        loss.backward(np.ones_like(loss.data))
+        if grad_hook is not None:
+            grad_hook(model)
+        opt.step()
+        steps += 1
+        n = yb.shape[-1]
+        samples += n
+        for j, value in enumerate(loss.data.reshape(-1).tolist()):
+            loss_sums[j] += value * n
+    return [
+        TrainStats(
             steps=steps,
             epochs=epochs,
             samples_seen=samples,
             mean_loss=loss_sum / max(samples, 1),
         )
+        for loss_sum in loss_sums
+    ]
 
 
 def lockstep_batches(
@@ -170,39 +194,5 @@ def train_stacked(
     hyperparameters and an equal-length batch schedule
     (:func:`lockstep_batches`).
     """
-    k = stacked.k
-    batches = lockstep_batches(trainers, k, epochs, round_idx)
-    first = trainers[0]
-    opt = SGD(
-        stacked.parameters(),
-        lr=lr if lr is not None else first.lr,
-        momentum=first.momentum,
-        weight_decay=first.weight_decay,
-    )
-    stacked.train()
-    ones = np.ones(k, dtype=np.float32)
-    steps = 0
-    samples = [0] * k
-    # Per-client float64 accumulators updated in step order — the identical
-    # sequence of Python-float ops the serial loop performs.
-    loss_sums = [0.0] * k
-    for xb, yb in batches:
-        opt.zero_grad()
-        losses = cross_entropy_k(stacked(Tensor(xb)), yb)
-        losses.backward(ones)
-        opt.step()
-        steps += 1
-        n = yb.shape[1]
-        losses_data = losses.data
-        for j in range(k):
-            samples[j] += n
-            loss_sums[j] += float(losses_data[j]) * n
-    return [
-        TrainStats(
-            steps=steps,
-            epochs=epochs,
-            samples_seen=samples[j],
-            mean_loss=loss_sums[j] / max(samples[j], 1),
-        )
-        for j in range(k)
-    ]
+    batches = lockstep_batches(trainers, stacked.k, epochs, round_idx)
+    return _sgd(stacked, batches, trainers[0], epochs, lr)

@@ -1,4 +1,4 @@
-"""Stacked cross-client tensor ops — K clients as one vectorized program.
+"""Stacked cross-client execution — K clients as one vectorized program.
 
 The paper's clients all distill into *tiny homogeneous knowledge networks*,
 so a round's K local training loops are structurally one batched computation.
@@ -6,15 +6,23 @@ Activations stack as ``(K, B, ...)`` and parameters as ``(K,) + shape``;
 a Linear layer becomes one batched matmul ``(K,B,in) @ (K,in,out)`` instead
 of K small GEMMs.
 
+This module holds no arithmetic of its own. :func:`build_stacked` copies the
+template's own module tree, swapping each stateful or shape-dependent leaf
+for a stacked leaf that runs the serial layer's own ``forward``; the
+containers' own ``forward`` methods then run the stacked program on
+``(K, B, ...)`` inputs, and the trainers call the serial losses on its
+``(K, B, C)`` logits.
+
 Bit-identity contract
 ---------------------
 Every client slice of a stacked program must replay the serial kernels in
 :mod:`repro.nn.functional` **bit-for-bit**; the batched executor is
 fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
 
-- *Fully batched* (exact by construction): Linear's batched matmul,
-  elementwise broadcasting and the losses' last-axis reductions. NumPy
-  evaluates these per slice identically to the 2-D calls.
+- *Fully batched*: ``F.linear`` and the two losses take a leading client
+  axis and act on each index exactly as on its 2-D slice (batched matmuls,
+  last-axis reductions), and elementwise ops broadcast. A stacked Linear
+  runs ``Linear.forward`` on the whole stack.
 - *Per-client slices* for the ``_PER_SLICE`` layers (Conv2d, BatchNorm2d,
   the pools): multi-axis float reductions and the im2col path, where a fused
   call over the client axis may pick another pairwise summation tree. Their
@@ -26,22 +34,15 @@ fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
 :func:`fully_batched` tells the two apart for a whole model: stacking a
 program with per-slice layers buys no speed and holds K clients' activations
 at once, so the in-process default executor stacks only fully batched ones.
-
-No model's forward is written here. :func:`build_stacked` copies the
-template's own module tree, swapping each stateful or shape-dependent leaf
-for a stacked leaf; the containers' own ``forward`` methods then run the
-stacked program on ``(K, B, ...)`` inputs.
 """
 
 from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from typing import Callable
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.layers import (
     AdaptiveAvgPool2d,
     AvgPool2d,
@@ -66,131 +67,12 @@ from repro.nn.models.vgg import VGG
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
 
-__all__ = [
-    "linear_k",
-    "cross_entropy_k",
-    "kl_div_with_logits_k",
-    "StackedModel",
-    "build_stacked",
-    "fully_batched",
-]
-
-
-# ---------------------------------------------------------------------- #
-# stacked functional ops
-# ---------------------------------------------------------------------- #
-
-
-def linear_k(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """K-stacked affine map: ``x``: (K,B,in), ``weight``: (K,out,in).
-
-    One batched matmul replaces K small GEMMs; per-slice results match
-    :func:`repro.nn.functional.linear` bitwise (BLAS runs the same 2-D
-    kernel on each contiguous slice).
-    """
-    out = np.matmul(x.data, weight.data.transpose(0, 2, 1))
-    if bias is not None:
-        out = out + bias.data[:, None, :]
-
-    if bias is None:
-
-        def bwd(g):
-            return (
-                np.matmul(g, weight.data),
-                np.matmul(g.transpose(0, 2, 1), x.data),
-            )
-
-        return Tensor._make(out, (x, weight), bwd)
-
-    def bwd_b(g):
-        return (
-            np.matmul(g, weight.data),
-            np.matmul(g.transpose(0, 2, 1), x.data),
-            g.sum(axis=1),
-        )
-
-    return Tensor._make(out, (x, weight, bias), bwd_b)
-
-
-def cross_entropy_k(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Per-client mean cross-entropy: ``logits`` (K,B,C), ``labels`` (K,B).
-
-    Returns a (K,) loss tensor — one scalar per client, each the exact
-    serial :func:`repro.nn.functional.cross_entropy` mean over that client's
-    batch. Backprop with ``loss.backward(np.ones(K, dtype=np.float32))`` to
-    run every client's backward pass at once.
-    """
-    labels = np.asarray(labels)
-    kk, n, _ = logits.data.shape
-    logp = F._stable_log_softmax(logits.data, axis=2)
-    ka = np.arange(kk)[:, None]
-    ba = np.arange(n)[None, :]
-    picked = logp[ka, ba, labels]
-    losses = -picked.mean(axis=1)
-    scale = 1.0 / n
-    soft = np.exp(logp)
-
-    def bwd(g):
-        grad = soft.copy()
-        grad[ka, ba, labels] -= 1.0
-        # Serial does ``grad * (float(g) * scale)``: the multiplier is an
-        # f64 product rounded to f32 *once*. Replicate that rounding per
-        # client before the elementwise multiply.
-        mult = (g.astype(np.float64) * scale).astype(grad.dtype)
-        return (grad * mult[:, None, None],)
-
-    return Tensor._make(np.asarray(losses, dtype=logits.dtype), (logits,), bwd)
-
-
-def kl_div_with_logits_k(
-    teacher_logits: Tensor | np.ndarray,
-    student_logits: Tensor,
-    temperature: float = 1.0,
-) -> Tensor:
-    """Per-client batchmean KL(teacher ‖ student) over (K,B,C) logits.
-
-    The stacked counterpart of Eq. 2's
-    :func:`repro.nn.functional.kl_div_with_logits`; teacher is detached.
-    Returns a (K,) loss tensor.
-    """
-    t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    kk, n, _ = student_logits.data.shape
-    tt = t / temperature
-    ss = student_logits.data / temperature
-    logp = F._stable_log_softmax(tt, axis=2)
-    logq = F._stable_log_softmax(ss, axis=2)
-    p = np.exp(logp)
-    kl = (p * (logp - logq)).sum(axis=2)
-    losses = kl.mean(axis=1)
-    scale = 1.0 / n
-    q = np.exp(logq)
-    grad_base = (q - p) * (scale / temperature)
-
-    def bwd(g):
-        return (grad_base * g[:, None, None],)
-
-    return Tensor._make(
-        np.asarray(losses, dtype=student_logits.dtype), (student_logits,), bwd
-    )
-
-
-# ---------------------------------------------------------------------- #
-# stacked model construction
-# ---------------------------------------------------------------------- #
+__all__ = ["StackedModel", "build_stacked", "fully_batched"]
 
 
 class _Unsupported(Exception):
     """Raised while copying a template that has no stacked equivalent."""
 
-
-# Leaf type → its vectorised stacked op. ``m`` is the stacked leaf: the
-# template leaf's hyperparameters with (K,)+shape parameters and buffers under
-# its names.
-_STACKED_OPS: dict[type, Callable[[Module, Tensor], Tensor]] = {
-    Linear: lambda m, x: linear_k(x, m.weight, m.bias),
-    # The leading client axis shifts every dim by one.
-    Flatten: lambda m, x: x.flatten_from(m.start_dim + 1),
-}
 
 # Layers whose stacked leaf runs the template layer's own ``forward`` once per
 # client slice (:func:`_per_slice`): their multi-axis float reductions and the
@@ -210,8 +92,8 @@ _CONTAINERS = (Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG)
 class _StackedLeaf(Module):
     """One template leaf for K clients: the leaf's hyperparameters, its
     parameters and buffers as (K,)+shape arrays under the leaf's own names,
-    and a ``forward`` that runs the leaf type's vectorised op or, for a
-    ``_PER_SLICE`` layer, the layer's own ``forward`` on each client slice."""
+    and a ``forward`` that runs the layer's own ``forward``: on the whole
+    stack for Linear, on each client slice for a ``_PER_SLICE`` layer."""
 
     def __init__(self, leaf: Module, k: int) -> None:
         super().__init__()
@@ -223,7 +105,7 @@ class _StackedLeaf(Module):
         for name, b in leaf._buffers.items():
             self.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
         self._serial = type(leaf)
-        self._op = _STACKED_OPS.get(self._serial, _per_slice)
+        self._op = _per_slice if self._serial in _PER_SLICE else self._serial.forward
 
     def forward(self, x: Tensor) -> Tensor:
         return self._op(self, x)
@@ -279,10 +161,14 @@ def _twin(m: Module) -> Module:
 def _stack(m: Module, k: int) -> Module:
     """Copy the module tree ``m`` for K clients (rules in :func:`build_stacked`)."""
     kind = type(m)
-    if kind in _STACKED_OPS or kind in _PER_SLICE:
+    if kind is Linear or kind in _PER_SLICE:
         if kind is AdaptiveAvgPool2d and m.output_size != 1:
             raise _Unsupported("adaptive pool with output_size != 1")
         return _StackedLeaf(m, k)
+    if kind is Flatten:
+        twin = _twin(m)
+        twin.start_dim = m.start_dim + 1  # the leading client axis shifts every dim
+        return twin
     if kind in _ELEMENTWISE:
         if kind is Dropout and m.p > 0:
             # Each client owns a private RNG stream; a stacked mask draw would
@@ -335,9 +221,10 @@ def build_stacked(template: Module, k: int) -> StackedModel | None:
     clients.
 
     Leaves with parameters or a shape-dependent kernel (Linear, Conv2d,
-    BatchNorm2d, the pools, Flatten) become stacked leaves; elementwise
-    leaves are copied unchanged; containers on the allowlist are copied
-    with stacked children, so their own ``forward`` is the stacked program.
+    BatchNorm2d, the pools) become stacked leaves; Flatten is copied with
+    its ``start_dim`` shifted past the client axis; elementwise leaves are
+    copied unchanged; containers on the allowlist are copied with stacked
+    children, so their own ``forward`` is the stacked program.
     Returns ``None`` for anything else — a type off the allowlist, active
     dropout, adaptive pooling past 1×1, a container that owns parameters —
     and the caller trains those clients through the serial path.

@@ -9,11 +9,18 @@ bottleneck" rule).
 The KL-divergence helpers implement Eq. 2 of the paper, which drives both the
 deep-mutual-learning local update (Alg. 1) and the server-side ensemble
 distillation (Eq. 4).
+
+Leading client axes: :func:`linear`, :func:`cross_entropy` and
+:func:`kl_div_with_logits` also take inputs with extra leading axes — K
+clients stacked as ``(K, N, …)`` by :mod:`repro.nn.batched` — and then act
+on each leading index exactly as on its 2-D slice, bit for bit; a loss comes
+back with the leading shape ``(K,)``.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -52,24 +59,27 @@ __all__ = [
 def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     """Affine map ``x @ weight.T + bias`` fused into one node.
 
-    ``x``: (N, in), ``weight``: (out, in), ``bias``: (out,).
+    ``x``: (…, N, in), ``weight``: (…, out, in), ``bias``: (…, out), with
+    the same leading axes ``…`` on all three (none for one model). Each
+    leading index is one matmul on its contiguous slice, so it matches the
+    2-D call on that slice bitwise.
     """
-    out = x.data @ weight.data.T
+    out = x.data @ np.swapaxes(weight.data, -1, -2)
     if bias is not None:
-        out = out + bias.data
+        out = out + bias.data[..., None, :]
     if profiler.is_counting():
-        n = x.data.shape[0]
-        profiler.add_flops("linear", 2 * n * weight.data.shape[0] * weight.data.shape[1])
+        rows = math.prod(x.data.shape[:-1])
+        profiler.add_flops("linear", 2 * rows * weight.data.shape[-2] * weight.data.shape[-1])
 
     if bias is None:
 
         def bwd(g):
-            return g @ weight.data, g.T @ x.data
+            return g @ weight.data, np.swapaxes(g, -1, -2) @ x.data
 
         return Tensor._make(out, (x, weight), bwd)
 
     def bwd_b(g):
-        return g @ weight.data, g.T @ x.data, g.sum(axis=0)
+        return g @ weight.data, np.swapaxes(g, -1, -2) @ x.data, g.sum(axis=-2)
 
     return Tensor._make(out, (x, weight, bias), bwd_b)
 
@@ -115,25 +125,30 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
     """Softmax cross-entropy with integer labels (Eq. 1 of the paper).
 
     Fused logits→loss node: backward is the textbook ``softmax - onehot``.
+    ``logits``: (…, N, C), ``labels``: (…, N); the loss has shape ``(…)``,
+    one batch reduction per leading index.
     """
     labels = np.asarray(labels)
-    n = logits.data.shape[0]
-    logp = _stable_log_softmax(logits.data, axis=1)
-    picked = logp[np.arange(n), labels]
+    n = logits.data.shape[-2]
+    logp = _stable_log_softmax(logits.data, axis=-1)
+    at_label = (*np.indices(labels.shape, sparse=True), labels)
+    picked = logp[at_label]
     if reduction == "mean":
-        loss = -picked.mean()
+        loss = -picked.mean(axis=-1)
         scale = 1.0 / n
     elif reduction == "sum":
-        loss = -picked.sum()
+        loss = -picked.sum(axis=-1)
         scale = 1.0
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
-    soft = np.exp(logp)
 
     def bwd(g):
-        grad = soft.copy()
-        grad[np.arange(n), labels] -= 1.0
-        return (grad * (float(g) * scale),)
+        grad = np.exp(logp)
+        grad[at_label] -= 1.0
+        # The multiplier is ``g · scale`` in float64, rounded to float32 once
+        # per leading index — what ``float(g) * scale`` does for one model.
+        mult = (g.astype(np.float64) * scale).astype(grad.dtype)
+        return (grad * mult[..., None, None],)
 
     return Tensor._make(np.asarray(loss, dtype=logits.dtype), (logits,), bwd)
 
@@ -173,20 +188,22 @@ def kl_div_with_logits(
     through its *own* logits. Gradient w.r.t. the student logits is the
     exact ``(q - p) · scale / T``; the loss is *not* pre-multiplied by
     Hinton's T² compensation — scale the loss weight if you want it.
+    Logits: (…, N, C); the loss has shape ``(…)``, one batch reduction per
+    leading index.
     """
     t = teacher_logits.data if isinstance(teacher_logits, Tensor) else np.asarray(teacher_logits)
-    n = student_logits.data.shape[0]
+    n = student_logits.data.shape[-2]
     tt = t / temperature
     ss = student_logits.data / temperature
-    logp = _stable_log_softmax(tt, axis=1)
-    logq = _stable_log_softmax(ss, axis=1)
+    logp = _stable_log_softmax(tt, axis=-1)
+    logq = _stable_log_softmax(ss, axis=-1)
     p = np.exp(logp)
-    kl = (p * (logp - logq)).sum(axis=1)
+    kl = (p * (logp - logq)).sum(axis=-1)
     if reduction == "batchmean":
-        loss = kl.mean()
+        loss = kl.mean(axis=-1)
         scale = 1.0 / n
     elif reduction == "sum":
-        loss = kl.sum()
+        loss = kl.sum(axis=-1)
         scale = 1.0
     else:
         raise ValueError(f"unknown reduction {reduction!r}")
@@ -196,7 +213,7 @@ def kl_div_with_logits(
     grad_base = (q - p) * (scale / temperature)
 
     def bwd(g):
-        return (grad_base * float(g),)
+        return (grad_base * g.astype(grad_base.dtype)[..., None, None],)
 
     return Tensor._make(np.asarray(loss, dtype=student_logits.dtype), (student_logits,), bwd)
 

@@ -182,10 +182,6 @@ class ClientFaults:
     slowdown: float = 1.0
     uplink_attempts: "int | None" = 1
 
-    @property
-    def uplink_failed(self) -> bool:
-        return self.uplink_attempts is None
-
 
 NO_FAULTS = ClientFaults()
 

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core.mutual import DeepMutualTrainer
+from repro.core.mutual import DeepMutualTrainer, train_stacked_mutual
 from repro.data.synthetic import make_blobs
 from repro.fl.metrics import evaluate_model
-from repro.nn.models import MLP
+from repro.nn.batched import build_stacked
+from repro.nn.models import MLP, build_model
+from tests.helpers import SOLVER, STACK_CASES, assert_same_bits, image_shards
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +113,40 @@ class TestDML:
         knowledge = MLP(8, 4, hidden=(), seed=1)  # logistic regression
         DeepMutualTrainer(tr, batch_size=24, lr=0.05, seed=0).train(local, knowledge, epochs=5)
         assert evaluate_model(knowledge, te)[0] > 0.5
+
+
+class TestTrainStackedMutual:
+    """``train_stacked_mutual`` on K-client stacks ≡ K
+    ``DeepMutualTrainer.train`` calls: every ``MutualTrainStats`` field
+    (``mean_kl`` included) and both networks' state bits."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_equals_k_serial_calls(self, name):
+        kw, k = STACK_CASES[name], 3
+
+        def local(seed):
+            return build_model(name, seed=seed, **{**kw, "width_mult": 0.5})
+
+        def knowledge(seed):
+            return build_model(name, seed=seed, **kw)
+
+        trainers = [
+            DeepMutualTrainer(ds, kl_weight=0.5, seed=s, **SOLVER)
+            for s, ds in enumerate(image_shards(k))
+        ]
+        local_states = [local(10 + i).state_dict() for i in range(k)]
+        know_states = [knowledge(20 + i).state_dict() for i in range(k)]
+        stacked_local = build_stacked(local(0), k)
+        stacked_know = build_stacked(knowledge(0), k)
+        stacked_local.load_client_states(local_states)
+        stacked_know.load_client_states(know_states)
+        got = train_stacked_mutual(stacked_local, stacked_know, trainers, 2, round_idx=3)
+        assert len(got) == k
+        for i, trainer in enumerate(trainers):
+            local_model, know_model = local(0), knowledge(0)
+            local_model.load_state_dict(local_states[i])
+            know_model.load_state_dict(know_states[i])
+            want = trainer.train(local_model, know_model, 2, round_idx=3)
+            assert vars(got[i]) == vars(want)
+            assert_same_bits(stacked_local.client_state(i), local_model.state_dict())
+            assert_same_bits(stacked_know.client_state(i), know_model.state_dict())

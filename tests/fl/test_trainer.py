@@ -6,8 +6,10 @@ import pytest
 from repro.core.mutual import DeepMutualTrainer
 from repro.data.synthetic import make_blobs
 from repro.fl.metrics import evaluate_model
-from repro.fl.trainer import LocalTrainer, lockstep_batches
-from repro.nn.models import MLP
+from repro.fl.trainer import LocalTrainer, lockstep_batches, train_stacked
+from repro.nn.batched import build_stacked
+from repro.nn.models import MLP, build_model
+from tests.helpers import SOLVER, STACK_CASES, assert_same_bits, image_shards
 
 
 class TestLocalTrainer:
@@ -79,6 +81,27 @@ class TestLocalTrainer:
         (x0, _), = list(l0)
         (x1, _), = list(l1)
         assert not np.allclose(x0, x1)
+
+
+class TestTrainStacked:
+    """``train_stacked`` on a stack of K clients ≡ K ``LocalTrainer.train``
+    calls: every ``TrainStats`` field and every state bit."""
+
+    @pytest.mark.parametrize("name", sorted(STACK_CASES))
+    def test_equals_k_serial_calls(self, name):
+        kw, k = STACK_CASES[name], 3
+        trainers = [LocalTrainer(ds, seed=s, **SOLVER) for s, ds in enumerate(image_shards(k))]
+        states = [build_model(name, seed=10 + i, **kw).state_dict() for i in range(k)]
+        stacked = build_stacked(build_model(name, seed=0, **kw), k)
+        stacked.load_client_states(states)
+        got = train_stacked(stacked, trainers, 2, round_idx=3)
+        assert len(got) == k
+        for i, trainer in enumerate(trainers):
+            model = build_model(name, seed=0, **kw)
+            model.load_state_dict(states[i])
+            want = trainer.train(model, 2, round_idx=3)
+            assert vars(got[i]) == vars(want)
+            assert_same_bits(stacked.client_state(i), model.state_dict())
 
 
 class TestLockstepBatches:

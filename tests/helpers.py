@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, and the
+shards and bitwise state comparison of the stacked-trainer parity tests."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from repro.data.dataset import ArrayDataset
 from repro.nn.tensor import Tensor
 
 
@@ -70,3 +72,32 @@ def rand_t(shape, seed: int = 0, requires_grad: bool = True, scale: float = 1.0)
     return Tensor(
         (g.standard_normal(shape) * scale).astype(np.float32), requires_grad=requires_grad
     )
+
+
+# Stackable model cases: build_model kwargs for (1, 8, 8) inputs.
+STACK_CASES = {
+    "mlp": dict(num_classes=4, in_channels=1, image_size=8, width_mult=0.25),
+    "cnn-2": dict(num_classes=4, in_channels=1, image_size=8, width_mult=0.25),
+}
+
+# Momentum and weight decay on; 20-sample shards in batches of 8 end each
+# epoch on a short batch of 4.
+SOLVER = dict(batch_size=8, lr=0.05, momentum=0.9, weight_decay=1e-4)
+
+
+def image_shards(k: int, n: int = 20, seed: int = 0) -> list[ArrayDataset]:
+    """``k`` equal-size random (1, 8, 8) shards with 4 classes."""
+    g = np.random.default_rng(seed)
+    return [
+        ArrayDataset(g.standard_normal((n, 1, 8, 8)).astype(np.float32), g.integers(0, 4, n))
+        for _ in range(k)
+    ]
+
+
+def assert_same_bits(got, want) -> None:
+    """Two state dicts hold the same keys, in order, with equal bits."""
+    assert list(got) == list(want)
+    for key, a in got.items():
+        b = want[key]
+        assert a.shape == b.shape and a.dtype == b.dtype, key
+        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=key)

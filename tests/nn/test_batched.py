@@ -3,9 +3,10 @@
 The contract behind ``--executor batched``: every per-client slice of a
 stacked program reproduces the serial kernels *bitwise* — same forward
 bits, same gradient bits, same SGD trajectory. These tests pin that at the
-op level (linear, losses), at the leaf level (conv, batch norm and the pools
-against their own serial layer) and end-to-end (full training steps on every
-supported architecture family, momentum + weight decay on).
+leaf level (conv, batch norm and the pools against their own serial layer)
+and end-to-end (full training steps on every supported architecture family,
+momentum + weight decay on). The op level — ``F.linear`` and the losses on a
+leading client axis — is pinned in ``tests/nn/test_functional.py``.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ import pytest
 
 from repro.nn import functional as F
 from repro.core.ensemble import EnsembleModule
-from repro.nn.batched import (
-    StackedModel,
-    build_stacked,
-    cross_entropy_k,
-    kl_div_with_logits_k,
-    linear_k,
-)
+from repro.nn.batched import StackedModel, build_stacked
 from repro.nn.layers import (
     GELU,
     AdaptiveAvgPool2d,
@@ -44,58 +39,6 @@ from repro.nn.optim.sgd import SGD
 from repro.nn.tensor import Tensor
 
 K = 3
-
-
-def _param(rng, shape):
-    return Parameter(rng.standard_normal(shape).astype(np.float32))
-
-
-class TestStackedOps:
-    """Per-slice forward/backward bits match the serial kernels."""
-
-    def test_linear_k(self):
-        rng = np.random.default_rng(0)
-        x = Tensor(rng.standard_normal((K, 5, 7)).astype(np.float32), requires_grad=True)
-        w = _param(rng, (K, 4, 7))
-        b = _param(rng, (K, 4))
-        out = linear_k(x, w, b)
-        out.backward(np.ones_like(out.data))
-        for i in range(K):
-            xi = Tensor(x.data[i], requires_grad=True)
-            wi = Parameter(w.data[i])
-            bi = Parameter(b.data[i])
-            ref = F.linear(xi, wi, bi)
-            ref.backward(np.ones_like(ref.data))
-            np.testing.assert_array_equal(out.data[i], ref.data)
-            np.testing.assert_array_equal(x.grad[i], xi.grad)
-            np.testing.assert_array_equal(w.grad[i], wi.grad)
-            np.testing.assert_array_equal(b.grad[i], bi.grad)
-
-    def test_cross_entropy_k(self):
-        rng = np.random.default_rng(4)
-        logits = Tensor(rng.standard_normal((K, 6, 5)).astype(np.float32), requires_grad=True)
-        labels = rng.integers(0, 5, size=(K, 6))
-        losses = cross_entropy_k(logits, labels)
-        losses.backward(np.full(K, 0.75, dtype=np.float32))
-        for i in range(K):
-            li = Tensor(logits.data[i], requires_grad=True)
-            ref = F.cross_entropy(li, labels[i])
-            ref.backward(np.float32(0.75))
-            assert float(losses.data[i]) == ref.item()
-            np.testing.assert_array_equal(logits.grad[i], li.grad)
-
-    def test_kl_div_with_logits_k(self):
-        rng = np.random.default_rng(5)
-        teacher = Tensor(rng.standard_normal((K, 6, 5)).astype(np.float32))
-        student = Tensor(rng.standard_normal((K, 6, 5)).astype(np.float32), requires_grad=True)
-        kl = kl_div_with_logits_k(teacher, student)
-        kl.backward(np.ones(K, dtype=np.float32))
-        for i in range(K):
-            si = Tensor(student.data[i], requires_grad=True)
-            ref = F.kl_div_with_logits(Tensor(teacher.data[i]), si)
-            ref.backward(np.float32(1.0))
-            assert float(kl.data[i]) == ref.item()
-            np.testing.assert_array_equal(student.grad[i], si.grad)
 
 
 def _conv(**kw):
@@ -226,9 +169,9 @@ def _train_pair(name, kw, shape, steps=2, kl_teacher=None):
     for t in range(steps):
         sm.zero_grad()
         logits = sm(Tensor(xs[t]))
-        loss = cross_entropy_k(logits, ys[t])
+        loss = F.cross_entropy(logits, ys[t])
         if kl_teacher is not None:
-            loss = loss + 0.5 * kl_div_with_logits_k(Tensor(kl_teacher[t]), logits)
+            loss = loss + 0.5 * F.kl_div_with_logits(Tensor(kl_teacher[t]), logits)
         loss.backward(ones)
         opt.step()
         for i in range(K):
@@ -374,7 +317,7 @@ class TestStackedModelContract:
         assert isinstance(sm, StackedModel)
         assert all(p.data.shape[0] == K for p in sm.parameters())
         x = Tensor(np.zeros((K, 2, 1, 8, 8), dtype=np.float32))
-        loss = cross_entropy_k(sm(x), np.zeros((K, 2), dtype=np.int64))
+        loss = F.cross_entropy(sm(x), np.zeros((K, 2), dtype=np.int64))
         loss.backward(np.ones(K, dtype=np.float32))
         assert all(p.grad is not None for p in sm.parameters())
         sm.zero_grad()

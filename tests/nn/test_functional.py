@@ -98,6 +98,87 @@ class TestKL:
         assert F.kl_div_with_logits(t, s).item() >= 0
 
 
+# Leading axes: one client axis (a stack of 3), or two.
+LEADS = [pytest.param((3,), id="k3"), pytest.param((2, 3), id="2x3")]
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestLeadingAxis:
+    """``F.linear`` and the two losses on inputs with leading client axes
+    equal one 2-D call per leading index, bit for bit: output, loss and
+    every gradient, under per-index upstream grads that are not all 1."""
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_linear(self, lead, bias):
+        rng = np.random.default_rng(0)
+
+        def stack(*shape):
+            return Tensor(rng.standard_normal(lead + shape).astype(np.float32), requires_grad=True)
+
+        x, w, b = stack(5, 7), stack(4, 7), stack(4) if bias else None
+        out = F.linear(x, w, b)
+        g = rng.standard_normal(out.shape).astype(np.float32)
+        out.backward(g)
+        for i in np.ndindex(lead):
+            xi = Tensor(x.data[i], requires_grad=True)
+            wi = Tensor(w.data[i], requires_grad=True)
+            bi = None if b is None else Tensor(b.data[i], requires_grad=True)
+            ref = F.linear(xi, wi, bi)
+            ref.backward(g[i])
+            _same_bits(out.data[i], ref.data)
+            _same_bits(x.grad[i], xi.grad)
+            _same_bits(w.grad[i], wi.grad)
+            if bias:
+                _same_bits(b.grad[i], bi.grad)
+
+    @pytest.mark.parametrize("reduction", ["mean", "sum"])
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_cross_entropy(self, lead, reduction):
+        rng = np.random.default_rng(4)
+        logits = Tensor(rng.standard_normal(lead + (6, 5)).astype(np.float32), requires_grad=True)
+        labels = rng.integers(0, 5, size=lead + (6,))
+        upstream = np.resize(np.float32([0.3, 0.75, 1.0]), lead)
+        loss = F.cross_entropy(logits, labels, reduction=reduction)
+        assert loss.shape == lead
+        loss.backward(upstream)
+        scale = 1.0 / 6 if reduction == "mean" else 1.0
+        for i in np.ndindex(lead):
+            li = Tensor(logits.data[i], requires_grad=True)
+            ref = F.cross_entropy(li, labels[i], reduction=reduction)
+            ref.backward(upstream[i])
+            _same_bits(loss.data[i], ref.data)
+            _same_bits(logits.grad[i], li.grad)
+            # One model's gradient: softmax - onehot, times float(g) · scale
+            # rounded to float32 once.
+            want = F.softmax(Tensor(logits.data[i])).data
+            want[np.arange(6), labels[i]] -= 1.0
+            _same_bits(li.grad, want * np.float32(float(upstream[i]) * scale))
+
+    @pytest.mark.parametrize("temperature", [1.0, 2.0])
+    @pytest.mark.parametrize("reduction", ["batchmean", "sum"])
+    @pytest.mark.parametrize("lead", LEADS)
+    def test_kl_div_with_logits(self, lead, reduction, temperature):
+        rng = np.random.default_rng(5)
+        teacher = Tensor(rng.standard_normal(lead + (6, 5)).astype(np.float32))
+        student = Tensor(rng.standard_normal(lead + (6, 5)).astype(np.float32), requires_grad=True)
+        upstream = np.resize(np.float32([0.3, 0.75, 1.0]), lead)
+        kl = F.kl_div_with_logits(teacher, student, temperature, reduction)
+        assert kl.shape == lead
+        kl.backward(upstream)
+        for i in np.ndindex(lead):
+            si = Tensor(student.data[i], requires_grad=True)
+            ref = F.kl_div_with_logits(Tensor(teacher.data[i]), si, temperature, reduction)
+            ref.backward(upstream[i])
+            _same_bits(kl.data[i], ref.data)
+            _same_bits(student.grad[i], si.grad)
+
+
 class TestOneHot:
     def test_basic(self):
         oh = F.one_hot(np.array([0, 2, 1]), 3)

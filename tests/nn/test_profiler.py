@@ -42,6 +42,19 @@ class TestKnownCounts:
             F.linear(x, w)
         assert fc.total == 2 * 5 * 10 * 7
 
+    def test_linear_counts_every_leading_row(self):
+        # A stack of K clients costs K times one client's matmul.
+        k = 3
+
+        def flops(lead):
+            with count_flops() as fc:
+                x = Tensor(np.zeros(lead + (5, 10), dtype=np.float32))
+                w = Tensor(np.zeros(lead + (7, 10), dtype=np.float32))
+                F.linear(x, w, Tensor(np.zeros(lead + (7,), dtype=np.float32)))
+            return fc.total
+
+        assert flops((k,)) == k * flops(()) == k * 2 * 5 * 10 * 7
+
     def test_conv_exact(self):
         # N=2, OC=4, out 8x8, C=3, k=3 → 2*2*4*64*27
         with count_flops() as fc:
