@@ -27,7 +27,7 @@ from repro.core.fusion import fuse_ensemble_distill
 from repro.core.mutual import DeepMutualTrainer, train_stacked_mutual
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
-from repro.fl.state_store import ClientModelBank
+from repro.fl.state_store import ClientModelBank, client_model_fns
 from repro.nn.batched import build_stacked
 from repro.nn.module import Module
 from repro.runtime.executors import ClientUpdate
@@ -68,16 +68,7 @@ class FedKEMF(FLAlgorithm):
         local_model_fns: "Sequence[ModelFn] | ModelFn | None" = None,
         runtime: "FLRuntime | None" = None,
     ) -> None:
-        if local_model_fns is None:
-            local_model_fns = model_fn
-        if callable(local_model_fns):
-            local_model_fns = [local_model_fns] * fed.num_clients
-        if len(local_model_fns) != fed.num_clients:
-            raise ValueError(
-                f"need one local model builder per client "
-                f"({fed.num_clients}); got {len(local_model_fns)}"
-            )
-        self._local_model_fns = list(local_model_fns)
+        self._local_model_fns = client_model_fns(local_model_fns, model_fn, fed.num_clients)
         super().__init__(model_fn, fed, config, runtime=runtime)
 
     def setup(self) -> None:

@@ -7,7 +7,7 @@ Everything downstream — Dirichlet partitioning, loaders, FL training — is
 dataset-agnostic and treats these exactly as it would the real corpora.
 """
 
-from repro.data.dataset import ArrayDataset, Dataset, Subset, train_test_split
+from repro.data.dataset import ArrayDataset, Dataset, Subset
 from repro.data.loader import DataLoader
 from repro.data.synthetic import (
     SyntheticImageDataset,
@@ -40,7 +40,6 @@ __all__ = [
     "Dataset",
     "ArrayDataset",
     "Subset",
-    "train_test_split",
     "DataLoader",
     "SyntheticImageDataset",
     "SyntheticSpec",

@@ -1,8 +1,9 @@
 """Dataset containers.
 
-A ``Dataset`` here is a thin, indexable view over dense NumPy arrays —
-federated simulation slices one corpus into many client shards, so views
-(``Subset``) must be zero-copy per the HPC guide's "views, not copies" rule.
+A ``Dataset`` here is a thin, indexable view over dense NumPy arrays. A
+partitioner slices a whole corpus into zero-copy ``Subset`` views; the
+federation builders (:mod:`repro.data.lazy`) instead draw each client's
+rows as its own ``ArrayDataset``, so a shard's arrays are gathered once.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Dataset", "ArrayDataset", "Subset", "train_test_split"]
+__all__ = ["Dataset", "ArrayDataset", "Subset"]
 
 
 class Dataset:
@@ -71,7 +72,14 @@ class ArrayDataset(Dataset):
 
 
 class Subset(Dataset):
-    """Zero-copy view of a parent dataset through an index array."""
+    """Zero-copy view of a parent dataset through an index array.
+
+    >>> import numpy as np
+    >>> ds = ArrayDataset(np.arange(10.0).reshape(5, 2), np.arange(5))
+    >>> sub = Subset(ds, [4, 1])
+    >>> len(sub), sub.labels.tolist(), sub[0][0].tolist()
+    (2, [4, 1], [8.0, 9.0])
+    """
 
     def __init__(self, parent: Dataset, indices: Sequence[int] | np.ndarray) -> None:
         self.parent = parent
@@ -95,22 +103,3 @@ class Subset(Dataset):
         px, py = self.parent.arrays()
         return px[self.indices], py[self.indices]
 
-
-def train_test_split(
-    dataset: Dataset, test_fraction: float, rng: np.random.Generator
-) -> tuple[Subset, Subset]:
-    """Shuffle-split a dataset into train/test views.
-
-    >>> from repro.data.synthetic import make_blobs
-    >>> import numpy as np
-    >>> ds = make_blobs(100, seed=0)
-    >>> tr, te = train_test_split(ds, 0.25, np.random.default_rng(0))
-    >>> len(tr), len(te)
-    (75, 25)
-    """
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError(f"test_fraction must be in (0, 1); got {test_fraction}")
-    n = len(dataset)
-    perm = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    return Subset(dataset, perm[n_test:]), Subset(dataset, perm[:n_test])

@@ -5,6 +5,10 @@ per-client *local* test shards (Table 3 evaluates average local accuracy),
 a global test set, and the server-side public/unlabelled split used by
 ensemble distillation (Eq. 4 — "using unlabeled data, generative data, or
 public data in the server").
+
+The eager :func:`build_federated_dataset` draws and splits nothing itself:
+it is the shard recipe of :class:`~repro.data.lazy.LazyFederatedDataset`
+with every client built in one draw, held as dense per-client arrays.
 """
 
 from __future__ import annotations
@@ -13,9 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.dataset import ArrayDataset, Dataset, Subset, train_test_split
-from repro.data.partition import DirichletPartitioner, Partitioner
-from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
+from repro.data.dataset import Dataset
+from repro.data.lazy import LazyFederatedDataset
+from repro.data.partition import Partitioner
+from repro.data.synthetic import SyntheticImageDataset
 
 __all__ = ["FederatedDataset", "build_federated_dataset"]
 
@@ -94,33 +99,22 @@ def build_federated_dataset(
     The training corpus is partitioned with ``partitioner`` (default:
     ``DirichletPartitioner(alpha)``, the paper's setting); each client's
     shard is then split into local train/test so local evaluation sees the
-    client's own skewed distribution.
+    client's own skewed distribution. This is the
+    :class:`~repro.data.lazy.LazyFederatedDataset` recipe with every shard
+    built in one draw — byte for byte the shards a lazy federation
+    materializes for any cohort.
     """
-    train = world.sample(n_train, seed=seed * 31 + 1)
-    server_test = world.sample(n_test, seed=seed * 31 + 2)
-    server_public = world.sample(n_public, seed=seed * 31 + 3)
-
-    if partitioner is None:
-        partitioner = DirichletPartitioner(num_clients, alpha=alpha, seed=seed)
-    shards = partitioner(train)
-
-    rng = np.random.default_rng(seed + 17)
-    client_train: list[Dataset] = []
-    client_test: list[Dataset] = []
-    for shard in shards:
-        if len(shard) >= 4:
-            tr, te = train_test_split(shard, local_test_fraction, rng)
-        else:  # degenerate tiny shard: test on the train view
-            tr, te = shard, shard
-        client_train.append(tr)
-        client_test.append(te)
-
+    recipe = LazyFederatedDataset(
+        world, num_clients, n_train, n_test, n_public, partitioner=partitioner,
+        alpha=alpha, local_test_fraction=local_test_fraction, seed=seed,
+    )
+    recipe.prefetch(range(recipe.num_clients))
     fed = FederatedDataset(
-        client_train=client_train,
-        client_test=client_test,
-        server_test=server_test,
-        server_public=server_public,
-        num_classes=world.spec.num_classes,
+        client_train=list(recipe.client_train),
+        client_test=list(recipe.client_test),
+        server_test=recipe.server_test,
+        server_public=recipe.server_public,
+        num_classes=recipe.num_classes,
     )
     fed.validate()
     return fed

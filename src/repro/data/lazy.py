@@ -1,19 +1,18 @@
-"""Lazy federated dataset: million-client federations without the arrays.
+"""Lazy federated dataset: the one shard recipe, built on demand.
 
-The eager :func:`repro.data.federated.build_federated_dataset` materializes
-the full training corpus and one ``Subset`` pair per client up front —
-O(n_train·C·H·W) floats plus O(num_clients) Python objects, which caps the
-repro at a few thousand clients. Cross-device FL (the paper's regime, and
-Fed-ET/FedDF's framing) samples tiny cohorts from enormous populations, so
-almost none of that state is ever touched.
-
-:class:`LazyFederatedDataset` stores only the *recipe*:
+A federation over a synthetic world is a *recipe*; this module holds its
+only implementation, and :func:`repro.data.federated.build_federated_dataset`
+is the same recipe with every client's shards built up front. Cross-device FL
+(the paper's regime, and Fed-ET/FedDF's framing) samples tiny cohorts from
+enormous populations, so a million-client federation keeps just the recipe:
 
 - the world (prototype banks, O(classes·protos·C·H·W)),
 - the partition assignment in CSR form (two O(n_train) int arrays,
   computed from a label-only replay of the corpus draw — no images),
-- the per-client local train/test split permutations (one O(n_train) int
-  array, replayed from the same rng stream the eager builder consumes).
+- the local train/test split: every client's train-view size (one
+  O(num_clients) int array, set at construction) and the split
+  permutations (one O(n_train) int array, drawn from one stream in client
+  order on first use).
 
 Client shards are materialized on demand — :meth:`prefetch` builds one
 round's cohort in a single draw through the federation's
@@ -21,9 +20,9 @@ round's cohort in a single draw through the federation's
 corpus noise stream once, later ones seek to the rows they want) and
 evicts everything else. Materialization is pure in ``(seed, client)``:
 whatever subset of clients is built, in whatever order, the shard bytes
-are identical to the eager builder's (property-tested in
-``tests/data/test_lazy.py``), so lazy and eager runs produce bit-identical
-histories.
+are those of building every client at once (property-tested in
+``tests/data/test_lazy.py``, and pinned there by literal digests), so lazy
+and eager runs produce bit-identical histories.
 
 Pickling (the persistent/parallel executors snapshot the algorithm, fed
 included) drops the materialized shard cache, the split permutations and
@@ -68,11 +67,12 @@ class _LazyShardList:
 class LazyFederatedDataset:
     """Drop-in federation over a synthetic world, materialized on demand.
 
-    Constructor arguments mirror :func:`build_federated_dataset`; the
-    resulting object satisfies the same interface (``client_train`` /
+    Constructor arguments are :func:`build_federated_dataset`'s; the
+    object satisfies the same interface (``client_train`` /
     ``client_test`` / ``server_test`` / ``server_public`` / ``num_classes``
     / ``num_clients`` / ``client_sizes`` / ``validate``) with identical
     shard bytes, but holds no client arrays until they are touched.
+    ``local_test_fraction`` must lie in (0, 1).
 
     The server-side sets (global test, public distillation set) are small
     and round-invariant, so they are materialized eagerly.
@@ -94,6 +94,8 @@ class LazyFederatedDataset:
         local_test_fraction: float = 0.25,
         seed: int = 0,
     ) -> None:
+        if not 0.0 < local_test_fraction < 1.0:
+            raise ValueError(f"local_test_fraction must be in (0, 1); got {local_test_fraction}")
         self.world = world
         self.n_train = int(n_train)
         self.local_test_fraction = float(local_test_fraction)
@@ -108,6 +110,12 @@ class LazyFederatedDataset:
         self._order, self._offsets = partitioner.partition_assignment(labels)
         if len(self._offsets) != num_clients + 1:
             raise RuntimeError("partitioner produced wrong number of shards")
+        # The local split rule: a shard of 4 rows or more gives
+        # max(1, round(size · fraction)) of them to its test view; a smaller
+        # one is not split, and its test view is its train view.
+        sizes = np.diff(self._offsets)
+        held_out = np.maximum(1, np.rint(sizes * self.local_test_fraction)).astype(np.int64)
+        self._train_sizes = np.where(sizes < 4, sizes, sizes - held_out)
         self.server_test = world.sample(n_test, seed=self.seed * 31 + 2)
         self.server_public = world.sample(n_public, seed=self.seed * 31 + 3)
         self._split_concat: np.ndarray | None = None
@@ -139,18 +147,14 @@ class LazyFederatedDataset:
 
     def client_size(self, cid: int) -> int:
         """``len(client_train[cid])`` in O(1), without materializing it."""
-        size = self.shard_size(cid)
-        if size < 4:
-            return size  # degenerate shard: train view is the whole shard
-        return size - max(1, int(round(size * self.local_test_fraction)))
+        return int(self._train_sizes[cid])
 
     def client_sizes(self) -> np.ndarray:
-        return np.array([self.client_size(c) for c in range(self.num_clients)])
+        return self._train_sizes.copy()
 
     def validate(self) -> None:
         """Same contract as :meth:`FederatedDataset.validate`, index-only."""
-        sizes = np.diff(self._offsets)
-        if len(sizes) and int(sizes.min()) < 1:
+        if len(self._train_sizes) and int(self._train_sizes.min()) < 1:
             raise ValueError("a client has an empty training shard")
         if len(self.server_test) == 0 or len(self.server_public) == 0:
             raise ValueError("server test/public sets must be non-empty")
@@ -160,25 +164,21 @@ class LazyFederatedDataset:
     # ------------------------------------------------------------------ #
 
     def _ensure_split_perms(self) -> None:
-        """Replay the eager builder's local-split rng stream, once.
+        """Draw every client's local-split permutation, once.
 
-        ``build_federated_dataset`` consumes ``default_rng(seed + 17)``
-        sequentially in client order, drawing one ``permutation(len(shard))``
-        per shard — except degenerate shards (< 4 samples), which skip the
-        draw entirely. The permutations are stored concatenated, aligned
-        with the assignment offsets.
+        One stream, ``default_rng(seed + 17)``, consumed in client order:
+        one ``permutation(len(shard))`` per split shard, none for a shard
+        the split rule leaves whole (its permutation is the identity). The
+        permutations are stored concatenated, aligned with the assignment
+        offsets.
         """
         if self._split_concat is not None:
             return
         rng = np.random.default_rng(self.seed + 17)
         out = np.empty(int(self._offsets[-1]), dtype=np.int64)
         pos = 0
-        for size in np.diff(self._offsets):
-            size = int(size)
-            if size >= 4:
-                out[pos : pos + size] = rng.permutation(size)
-            else:
-                out[pos : pos + size] = np.arange(size)
+        for size, n_train in zip(np.diff(self._offsets).tolist(), self._train_sizes.tolist()):
+            out[pos : pos + size] = rng.permutation(size) if n_train < size else np.arange(size)
             pos += size
         self._split_concat = out
 
@@ -202,13 +202,11 @@ class LazyFederatedDataset:
             y = block.y[pos : pos + size]
             start = int(self._offsets[c])
             perm = self._split_concat[start : start + size]
-            if size >= 4:
-                n_te = max(1, int(round(size * self.local_test_fraction)))
-                tr = ArrayDataset(x[perm[n_te:]], y[perm[n_te:]])
-                te = ArrayDataset(x[perm[:n_te]], y[perm[:n_te]])
-            else:  # degenerate tiny shard: test on the train view
-                ds = ArrayDataset(x, y)
-                tr, te = ds, ds
+            n_te = size - self.client_size(c)
+            # gathers, never views: a shard must not keep the block alive
+            tr = ArrayDataset(x[perm[n_te:]], y[perm[n_te:]])
+            # a shard left whole (identity perm) tests on its train view
+            te = ArrayDataset(x[perm[:n_te]], y[perm[:n_te]]) if n_te else tr
             self._cache[c] = (tr, te)
             pos += size
 

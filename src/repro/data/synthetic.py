@@ -18,6 +18,11 @@ paths while remaining CPU-learnable.
 ``difficulty`` maps to noise/jitter levels; at the default setting a scaled
 ResNet-20 reaches well above chance within a few epochs but does not
 saturate instantly, so convergence-rate comparisons remain meaningful.
+
+A corpus draw has one implementation, :meth:`SyntheticImageDataset.sample_rows`
+(any rows of a notional ``n``-image draw, its pixel noise reached through a
+:class:`NoiseSeekTable`); :meth:`~SyntheticImageDataset.sample` is that call
+over every row, and the federation builders only ever ask for rows.
 """
 
 from __future__ import annotations
@@ -223,8 +228,8 @@ class SyntheticImageDataset:
         return (s.channels, s.image_size, s.image_size)
 
     def _draw_labels(self, rng: np.random.Generator, n: int, class_probs) -> np.ndarray:
-        """The label draw of :meth:`sample` — the *first* consumption of the
-        draw stream, shared verbatim by every sampling entry point."""
+        """The label draw of :meth:`sample_rows` — the *first* consumption of
+        the draw stream, which :meth:`sample_labels` replays alone."""
         s = self.spec
         if class_probs is None:
             return rng.integers(0, s.num_classes, size=n)
@@ -254,18 +259,19 @@ class SyntheticImageDataset:
         class_probs: np.ndarray | None = None,
         seek: NoiseSeekTable | None = None,
     ) -> ArrayDataset:
-        """Materialize only ``rows`` of the notional ``sample(n, seed)`` draw.
+        """Materialize only ``rows`` of the ``n``-image corpus draw ``seed``.
 
-        Bitwise identical to ``sample(n, seed, ...)`` restricted to ``rows``
-        (in the given row order): the cheap full-corpus draws (labels,
-        prototype choice, shifts, contrast) are replayed verbatim at size
-        ``n``, and the one dominant draw — the Gaussian pixel noise — goes
-        through a :class:`NoiseSeekTable`. NumPy ``Generator`` array fills are
-        sequential draws, so block fills concatenate to the single-fill
-        stream bit for bit; every arithmetic op is elementwise, so restricting
-        rows commutes with it. Pass the same ``seek`` table to every call on
-        one ``(n, seed)`` draw and only the first pays for the stream up to
-        its furthest row; later calls draw O(len(rows)) images. Without one a
+        The one corpus draw: :meth:`sample` is this over every row. The
+        cheap full-corpus draws (labels, prototype choice, shifts, contrast)
+        are made at size ``n``, and the one dominant draw — the Gaussian
+        pixel noise — goes through a :class:`NoiseSeekTable`. NumPy
+        ``Generator`` array fills are sequential draws, so block fills
+        concatenate to the single-fill stream bit for bit; every arithmetic
+        op is elementwise, so restricting rows commutes with it: any
+        ``rows`` (in the given order) are bitwise those rows of the
+        all-rows call. Pass the same ``seek`` table to every call on one
+        ``(n, seed)`` draw and only the first pays for the stream up to its
+        furthest row; later calls draw O(len(rows)) images. Without one a
         throwaway table serves the call. Peak memory is O(len(rows)·C·H·W).
         """
         s = self.spec
@@ -298,10 +304,13 @@ class SyntheticImageDataset:
             amp = rng.uniform(1 - s.contrast_jitter, 1 + s.contrast_jitter, size=(n, 1, 1, 1))
             x = x * amp[rows]
         if s.noise_std > 0 and k:
-            # float64, matching the eager draw's dtype promotion
             table = NoiseSeekTable() if seek is None else seek
-            noise = table.draw(rng, n, x[0].size, rows)
-            x = x + noise.reshape(x.shape) * s.noise_std
+            # x + noise·σ in float64, formed in the noise buffer: no third
+            # image-sized temporary before the one float32 cast
+            noise = table.draw(rng, n, x[0].size, rows).reshape(x.shape)
+            noise *= s.noise_std
+            noise += x
+            x = noise
         return ArrayDataset(x.astype(np.float32), y[rows])
 
     def sample(
@@ -311,7 +320,7 @@ class SyntheticImageDataset:
         labels: np.ndarray | None = None,
         class_probs: np.ndarray | None = None,
     ) -> ArrayDataset:
-        """Draw ``n`` labelled images.
+        """Draw ``n`` labelled images: :meth:`sample_rows` over every row.
 
         Parameters
         ----------
@@ -325,35 +334,7 @@ class SyntheticImageDataset:
         class_probs:
             Optional class marginal (defaults to uniform).
         """
-        s = self.spec
-        rng = new_rng(self.seed, "data", seed + 1)
-        if labels is None:
-            y = self._draw_labels(rng, n, class_probs)
-        else:
-            y = np.asarray(labels, dtype=np.int64)
-            if len(y) != n:
-                raise ValueError("labels length must equal n")
-            if len(y) and (y.min() < 0 or y.max() >= s.num_classes):
-                raise ValueError("labels out of class range")
-        proto_idx = rng.integers(0, s.prototypes_per_class, size=n)
-        x = self.prototypes[y, proto_idx].copy()  # (n, C, H, W)
-
-        if s.shift_max > 0:
-            # Vectorized circular shift: index arithmetic instead of a loop.
-            dh = rng.integers(-s.shift_max, s.shift_max + 1, size=n)
-            dw = rng.integers(-s.shift_max, s.shift_max + 1, size=n)
-            h_idx = (np.arange(s.image_size)[None, :] - dh[:, None]) % s.image_size
-            w_idx = (np.arange(s.image_size)[None, :] - dw[:, None]) % s.image_size
-            ni = np.arange(n)[:, None, None, None]
-            ci = np.arange(s.channels)[None, :, None, None]
-            x = x[ni, ci, h_idx[:, None, :, None], w_idx[:, None, None, :]]
-
-        if s.contrast_jitter > 0:
-            amp = rng.uniform(1 - s.contrast_jitter, 1 + s.contrast_jitter, size=(n, 1, 1, 1))
-            x = x * amp
-        if s.noise_std > 0:
-            x = x + rng.standard_normal(x.shape) * s.noise_std
-        return ArrayDataset(x.astype(np.float32), y)
+        return self.sample_rows(n, np.arange(n), seed, labels, class_probs)
 
 
 def make_synthetic_cifar10(

@@ -31,7 +31,7 @@ from repro.core.distill import DistillConfig, distill_from_teacher_logits
 from repro.core.ensemble import EnsembleModule, member_logits, weighted_ensemble_logits
 from repro.data.federated import FederatedDataset
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm, FLConfig, ModelFn
-from repro.fl.state_store import ClientModelBank
+from repro.fl.state_store import ClientModelBank, client_model_fns
 from repro.nn.module import Module
 from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import FLRuntime
@@ -57,15 +57,7 @@ class FedMD(FLAlgorithm):
         local_model_fns: "Sequence[ModelFn] | ModelFn | None" = None,
         runtime: "FLRuntime | None" = None,
     ) -> None:
-        if local_model_fns is None:
-            local_model_fns = model_fn
-        if callable(local_model_fns):
-            local_model_fns = [local_model_fns] * fed.num_clients
-        if len(local_model_fns) != fed.num_clients:
-            raise ValueError(
-                f"need one builder per client ({fed.num_clients}); got {len(local_model_fns)}"
-            )
-        self._local_model_fns = list(local_model_fns)
+        self._local_model_fns = client_model_fns(local_model_fns, model_fn, fed.num_clients)
         super().__init__(model_fn, fed, config, runtime=runtime)
 
     def setup(self) -> None:

@@ -20,6 +20,8 @@ O(touched):
   initialization — banks only need to persist *touched* state.
 - :class:`LazyFactoryBank` — a lazy sequence over a pure ``factory(cid)``
   (trainer banks): cached on touch, droppable at will, rebuilt bitwise.
+- :func:`client_model_fns` — the one reading of an algorithm's per-client
+  model-builder argument, as the list a :class:`ClientModelBank` takes.
 
 Spill files are scratch, not durability: checkpoints go through
 ``export()``/``load()`` by value (the checkpoint layer owns atomicity).
@@ -36,7 +38,7 @@ from collections.abc import MutableMapping
 from pathlib import Path
 from typing import Callable, Sequence
 
-__all__ = ["ClientStateStore", "ClientModelBank", "LazyFactoryBank"]
+__all__ = ["ClientStateStore", "ClientModelBank", "LazyFactoryBank", "client_model_fns"]
 
 
 class ClientStateStore(MutableMapping):
@@ -221,6 +223,23 @@ class LazyFactoryBank:
         state = dict(self.__dict__)
         state["_cache"] = {}
         return state
+
+
+def client_model_fns(
+    fns: "Sequence[Callable[[], object]] | Callable[[], object] | None",
+    default: "Callable[[], object]",
+    num_clients: int,
+) -> "list[Callable[[], object]]":
+    """One model builder per client: ``None`` means ``default``, a single
+    callable is broadcast to every client, and a sequence must hold exactly
+    one builder per client (``ValueError`` otherwise)."""
+    if fns is None:
+        fns = default
+    if callable(fns):
+        return [fns] * num_clients
+    if len(fns) != num_clients:
+        raise ValueError(f"need one local model builder per client ({num_clients}); got {len(fns)}")
+    return list(fns)
 
 
 class ClientModelBank:

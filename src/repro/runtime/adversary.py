@@ -215,8 +215,8 @@ def labelflip_clone(trainer, num_classes: int):
     of its shard. Hyperparameters and *seed* are the trainer's own, so the
     batch order is the honest one and only the labels differ. Pure — the
     trainer and its dataset are untouched — so client work may call it in
-    a forked worker; the clone costs one pass over the shard (a label flip,
-    plus the feature gather when the shard is a ``Subset`` view)."""
+    a forked worker; the clone costs one label flip over the shard (its
+    features are shared, not copied)."""
     x, y = trainer.dataset.arrays()
     clone = copy.copy(trainer)
     clone.dataset = ArrayDataset(x, (num_classes - 1) - y)

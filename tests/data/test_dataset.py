@@ -1,9 +1,9 @@
-"""Dataset containers and splits."""
+"""Dataset containers."""
 
 import numpy as np
 import pytest
 
-from repro.data.dataset import ArrayDataset, Subset, train_test_split
+from repro.data.dataset import ArrayDataset, Subset
 from repro.data.synthetic import make_blobs
 
 
@@ -57,23 +57,3 @@ class TestSubset:
         x, y = sub.arrays()
         np.testing.assert_array_equal(x, ds.x[[3, 7]])
 
-
-class TestSplit:
-    def test_sizes_and_disjoint(self):
-        ds = make_blobs(100, seed=0)
-        tr, te = train_test_split(ds, 0.2, np.random.default_rng(0))
-        assert len(tr) == 80 and len(te) == 20
-        assert not set(tr.indices.tolist()) & set(te.indices.tolist())
-        assert set(tr.indices.tolist()) | set(te.indices.tolist()) == set(range(100))
-
-    def test_invalid_fraction(self):
-        ds = make_blobs(10, seed=0)
-        for frac in (0.0, 1.0, -0.5):
-            with pytest.raises(ValueError):
-                train_test_split(ds, frac, np.random.default_rng(0))
-
-    def test_deterministic(self):
-        ds = make_blobs(40, seed=0)
-        a1, _ = train_test_split(ds, 0.25, np.random.default_rng(7))
-        a2, _ = train_test_split(ds, 0.25, np.random.default_rng(7))
-        np.testing.assert_array_equal(a1.indices, a2.indices)

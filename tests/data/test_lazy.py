@@ -1,18 +1,22 @@
-"""Lazy ≡ eager federation parity (hypothesis).
+"""Subset ≡ whole: the lazy federation against the eager build (hypothesis).
 
-The lazy federation's whole contract is that materialization is a pure
-function of ``(seed, client)``: whatever subset of clients is built, in
-whatever order, every shard byte equals the eager builder's. These tests
-drive that property over random worlds, partitioners and federation sizes,
-including the degenerate ``len(shard) < 4`` path where the eager builder
-skips the local-split rng draw. ``TestSeekTable`` pins the layer below: any
-sequence of ``sample_rows`` calls through one ``NoiseSeekTable`` equals the
-full draw bit for bit, and later calls do cohort-sized work (counted, not
-timed).
+There is one shard recipe (``LazyFederatedDataset``); the eager
+``build_federated_dataset`` is that recipe with every client built in one
+draw. The lazy contract is that materialization is a pure function of
+``(seed, client)``: whatever subset of clients is built, in whatever order,
+every shard byte equals the all-clients build. These tests drive that
+property over random worlds, partitioners and federation sizes, including
+the degenerate ``len(shard) < 4`` path that skips the local-split rng draw.
+``TestSeekTable`` pins the layer below: any sequence of ``sample_rows``
+calls through one ``NoiseSeekTable`` equals the all-rows draw
+(``world.sample``) bit for bit, and later calls do cohort-sized work
+(counted, not timed). ``TestParentCapturedBytes`` holds literal digests of
+both, the anchor that does not move with the one implementation.
 """
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import pickle
 
@@ -22,7 +26,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro.data.federated import build_federated_dataset
 from repro.data.lazy import LazyFederatedDataset
-from repro.data.partition import DirichletPartitioner, IIDPartitioner
+from repro.data.partition import (
+    DirichletPartitioner,
+    IIDPartitioner,
+    QuantitySkewPartitioner,
+)
 from repro.data.synthetic import (
     SEEK_STRIDE,
     NoiseSeekTable,
@@ -39,18 +47,9 @@ def make_world(seed=0, channels=1, image_size=6, num_classes=4):
     return SyntheticImageDataset(spec, seed=seed)
 
 
-def as_arrays(ds):
-    """Representation-agnostic (Subset vs ArrayDataset) dense view."""
-    if len(ds) == 0:
-        return np.empty((0,)), np.empty((0,), dtype=np.int64)
-    xs = np.stack([np.asarray(ds[i][0]) for i in range(len(ds))])
-    ys = np.array([int(ds[i][1]) for i in range(len(ds))], dtype=np.int64)
-    return xs, ys
-
-
 def assert_datasets_equal(a, b, what=""):
-    xa, ya = as_arrays(a)
-    xb, yb = as_arrays(b)
+    xa, ya = a.arrays()
+    xb, yb = b.arrays()
     np.testing.assert_array_equal(ya, yb, err_msg=f"{what} labels differ")
     np.testing.assert_array_equal(xa, xb, err_msg=f"{what} samples differ")
 
@@ -162,13 +161,38 @@ class TestDegenerateShards:
         assert min(sizes) >= 1
 
 
+class TestLocalTestFraction:
+    @pytest.mark.parametrize(
+        "builder", [build_federated_dataset, LazyFederatedDataset], ids=["eager", "lazy"]
+    )
+    @pytest.mark.parametrize(
+        "fraction, match",
+        [
+            (0.0, "local_test_fraction"),
+            (1.0, "local_test_fraction"),
+            (1.5, "local_test_fraction"),
+            (-0.5, "local_test_fraction"),
+            (0.9, "empty training"),  # all of a 4-row shard held out
+        ],
+    )
+    def test_bad_fraction_fails_at_build(self, builder, fraction, match):
+        """Out of (0, 1) the constructor refuses the fraction; inside it, a
+        fraction that leaves a train view empty fails ``validate`` — which
+        the eager builder runs — rather than the first ``DataLoader``."""
+        with pytest.raises(ValueError, match=match):
+            builder(
+                make_world(), num_clients=5, n_train=20, n_test=8, n_public=8,
+                partitioner=IIDPartitioner(5, seed=0), local_test_fraction=fraction,
+            ).validate()
+
+
 class TestLazyMechanics:
     def test_materialization_order_independent(self):
         world = make_world()
         _, a = build_pair(world, 6, n_train=48, seed=5)
         _, b = build_pair(world, 6, n_train=48, seed=5)
-        forward = [as_arrays(a.client_train[c]) for c in range(6)]
-        backward = [as_arrays(b.client_train[c]) for c in reversed(range(6))][::-1]
+        forward = [a.client_train[c].arrays() for c in range(6)]
+        backward = [b.client_train[c].arrays() for c in reversed(range(6))][::-1]
         for (xa, ya), (xb, yb) in zip(forward, backward):
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
@@ -176,12 +200,12 @@ class TestLazyMechanics:
     def test_prefetch_caps_residency_and_rebuilds_bitwise(self):
         world = make_world()
         _, lazy = build_pair(world, 8, n_train=64, seed=2)
-        first = as_arrays(lazy.client_train[0])
+        first = lazy.client_train[0].arrays()
         lazy.prefetch([3, 5])
         assert lazy.resident_clients() == [3, 5]
         lazy.prefetch([0])
         assert lazy.resident_clients() == [0]
-        rebuilt = as_arrays(lazy.client_train[0])
+        rebuilt = lazy.client_train[0].arrays()
         np.testing.assert_array_equal(first[0], rebuilt[0])
         np.testing.assert_array_equal(first[1], rebuilt[1])
 
@@ -210,7 +234,7 @@ class TestLazyMechanics:
     def test_pickle_drops_arrays_rebuilds_identically(self):
         world = make_world()
         _, lazy = build_pair(world, 6, n_train=48, seed=9)
-        want = [as_arrays(lazy.client_train[c]) for c in range(6)]
+        want = [lazy.client_train[c].arrays() for c in range(6)]
         blob = pickle.dumps(lazy)
         # the snapshot must not grow with the number of touched shards
         lazy.prefetch(range(6))
@@ -219,7 +243,7 @@ class TestLazyMechanics:
         assert clone.resident_clients() == []
         for cid in range(6):
             xa, ya = want[cid]
-            xb, yb = as_arrays(clone.client_train[cid])
+            xb, yb = clone.client_train[cid].arrays()
             np.testing.assert_array_equal(xa, xb)
             np.testing.assert_array_equal(ya, yb)
 
@@ -339,3 +363,132 @@ class TestSeekTable:
         wanted = sum(lazy.shard_size(c) for c in range(50, 100))
         assert 0 < later <= SEEK_STRIDE * wanted
         assert later < 0.10 * n_train
+
+
+def digest(*datasets):
+    """SHA-256 of the datasets' bytes, in order: each one's length, ``x``
+    as ``uint32`` and ``y`` as int64."""
+    h = hashlib.sha256()
+    for ds in datasets:
+        x, y = ds.arrays()
+        h.update(np.int64(len(y)).tobytes())
+        h.update(np.ascontiguousarray(x, dtype=np.float32).view(np.uint32).tobytes())
+        h.update(np.ascontiguousarray(y, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def pin_world(channels, shift_max=2, noise_std=0.3):
+    spec = SyntheticSpec(
+        num_classes=4, channels=channels, image_size=6,
+        shift_max=shift_max, noise_std=noise_std,
+    )
+    return SyntheticImageDataset(spec, seed=2)
+
+
+#: ``world.sample(seed=5, **kwargs)`` per ``(channels, shift_max, noise_std)``
+#: world: case → (world args, kwargs, digest).
+SAMPLE_PINS = {
+    "c1-shift0-noise0": (
+        (1, 0, 0.0), dict(n=13),
+        "acfce271c594ec49bf180b8a9173b69f1c51749236f6041db37699305600456e",
+    ),
+    "c1-shift0-noise.3": (
+        (1, 0, 0.3), dict(n=13),
+        "cd91f81ebea609044aa555b3c8e4d61411ad4018851c21440eceae896b97429d",
+    ),
+    "c1-shift2-noise0": (
+        (1, 2, 0.0), dict(n=13),
+        "9d3b3bbf0874f7d4476329757e5c4904a86496661458c5b76e627c79b52c7ec1",
+    ),
+    "c1-shift2-noise.3": (
+        (1, 2, 0.3), dict(n=13),
+        "f9e5608e5d9450ce05df5d9be00eee6081941d889b6e59f63c3643cefdbf6cfd",
+    ),
+    "c3-shift0-noise0": (
+        (3, 0, 0.0), dict(n=13),
+        "5e1d522b31ffe10630d6f3237d262215c6b98d0e15875973409540e6c442b6b9",
+    ),
+    "c3-shift0-noise.3": (
+        (3, 0, 0.3), dict(n=13),
+        "ff5ce5df980478d8a5f6ce0a954a00a2f0cc9f7bd55b5266ab84217433fd6ab4",
+    ),
+    "c3-shift2-noise0": (
+        (3, 2, 0.0), dict(n=13),
+        "0a1dff4f5f4d4cf577d8231a91459ac3c0560a6a3701e302f5d2a99293eaefd9",
+    ),
+    "c3-shift2-noise.3": (
+        (3, 2, 0.3), dict(n=13),
+        "cd88bb9b67a8cd2adcdaf921e06710db1ffa848047bbad8139898fba09df331f",
+    ),
+    "labels": (
+        (3, 2, 0.3), dict(n=13, labels=np.arange(13) % 4),
+        "4be14121fe0ed2a358269b5ec741b211ff514d1470f696664cfce463976a8f8f",
+    ),
+    "class-probs": (
+        (1, 2, 0.3), dict(n=13, class_probs=[0.1, 0.2, 0.3, 0.4]),
+        "582e67464faaf965390eac56e12c588643dbb614a18bb27388d7c05f6c9193f8",
+    ),
+    "n-below-stride": (
+        (3, 2, 0.3), dict(n=SEEK_STRIDE - 3),
+        "236ff2f31cee9f063bd2b65c35baeb3e259120308b0464a94dbd22b13e13c547",
+    ),
+    "n-multi-block": (
+        (1, 2, 0.3), dict(n=4 * SEEK_STRIDE + 5),
+        "c0c3f9d826db24afc02e2f8f1bec950fc23d821c34f757ea22100b15ab4d63fb",
+    ),
+}
+
+#: Federations over ``pin_world(channels)``: case → (channels, builder
+#: kwargs, digest of every client's train and test shard in client order,
+#: then the server test and public sets).
+FEDERATION_PINS = {
+    "iid": (
+        3, dict(num_clients=5, n_train=47, partitioner=IIDPartitioner(5, seed=1), seed=1),
+        "fa60729fa37b1d18d84530dff10bce8c89f83c269a68a5d37531d9e62990d256",
+    ),
+    "dirichlet-tiny-shards": (  # shard sizes 11, 6, 4, 2, 2, 15
+        1, dict(num_clients=6, n_train=40, alpha=0.15, seed=11),
+        "96d13d8a584e0b7c4c63eb8132faff59d1ac7e457d641f217dfeadc97d1e3479",
+    ),
+    "quantity-skew": (
+        1, dict(
+            num_clients=5, n_train=50,
+            partitioner=QuantitySkewPartitioner(5, alpha=0.5, seed=2), seed=2,
+        ),
+        "a123c06db388b9704f8f9be40fb3d9ac822d08ef051c564013c34c68bdd1e86e",
+    ),
+    "test-fraction-0.4": (
+        3, dict(num_clients=4, n_train=48, alpha=0.5, local_test_fraction=0.4, seed=3),
+        "f17525018227af9c35db139f70e74ca35494b41f2392249eae52ea4ad90255b6",
+    ),
+}
+
+
+class TestParentCapturedBytes:
+    """Literal digests captured before the eager corpus draw and the eager
+    shard builder became the row draw and the lazy recipe: with one
+    implementation of each left, these are the anchor no second copy can
+    drift along with."""
+
+    @pytest.mark.parametrize("case", sorted(SAMPLE_PINS))
+    def test_sample_bytes(self, case):
+        world_args, kwargs, want = SAMPLE_PINS[case]
+        assert digest(pin_world(*world_args).sample(seed=5, **kwargs)) == want
+
+    @pytest.mark.parametrize(
+        "builder", [build_federated_dataset, LazyFederatedDataset], ids=["eager", "lazy"]
+    )
+    @pytest.mark.parametrize("case", sorted(FEDERATION_PINS))
+    def test_federation_bytes(self, case, builder):
+        channels, kwargs, want = FEDERATION_PINS[case]
+        fed = builder(pin_world(channels), n_test=11, n_public=9, **kwargs)
+        shards = [fed.client_train[c] for c in range(fed.num_clients)]
+        tests = [fed.client_test[c] for c in range(fed.num_clients)]
+        pairs = [ds for pair in zip(shards, tests) for ds in pair]
+        assert digest(*pairs, fed.server_test, fed.server_public) == want
+
+    def test_pinned_federation_reaches_the_degenerate_rule(self):
+        channels, kwargs, _ = FEDERATION_PINS["dirichlet-tiny-shards"]
+        fed = LazyFederatedDataset(pin_world(channels), n_test=11, n_public=9, **kwargs)
+        sizes = [fed.shard_size(c) for c in range(fed.num_clients)]
+        assert min(sizes) < 4 <= max(sizes)
