@@ -91,6 +91,16 @@ class SyntheticSpec:
 SEEK_STRIDE = 8
 
 
+def _narrow(col: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``col``, whose values lie in ``[lo, hi]``, in the narrowest integer
+    dtype that holds that range exactly."""
+    for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return col.astype(dtype)
+    return col
+
+
 class NoiseSeekTable:
     """Makes one corpus draw's Gaussian noise stream seekable.
 
@@ -107,6 +117,14 @@ class NoiseSeekTable:
     count, and the generator's full state at the start of the noise stream:
     bit generator, position, ``inc``, ``has_uint32``, ``uinteger``) and
     refuses any other with ``ValueError``.
+
+    Beside the states, :meth:`SyntheticImageDataset.sample_rows` keeps the
+    cheap per-image columns of the first default draw it serves (labels,
+    prototype index, shifts, contrast; each in its narrowest exact dtype,
+    ≈ 12 B per corpus image) with the generator state where its noise
+    stream starts, so a later call replays none of them. They are keyed by
+    the draw (spec, world seed, draw seed, ``n``): another draw misses them
+    and meets the table's own refusal.
     """
 
     def __init__(self) -> None:
@@ -114,6 +132,8 @@ class NoiseSeekTable:
         self._filled = 0  # boundaries 0 .. _filled-1 are recorded
         #: images whose noise this table has generated (work counter)
         self.images_drawn = 0
+        #: ``(draw key, columns, noise-start state)`` of the cached draw
+        self.columns: tuple | None = None
 
     def _record(self, bg) -> None:
         pos = bg.state["state"]["state"]
@@ -272,37 +292,38 @@ class SyntheticImageDataset:
         all-rows call. Pass the same ``seek`` table to every call on one
         ``(n, seed)`` draw and only the first pays for the stream up to its
         furthest row; later calls draw O(len(rows)) images. Without one a
-        throwaway table serves the call. Peak memory is O(len(rows)·C·H·W).
+        throwaway table serves the call. Without ``labels`` or
+        ``class_probs`` the table also keeps the cheap columns, so later
+        calls skip their O(n) replay. Peak memory is O(len(rows)·C·H·W)
+        beyond those columns.
         """
         s = self.spec
         rows = np.asarray(rows, dtype=np.int64)
         if len(rows) and (rows.min() < 0 or rows.max() >= n):
             raise IndexError("rows out of range of the notional corpus")
         rng = new_rng(self.seed, "data", seed + 1)
-        if labels is None:
-            y = self._draw_labels(rng, n, class_probs)
+        key = (s, self.seed, seed, n)
+        replay = seek is not None and labels is None and class_probs is None
+        if replay and seek.columns is not None and seek.columns[0] == key:
+            _, columns, noise_start = seek.columns
+            rng.bit_generator.state = noise_start
         else:
-            y = np.asarray(labels, dtype=np.int64)
-            if len(y) != n:
-                raise ValueError("labels length must equal n")
-            if len(y) and (y.min() < 0 or y.max() >= s.num_classes):
-                raise ValueError("labels out of class range")
-        proto_idx = rng.integers(0, s.prototypes_per_class, size=n)
+            columns = self._draw_columns(rng, n, labels, class_probs)
+            if replay and seek.columns is None:
+                seek.columns = (key, columns, rng.bit_generator.state)
+        y, proto_idx, dh, dw, amp = columns
         k = len(rows)
         x = self.prototypes[y[rows], proto_idx[rows]].copy()  # (k, C, H, W)
 
-        if s.shift_max > 0:
-            dh = rng.integers(-s.shift_max, s.shift_max + 1, size=n)
-            dw = rng.integers(-s.shift_max, s.shift_max + 1, size=n)
+        if dh is not None:
             h_idx = (np.arange(s.image_size)[None, :] - dh[rows, None]) % s.image_size
             w_idx = (np.arange(s.image_size)[None, :] - dw[rows, None]) % s.image_size
             ki = np.arange(k)[:, None, None, None]
             ci = np.arange(s.channels)[None, :, None, None]
             x = x[ki, ci, h_idx[:, None, :, None], w_idx[:, None, None, :]]
 
-        if s.contrast_jitter > 0:
-            amp = rng.uniform(1 - s.contrast_jitter, 1 + s.contrast_jitter, size=(n, 1, 1, 1))
-            x = x * amp[rows]
+        if amp is not None:
+            x = x * amp[rows, None, None, None]
         if s.noise_std > 0 and k:
             table = NoiseSeekTable() if seek is None else seek
             # x + noise·σ in float64, formed in the noise buffer: no third
@@ -311,7 +332,32 @@ class SyntheticImageDataset:
             noise *= s.noise_std
             noise += x
             x = noise
-        return ArrayDataset(x.astype(np.float32), y[rows])
+        return ArrayDataset(x.astype(np.float32), y[rows].astype(np.int64))
+
+    def _draw_columns(self, rng: np.random.Generator, n: int, labels, class_probs) -> tuple:
+        """The cheap per-image draws of :meth:`sample_rows`, in stream order:
+        ``(labels, prototype index, dh, dw, contrast)``, ``None`` for a
+        column the spec switches off. Each drawn integer column is narrowed
+        as soon as it is drawn, so no two full-width ones are alive at once."""
+        s = self.spec
+        if labels is None:
+            y = _narrow(self._draw_labels(rng, n, class_probs), 0, s.num_classes - 1)
+        else:
+            y = np.asarray(labels, dtype=np.int64)
+            if len(y) != n:
+                raise ValueError("labels length must equal n")
+            if len(y) and (y.min() < 0 or y.max() >= s.num_classes):
+                raise ValueError("labels out of class range")
+        p = s.prototypes_per_class
+        proto_idx = _narrow(rng.integers(0, p, size=n), 0, p - 1)
+        dh = dw = amp = None
+        if s.shift_max > 0:
+            m = s.shift_max
+            dh = _narrow(rng.integers(-m, m + 1, size=n), -m, m)
+            dw = _narrow(rng.integers(-m, m + 1, size=n), -m, m)
+        if s.contrast_jitter > 0:
+            amp = rng.uniform(1 - s.contrast_jitter, 1 + s.contrast_jitter, size=n)
+        return y, proto_idx, dh, dw, amp
 
     def sample(
         self,

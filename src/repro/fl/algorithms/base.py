@@ -291,10 +291,16 @@ class FLAlgorithm:
         if only_full and not fully_batched(self._scratch):
             return []
         sig = state_dict_signature(self._scratch.state_dict(copy=False))
+        # a broadcast hands every client one decoded mapping: check each once
+        matches: "dict[int, bool]" = {}
         groups: "dict[tuple, list[tuple[int, dict]]]" = {}
         for cid, payload in tasks:
             state = payload.get("state")
-            if state is None or state_dict_signature(state) != sig:
+            if state is None:
+                continue
+            if id(state) not in matches:
+                matches[id(state)] = state_dict_signature(state) == sig
+            if not matches[id(state)]:
                 continue
             if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
                 continue
@@ -475,7 +481,9 @@ class FLAlgorithm:
         }
         active = [cid for cid in selected if cid not in failures]
         self._prefetch_clients(round_idx, active)
-        tasks = [(cid, self.client_payload(round_idx, cid)) for cid in active]
+        # one encode/decode per distinct downlink state, charged per client
+        with self.channel.broadcast():
+            tasks = [(cid, self.client_payload(round_idx, cid)) for cid in active]
         work = functools.partial(self.client_work, round_idx)
         updates = rt.executor.run_round(work, tasks)
         # Real worker deaths the executor could not recover from: the round

@@ -3,8 +3,9 @@
 Every state dict that crosses the client↔server boundary goes through a
 :class:`Channel`, which serializes it with the real wire format
 (:mod:`repro.nn.serialization`), charges the exact byte count to a
-:class:`CommMeter`, and hands the receiver a deserialized copy. The
-paper's communication-cost tables
+:class:`CommMeter`, and hands the receiver a deserialized copy (one
+read-only copy per distinct state for a whole round's downlink, see
+:meth:`Channel.broadcast`). The paper's communication-cost tables
 
     total = rounds × round-cost-per-client × sampled clients
 
@@ -14,8 +15,9 @@ fall directly out of the meter's ledger — nothing is analytically estimated.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -106,6 +108,13 @@ class CommMeter:
         return np.cumsum(np.asarray(self.round_bytes, dtype=np.int64))
 
 
+#: Distinct source states one broadcast block keeps decoded. A round
+#: broadcasts one or two (the global model; FedMD's consensus); a source
+#: built fresh per client (SCAFFOLD's fp32 server control) misses every time
+#: and must not pin a copy per client.
+_BROADCAST_SLOTS = 4
+
+
 class Channel:
     """Serializing transport between server and one logical client.
 
@@ -116,11 +125,19 @@ class Channel:
     ``codec`` optionally transcodes payloads on the wire (fp16 / int-k
     quantization, :mod:`repro.fl.compression`); the meter charges the
     *compressed* size and the receiver sees the decompressed state.
+
+    Inside a :meth:`broadcast` block, :meth:`download` encodes and decodes
+    each distinct source state once and hands every client the same decoded
+    mapping, its arrays read-only; the meter is still charged per client.
+    Outside one, every transfer is encoded, charged and decoded afresh.
     """
 
     def __init__(self, meter: CommMeter, codec=None) -> None:
         self.meter = meter
         self.codec = codec
+        # open broadcast block: source-array identities → (sources, wire
+        # length, decoded state); None outside a block
+        self._broadcast: "OrderedDict[tuple, tuple] | None" = None
 
     def _encode(self, state: Mapping[str, np.ndarray]) -> bytes:
         if self.codec is not None:
@@ -142,17 +159,52 @@ class Channel:
                 f"payload_multiplier must be non-negative; got {payload_multiplier}"
             )
 
+    @contextmanager
+    def broadcast(self) -> Iterator["Channel"]:
+        """Scope in which one source state is encoded and decoded once.
+
+        The codecs draw no randomness, so every client of a round receives
+        the bytes a per-client transfer would have produced. A source is
+        recognised by the identity of its arrays, and the block keeps a
+        reference to them so no id can be reused while it is open; a source
+        must therefore not be changed in place inside the block. The shared
+        decoded arrays are read-only: a client writing to one raises instead
+        of corrupting its neighbours' copy.
+        """
+        self._broadcast = OrderedDict()
+        try:
+            yield self
+        finally:
+            self._broadcast = None
+
     def download(
         self,
         client_id: int,
         state: Mapping[str, np.ndarray],
         payload_multiplier: float = 1.0,
     ) -> "OrderedDict[str, np.ndarray]":
-        """Server → client transfer; returns the client's deserialized copy."""
+        """Server → client transfer; returns the client's deserialized copy
+        (inside a :meth:`broadcast` block, the round's shared read-only one)."""
         self._check_multiplier(payload_multiplier)
-        payload = self._encode(state)
-        self.meter.charge_down(client_id, int(len(payload) * payload_multiplier))
-        return self._decode(payload)
+        cache = self._broadcast
+        if cache is None:
+            payload = self._encode(state)
+            self.meter.charge_down(client_id, int(len(payload) * payload_multiplier))
+            return self._decode(payload)
+        key = tuple((name, id(arr)) for name, arr in state.items())
+        entry = cache.get(key)
+        if entry is None:
+            payload = self._encode(state)
+            decoded = self._decode(payload)
+            for arr in decoded.values():
+                arr.flags.writeable = False
+            entry = cache[key] = (tuple(state.values()), len(payload), decoded)
+            if len(cache) > _BROADCAST_SLOTS:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(key)
+        self.meter.charge_down(client_id, int(entry[1] * payload_multiplier))
+        return entry[2]
 
     def upload(
         self,

@@ -67,7 +67,7 @@ StateDict = Mapping[str, np.ndarray]
 
 
 def _float_keys(state: StateDict) -> "list[str]":
-    return [k for k in state if np.issubdtype(np.asarray(state[k]).dtype, np.floating)]
+    return [k for k in state if np.asarray(state[k]).dtype.kind == "f"]
 
 
 def _delta_norm(state: StateDict, reference: "StateDict | None") -> float:
@@ -89,7 +89,7 @@ def _scaled_toward(state: StateDict, reference: "StateDict | None", factor: floa
     out: "OrderedDict[str, np.ndarray]" = OrderedDict()
     for k, v in state.items():
         a = np.asarray(v)
-        if factor == 1.0 or not np.issubdtype(a.dtype, np.floating):
+        if factor == 1.0 or a.dtype.kind != "f":
             out[k] = a
             continue
         x = a.astype(np.float64)
@@ -396,7 +396,7 @@ def validate_update(
             a = np.asarray(arr)
             if a.dtype == object:
                 return f"{name}[{key}]: object-dtype tensor"
-            if np.issubdtype(a.dtype, np.floating) and not np.isfinite(a).all():
+            if a.dtype.kind == "f" and not np.isfinite(a).all():
                 return f"{name}[{key}]: non-finite values"
     state = payloads.get("state")
     if state is not None and reference is not None:
@@ -409,9 +409,7 @@ def validate_update(
             r = np.asarray(ref)
             if a.shape != r.shape:
                 return f"state[{key}]: shape {a.shape} != expected {r.shape}"
-            if a.dtype != r.dtype and not (
-                np.issubdtype(a.dtype, np.floating) and np.issubdtype(r.dtype, np.floating)
-            ):
+            if a.dtype != r.dtype and not (a.dtype.kind == r.dtype.kind == "f"):
                 return f"state[{key}]: dtype {a.dtype} incompatible with {r.dtype}"
         if norm_ceiling is not None:
             norm = _delta_norm(state, reference)

@@ -72,28 +72,46 @@ def dumps_state_dict(state: Mapping[str, np.ndarray]) -> bytes:
 
 
 def loads_state_dict(payload: bytes) -> "OrderedDict[str, np.ndarray]":
-    """Parse bytes produced by :func:`dumps_state_dict`."""
+    """Parse bytes produced by :func:`dumps_state_dict`.
+
+    A payload that is not exactly one well-formed state dict (bad magic or
+    version, a truncated header or array, an unknown dtype code, trailing
+    bytes) raises ``ValueError`` naming the offset where parsing failed.
+    """
     if payload[:4] != _MAGIC:
         raise ValueError("not a repro state-dict payload (bad magic)")
-    version, n = struct.unpack_from("<BI", payload, 4)
-    if version != _VERSION:
-        raise ValueError(f"unsupported payload version {version}")
-    off = 9
+    off = 4
     out: OrderedDict[str, np.ndarray] = OrderedDict()
-    for _ in range(n):
-        (name_len,) = struct.unpack_from("<H", payload, off)
-        off += 2
-        name = payload[off : off + name_len].decode("utf-8")
-        off += name_len
-        code, ndim = struct.unpack_from("<BB", payload, off)
-        off += 2
-        shape = struct.unpack_from(f"<{ndim}I", payload, off)
-        off += 4 * ndim
-        dtype = _CODE_DTYPES[code]
-        count = math.prod(shape)
-        arr = np.frombuffer(payload, dtype=dtype, count=count, offset=off).reshape(shape)
-        off += arr.nbytes
-        out[name] = arr.copy()  # decouple from the payload buffer
+    try:
+        version, n = struct.unpack_from("<BI", payload, off)
+        if version != _VERSION:
+            raise ValueError(f"unsupported payload version {version}")
+        off = 9
+        for _ in range(n):
+            (name_len,) = struct.unpack_from("<H", payload, off)
+            off += 2
+            name = payload[off : off + name_len].decode("utf-8")
+            off += name_len
+            code, ndim = struct.unpack_from("<BB", payload, off)
+            dtype = _CODE_DTYPES.get(code)
+            if dtype is None:
+                raise ValueError(f"unknown dtype code {code} at offset {off}")
+            off += 2
+            shape = struct.unpack_from(f"<{ndim}I", payload, off)
+            off += 4 * ndim
+            try:
+                arr = np.frombuffer(payload, dtype=dtype, count=math.prod(shape), offset=off)
+            except ValueError:
+                raise ValueError(
+                    f"truncated state-dict payload: {name!r} data at offset {off}"
+                ) from None
+            arr = arr.reshape(shape)
+            off += arr.nbytes
+            out[name] = arr.copy()  # decouple from the payload buffer
+    except struct.error:
+        raise ValueError(f"truncated state-dict payload: header at offset {off}") from None
+    if off != len(payload):
+        raise ValueError(f"trailing bytes after the state dict at offset {off}")
     return out
 
 

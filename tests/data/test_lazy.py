@@ -346,6 +346,78 @@ class TestSeekTable:
             assert_datasets_equal(eager.client_train[cid], clone.client_train[cid])
             assert_datasets_equal(eager.client_test[cid], clone.client_test[cid])
 
+    @pytest.mark.parametrize("shift_max", [0, 2])
+    @pytest.mark.parametrize("contrast_jitter", [0.0, 0.2])
+    def test_warm_call_is_the_cold_call(self, shift_max, contrast_jitter):
+        """The second call on a table replays the cached columns; its rows
+        are bitwise those of a call on a fresh table and of the full draw."""
+        spec = SyntheticSpec(
+            num_classes=4, channels=3, image_size=6, shift_max=shift_max,
+            contrast_jitter=contrast_jitter, noise_std=0.3,
+        )
+        world = SyntheticImageDataset(spec, seed=1)
+        n, rows = 5 * SEEK_STRIDE + 3, [40, 2, 17, 17, 0, 29]
+        full = world.sample(n, seed=6)
+        table = NoiseSeekTable()
+        world.sample_rows(n, [n - 1], seed=6, seek=table)
+        warm = world.sample_rows(n, rows, seed=6, seek=table)
+        cold = world.sample_rows(n, rows, seed=6, seek=NoiseSeekTable())
+        assert warm.y.dtype == cold.y.dtype == np.int64
+        assert_bitwise_rows(warm, full, rows)
+        assert_bitwise_rows(cold, full, rows)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(labels=np.arange(40) % 4), dict(class_probs=[0.1, 0.2, 0.3, 0.4])],
+        ids=["labels", "class-probs"],
+    )
+    def test_explicit_labels_draws_replay_every_call(self, kwargs):
+        world = make_world()
+        full = world.sample(40, seed=3, **kwargs)
+        table = NoiseSeekTable()
+        for rows in ([39], [5, 0, 12], [5]):
+            assert_bitwise_rows(world.sample_rows(40, rows, seed=3, seek=table, **kwargs), full, rows)
+
+    def test_explicit_labels_bypass_the_column_cache(self):
+        world = make_world()
+        for kwargs in (dict(labels=np.arange(40) % 4), dict(class_probs=[0.25] * 4)):
+            table = NoiseSeekTable()
+            world.sample_rows(40, [3], seed=3, seek=table, **kwargs)
+            assert table.columns is None
+        table = NoiseSeekTable()
+        world.sample_rows(40, [3], seed=3, seek=table)
+        y, proto, dh, dw, amp = table.columns[1]
+        assert (y.dtype, proto.dtype, dh.dtype, dw.dtype) == (np.uint8, np.uint8, np.int8, np.int8)
+        assert amp.dtype == np.float64 and amp.shape == (40,)
+
+    def test_wide_label_range_round_trips(self):
+        """300 classes no longer fit a byte: the cached labels widen to
+        uint16, and the returned labels are the int64 draw."""
+        spec = SyntheticSpec(num_classes=300, channels=1, image_size=4, low_freq=2)
+        world = SyntheticImageDataset(spec, seed=0)
+        n = 2_000
+        full = world.sample(n, seed=1)
+        assert full.y.max() > 255
+        table = NoiseSeekTable()
+        rows = np.argsort(full.y)[-50:]  # the largest labels
+        for _ in range(2):
+            block = world.sample_rows(n, rows, seed=1, seek=table)
+            assert block.y.dtype == np.int64
+            assert_bitwise_rows(block, full, rows)
+
+    def test_pickle_carries_no_column_cache(self):
+        num_clients = 400
+        lazy = LazyFederatedDataset(
+            make_world(), num_clients=num_clients, n_train=8 * num_clients, n_test=8,
+            n_public=8, partitioner=IIDPartitioner(num_clients, seed=0), seed=0,
+        )
+        blob = pickle.dumps(lazy)
+        lazy.prefetch(range(0, num_clients, 40))
+        lazy.prefetch(range(1, num_clients, 40))  # a warm, cached call
+        assert len(pickle.dumps(lazy)) - len(blob) < 512  # columns: 12 B × 3 200
+        clone = pickle.loads(pickle.dumps(lazy))
+        assert clone._seek is None
+
     def test_later_prefetch_draws_cohort_sized_work(self):
         """Work is counted, not timed: after the first pass a disjoint 1 %
         cohort costs at most one stride of images per wanted row."""

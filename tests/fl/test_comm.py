@@ -1,12 +1,17 @@
 """Communication metering: the foundation of Tables 1–2."""
 
+import contextlib
 from collections import OrderedDict
 
 import numpy as np
 import pytest
 
+from repro.data.federated import build_federated_dataset
+from repro.data.partition import IIDPartitioner
+from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
 from repro.fl.comm import Channel, CommMeter
-from repro.nn.models import resnet20
+from repro.fl.compression import make_codec
+from repro.nn.models import MLP, resnet20
 from repro.nn.serialization import state_dict_num_bytes
 
 
@@ -143,3 +148,104 @@ class TestChannel:
         ch.upload(0, model.state_dict())
         raw = model.num_bytes()
         assert raw <= m.total_up < raw * 1.01
+
+
+class TestBroadcast:
+    def test_one_read_only_copy_inside_fresh_copies_outside(self):
+        ch = Channel(CommMeter())
+        state = small_state()
+        with ch.broadcast():
+            first = ch.download(0, state)
+            # a new mapping over the same arrays is the same source
+            assert ch.download(1, OrderedDict(state)) is first
+            with pytest.raises(ValueError, match="read-only"):
+                first["w"][0, 0] = -1.0
+        outside = [ch.download(c, state) for c in (2, 3)]
+        assert outside[0] is not outside[1]
+        for out in outside:
+            assert out["w"].flags.writeable and out["w"] is not first["w"]
+            out["w"][...] = -1.0
+        np.testing.assert_array_equal(state["w"], np.ones((4, 4)))
+        np.testing.assert_array_equal(first["w"], state["w"])
+
+    @pytest.mark.parametrize("codec", [None, "fp16", "q8"])
+    @pytest.mark.parametrize("multiplier", [1.0, 2.0, 0.5])
+    def test_charges_every_client_what_a_transfer_would(self, codec, multiplier):
+        rng = np.random.default_rng(0)
+        state = OrderedDict(
+            w=rng.standard_normal((5, 3)).astype(np.float32), n=np.arange(3)
+        )
+
+        def transfers(broadcast):
+            meter = CommMeter()
+            ch = Channel(meter, codec=make_codec(codec))
+            meter.begin_round(0)
+            with ch.broadcast() if broadcast else contextlib.nullcontext():
+                got = [ch.download(c, state, multiplier) for c in range(3)]
+            return meter.state(), got
+
+        (ledger, separate), (shared_ledger, shared_copies) = transfers(False), transfers(True)
+        assert ledger == shared_ledger
+        for per_client, shared in zip(separate, shared_copies):
+            assert list(per_client) == list(shared)
+            for k in per_client:
+                assert per_client[k].dtype == shared[k].dtype
+                np.testing.assert_array_equal(per_client[k], shared[k])
+
+    def test_state_changed_in_place_between_rounds_is_reencoded(self):
+        ch = Channel(CommMeter())
+        state = small_state()
+        with ch.broadcast():
+            before = ch.download(0, state)
+        state["w"] += 1.0  # the global model's arrays, updated in place
+        with ch.broadcast():
+            after = ch.download(0, state)
+        np.testing.assert_array_equal(before["w"], np.ones((4, 4)))
+        np.testing.assert_array_equal(after["w"], state["w"])
+
+    def test_fresh_source_per_client_is_encoded_per_client(self):
+        """A mapping built anew for each client (SCAFFOLD's fp32 server
+        control) never hits, and the block pins only a few of them."""
+        ch = Channel(CommMeter())
+        state = small_state()
+        with ch.broadcast():
+            got = [
+                ch.download(c, OrderedDict((k, v.copy()) for k, v in state.items()))
+                for c in range(20)
+            ]
+            assert len(ch._broadcast) < 20
+        assert len({id(g) for g in got}) == 20
+        assert ch._broadcast is None
+
+
+def _mlp():
+    return MLP(3 * 8 * 8, num_classes=4, hidden=(8,), seed=1)
+
+
+@pytest.mark.parametrize(
+    "name, compression",
+    [("fedavg", None), ("fednova", None), ("scaffold", None), ("fedavg", "q8"), ("fedavg", "fp16")],
+)
+def test_round_ledgers_match_per_client_transfers(tiny_world, monkeypatch, name, compression):
+    """The round's broadcast block changes no byte any client is charged
+    and no trajectory bit: the same run with the block made a no-op has
+    the same per-client ledgers and fingerprint."""
+    fed = build_federated_dataset(
+        tiny_world, num_clients=6, n_train=120, n_test=24, n_public=24,
+        partitioner=IIDPartitioner(6, seed=0), seed=0,
+    )
+    cfg = FLConfig(
+        rounds=2, sample_ratio=0.5, local_epochs=1, batch_size=10, lr=0.05, seed=0,
+        compression=compression,
+    )
+
+    def run():
+        algo = ALGORITHM_REGISTRY.get(name)(_mlp, fed, cfg)
+        history = algo.run()
+        return algo.meter.state(), history.fingerprint()
+
+    shared = run()
+    monkeypatch.setattr(
+        Channel, "broadcast", lambda self: contextlib.nullcontext(), raising=False
+    )
+    assert run() == shared

@@ -283,6 +283,36 @@ class TestValidateUpdate:
         _, ref = _payloads(None, [0.0, 0.0])
         assert validate_update(p, reference=ref, norm_ceiling=0.1) is None
 
+    @pytest.mark.parametrize(
+        "sent, expected, values, verdict",
+        [
+            ("float16", "float32", [1.0, 2.0], None),
+            ("float32", "float64", [1.0, 2.0], None),
+            ("float64", "float16", [1.0, 2.0], None),
+            ("float32", "float32", [1.0, 2.0], None),
+            ("int64", "int64", [1, 2], None),
+            ("uint8", "uint8", [1, 2], None),
+            ("int64", "float32", [1, 2], "dtype"),
+            ("float32", "int64", [1.0, 2.0], "dtype"),
+            ("int32", "int64", [1, 2], "dtype"),
+            ("uint8", "float32", [1, 2], "dtype"),
+            ("float16", "float32", [np.nan, 0.0], "non-finite"),
+            ("float32", "float32", [np.inf, 0.0], "non-finite"),
+            ("float64", "float64", [0.0, -np.inf], "non-finite"),
+            ("object", "float32", [1.0, 2.0], "object-dtype"),
+        ],
+    )
+    def test_dtype_verdicts(self, sent, expected, values, verdict):
+        """The float test is ``dtype.kind == "f"``: the same verdicts as
+        ``np.issubdtype(dtype, np.floating)`` on every wire dtype."""
+        p = {"state": OrderedDict(w=np.array(values, dtype=sent))}
+        ref = OrderedDict(w=np.zeros(2, dtype=expected))
+        reason = validate_update(p, reference=ref, norm_ceiling=1e6)
+        if verdict is None:
+            assert reason is None
+        else:
+            assert verdict in reason
+
 
 class TestConfidenceMemberWeights:
     def _stack(self, members, n=16, c=4, seed=0):

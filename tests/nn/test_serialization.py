@@ -48,6 +48,27 @@ class TestWireFormat:
         with pytest.raises(ValueError):
             loads_state_dict(b"NOPE" + b"\x00" * 16)
 
+    def test_trailing_bytes_rejected(self):
+        payload = dumps_state_dict(small_model().state_dict())
+        with pytest.raises(ValueError, match=f"trailing bytes .* offset {len(payload)}"):
+            loads_state_dict(payload + b"\x00junk")
+
+    def test_unknown_dtype_code_rejected(self):
+        payload = bytearray(dumps_state_dict(OrderedDict(w=np.zeros(2, dtype=np.float32))))
+        code_at = 9 + 2 + 1  # header, name length, the one-byte name "w"
+        assert payload[code_at] == 0  # float32
+        payload[code_at] = 9
+        with pytest.raises(ValueError, match=f"dtype code 9 at offset {code_at}"):
+            loads_state_dict(bytes(payload))
+
+    @pytest.mark.parametrize("cut", [6, 10, 13, 16, 30])
+    def test_truncated_payload_rejected(self, cut):
+        """Cut inside the entry count, the name length, the dtype/ndim pair,
+        the shape and the array data: each fails typed, naming an offset."""
+        payload = dumps_state_dict(OrderedDict(w=np.zeros((2, 3), dtype=np.float32)))
+        with pytest.raises(ValueError, match="truncated .* offset \\d+"):
+            loads_state_dict(payload[:cut])
+
     def test_unsupported_dtype(self):
         with pytest.raises(TypeError):
             dumps_state_dict({"x": np.zeros(2, dtype=np.complex64)})
