@@ -62,13 +62,23 @@ class DataLoader:
             return n // self.batch_size
         return (n + self.batch_size - 1) // self.batch_size
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def epoch_orders(self, epochs: int = 1) -> "list[np.ndarray]":
+        """The sample orders of the next ``epochs`` epochs, one shuffle
+        draw each, cut to the samples an epoch visits (``drop_last``).
+        Batch ``j`` of an epoch is ``order[j*batch_size:(j+1)*batch_size]``;
+        :meth:`__iter__` and the lockstep cohort scaffold both batch by it."""
         n = len(self.x)
-        order = self._rng.permutation(n) if self.shuffle else np.arange(n)
         stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
         if stop == 0:  # shard smaller than one batch: yield it whole
             stop = n
-        for start in range(0, stop, self.batch_size):
+        return [
+            (self._rng.permutation(n) if self.shuffle else np.arange(n))[:stop]
+            for _ in range(epochs)
+        ]
+
+    def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        (order,) = self.epoch_orders()
+        for start in range(0, len(order), self.batch_size):
             idx = order[start : start + self.batch_size]
             xb = self.x[idx]
             if self.transform is not None:

@@ -51,9 +51,10 @@ from repro.fl.trainer import LocalTrainer, train_stacked
 from repro.nn.batched import build_stacked, fully_batched
 from repro.nn.module import Module
 from repro.nn.serialization import (
+    FlatState,
     average_states,
     state_dict_num_bytes,
-    state_dict_signature,
+    state_layout,
 )
 from repro.runtime.adversary import LABELFLIP, labelflip_clone, poison_states
 from repro.runtime.async_server import BufferedMerge, UpdateBuffer
@@ -142,6 +143,9 @@ class FLAlgorithm:
         # the old ``list[LocalTrainer]`` surface.
         self.trainers = LazyFactoryBank(self.make_trainer, fed.num_clients)
         self._last_outcome: "RoundOutcome | None" = None
+        # The round-start global state while round() builds its payloads
+        # (see _downlink_state); None outside that step.
+        self._round_start: "FlatState | None" = None
         # Buffered (FedBuff-style) server regime: the event queue of
         # in-flight updates, kept across rounds. None under synchronous
         # aggregation, whose queue lives for one round (see round()). The
@@ -239,8 +243,17 @@ class FLAlgorithm:
         handed to :meth:`client_work`, possibly in a worker process, so it
         must be picklable.
         """
-        state = self.channel.download(cid, self.global_model.state_dict(copy=False))
+        state = self.channel.download(cid, self._downlink_state())
         return {"state": state}
+
+    def _downlink_state(self):
+        """The global state a :meth:`client_payload` sends down: inside
+        :meth:`round`, the one flat copy the round takes at its start (so no
+        client rebuilds the mapping and the broadcast encodes it once);
+        outside a round, a live view of the global model."""
+        if self._round_start is not None:
+            return self._round_start
+        return self.global_model.state_dict(copy=False)
 
     def client_work(self, round_idx: int, cid: int, payload: dict) -> ClientUpdate:
         """One client's local pass; default is plain local SGD (FedAvg).
@@ -272,14 +285,14 @@ class FLAlgorithm:
         :meth:`client_work_batched` shares.
 
         A client joins a cohort when its payload carries the communicated
-        model's signature and it is not a ``labelflip`` adversary (that one
+        model's state layout and it is not a ``labelflip`` adversary (that one
         trains a flipped-label view through the serial :meth:`client_work`).
         Cohort members share a shard size — an equal shard plus the shared
         ``batch_size`` gives an identical per-step batch schedule, which is
         what lets the stack train in lockstep and replay bit-identically
         to the serial loop — and, when the algorithm trains a persistent
         on-device model beside the communicated one (FedKEMF), that model's
-        type and state signature, ``local(cid)``. A singleton stack is pure
+        type and state layout, ``local(cid)``. A singleton stack is pure
         overhead, so only cohorts of two or more are kept.
 
         Under an executor with ``fully_batched_only`` set (the in-process
@@ -290,24 +303,18 @@ class FLAlgorithm:
         only_full = getattr(self.runtime.executor, "fully_batched_only", False)
         if only_full and not fully_batched(self._scratch):
             return []
-        sig = state_dict_signature(self._scratch.state_dict(copy=False))
-        # a broadcast hands every client one decoded mapping: check each once
-        matches: "dict[int, bool]" = {}
+        layout = state_layout(self._scratch.state_dict(copy=False))
         groups: "dict[tuple, list[tuple[int, dict]]]" = {}
         for cid, payload in tasks:
             state = payload.get("state")
-            if state is None:
-                continue
-            if id(state) not in matches:
-                matches[id(state)] = state_dict_signature(state) == sig
-            if not matches[id(state)]:
+            if state is None or state_layout(state) is not layout:
                 continue
             if self.runtime.attack_role(round_idx, cid) == LABELFLIP:
                 continue
             arch = None
             if local is not None:
                 model = local(cid)
-                arch = type(model), state_dict_signature(model.state_dict(copy=False))
+                arch = type(model), state_layout(model.state_dict(copy=False))
             groups.setdefault((self.fed.client_size(cid), arch), []).append((cid, payload))
         stacks: "list[list[tuple[int, dict]]]" = []
         for group in groups.values():
@@ -481,9 +488,16 @@ class FLAlgorithm:
         }
         active = [cid for cid in selected if cid not in failures]
         self._prefetch_clients(round_idx, active)
+        # The round-start global state, flattened once: every payload, the
+        # poisoning anchor and the admission gate's reference.
+        reference = FlatState.of(self.global_model.state_dict(copy=False))
         # one encode/decode per distinct downlink state, charged per client
         with self.channel.broadcast():
-            tasks = [(cid, self.client_payload(round_idx, cid)) for cid in active]
+            self._round_start = reference
+            try:
+                tasks = [(cid, self.client_payload(round_idx, cid)) for cid in active]
+            finally:
+                self._round_start = None
         work = functools.partial(self.client_work, round_idx)
         updates = rt.executor.run_round(work, tasks)
         # Real worker deaths the executor could not recover from: the round
@@ -501,7 +515,6 @@ class FLAlgorithm:
         # uplink. Running it here — pure in (seed, round, client) — makes
         # executor parity under attack trivial. labelflip already happened
         # at training time via _client_trainer.
-        reference = self.global_model.state_dict(copy=False)
         if rt.adversarial:
             for update in updates:
                 role = rt.attack_role(round_idx, update.client_id)

@@ -31,9 +31,7 @@ class FedNova(FLAlgorithm):
     name = "FedNova"
 
     def client_payload(self, round_idx: int, cid: int) -> dict:
-        state = self.channel.download(
-            cid, self.global_model.state_dict(copy=False), payload_multiplier=2.0
-        )
+        state = self.channel.download(cid, self._downlink_state(), payload_multiplier=2.0)
         return {"state": state}
 
     def client_work(self, round_idx: int, cid: int, payload: dict) -> ClientUpdate:

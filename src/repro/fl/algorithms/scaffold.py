@@ -94,7 +94,7 @@ class Scaffold(FLAlgorithm):
         # downlink: model weights AND the server control (two payloads,
         # both fp32 on the wire); the client's own control is device-local
         # and crosses no wire.
-        state = self.channel.download(cid, self.global_model.state_dict(copy=False))
+        state = self.channel.download(cid, self._downlink_state())
         c_server = self.channel.download(
             cid,
             OrderedDict((k, v.astype(np.float32)) for k, v in self.server_control.items()),

@@ -3,9 +3,10 @@
 Every state dict that crosses the client↔server boundary goes through a
 :class:`Channel`, which serializes it with the real wire format
 (:mod:`repro.nn.serialization`), charges the exact byte count to a
-:class:`CommMeter`, and hands the receiver a deserialized copy (one
-read-only copy per distinct state for a whole round's downlink, see
-:meth:`Channel.broadcast`). The paper's communication-cost tables
+:class:`CommMeter`, and hands the receiver a deserialized
+:class:`~repro.nn.serialization.FlatState` (one read-only copy per distinct
+state for a whole round's downlink, see :meth:`Channel.broadcast`). The
+paper's communication-cost tables
 
     total = rounds × round-cost-per-client × sampled clients
 
@@ -21,7 +22,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from repro.nn.serialization import dumps_state_dict, loads_state_dict
+from repro.nn.serialization import FlatState, dumps_state_dict, loads_state_dict
 
 __all__ = ["CommMeter", "Channel"]
 
@@ -128,7 +129,7 @@ class Channel:
 
     Inside a :meth:`broadcast` block, :meth:`download` encodes and decodes
     each distinct source state once and hands every client the same decoded
-    mapping, its arrays read-only; the meter is still charged per client.
+    state, its buffers read-only; the meter is still charged per client.
     Outside one, every transfer is encoded, charged and decoded afresh.
     """
 
@@ -144,10 +145,10 @@ class Channel:
             state = self.codec.compress(state)
         return dumps_state_dict(state)
 
-    def _decode(self, payload: bytes) -> "OrderedDict[str, np.ndarray]":
+    def _decode(self, payload: bytes) -> FlatState:
         state = loads_state_dict(payload)
         if self.codec is not None:
-            state = self.codec.decompress(state)
+            state = FlatState.of(self.codec.decompress(state))
         return state
 
     @staticmethod
@@ -168,7 +169,7 @@ class Channel:
         recognised by the identity of its arrays, and the block keeps a
         reference to them so no id can be reused while it is open; a source
         must therefore not be changed in place inside the block. The shared
-        decoded arrays are read-only: a client writing to one raises instead
+        decoded buffers are read-only: a client writing to one raises instead
         of corrupting its neighbours' copy.
         """
         self._broadcast = OrderedDict()
@@ -182,7 +183,7 @@ class Channel:
         client_id: int,
         state: Mapping[str, np.ndarray],
         payload_multiplier: float = 1.0,
-    ) -> "OrderedDict[str, np.ndarray]":
+    ) -> FlatState:
         """Server → client transfer; returns the client's deserialized copy
         (inside a :meth:`broadcast` block, the round's shared read-only one)."""
         self._check_multiplier(payload_multiplier)
@@ -196,8 +197,8 @@ class Channel:
         if entry is None:
             payload = self._encode(state)
             decoded = self._decode(payload)
-            for arr in decoded.values():
-                arr.flags.writeable = False
+            for buf in decoded.buffers:  # before any view of them exists
+                buf.flags.writeable = False
             entry = cache[key] = (tuple(state.values()), len(payload), decoded)
             if len(cache) > _BROADCAST_SLOTS:
                 cache.popitem(last=False)
@@ -211,7 +212,7 @@ class Channel:
         client_id: int,
         state: Mapping[str, np.ndarray],
         payload_multiplier: float = 1.0,
-    ) -> "OrderedDict[str, np.ndarray]":
+    ) -> FlatState:
         """Client → server transfer; returns the server's deserialized copy."""
         self._check_multiplier(payload_multiplier)
         payload = self._encode(state)

@@ -52,15 +52,15 @@ class Codec:
 
 
 class IdentityCodec(Codec):
-    """No-op codec (the default fp32 wire)."""
+    """No-op codec (the default fp32 wire): hands its input back as is."""
 
     name = "identity"
 
     def compress(self, state):
-        return OrderedDict(state)
+        return state
 
     def decompress(self, state):
-        return OrderedDict(state)
+        return state
 
 
 class Float16Codec(Codec):

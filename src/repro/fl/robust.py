@@ -5,7 +5,7 @@ defend the global model:
 
 1. :func:`validate_update` — a cheap admission gate every wire-decoded
    payload passes before aggregation: finite values, the weights payload's
-   shape/key signature against the global model, and an optional L2 norm
+   state layout against the global model's, and an optional L2 norm
    ceiling on the update delta. Failures become ``rejected-update`` entries
    in the failure taxonomy (:data:`repro.runtime.runtime.REJECTED_UPDATE`)
    instead of crashes or silent poisoning.
@@ -41,7 +41,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.serialization import average_states
+from repro.nn.serialization import FlatState, average_states
 
 __all__ = [
     "DEFENSE_KINDS",
@@ -378,43 +378,62 @@ def validate_update(
 
     Returns ``None`` when the update is admissible, else a short human
     reason (the round loop records the client as ``rejected-update``).
-    Checks, cheapest first:
+    Each payload is taken as a :class:`~repro.nn.serialization.FlatState`
+    (a plain mapping is flattened on entry). Checks, cheapest first:
 
-    - every tensor in every payload is finite (no NaN/Inf poisoning);
+    - every tensor in every payload is finite (no NaN/Inf poisoning): one
+      ``isfinite`` per float buffer, and a walk in key order for the
+      reason only when one fails;
     - the ``"state"`` payload, when present and a ``reference`` (the global
-      model's state) is given, carries exactly the reference's keys and
+      model's state) is given, has the reference's layout — else, walking
+      the keys for the reason, exactly the reference's keys and
       shapes. Dtype is lenient across float widths — the wire codecs
       legitimately decode fp16/q8/q4 payloads to float32 — but a
       float-vs-int mismatch is malformed;
     - with ``norm_ceiling`` set, the state payload's L2 delta from the
       reference stays under the ceiling.
     """
+    flats: "dict[str, FlatState]" = {}
     for name, state in payloads.items():
         if not isinstance(state, Mapping):
             return f"{name}: payload is {type(state).__name__}, expected a state dict"
-        for key, arr in state.items():
-            a = np.asarray(arr)
-            if a.dtype == object:
-                return f"{name}[{key}]: object-dtype tensor"
-            if a.dtype.kind == "f" and not np.isfinite(a).all():
-                return f"{name}[{key}]: non-finite values"
-    state = payloads.get("state")
+        flat = flats[name] = FlatState.of(state)
+        if object in flat.layout.buffer_dtypes or not all(
+            np.isfinite(flat.buffers[b]).all() for b in flat.layout.float_buffers
+        ):
+            for key, a in flat.items():
+                if a.dtype == object:
+                    return f"{name}[{key}]: object-dtype tensor"
+                if a.dtype.kind == "f" and not np.isfinite(a).all():
+                    return f"{name}[{key}]: non-finite values"
+    state = flats.get("state")
     if state is not None and reference is not None:
-        if set(state.keys()) != set(reference.keys()):
-            missing = sorted(set(reference) - set(state))
-            extra = sorted(set(state) - set(reference))
-            return f"state: key mismatch (missing={missing}, unexpected={extra})"
-        for key, ref in reference.items():
-            a = np.asarray(state[key])
-            r = np.asarray(ref)
-            if a.shape != r.shape:
-                return f"state[{key}]: shape {a.shape} != expected {r.shape}"
-            if a.dtype != r.dtype and not (a.dtype.kind == r.dtype.kind == "f"):
-                return f"state[{key}]: dtype {a.dtype} incompatible with {r.dtype}"
+        reference = FlatState.of(reference)
+        if state.layout is not reference.layout:
+            reason = _layout_mismatch(state, reference)
+            if reason is not None:
+                return reason
         if norm_ceiling is not None:
             norm = _delta_norm(state, reference)
             if norm > norm_ceiling:
                 return f"state: update norm {norm:.4g} exceeds ceiling {norm_ceiling:.4g}"
+    return None
+
+
+def _layout_mismatch(state: FlatState, reference: FlatState) -> "str | None":
+    """Why ``state`` cannot stand in for ``reference``: missing or extra
+    keys, a shape, or a dtype of another kind (float widths may differ).
+    ``None`` when only the key order or float widths differ."""
+    if state.keys() != reference.keys():
+        missing = sorted(set(reference) - set(state))
+        extra = sorted(set(state) - set(reference))
+        return f"state: key mismatch (missing={missing}, unexpected={extra})"
+    for key, r in reference.items():
+        a = state[key]
+        if a.shape != r.shape:
+            return f"state[{key}]: shape {a.shape} != expected {r.shape}"
+        if a.dtype != r.dtype and not (a.dtype.kind == r.dtype.kind == "f"):
+            return f"state[{key}]: dtype {a.dtype} incompatible with {r.dtype}"
     return None
 
 

@@ -148,16 +148,16 @@ def lockstep_batches(
 
     Checks — eagerly, before the caller has touched a model — that the ``k``
     trainers agree on every solver hyperparameter (all a trainer holds but
-    its shard and loader seed), materializes each client's full E-epoch
-    batch schedule, and returns an iterator that builds the per-step
-    ``(K, B, …)`` input and label stacks one step at a time.
+    its shard and loader seed), draws each client's E epoch orders
+    (:meth:`DataLoader.epoch_orders`), stacks the cohort's shards once, and
+    returns an iterator that gathers each step's ``(K, B, …)`` input and
+    label stacks with one index.
 
-    Each schedule consumes its client's loader RNG exactly like the serial
-    nested loops, so the minibatch contents are bit-identical to a serial
-    run. Callers group clients by shard size beforehand: equal shard sizes
-    plus a shared ``batch_size`` yield identical per-step batch shapes,
-    which is what lets the cohort train in lockstep without padding or
-    masking.
+    Each client's loader RNG is consumed exactly like the serial nested
+    loops, so the minibatch contents are bit-identical to a serial run.
+    Callers group clients by shard size beforehand: equal shard sizes plus
+    a shared ``batch_size`` yield identical per-step batch shapes, which is
+    what lets the cohort train in lockstep without padding or masking.
     """
     if len(trainers) != k:
         raise ValueError(f"expected {k} trainers, got {len(trainers)}")
@@ -167,15 +167,21 @@ def lockstep_batches(
     ]
     if any(s != solver[0] for s in solver[1:]):
         raise ValueError("cohort trainers must share solver hyperparameters")
-    schedules = []
-    for tr in trainers:
-        loader = tr.make_loader(round_idx)
-        schedules.append([batch for _epoch in range(epochs) for batch in loader])
-    if any(len(s) != len(schedules[0]) for s in schedules):
+    loaders = [tr.make_loader(round_idx) for tr in trainers]
+    if any(len(loader.x) != len(loaders[0].x) for loader in loaders):
         raise ValueError("cohort clients must share a batch schedule")
+    order = np.array([loader.epoch_orders(epochs) for loader in loaders])  # (K, E, samples)
+    x = np.stack([loader.x for loader in loaders])
+    y = np.stack([loader.y for loader in loaders])
+    rows = np.arange(k)[:, None]
+    size = trainers[0].batch_size
     return (
-        (np.stack([xb for xb, _yb in step]), np.stack([yb for _xb, yb in step]))
-        for step in zip(*schedules)
+        (x[rows, cols], y[rows, cols])
+        for cols in (
+            order[:, epoch, start : start + size]
+            for epoch in range(epochs)
+            for start in range(0, order.shape[2], size)
+        )
     )
 
 

@@ -65,6 +65,7 @@ from repro.nn.models.mlp import MLP
 from repro.nn.models.resnet import BasicBlock, CifarResNet
 from repro.nn.models.vgg import VGG
 from repro.nn.module import Module, Parameter
+from repro.nn.serialization import FlatState, StateLayout
 from repro.nn.tensor import Tensor
 
 __all__ = ["StackedModel", "build_stacked", "fully_batched"]
@@ -187,8 +188,9 @@ class StackedModel(Module):
     """K client models folded into one module tree of (K,)+shape arrays.
 
     Built by :func:`build_stacked`; ``forward`` runs on (K,B,...) inputs.
-    Client states load and unload by slicing the leading axis of every
-    array, keyed and ordered like the template's ``state_dict``.
+    Client states load and unload as :class:`FlatState` rows in the
+    template's state layout (``self.layout``), keyed and ordered like the
+    template's ``state_dict``.
     """
 
     def __init__(self, net: Module, k: int) -> None:
@@ -198,22 +200,35 @@ class StackedModel(Module):
         # One flat view, taken once: SGD, the BN statistics and
         # load_client_states all write these arrays in place.
         self._state = net.state_dict(copy=False)
+        self.layout = StateLayout.of((n, a.shape[1:], a.dtype) for n, a in self._state.items())
+        arrays = list(self._state.values())
+        self._by_buffer = [[arrays[i] for i in entries] for entries in self.layout.buffer_entries]
         self.train()
 
     def forward(self, x: Tensor) -> Tensor:
         return self.net(x)
 
     def load_client_states(self, states) -> None:
-        """Fill slice ``i`` of every stacked array from ``states[i]``."""
+        """Fill slice ``i`` of every stacked array from ``states[i]``. One
+        state shared by every client (a broadcast) is flattened into
+        ``self.layout`` once and loads as one broadcasting copy per array."""
         if len(states) != self.k:
             raise ValueError(f"expected {self.k} client states, got {len(states)}")
+        if all(state is states[0] for state in states):
+            rows = [buf[None] for buf in FlatState.of(states[0], self.layout).buffers]
+            for target, (b, start, stop) in zip(self._state.values(), self.layout.slots):
+                target[...] = rows[b][:, start:stop].reshape((-1,) + target.shape[1:])
+            return
         for key, target in self._state.items():
             for i, state in enumerate(states):
                 target[i] = state[key]
 
-    def client_state(self, i: int) -> "OrderedDict[str, np.ndarray]":
-        """Slice client ``i``'s state out, in template ``state_dict`` order."""
-        return OrderedDict((key, source[i].copy()) for key, source in self._state.items())
+    def client_state(self, i: int) -> FlatState:
+        """Client ``i``'s state, copied out in the template's layout."""
+        return FlatState(
+            self.layout,
+            [np.concatenate([a[i].reshape(-1) for a in arrays]) for arrays in self._by_buffer],
+        )
 
 
 def build_stacked(template: Module, k: int) -> StackedModel | None:

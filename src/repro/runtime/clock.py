@@ -53,14 +53,11 @@ class VirtualClock:
         # which imports repro.runtime — resolving latency at call time keeps
         # both import orders (`import repro.runtime` / `import repro.fl`) safe.
         from repro.nn.profiler import flops_training_step
-        from repro.nn.serialization import state_dict_signature
+        from repro.nn.serialization import state_layout
 
-        # Keyed on the full architecture signature: (class name, num_bytes)
+        # Keyed on the interned state layout: (class name, num_bytes)
         # collides for same-size layout variants of one model family.
-        key = (
-            type(model).__name__,
-            state_dict_signature(model.state_dict(copy=False)),
-        )
+        key = (type(model).__name__, state_layout(model.state_dict(copy=False)))
         if key not in self._flops_cache:
             self._flops_cache[key] = flops_training_step(model, self.batch_input_shape)
         return self._flops_cache[key]

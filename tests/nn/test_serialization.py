@@ -1,4 +1,4 @@
-"""Wire format, state arithmetic and parameter-vector tests (incl. property-based)."""
+"""Wire format, averaging and parameter-vector tests (incl. property-based)."""
 
 from collections import OrderedDict
 
@@ -9,17 +9,13 @@ from hypothesis import given, settings, strategies as st
 from repro.nn import Linear, Sequential, ReLU
 from repro.nn.models import resnet20
 from repro.nn.serialization import (
-    add_state,
     average_states,
     dumps_state_dict,
     loads_state_dict,
     parameters_to_vector,
-    scale_state,
     state_dict_num_bytes,
     state_dict_num_params,
-    subtract_states,
     vector_to_parameters,
-    zeros_like_state,
 )
 
 
@@ -131,17 +127,26 @@ class TestStateArithmetic:
         with pytest.raises(ValueError):
             average_states([a, a], weights=[0.0, 0.0])
 
-    def test_subtract_and_zeros_and_scale(self):
-        a = OrderedDict(w=np.array([3.0], dtype=np.float32))
-        b = OrderedDict(w=np.array([1.0], dtype=np.float32))
-        np.testing.assert_allclose(subtract_states(a, b)["w"], [2.0])
-        np.testing.assert_allclose(zeros_like_state(a)["w"], [0.0])
-        np.testing.assert_allclose(scale_state(a, 2.0)["w"], [6.0])
+    def test_float32_products_round_before_the_float64_sum(self):
+        """NEP 50 pin: ``(w / total) * state[k]`` is a float32 product for
+        a float32 entry, rounded before the float64 accumulator sees it.
 
-    def test_add_state_in_place(self):
-        acc = zeros_like_state(OrderedDict(w=np.zeros(2, dtype=np.float32)))
-        add_state(acc, OrderedDict(w=np.array([1.0, 2.0])), weight=0.5)
-        np.testing.assert_allclose(acc["w"], [0.5, 1.0])
+        By hand, weights (1, 2) and total 3:
+          (1/3) * 0x1.b84bb8p+0 -> float32 0x1.2587d0p-1
+          (2/3) * 0x1.de7f86p+0 -> float32 0x1.3effb0p+0
+          float64 sum 0x1.d1c398p+0 -> float32 0x1.d1c398p+0 (0x3fe8e1cc)
+        Float64 products would sum to 0x1.d1c396aaaaaaap+0 and round to
+        0x1.d1c396p+0 (0x3fe8e1cb), one ulp lower.
+        """
+        x = np.float32(float.fromhex("0x1.b84bb8p+0"))
+        y = np.float32(float.fromhex("0x1.de7f86p+0"))
+        a = OrderedDict(w=np.array([x], dtype=np.float32))
+        b = OrderedDict(w=np.array([y], dtype=np.float32))
+        avg = average_states([a, b], weights=[1.0, 2.0])["w"]
+        assert avg.dtype == np.float32
+        assert avg.view(np.uint32)[0] == 0x3FE8E1CC
+        wide = np.float32((1.0 / 3.0) * float(x) + (2.0 / 3.0) * float(y))
+        assert wide.view(np.uint32) == 0x3FE8E1CB  # the rule this test tells apart
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 1000))

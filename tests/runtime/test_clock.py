@@ -1,9 +1,9 @@
 """VirtualClock unit tests — the per-architecture FLOP cache key.
 
-The cache must be keyed on the full architecture signature (ordered
-``(name, shape, dtype)`` tuples): a ``(class name, num_bytes)`` key
-collides for same-size layout variants of one model family and would hand
-one variant the other's FLOP count.
+The cache must be keyed on the architecture's interned state layout
+(ordered ``(name, shape, dtype)`` entries): a ``(class name, num_bytes)``
+key collides for same-size layout variants of one model family and would
+hand one variant the other's FLOP count.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import pytest
 
 from repro.fl.devices import DEVICE_TIERS
 from repro.nn.models.mlp import MLP
-from repro.nn.serialization import state_dict_signature
+from repro.nn.serialization import state_layout
 from repro.runtime.clock import VirtualClock
 
 
@@ -48,13 +48,15 @@ def test_cache_hits_for_identical_architecture():
     assert len(clock._flops_cache) == 1  # one profile run per architecture
 
 
-def test_signature_orders_and_types():
-    sig = state_dict_signature(MLP(8, num_classes=6, hidden=(5,), seed=0).state_dict())
-    assert all(len(entry) == 3 for entry in sig)
-    names = [name for name, _, _ in sig]
-    assert names == sorted(names, key=names.index)  # insertion order kept
-    shapes = {shape for _, shape, _ in sig}
+def test_layout_orders_and_types():
+    state = MLP(8, num_classes=6, hidden=(5,), seed=0).state_dict()
+    layout = state_layout(state)
+    assert all(len(entry) == 3 for entry in layout.entries)
+    assert list(layout.names) == list(state)  # insertion order kept
+    shapes = {shape for _, shape, _ in layout.entries}
     assert (5, 8) in shapes or (8, 5) in shapes
+    # interned: an equal layout from other weights is the same object
+    assert state_layout(MLP(8, num_classes=6, hidden=(5,), seed=1).state_dict()) is layout
 
 
 def test_client_time_scales_with_slowdown():
