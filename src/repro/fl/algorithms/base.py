@@ -52,6 +52,7 @@ from repro.nn.batched import build_stacked, fully_batched
 from repro.nn.module import Module
 from repro.nn.serialization import (
     FlatState,
+    StateLayout,
     average_states,
     state_dict_num_bytes,
     state_layout,
@@ -224,6 +225,16 @@ class FLAlgorithm:
         if self.defense is None:
             return average_states(states, weights)
         return self.defense.combine(states, weights, reference=reference)
+
+    def _param_layout(self, dtype) -> StateLayout:
+        """The interned layout of the global model's parameters, every entry
+        as ``dtype``. Parameter-only states (the server optimizer's moments,
+        SCAFFOLD's controls, FedNova's normalized delta) live in it as one
+        buffer in key order; ``FlatState.of(state, layout)`` picks a full
+        state's parameters out by name."""
+        return StateLayout.of(
+            (name, p.shape, dtype) for name, p in self.global_model.named_parameters()
+        )
 
     def _ensemble_member_filter(self, stacked, base=None):
         """Member weights for an (M, N, C) ensemble logit stack under the

@@ -15,11 +15,10 @@ sharing the extra gradient information") — we follow that accounting via a
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 import numpy as np
 
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm
+from repro.nn.serialization import FlatState
 from repro.runtime.executors import ClientUpdate
 
 __all__ = ["FedNova"]
@@ -41,20 +40,12 @@ class FedNova(FLAlgorithm):
         tau = max(stats.steps, 1)
         y_state = self._scratch.state_dict()
         # normalized update over *parameters* (buffers are averaged) against
-        # the round-start anchor x; cast to fp32 on the wire like every
-        # other payload
-        anchor = self.global_model.state_dict(copy=False)
-        param_names = {name for name, _ in self.global_model.named_parameters()}
-        d = OrderedDict(
-            (
-                k,
-                (
-                    (np.asarray(anchor[k], dtype=np.float64) - y_state[k]) / tau
-                ).astype(np.float32),
-            )
-            for k in y_state
-            if k in param_names
-        )
+        # the round-start anchor x, in float64; cast to fp32 on the wire like
+        # every other payload
+        params = self._param_layout(np.float64)
+        x = FlatState.of(self.global_model.state_dict(copy=False), params).buffers[0]
+        y = FlatState.of(y_state, params).buffers[0]
+        d = FlatState(self._param_layout(np.float32), [((x - y) / tau).astype(np.float32)])
         # Two real payloads cross the uplink: weights + normalized grads.
         return ClientUpdate(
             client_id=cid,
@@ -66,8 +57,8 @@ class FedNova(FLAlgorithm):
         )
 
     def aggregate(self, round_idx: int, updates: "list[ClientUpdate]") -> None:
-        global_state = self.global_model.state_dict()
-        param_names = {name for name, _ in self.global_model.named_parameters()}
+        global_state = self.global_model.state_dict(copy=False)
+        params = self._param_layout(np.float64)
 
         weights = [u.weight for u in updates]
         taus = [u.extra["tau"] for u in updates]
@@ -81,21 +72,18 @@ class FedNova(FLAlgorithm):
         # buffers (and a base); robustly fused when a defense is configured
         new_state = self._combine_states(uploaded_states, weights, reference=global_state)
         # The normalized gradients live in their own delta space, so the
-        # defense fuses them unanchored; undefended keeps the exact p-sum.
-        robust_delta = (
-            self.defense.combine(deltas, weights) if self.defense is not None else None
-        )
-        for k in param_names:
-            combined = (
-                np.asarray(robust_delta[k], dtype=np.float64)
-                if robust_delta is not None
-                else sum(pi * d[k] for pi, d in zip(p, deltas))
-            )
-            new_state[k] = (
-                np.asarray(global_state[k], dtype=np.float64)
-                - self.cfg.server_lr * tau_eff * combined
-            ).astype(np.asarray(global_state[k]).dtype)
+        # defense fuses them unanchored; undefended keeps the exact p-sum
+        # (in the deltas' float32).
+        if self.defense is not None:
+            combined = FlatState.of(self.defense.combine(deltas, weights), params).buffers[0]
+        else:
+            wire = self._param_layout(np.float32)
+            combined = sum(pi * FlatState.of(d, wire).buffers[0] for pi, d in zip(p, deltas))
+        x = FlatState.of(global_state, params).buffers[0]
         self.global_model.load_state_dict(new_state)
+        self.global_model.load_state_dict(
+            FlatState(params, [x - self.cfg.server_lr * tau_eff * combined]), strict=False
+        )
 
 
 ALGORITHM_REGISTRY.add("fednova", FedNova)

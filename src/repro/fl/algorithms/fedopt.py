@@ -15,16 +15,20 @@ gradient-like quantities).
 
 The client pass is the framework default (plain local SGD via the execution
 runtime); only the server step differs, so each variant implements
-:meth:`_server_step` and shares the :meth:`aggregate` plumbing.
+:meth:`_server_step` and shares the :meth:`aggregate` plumbing. Δ, the
+moments and the step are float64 buffers in the parameters' layout
+(:meth:`FLAlgorithm._param_layout`); a checkpoint carries each moment as
+the plain ``OrderedDict`` a :class:`FlatState` deep-copies to.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import copy
 
 import numpy as np
 
 from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm
+from repro.nn.serialization import FlatState
 from repro.runtime.executors import ClientUpdate
 
 __all__ = ["FedAvgM", "FedAdam"]
@@ -34,29 +38,24 @@ class _FedOptBase(FLAlgorithm):
     """Shared server plumbing: form Δ from averaged uploads, apply a step."""
 
     def aggregate(self, round_idx: int, updates: "list[ClientUpdate]") -> None:
-        global_state = self.global_model.state_dict()
+        global_state = self.global_model.state_dict(copy=False)
         states = [u.received["state"] for u in updates]
         weights = [u.weight for u in updates]
         # Robustly fused client average (plain average_states undefended);
         # the server optimizer then steps on the fused pseudo-gradient.
         avg = self._combine_states(states, weights, reference=global_state)
-        param_names = {name for name, _ in self.global_model.named_parameters()}
-        delta = OrderedDict(
-            (k, np.asarray(avg[k], dtype=np.float64) - np.asarray(global_state[k], dtype=np.float64))
-            for k in avg
-            if k in param_names
-        )
-        step = self._server_step(delta)
-        new_state = OrderedDict()
-        for k in avg:
-            if k in param_names:
-                x = np.asarray(global_state[k], dtype=np.float64) + step[k]
-                new_state[k] = x.astype(np.asarray(global_state[k]).dtype)
-            else:  # buffers: plain average
-                new_state[k] = avg[k]
-        self.global_model.load_state_dict(new_state)
+        params = self._param_layout(np.float64)
+        x = FlatState.of(global_state, params).buffers[0]
+        step = self._server_step(FlatState(params, [FlatState.of(avg, params).buffers[0] - x]))
+        self.global_model.load_state_dict(avg)  # buffers: plain average
+        self.global_model.load_state_dict(FlatState(params, [x + step]), strict=False)
 
-    def _server_step(self, delta: OrderedDict) -> OrderedDict:
+    def _moment(self, state) -> "FlatState | None":
+        """A checkpointed moment, flattened by value into the parameters'
+        float64 layout (``None`` before the first step)."""
+        return None if state is None else FlatState.of(state, self._param_layout(np.float64))
+
+    def _server_step(self, delta: FlatState) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -67,30 +66,22 @@ class FedAvgM(_FedOptBase):
     beta = 0.9
 
     def setup(self) -> None:
-        self._velocity: OrderedDict | None = None
+        self._velocity: "FlatState | None" = None
 
     def server_state(self) -> dict:
         state = super().server_state()  # buffered-regime buffer, when active
-        state["velocity"] = (
-            None
-            if self._velocity is None
-            else OrderedDict((k, v.copy()) for k, v in self._velocity.items())
-        )
+        state["velocity"] = copy.deepcopy(self._velocity)
         return state
 
     def load_server_state(self, state: dict) -> None:
         super().load_server_state(state)
-        v = state["velocity"]
-        self._velocity = None if v is None else OrderedDict((k, a.copy()) for k, a in v.items())
+        self._velocity = self._moment(state["velocity"])
 
-    def _server_step(self, delta: OrderedDict) -> OrderedDict:
-        if self._velocity is None:
-            self._velocity = OrderedDict((k, np.zeros_like(v)) for k, v in delta.items())
-        step = OrderedDict()
-        for k, d in delta.items():
-            self._velocity[k] = self.beta * self._velocity[k] + d
-            step[k] = self.cfg.server_lr * self._velocity[k]
-        return step
+    def _server_step(self, delta: FlatState) -> np.ndarray:
+        d = delta.buffers[0]
+        v = np.zeros_like(d) if self._velocity is None else self._velocity.buffers[0]
+        self._velocity = FlatState(delta.layout, [self.beta * v + d])
+        return self.cfg.server_lr * self._velocity.buffers[0]
 
 
 class FedAdam(_FedOptBase):
@@ -102,42 +93,35 @@ class FedAdam(_FedOptBase):
     eps = 1e-4  # the FedOpt paper's recommended large epsilon
 
     def setup(self) -> None:
-        self._m: OrderedDict | None = None
-        self._v: OrderedDict | None = None
+        self._m: "FlatState | None" = None
+        self._v: "FlatState | None" = None
         self._t = 0
 
     def server_state(self) -> dict:
-        copy = lambda od: (
-            None if od is None else OrderedDict((k, v.copy()) for k, v in od.items())
-        )
         state = super().server_state()  # buffered-regime buffer, when active
-        state.update(m=copy(self._m), v=copy(self._v), t=self._t)
+        state.update(m=copy.deepcopy(self._m), v=copy.deepcopy(self._v), t=self._t)
         return state
 
     def load_server_state(self, state: dict) -> None:
         super().load_server_state(state)
-        copy = lambda od: (
-            None if od is None else OrderedDict((k, v.copy()) for k, v in od.items())
-        )
-        self._m = copy(state["m"])
-        self._v = copy(state["v"])
+        self._m = self._moment(state["m"])
+        self._v = self._moment(state["v"])
         self._t = int(state["t"])
 
-    def _server_step(self, delta: OrderedDict) -> OrderedDict:
-        if self._m is None:
-            self._m = OrderedDict((k, np.zeros_like(v)) for k, v in delta.items())
-            self._v = OrderedDict((k, np.zeros_like(v)) for k, v in delta.items())
+    def _server_step(self, delta: FlatState) -> np.ndarray:
+        d = delta.buffers[0]
+        m, v = (
+            (np.zeros_like(d), np.zeros_like(d))
+            if self._m is None
+            else (self._m.buffers[0], self._v.buffers[0])
+        )
         self._t += 1
         bc1 = 1.0 - self.beta1**self._t
         bc2 = 1.0 - self.beta2**self._t
-        step = OrderedDict()
-        for k, d in delta.items():
-            self._m[k] = self.beta1 * self._m[k] + (1 - self.beta1) * d
-            self._v[k] = self.beta2 * self._v[k] + (1 - self.beta2) * (d * d)
-            step[k] = (
-                self.cfg.server_lr * (self._m[k] / bc1) / (np.sqrt(self._v[k] / bc2) + self.eps)
-            )
-        return step
+        m = self.beta1 * m + (1 - self.beta1) * d
+        v = self.beta2 * v + (1 - self.beta2) * (d * d)
+        self._m, self._v = FlatState(delta.layout, [m]), FlatState(delta.layout, [v])
+        return self.cfg.server_lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
 
 
 ALGORITHM_REGISTRY.add("fedavgm", FedAvgM)

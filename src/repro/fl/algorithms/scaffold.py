@@ -18,7 +18,7 @@ stay stateless under the parallel executor.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import copy
 
 import numpy as np
 
@@ -26,15 +26,10 @@ from repro.fl.algorithms.base import ALGORITHM_REGISTRY, FLAlgorithm
 from repro.fl.state_store import ClientStateStore
 from repro.fl.trainer import LocalTrainer
 from repro.nn.module import Module
+from repro.nn.serialization import FlatState
 from repro.runtime.executors import ClientUpdate
 
 __all__ = ["Scaffold"]
-
-
-def _zeros_like_params(model: Module) -> "OrderedDict[str, np.ndarray]":
-    return OrderedDict(
-        (name, np.zeros_like(p.data, dtype=np.float64)) for name, p in model.named_parameters()
-    )
 
 
 class Scaffold(FLAlgorithm):
@@ -43,11 +38,16 @@ class Scaffold(FLAlgorithm):
     name = "SCAFFOLD"
 
     def setup(self) -> None:
-        self.server_control = _zeros_like_params(self.global_model)
+        # Every control is a float64 buffer in the parameters' layout; the
+        # wire carries controls and control deltas as float32.
+        params = self._param_layout(np.float64)
+        self.server_control = FlatState(params, [np.zeros(params.buffer_sizes[0])])
         # Controls are touched-clients-only and live behind a spill-capable
         # store: with cfg.state_residency set, only that many stay in RAM
         # and the LRU overflow is pickled to scratch disk — values
         # round-trip bit-exactly, so residency never shapes the trajectory.
+        # A spilled or checkpointed control comes back as a plain mapping
+        # and is flattened again where it is read.
         self.client_controls = ClientStateStore(
             resident_limit=self.cfg.state_residency
         )
@@ -62,33 +62,20 @@ class Scaffold(FLAlgorithm):
 
     def server_state(self) -> dict:
         state = super().server_state()  # buffered-regime buffer, when active
+        # by value: a FlatState deep-copies to its plain OrderedDict
         state.update(
-            server_control=OrderedDict(
-                (k, v.copy()) for k, v in self.server_control.items()
-            ),
-            client_controls={
-                cid: OrderedDict((k, v.copy()) for k, v in c.items())
-                for cid, c in self.client_controls.export().items()
-            },
+            server_control=copy.deepcopy(self.server_control),
+            client_controls=copy.deepcopy(self.client_controls.export()),
         )
         return state
 
     def load_server_state(self, state: dict) -> None:
         super().load_server_state(state)
-        self.server_control = OrderedDict(
-            (k, v.copy()) for k, v in state["server_control"].items()
-        )
+        params = self._param_layout(np.float64)
+        self.server_control = FlatState.of(state["server_control"], params)
         self.client_controls.load(
-            {
-                int(cid): OrderedDict((k, v.copy()) for k, v in c.items())
-                for cid, c in state["client_controls"].items()
-            }
+            {int(cid): FlatState.of(c, params) for cid, c in state["client_controls"].items()}
         )
-
-    def _control_for(self, cid: int) -> OrderedDict:
-        if cid not in self.client_controls:
-            self.client_controls[cid] = _zeros_like_params(self.global_model)
-        return self.client_controls[cid]
 
     def client_payload(self, round_idx: int, cid: int) -> dict:
         # downlink: model weights AND the server control (two payloads,
@@ -97,27 +84,31 @@ class Scaffold(FLAlgorithm):
         state = self.channel.download(cid, self._downlink_state())
         c_server = self.channel.download(
             cid,
-            OrderedDict((k, v.astype(np.float32)) for k, v in self.server_control.items()),
+            FlatState(
+                self._param_layout(np.float32), [self.server_control.buffers[0].astype(np.float32)]
+            ),
         )
+        if cid not in self.client_controls:
+            self.client_controls[cid] = FlatState(
+                self.server_control.layout, [np.zeros_like(self.server_control.buffers[0])]
+            )
         # The client control is handed out by value: the payload crosses an
         # executor boundary, and under the serial executor a live reference
         # would let worker-side arithmetic alias the server's copy of cᵢ
         # (reprolint RPL703). Values are copied bit-exactly, so the control
         # maths downstream is unchanged.
-        client_control = OrderedDict(
-            (k, v.copy()) for k, v in self._control_for(cid).items()
-        )
+        client_control = copy.deepcopy(self.client_controls[cid])
         return {"state": state, "control": c_server, "client_control": client_control}
 
     def client_work(self, round_idx: int, cid: int, payload: dict) -> ClientUpdate:
-        global_state = self.global_model.state_dict(copy=False)  # round-start anchor x
-        param_names = [name for name, _ in self.global_model.named_parameters()]
+        params = self._param_layout(np.float64)
+        wire = self._param_layout(np.float32)
+        # round-start anchor x
+        x = FlatState.of(self.global_model.state_dict(copy=False), params).buffers[0]
         self._scratch.load_state_dict(payload["state"])
-        c_server = payload["control"]
-        c_i = payload["client_control"]
-        correction = {
-            name: (c_server[name] - c_i[name]).astype(np.float32) for name in param_names
-        }
+        c_server = FlatState.of(payload["control"], params).buffers[0]
+        c_i = FlatState.of(payload["client_control"], params).buffers[0]
+        correction = FlatState(wire, [(c_server - c_i).astype(np.float32)])
 
         def control_hook(model: Module) -> None:
             for name, p in model.named_parameters():
@@ -132,14 +123,9 @@ class Scaffold(FLAlgorithm):
         eta = trainer.lr
         y_state = self._scratch.state_dict()
 
-        new_c = OrderedDict()
-        delta_c = OrderedDict()
-        for name in param_names:
-            drift = (
-                np.asarray(global_state[name], dtype=np.float64) - y_state[name]
-            ) / (tau * eta)
-            new_c[name] = c_i[name] - c_server[name] + drift
-            delta_c[name] = new_c[name] - c_i[name]
+        y = FlatState.of(y_state, params).buffers[0]
+        new_c = c_i - c_server + (x - y) / (tau * eta)
+        delta_c = new_c - c_i
 
         # uplink: weights AND control delta (two payloads, fp32 wire); the
         # updated client control goes back to the parent for write-back.
@@ -147,14 +133,12 @@ class Scaffold(FLAlgorithm):
             client_id=cid,
             states={
                 "state": y_state,
-                "delta_control": OrderedDict(
-                    (k, v.astype(np.float32)) for k, v in delta_c.items()
-                ),
+                "delta_control": FlatState(wire, [delta_c.astype(np.float32)]),
             },
             weight=float(self.fed.client_size(cid)),
             steps=stats.steps,
             stats=stats,
-            extra={"new_control": new_c},
+            extra={"new_control": FlatState(params, [new_c])},
         )
 
     def apply_client_update(self, update: ClientUpdate) -> None:
@@ -163,37 +147,36 @@ class Scaffold(FLAlgorithm):
         self.client_controls[update.client_id] = update.extra["new_control"]
 
     def aggregate(self, round_idx: int, updates: "list[ClientUpdate]") -> None:
-        global_state = self.global_model.state_dict()
-        param_names = [name for name, _ in self.global_model.named_parameters()]
+        global_state = FlatState.of(self.global_model.state_dict(copy=False))
         uploaded_states = [u.received["state"] for u in updates]
         delta_controls = [u.received["delta_control"] for u in updates]
         weights = [u.weight for u in updates]
 
-        # Server model: x ← x + lr_g · weighted-mean(yᵢ − x); buffers averaged.
+        # Server model: x ← x + lr_g · weighted-mean(yᵢ − x), buffers too.
         # Robustly fused when a defense is configured (anchored on x).
-        avg_y = self._combine_states(uploaded_states, weights, reference=global_state)
-        new_state = OrderedDict()
-        for k, v in avg_y.items():
-            x_k = np.asarray(global_state[k], dtype=np.float64)
-            new_state[k] = (x_k + self.cfg.server_lr * (v - x_k)).astype(
-                np.asarray(global_state[k]).dtype
-            )
-        self.global_model.load_state_dict(new_state)
+        avg_y = FlatState.of(
+            self._combine_states(uploaded_states, weights, reference=global_state),
+            global_state.layout,
+        )
+        new_buffers = []
+        for g, v in zip(global_state.buffers, avg_y.buffers):
+            x = g.astype(np.float64)
+            new_buffers.append((x + self.cfg.server_lr * (v - x)).astype(g.dtype))
+        self.global_model.load_state_dict(FlatState(global_state.layout, new_buffers))
 
         # Server control: c ← c + (|S|/N) · mean(Δcᵢ). The control deltas
         # are their own attack surface, so the defense fuses them too
         # (unanchored — they live in delta space, not weight space).
-        robust_dc = (
-            self.defense.combine(delta_controls, None) if self.defense is not None else None
-        )
+        if self.defense is not None:
+            mean_dc = FlatState.of(
+                self.defense.combine(delta_controls, None), self.server_control.layout
+            ).buffers[0]
+        else:
+            wire = self._param_layout(np.float32)
+            mean_dc = np.mean([FlatState.of(dc, wire).buffers[0] for dc in delta_controls], axis=0)
         frac = len(updates) / self.fed.num_clients
-        for name in param_names:
-            mean_dc = (
-                np.asarray(robust_dc[name], dtype=np.float64)
-                if robust_dc is not None
-                else np.mean([dc[name] for dc in delta_controls], axis=0)
-            )
-            self.server_control[name] += frac * mean_dc
+        c = self.server_control
+        self.server_control = FlatState(c.layout, [c.buffers[0] + frac * mean_dc])
 
 
 ALGORITHM_REGISTRY.add("scaffold", Scaffold)

@@ -17,6 +17,16 @@ defend the global model:
    filtering (:func:`confidence_member_weights`) for the distillation
    family's logit ensembles.
 
+Both layers compute on :class:`~repro.nn.serialization.FlatState` buffers.
+``combine`` flattens its states and reference once on entry into the first
+state's layout and returns a ``FlatState`` in that layout: clipping scales
+each float buffer, trimmed mean and median reduce each dtype buffer stacked
+``(K, P)`` over the client axis, and Krum measures distances between the
+float buffers. Two things stay per entry on purpose: ``_delta_norm`` sums
+one ``np.dot`` per float entry in key order (a whole-buffer dot would sum
+in another order), and the gate builds its reason string key by key, only
+once a check has failed.
+
 Contracts the rest of the system relies on:
 
 - ``MeanAggregator.combine`` delegates to
@@ -36,12 +46,11 @@ layer imports *us*), keeping the import graph acyclic.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.nn.serialization import FlatState, average_states
+from repro.nn.serialization import FlatState, average_states, state_layout
 
 __all__ = [
     "DEFENSE_KINDS",
@@ -66,40 +75,61 @@ StateDict = Mapping[str, np.ndarray]
 # ---------------------------------------------------------------------- #
 
 
-def _float_keys(state: StateDict) -> "list[str]":
-    return [k for k in state if np.asarray(state[k]).dtype.kind == "f"]
+def _flatten(
+    states: "Sequence[StateDict]", reference: "StateDict | None" = None
+) -> "tuple[list[FlatState], FlatState | None]":
+    """``states`` and ``reference`` flattened once on entry into the first
+    state's layout, their entries cast to its dtypes."""
+    layout = state_layout(states[0])
+    flats = [FlatState.of(s, layout) for s in states]
+    return flats, None if reference is None else FlatState.of(reference, layout)
 
 
-def _delta_norm(state: StateDict, reference: "StateDict | None") -> float:
+def _delta_norm(state: FlatState, reference: "StateDict | None") -> float:
     """Global L2 norm of ``state`` (or of ``state − reference``) over its
-    float tensors, accumulated in float64."""
+    float entries, accumulated in float64: one ``np.dot`` per entry, summed
+    as Python floats in key order (a whole-buffer dot would sum in another
+    order)."""
     total = 0.0
-    for k in _float_keys(state):
-        x = np.asarray(state[k], dtype=np.float64)
-        if reference is not None:
-            x = x - np.asarray(reference[k], dtype=np.float64)
-        total += float(np.dot(x.ravel(), x.ravel()))
+    for name, a in state.items():
+        if a.dtype.kind == "f":
+            x = a.astype(np.float64).ravel()
+            if reference is not None:
+                x = x - np.asarray(reference[name], dtype=np.float64).ravel()
+            total += float(np.dot(x, x))
     return float(np.sqrt(total))
 
 
-def _scaled_toward(state: StateDict, reference: "StateDict | None", factor: float) -> StateDict:
-    """``reference + factor·(state − reference)`` per float tensor (plain
-    ``factor·state`` when no reference anchors the delta); non-float
-    tensors pass through unchanged."""
-    out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-    for k, v in state.items():
-        a = np.asarray(v)
-        if factor == 1.0 or a.dtype.kind != "f":
-            out[k] = a
-            continue
-        x = a.astype(np.float64)
+def _scaled_toward(state: FlatState, reference: "FlatState | None", factor: float) -> FlatState:
+    """``reference + factor·(state − reference)`` per float buffer (plain
+    ``factor·state`` when no reference anchors the delta), computed in
+    float64; non-float buffers pass through unchanged. ``reference`` is in
+    ``state``'s layout."""
+    if factor == 1.0:
+        return state
+    buffers = list(state.buffers)
+    for b in state.layout.float_buffers:
+        x = buffers[b].astype(np.float64)
         if reference is not None:
-            r = np.asarray(reference[k], dtype=np.float64)
+            r = reference.buffers[b].astype(np.float64)
             x = r + factor * (x - r)
         else:
             x = factor * x
-        out[k] = x.astype(a.dtype)
-    return out
+        buffers[b] = x.astype(state.buffers[b].dtype)
+    return FlatState(state.layout, buffers)
+
+
+def _columnwise(flats: "list[FlatState]", reduce) -> FlatState:
+    """``reduce`` over the client axis of every dtype buffer, stacked
+    ``(K, P)`` in float64, each result cast back to its buffer's dtype."""
+    layout = flats[0].layout
+    return FlatState(
+        layout,
+        [
+            reduce(np.stack([f.buffers[b] for f in flats], dtype=np.float64)).astype(dtype)
+            for b, dtype in enumerate(layout.buffer_dtypes)
+        ],
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -110,11 +140,13 @@ def _scaled_toward(state: StateDict, reference: "StateDict | None", factor: floa
 class RobustAggregator:
     """Combination policy for the accepted clients' state dicts.
 
-    ``combine(states, weights, reference)`` returns the fused state dict;
+    ``combine(states, weights, reference)`` returns the fused state as a
+    :class:`~repro.nn.serialization.FlatState` in the first state's layout;
     ``reference`` is the round-start global state when the inputs are full
     weight payloads (anchoring delta-space policies like norm clipping) and
     ``None`` when the caller already works in delta space (FedNova's
-    normalized gradients, SCAFFOLD's control deltas).
+    normalized gradients, SCAFFOLD's control deltas). The states and the
+    reference are flattened into the first state's layout on entry.
 
     ``stateful`` aggregators carry mutable cross-round state; it must
     round-trip through :meth:`state` / :meth:`load_state` (reprolint
@@ -134,7 +166,7 @@ class RobustAggregator:
         states: "Sequence[StateDict]",
         weights: "Sequence[float] | None",
         reference: "StateDict | None" = None,
-    ) -> StateDict:
+    ) -> FlatState:
         raise NotImplementedError
 
     def member_filter(
@@ -191,12 +223,18 @@ class NormClipAggregator(RobustAggregator):
             return 1.0
         return tau / norm
 
-    def combine(self, states, weights, reference=None):
+    def _clipped_average(self, states, weights, reference, tau) -> "tuple[FlatState, list[float]]":
+        """The weighted average of ``states`` with every delta shrunk onto
+        the ``tau`` ball, and the delta norms it measured."""
+        flats, reference = _flatten(states, reference)
+        norms = [_delta_norm(s, reference) for s in flats]
         clipped = [
-            _scaled_toward(s, reference, self._clip_factor(_delta_norm(s, reference), self.tau))
-            for s in states
+            _scaled_toward(s, reference, self._clip_factor(n, tau)) for s, n in zip(flats, norms)
         ]
-        return average_states(clipped, list(weights) if weights is not None else None)
+        return average_states(clipped, list(weights) if weights is not None else None), norms
+
+    def combine(self, states, weights, reference=None):
+        return self._clipped_average(states, weights, reference, self.tau)[0]
 
 
 class AutoClipAggregator(NormClipAggregator):
@@ -213,12 +251,7 @@ class AutoClipAggregator(NormClipAggregator):
         self._tau: "float | None" = None
 
     def combine(self, states, weights, reference=None):
-        norms = [_delta_norm(s, reference) for s in states]
-        clipped = [
-            _scaled_toward(s, reference, self._clip_factor(n, self._tau))
-            for s, n in zip(states, norms)
-        ]
-        out = average_states(clipped, list(weights) if weights is not None else None)
+        out, norms = self._clipped_average(states, weights, reference, self._tau)
         self._tau = float(np.median(norms))
         return out
 
@@ -235,8 +268,15 @@ class TrimmedMeanAggregator(RobustAggregator):
     ``floor(β·m)`` largest and smallest client values and average the rest
     (Yin et al. 2018). Aggregation weights are ignored — trimming is an
     order statistic, and sample-count weighting would let an attacker buy
-    influence with a claimed shard size. Degenerates to the coordinate
-    median when the trim consumes every member."""
+    influence with a claimed shard size. Since β < 0.5, ``2·floor(β·m) <
+    m``: at least one member always survives the trim.
+
+    Each dtype buffer is stacked ``(K, P)`` and reduced over the client
+    axis, so the mean sums every coordinate in client order. A per-entry
+    stack of a size-1 entry would have been summed in NumPy's pairwise
+    order instead, which differs in the last bit once eight or more values
+    are averaged; no model in the zoo has a size-1 entry.
+    """
 
     kind = "trimmed"
 
@@ -248,18 +288,10 @@ class TrimmedMeanAggregator(RobustAggregator):
     def combine(self, states, weights, reference=None):
         m = len(states)
         k = int(self.beta * m)
-        out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for key in states[0]:
-            ref_dtype = np.asarray(states[0][key]).dtype
-            stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
-            if 2 * k >= m:
-                agg = np.median(stack, axis=0)
-            elif k == 0:
-                agg = stack.mean(axis=0)
-            else:
-                agg = np.sort(stack, axis=0)[k : m - k].mean(axis=0)
-            out[key] = agg.astype(ref_dtype)
-        return out
+        return _columnwise(
+            _flatten(states)[0],
+            lambda stack: (stack if k == 0 else np.sort(stack, axis=0)[k : m - k]).mean(axis=0),
+        )
 
 
 class CoordinateMedianAggregator(RobustAggregator):
@@ -269,12 +301,7 @@ class CoordinateMedianAggregator(RobustAggregator):
     kind = "median"
 
     def combine(self, states, weights, reference=None):
-        out: "OrderedDict[str, np.ndarray]" = OrderedDict()
-        for key in states[0]:
-            ref_dtype = np.asarray(states[0][key]).dtype
-            stack = np.stack([np.asarray(s[key], dtype=np.float64) for s in states])
-            out[key] = np.median(stack, axis=0).astype(ref_dtype)
-        return out
+        return _columnwise(_flatten(states)[0], lambda stack: np.median(stack, axis=0))
 
 
 class KrumAggregator(RobustAggregator):
@@ -283,7 +310,12 @@ class KrumAggregator(RobustAggregator):
     by sitting inside the honest cluster, so ``f`` colluding outliers can
     never be selected. Ties break on the lowest client index; with too few
     members for the theoretical bound the neighbour count falls back to
-    ``m − 2`` (fail-open, documented rather than raising mid-run)."""
+    ``m − 2`` (fail-open, documented rather than raising mid-run).
+
+    A member's position is its float buffers in float64, in buffer order —
+    key order whenever the state has one float dtype, as every zoo model
+    does. The winner is returned as a copy.
+    """
 
     kind = "krum"
 
@@ -293,26 +325,24 @@ class KrumAggregator(RobustAggregator):
         self.f = int(f)
 
     def combine(self, states, weights, reference=None):
-        m = len(states)
-        if m == 1:
-            return OrderedDict((k, np.array(v, copy=True)) for k, v in states[0].items())
-        keys = _float_keys(states[0])
-        vecs = np.stack(
-            [
-                np.concatenate([np.asarray(s[k], dtype=np.float64).ravel() for k in keys])
-                for s in states
-            ]
-        )
-        sq = np.sum(vecs * vecs, axis=1)
-        d2 = sq[:, None] + sq[None, :] - 2.0 * (vecs @ vecs.T)
-        np.fill_diagonal(d2, np.inf)
-        k = m - self.f - 2
-        if k < 1:
-            k = max(1, m - 2)
-        k = min(k, m - 1)
-        scores = np.sort(d2, axis=1)[:, :k].sum(axis=1)
-        best = int(np.argmin(scores))
-        return OrderedDict((key, np.array(v, copy=True)) for key, v in states[best].items())
+        flats, _ = _flatten(states)
+        m = len(flats)
+        best = 0
+        if m > 1:
+            floats = flats[0].layout.float_buffers
+            vecs = np.stack(
+                [np.concatenate([s.buffers[b] for b in floats], dtype=np.float64) for s in flats]
+            )
+            sq = np.sum(vecs * vecs, axis=1)
+            d2 = sq[:, None] + sq[None, :] - 2.0 * (vecs @ vecs.T)
+            np.fill_diagonal(d2, np.inf)
+            k = m - self.f - 2
+            if k < 1:
+                k = max(1, m - 2)
+            k = min(k, m - 1)
+            scores = np.sort(d2, axis=1)[:, :k].sum(axis=1)
+            best = int(np.argmin(scores))
+        return FlatState(flats[best].layout, [b.copy() for b in flats[best].buffers])
 
 
 DEFENSE_KINDS = ("mean", "clip", "autoclip", "trimmed", "median", "krum")

@@ -34,11 +34,8 @@ from repro.nn.layers import (
 from repro.nn.loss import CrossEntropyLoss, KLDivLoss, MSELoss, SoftTargetKLLoss
 from repro.nn.serialization import (
     state_dict_num_bytes,
-    state_dict_num_params,
     dumps_state_dict,
     loads_state_dict,
-    parameters_to_vector,
-    vector_to_parameters,
 )
 
 __all__ = [
@@ -76,9 +73,6 @@ __all__ = [
     "MSELoss",
     "SoftTargetKLLoss",
     "state_dict_num_bytes",
-    "state_dict_num_params",
     "dumps_state_dict",
     "loads_state_dict",
-    "parameters_to_vector",
-    "vector_to_parameters",
 ]

@@ -14,7 +14,8 @@ Wire format (little-endian, versioned):
 Every state on the server path is a :class:`FlatState`: one contiguous
 buffer per dtype plus the architecture's interned :class:`StateLayout`
 (names, shapes, dtypes, offsets and each entry's wire header). The codec,
-the admission gate, averaging and the stacked hand-off then work on a few
+the admission gate, averaging, the robust policies, the payload attacks,
+the server optimizers' steps and the stacked hand-off then work on a few
 buffers per client instead of walking its keys, and two states have the
 same architecture iff their layouts are the same object.
 """
@@ -24,12 +25,9 @@ from __future__ import annotations
 import math
 import struct
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.nn.module import Module
 
 __all__ = [
     "StateLayout",
@@ -38,9 +36,6 @@ __all__ = [
     "dumps_state_dict",
     "loads_state_dict",
     "state_dict_num_bytes",
-    "state_dict_num_params",
-    "parameters_to_vector",
-    "vector_to_parameters",
     "average_states",
 ]
 
@@ -323,31 +318,9 @@ def state_dict_num_bytes(state: Mapping[str, np.ndarray]) -> int:
     return state_layout(state).wire_nbytes
 
 
-def state_dict_num_params(state: Mapping[str, np.ndarray]) -> int:
-    """Total scalar count across all entries."""
-    return int(sum(np.asarray(a).size for a in state.values()))
-
-
-def parameters_to_vector(module: "Module") -> np.ndarray:
-    """Flatten all trainable parameters into one float64 vector (for
-    FedNova/SCAFFOLD drift arithmetic, done in high precision)."""
-    return np.concatenate([p.data.reshape(-1).astype(np.float64) for p in module.parameters()])
-
-
-def vector_to_parameters(vec: np.ndarray, module: "Module") -> None:
-    """Write a flat vector back into a module's parameters, in place."""
-    off = 0
-    for p in module.parameters():
-        n = p.data.size
-        p.data[...] = vec[off : off + n].reshape(p.data.shape).astype(p.data.dtype)
-        off += n
-    if off != vec.size:
-        raise ValueError(f"vector has {vec.size} entries; module needs {off}")
-
-
 def average_states(
     states: "list[Mapping[str, np.ndarray]]", weights: "list[float] | None" = None
-) -> "OrderedDict[str, np.ndarray]":
+) -> FlatState:
     """Weighted average of state dicts (the FedAvg aggregation rule).
 
     Weights default to uniform and are normalized to sum to 1. The states
@@ -355,8 +328,9 @@ def average_states(
     state's layout, in list order: ``acc += (w / total) * buffer``. A state
     in another layout (a plain dict, or another key order) is flattened
     into the first one's on entry, one state at a time, its entries cast to
-    the first state's dtypes. The result casts each entry back to its
-    dtype, so an integer counter truncates.
+    the first state's dtypes. The result is a :class:`FlatState` in the
+    first state's layout: each accumulator cast back to its buffer's dtype,
+    so an integer counter truncates.
 
     The product ``(w / total) * buffer`` takes the buffer's dtype: under
     NumPy 2 (NEP 50) the Python-float weight is weak, so a float32 entry's
@@ -379,7 +353,4 @@ def average_states(
     for state, w in zip(states, weights):
         for a, buf in zip(acc, FlatState.of(state, layout).buffers):
             a += (w / total) * buf
-    return OrderedDict(
-        (name, acc[b][start:stop].reshape(shape).astype(dtype))
-        for (name, shape, dtype), (b, start, stop) in zip(layout.entries, layout.slots)
-    )
+    return FlatState(layout, [a.astype(dtype) for a, dtype in zip(acc, layout.buffer_dtypes)])

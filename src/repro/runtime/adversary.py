@@ -35,13 +35,13 @@ from its sibling :mod:`repro.runtime.faults` (which imports *us* for the
 from __future__ import annotations
 
 import copy
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, MutableMapping
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
+from repro.nn.serialization import FlatState
 
 __all__ = [
     "ATTACK_KINDS",
@@ -167,47 +167,48 @@ class AdversaryPlan:
 # ---------------------------------------------------------------------- #
 
 
-def _matches(reference: "Mapping[str, np.ndarray] | None", state: Mapping) -> bool:
-    """Whether ``reference`` is a usable anchor for ``state`` (same keys and
-    shapes — the uploaded-weights payload, as opposed to delta/logit ones)."""
-    if reference is None:
-        return False
-    if set(reference.keys()) != set(state.keys()):
-        return False
-    return all(
-        np.asarray(reference[k]).shape == np.asarray(state[k]).shape for k in state
-    )
-
-
-def _poison_array(
+def _poisoned(
     role: str,
-    x: np.ndarray,
-    ref: "np.ndarray | None",
+    state: FlatState,
+    ref: "FlatState | None",
     rng: np.random.Generator,
     spec: AttackSpec,
-) -> np.ndarray:
-    """One tensor's poisoned value. Non-float tensors pass through untouched
+) -> FlatState:
+    """``state`` under ``role``'s transform, computed per float buffer in
+    float64 and cast back. Non-float buffers pass through untouched
     (integer metadata is not a useful attack surface and corrupting it would
-    test the codec, not the aggregator)."""
-    x = np.asarray(x)
-    if not np.issubdtype(x.dtype, np.floating):
-        return x
-    xf = x.astype(np.float64)
-    rf = None if ref is None else np.asarray(ref, dtype=np.float64)
-    if role == "signflip":
-        out = 2.0 * rf - xf if rf is not None else -xf
-    elif role == "scale":
-        lam = spec.scale_lambda
-        out = rf + lam * (xf - rf) if rf is not None else lam * xf
-    elif role == "noise":
-        out = xf + rng.normal(0.0, spec.noise_std, size=xf.shape)
-    elif role == "freerider":
-        out = rf if rf is not None else np.zeros_like(xf)
-    elif role == "logitcorrupt":
-        out = xf.ravel()[rng.permutation(xf.size)].reshape(xf.shape)
-    else:  # pragma: no cover - guarded by poison_states
-        raise ValueError(f"unknown payload attack role {role!r}")
-    return out.astype(x.dtype)
+    test the codec, not the aggregator). ``ref``, when given, is in
+    ``state``'s layout.
+
+    ``noise`` draws one ``normal(size=P)`` per float buffer, in buffer
+    order — the per-entry draws in key order whenever the state has one
+    float dtype, as every zoo model does. ``logitcorrupt`` stays per entry:
+    one permutation per float entry in key order, because a whole-buffer
+    permutation would draw a different stream.
+    """
+    buffers = list(state.buffers)
+    for b in state.layout.float_buffers:
+        x = buffers[b].astype(np.float64)
+        r = None if ref is None else ref.buffers[b].astype(np.float64)
+        if role == "signflip":
+            out = 2.0 * r - x if r is not None else -x
+        elif role == "scale":
+            lam = spec.scale_lambda
+            out = r + lam * (x - r) if r is not None else lam * x
+        elif role == "noise":
+            out = x + rng.normal(0.0, spec.noise_std, size=x.shape)
+        elif role == "freerider":
+            out = r if r is not None else np.zeros_like(x)
+        elif role == "logitcorrupt":
+            out = x  # permuted per entry below
+        else:  # pragma: no cover - guarded by poison_states
+            raise ValueError(f"unknown payload attack role {role!r}")
+        buffers[b] = out.astype(state.buffers[b].dtype)
+    if role == "logitcorrupt":
+        for b, start, stop in state.layout.slots:
+            if b in state.layout.float_buffers:
+                buffers[b][start:stop] = buffers[b][start:stop][rng.permutation(stop - start)]
+    return FlatState(state.layout, buffers)
 
 
 def labelflip_clone(trainer, num_classes: int):
@@ -234,9 +235,11 @@ def poison_states(
     """Apply ``role``'s payload transform to every uplink payload, in place.
 
     ``states`` is a :class:`~repro.runtime.executors.ClientUpdate`'s
-    ``states`` mapping (payload name → state dict). The ``reference``
+    ``states`` mapping (payload name → state dict); every payload is
+    flattened on entry and replaced by a
+    :class:`~repro.nn.serialization.FlatState`. The ``reference``
     (round-start global state) anchors delta-space attacks for the payload
-    whose signature matches it; delta-like payloads (normalized gradients,
+    whose layout is the reference's own; delta-like payloads (normalized gradients,
     control deltas, logit tables) are attacked in their own space. The
     transform is pure in ``(seed, round, client)`` — the same corrupted
     bytes emerge no matter which executor produced the honest update.
@@ -249,10 +252,10 @@ def poison_states(
     if role not in ATTACK_KINDS:
         raise ValueError(f"unknown attack role {role!r}; options: {ATTACK_KINDS}")
     rng = plan.attack_rng(round_idx, client_id)
+    reference = None if reference is None else FlatState.of(reference)
     for name in list(states):
-        state = states[name]
-        ref = reference if _matches(reference, state) else None
-        states[name] = OrderedDict(
-            (k, _poison_array(role, v, None if ref is None else ref[k], rng, plan.spec))
-            for k, v in state.items()
-        )
+        state = FlatState.of(states[name])
+        # only a payload in the reference's own layout (the uploaded
+        # weights, not a delta or logit table) is anchored on it
+        ref = reference if reference is not None and reference.layout is state.layout else None
+        states[name] = _poisoned(role, state, ref, rng, plan.spec)

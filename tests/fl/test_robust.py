@@ -12,6 +12,7 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.data.federated import build_federated_dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
@@ -32,7 +33,7 @@ from repro.fl.robust import (
     validate_update,
 )
 from repro.nn.models import build_model
-from repro.nn.serialization import average_states
+from repro.nn.serialization import FlatState, average_states, state_layout
 from repro.runtime.runtime import FAILURE_REASONS, REJECTED_UPDATE
 
 
@@ -175,12 +176,18 @@ class TestTrimmedMean:
         out = TrimmedMeanAggregator(beta=0.0).combine(states, None)
         np.testing.assert_allclose(out["w"], [3.0])
 
-    def test_degenerates_to_median(self):
-        # m=2, beta=0.4 → k=0... use m=3, beta=0.4 → k=1, 2k<3 fine;
-        # m=2 with beta 0.49 → k=0 → mean; force 2k>=m via small m:
-        states = _states([[0.0], [1.0], [100.0], [101.0]])
-        out = TrimmedMeanAggregator(beta=0.49).combine(states, None)
-        np.testing.assert_allclose(out["w"], np.median([0.0, 1.0, 100.0, 101.0]))
+    @settings(max_examples=100, deadline=None)
+    @given(beta=st.floats(0.0, 0.5, exclude_max=True))
+    @example(beta=float(np.nextafter(0.5, 0.0)))
+    def test_at_least_one_member_survives(self, beta):
+        """β < 0.5 gives 2·floor(β·m) < m: for every cohort size the trim
+        keeps a non-empty middle — here the mean of 0..m−1 trimmed
+        symmetrically, (m − 1) / 2 exactly."""
+        for m in range(1, 65):
+            values = np.random.default_rng(m).permutation(m)
+            states = _states([[v] for v in values], dtype=np.float64)
+            out = TrimmedMeanAggregator(beta).combine(states, None)
+            assert out["w"][0] == (m - 1) / 2, (beta, m)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -224,6 +231,51 @@ class TestKrum:
     def test_validation(self):
         with pytest.raises(ValueError):
             KrumAggregator(f=-1)
+
+
+class TestFlatRules:
+    """Every policy computes on flat buffers in the first state's layout.
+    Real models give the per-entry results bit for bit; these pin the rule
+    where a hand-built state could tell the two apart."""
+
+    def test_column_mean_sums_in_client_order(self):
+        # a size-1 entry over nine members: the (K, P) column is summed in
+        # client order, not in NumPy's pairwise order for a lone (K,) column
+        rng = np.random.default_rng(0)
+        states = [
+            OrderedDict(w=rng.normal(size=3), s=np.asarray(rng.normal())) for _ in range(9)
+        ]
+        out = TrimmedMeanAggregator(0.0).combine(states, None)
+        total = 0.0
+        for state in states:
+            total += float(state["s"])
+        assert out["s"] == total / 9
+        assert out["s"].shape == ()
+
+    def test_reference_is_flattened_into_the_first_states_layout(self):
+        ref = OrderedDict(a=np.zeros(2, np.float32), b=np.ones(3, np.float32))
+        reordered = OrderedDict(b=ref["b"], a=ref["a"])
+        states = [
+            OrderedDict(a=np.full(2, v, np.float32), b=np.full(3, -v, np.float32))
+            for v in (1.0, 40.0)
+        ]
+        for make in (lambda: NormClipAggregator(tau=2.0), AutoClipAggregator):
+            want = make().combine(states, None, reference=ref)
+            got = make().combine(states, None, reference=reordered)
+            assert list(got) == ["a", "b"]
+            for k in want:
+                np.testing.assert_array_equal(got[k], want[k])
+
+    @pytest.mark.parametrize("agg", default_defenses(), ids=lambda a: a.kind)
+    def test_every_policy_returns_the_first_states_layout(self, agg):
+        states = [
+            OrderedDict(w=np.full((2, 2), v, np.float32), n=np.asarray(3, np.int64))
+            for v in (1.0, 2.0, 3.0, 4.0)
+        ]
+        reordered = [OrderedDict(n=s["n"], w=s["w"]) for s in states[1:]]
+        out = agg.combine(states[:1] + reordered, [1.0] * 4, reference=states[0])
+        assert isinstance(out, FlatState) and out.layout is state_layout(states[0])
+        assert out["w"].dtype == np.float32 and out["n"].dtype == np.int64
 
 
 def _payloads(arr, ref_arr=None, key="state"):

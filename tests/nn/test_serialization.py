@@ -12,10 +12,7 @@ from repro.nn.serialization import (
     average_states,
     dumps_state_dict,
     loads_state_dict,
-    parameters_to_vector,
     state_dict_num_bytes,
-    state_dict_num_params,
-    vector_to_parameters,
 )
 
 
@@ -35,10 +32,6 @@ class TestWireFormat:
     def test_size_formula_matches_payload(self):
         sd = small_model().state_dict()
         assert state_dict_num_bytes(sd) == len(dumps_state_dict(sd))
-
-    def test_num_params(self):
-        sd = small_model().state_dict()
-        assert state_dict_num_params(sd) == 4 * 8 + 8 + 8 * 2 + 2
 
     def test_bad_magic(self):
         with pytest.raises(ValueError):
@@ -165,18 +158,3 @@ class TestStateArithmetic:
         lo = np.min([s["w"] for s in states], axis=0)
         hi = np.max([s["w"] for s in states], axis=0)
         assert (avg >= lo - 1e-6).all() and (avg <= hi + 1e-6).all()
-
-
-class TestParameterVector:
-    def test_round_trip(self):
-        m = small_model(seed=3)
-        vec = parameters_to_vector(m)
-        m2 = small_model(seed=99)
-        vector_to_parameters(vec, m2)
-        for (_, p1), (_, p2) in zip(m.named_parameters(), m2.named_parameters()):
-            np.testing.assert_allclose(p1.data, p2.data, atol=1e-6)
-
-    def test_wrong_length_raises(self):
-        m = small_model()
-        with pytest.raises(ValueError):
-            vector_to_parameters(np.zeros(3), m)

@@ -211,6 +211,46 @@ class TestPoisonStates:
         poison_states("signflip", states, _state(0), plan, 1, 1)
         np.testing.assert_array_equal(states["control"]["delta"], -honest["delta"])
 
+    def test_mixed_float_widths_follow_the_flat_rule(self):
+        """Noise draws one block per float buffer, in buffer order (float32
+        entries a and c, then float64 b); logitcorrupt draws one permutation
+        per float entry, in key order."""
+        honest = OrderedDict(
+            a=np.arange(2, dtype=np.float32),
+            b=np.arange(3, dtype=np.float64),
+            c=np.arange(4, dtype=np.float32),
+        )
+        spec = AttackSpec(noise=0.5, noise_std=0.5)
+        plan = AdversaryPlan(spec, seed=0)
+        states = {"state": OrderedDict(honest)}
+        poison_states("noise", states, None, plan, 1, 2)
+        rng = plan.attack_rng(1, 2)
+        n32, n64 = rng.normal(0.0, 0.5, size=6), rng.normal(0.0, 0.5, size=3)
+        out = states["state"]
+        np.testing.assert_array_equal(out["a"], (honest["a"] + n32[:2]).astype(np.float32))
+        np.testing.assert_array_equal(out["c"], (honest["c"] + n32[2:]).astype(np.float32))
+        np.testing.assert_array_equal(out["b"], honest["b"] + n64)
+
+        states = {"state": OrderedDict(honest)}
+        poison_states("logitcorrupt", states, None, plan, 1, 2)
+        rng = plan.attack_rng(1, 2)
+        for key in "abc":
+            perm = rng.permutation(honest[key].size)
+            np.testing.assert_array_equal(states["state"][key], honest[key][perm])
+
+    def test_anchor_is_the_references_own_layout(self):
+        """Only a payload in the reference's layout is anchored on it: the
+        same keys and shapes in another order are attacked in their own
+        space."""
+        plan = AdversaryPlan(AttackSpec(signflip=0.5), seed=0)
+        ref = _state(0)
+        honest = _state(1)
+        reordered = OrderedDict((k, honest[k]) for k in reversed(honest))
+        states = {"same": OrderedDict(honest), "reordered": reordered}
+        poison_states("signflip", states, ref, plan, 1, 1)
+        np.testing.assert_allclose(states["same"]["w"], 2.0 * ref["w"] - honest["w"], rtol=1e-6)
+        np.testing.assert_array_equal(states["reordered"]["w"], -honest["w"])
+
     def test_unknown_role_rejected(self):
         plan = AdversaryPlan(AttackSpec(signflip=0.5), seed=0)
         with pytest.raises(ValueError, match="unknown attack role"):
