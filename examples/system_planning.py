@@ -13,14 +13,14 @@ a simulated heterogeneous fleet, this example
 Run:  python examples/system_planning.py
 """
 
-import numpy as np
+import math
 
 from repro.core.resource import local_model_builders, plan_multi_model
 from repro.fl.compression import make_codec
-from repro.fl.latency import simulate_epoch_times
 from repro.nn.models import build_model
 from repro.nn.profiler import flops_forward
 from repro.nn.serialization import dumps_state_dict, state_dict_num_bytes
+from repro.runtime.clock import VirtualClock
 
 IMAGE = 8
 WIDTH = 0.25
@@ -42,22 +42,18 @@ def main() -> None:
             build_model("resnet-20", image_size=IMAGE, width_mult=WIDTH, seed=0).state_dict()
         )
     )
-    kwargs = dict(
-        samples_per_client=[100] * CLIENTS,
-        batch_size=20,
-        local_epochs=2,
-        batch_input_shape=(20, 3, IMAGE, IMAGE),
-        payload_bytes=2 * payload,
-    )
-    uniform = simulate_epoch_times(
+    # full participation: 100 samples per client, batch 20, 2 local epochs
+    steps = [math.ceil(100 / 20) * 2] * CLIENTS
+    clock = VirtualClock(plan.profiles, (20, 3, IMAGE, IMAGE))
+    uniform = clock.round_timing(
         [build_model("resnet-44", image_size=IMAGE, width_mult=WIDTH, seed=s) for s in range(CLIENTS)],
-        plan.profiles,
-        **kwargs,
+        steps,
+        2 * payload,
     )
-    matched = simulate_epoch_times(
+    matched = clock.round_timing(
         [fn() for fn in local_model_builders(plan, image_size=IMAGE, width_mult=WIDTH, seed=0)],
-        plan.profiles,
-        **kwargs,
+        steps,
+        2 * payload,
     )
     print(f"  fleet mix: {plan.count_by_model()}")
     print(f"  uniform resnet-44 : straggler {uniform.straggler_s:6.2f}s  utilization {uniform.utilization:.2f}")

@@ -177,7 +177,7 @@ class AlgorithmPicklable(ContractRule):
             yield self.fail(
                 cls,
                 f"{name}: the algorithm instance does not pickle ({exc!r}); "
-                "the pool executor will fork a pool per round instead of shipping",
+                "the pool executor refuses work that does not pickle",
             )
 
 

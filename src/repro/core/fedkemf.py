@@ -111,8 +111,6 @@ class FedKEMF(FLAlgorithm):
 
     def load_server_state(self, state: dict) -> None:
         super().load_server_state(state)
-        # Accepts the dict-of-touched format and the legacy all-clients
-        # list from older checkpoints.
         self.local_models.load_states(state["local_models"])
         self.last_distill_loss = state["last_distill_loss"]
 

@@ -24,7 +24,7 @@ are those of building every client at once (property-tested in
 ``tests/data/test_lazy.py``, and pinned there by literal digests), so lazy
 and eager runs produce bit-identical histories.
 
-Pickling (the persistent/parallel executors snapshot the algorithm, fed
+Pickling (the parallel executor snapshots the algorithm, fed
 included) drops the materialized shard cache, the split permutations and
 the seek table: workers rebuild their own shards from the recipe instead
 of receiving pickled sample arrays.

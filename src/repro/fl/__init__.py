@@ -22,7 +22,7 @@ from repro.fl.metrics import (
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.trainer import LocalTrainer, TrainStats
 from repro.fl.devices import DeviceProfile, DEVICE_TIERS, assign_models_by_resources
-from repro.fl.latency import estimate_client_time, estimate_round_time, simulate_epoch_times
+from repro.fl.latency import estimate_client_time
 from repro.fl.checkpoint import (
     CheckpointError,
     save_history,
@@ -66,8 +66,6 @@ __all__ = [
     "DEVICE_TIERS",
     "assign_models_by_resources",
     "estimate_client_time",
-    "estimate_round_time",
-    "simulate_epoch_times",
     "CheckpointError",
     "save_history",
     "load_history",

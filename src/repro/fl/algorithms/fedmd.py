@@ -88,7 +88,6 @@ class FedMD(FLAlgorithm):
 
     def load_server_state(self, state: dict) -> None:
         super().load_server_state(state)
-        # Accepts the dict-of-touched format and the legacy all-clients list.
         self.client_models.load_states(state["client_models"])
         self.consensus = np.asarray(state["consensus"], dtype=np.float32).copy()
 

@@ -130,10 +130,10 @@ class FLConfig:
     )
     executor: str | None = knob(
         None,
-        "executor backend: serial (the reference loop), parallel or persistent (two "
-        "names for the one worker pool) or batched (homogeneous cohorts, conv models "
-        "too, train as one stacked program); unset = the pool for --workers >= 2, "
-        "else batched for fully batched (MLP) cohorts only",
+        "executor backend: serial (the reference loop), parallel (the worker pool) "
+        "or batched (homogeneous cohorts, conv models too, train as one stacked "
+        "program); unset = the pool for --workers >= 2, else batched for fully "
+        "batched (MLP) cohorts only",
         env="REPRO_EXECUTOR", flag="--executor", group=RUNTIME_GROUP, execution_only=True,
         choices=EXECUTOR_KINDS,
     )

@@ -11,7 +11,8 @@ module *simulates* one analytically from measured quantities:
 - device capability (GFLOP/s, Mbit/s) comes from the client's
   :class:`repro.fl.devices.DeviceProfile` tier.
 
-Round latency is the straggler maximum over sampled clients of
+Round latency (:meth:`repro.runtime.clock.VirtualClock.round_timing`) is
+the straggler maximum over sampled clients of
 
     T_k = steps·flops_step / (gflops·10⁹) + payload_bytes·8 / (mbps·10⁶)
 
@@ -29,9 +30,8 @@ import numpy as np
 from repro.fl.devices import DeviceProfile
 from repro.nn.module import Module
 from repro.nn.profiler import flops_training_step
-from repro.nn.serialization import state_dict_num_bytes
 
-__all__ = ["TIER_BANDWIDTH_MBPS", "ClientTiming", "RoundTiming", "estimate_client_time", "estimate_round_time", "simulate_epoch_times"]
+__all__ = ["TIER_BANDWIDTH_MBPS", "ClientTiming", "RoundTiming", "estimate_client_time"]
 
 # Uplink bandwidth by device tier name (edge links are asymmetric and slow).
 TIER_BANDWIDTH_MBPS: dict[str, float] = {
@@ -118,58 +118,3 @@ def estimate_client_time(
     mbps = TIER_BANDWIDTH_MBPS.get(profile.name, _DEFAULT_MBPS)
     comm_s = payload_bytes * 8 / (mbps * 1e6)
     return ClientTiming(client_id, profile.name, compute_s, comm_s)
-
-
-def estimate_round_time(
-    models: "list[Module]",
-    profiles: "list[DeviceProfile]",
-    selected: "list[int]",
-    steps_per_client: "list[int]",
-    batch_input_shape: tuple[int, ...],
-    payload_bytes_per_client: "list[int]",
-    efficiency: float = 0.3,
-) -> RoundTiming:
-    """Simulate a synchronous round over the sampled clients."""
-    if not selected:
-        raise ValueError("no clients selected")
-    timings = []
-    for pos, cid in enumerate(selected):
-        timings.append(
-            estimate_client_time(
-                cid,
-                models[cid],
-                profiles[cid],
-                steps_per_client[pos],
-                batch_input_shape,
-                payload_bytes_per_client[pos],
-                efficiency,
-            )
-        )
-    return RoundTiming(tuple(timings))
-
-
-def simulate_epoch_times(
-    models: "list[Module]",
-    profiles: "list[DeviceProfile]",
-    samples_per_client: "list[int]",
-    batch_size: int,
-    local_epochs: int,
-    batch_input_shape: tuple[int, ...],
-    payload_bytes: int,
-) -> RoundTiming:
-    """Convenience wrapper: full participation, steps from shard sizes,
-    identical payload everywhere (FedKEMF's knowledge network)."""
-    n = len(models)
-    if not (len(profiles) == len(samples_per_client) == n):
-        raise ValueError("models/profiles/samples lists must align")
-    steps = [
-        max(1, int(np.ceil(s / batch_size))) * local_epochs for s in samples_per_client
-    ]
-    return estimate_round_time(
-        models,
-        profiles,
-        list(range(n)),
-        steps,
-        batch_input_shape,
-        [payload_bytes] * n,
-    )

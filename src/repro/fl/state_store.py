@@ -34,9 +34,11 @@ from __future__ import annotations
 import pickle
 import tempfile
 from collections import OrderedDict
-from collections.abc import MutableMapping
+from collections.abc import Mapping, MutableMapping
 from pathlib import Path
 from typing import Callable, Sequence
+
+from repro.fl.checkpoint import CheckpointError
 
 __all__ = ["ClientStateStore", "ClientModelBank", "LazyFactoryBank", "client_model_fns"]
 
@@ -256,7 +258,6 @@ class ClientModelBank:
     Only *touched* clients carry state: an untouched client's model is its
     deterministic fresh initialization, so :meth:`export_states` /
     :meth:`load_states` move O(touched) data regardless of population size.
-    ``load_states`` also accepts the legacy all-clients list format.
     """
 
     def __init__(
@@ -334,11 +335,16 @@ class ClientModelBank:
         return out
 
     def load_states(self, payload) -> None:
-        """Restore from :meth:`export_states` (dict of touched clients) or
-        the legacy all-clients list. Clients outside the payload revert to
-        their deterministic fresh initialization."""
-        if isinstance(payload, (list, tuple)):
-            payload = dict(enumerate(payload))
+        """Restore from :meth:`export_states` (dict of touched clients).
+        Clients outside the payload revert to their deterministic fresh
+        initialization. Anything but a mapping raises
+        :class:`~repro.fl.checkpoint.CheckpointError` before any client's
+        model is reset."""
+        if not isinstance(payload, Mapping):
+            raise CheckpointError(
+                "client model states must be a {client id: state dict} mapping; "
+                f"got {type(payload).__name__}"
+            )
         payload = {int(cid): state for cid, state in payload.items()}
         # Live modules keep their identity where possible; everything else
         # reverts to fresh-on-demand construction.

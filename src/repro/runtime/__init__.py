@@ -32,7 +32,6 @@ from repro.runtime.executors import (
     ClientExecutor,
     ClientUpdate,
     ParallelExecutor,
-    PersistentParallelExecutor,
     SerialExecutor,
     fork_available,
     make_executor,
@@ -84,7 +83,6 @@ __all__ = [
     "ClientUpdate",
     "SerialExecutor",
     "ParallelExecutor",
-    "PersistentParallelExecutor",
     "EXECUTOR_KINDS",
     "make_executor",
     "fork_available",

@@ -5,7 +5,7 @@ fleet; this module models a *hostile* one. An :class:`AdversaryPlan` assigns
 each (round, client) pair an attack role — or none — purely from
 ``(seed, round, client)`` via a dedicated ``numpy.random.SeedSequence``
 stream, so an attacked run is bit-reproducible and identical under the
-serial, parallel, persistent and batched executors.
+serial, parallel and batched executors.
 
 Attack roles (:data:`ATTACK_KINDS`):
 

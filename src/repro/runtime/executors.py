@@ -14,16 +14,13 @@ client. The executor decides the mechanics:
   programs without per-client-slice ops (tiny MLP cohorts) and leaves
   conv / batch-norm models to the serial call;
 - :class:`ParallelExecutor` fans tasks out over a fork-based
-  ``ProcessPoolExecutor`` and hands every worker the round-start state.
-  When the work closure pickles, it is pickled **once per round** in the
-  parent, each worker unpickles it at most once per round, and the pool
-  lives for the whole run (``last_round_mode == "shipped"``). When it does
-  not pickle (a local-closure model factory, say), the pool is forked for
-  that one round so the children inherit the closure (``"forked"``); only
-  picklable payloads/updates cross a pipe. A pickle round-trip and a fork
-  both reproduce numpy state bit-exactly, so the two lifetimes agree bit
-  for bit. ``PersistentParallelExecutor`` is the same class under its
-  historical name.
+  ``ProcessPoolExecutor`` that lives for the whole run and hands every
+  worker the round-start state: the work closure is pickled **once per
+  round** in the parent and each worker unpickles it at most once per
+  round (``last_round_mode == "shipped"``). Work that does not pickle is
+  refused with a :class:`TypeError` before any pool is forked; only
+  picklable payloads/updates cross a pipe, and a pickle round-trip
+  reproduces numpy state bit-exactly.
 
 The contract that makes all backends bit-identical: ``work`` may *read*
 algorithm state (the round-start snapshot) but must not rely on *writes* to
@@ -81,22 +78,17 @@ from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.utils.logging import get_logger
-
 __all__ = [
     "ClientUpdate",
     "ClientExecutor",
     "SerialExecutor",
     "BatchedExecutor",
     "ParallelExecutor",
-    "PersistentParallelExecutor",
     "RetryPolicy",
     "WORKER_CRASH",
     "EXECUTOR_KINDS",
     "make_executor",
 ]
-
-log = get_logger("runtime")
 
 # work(client_id, payload) -> ClientUpdate
 WorkFn = Callable[[int, Mapping[str, Any]], "ClientUpdate"]
@@ -307,19 +299,6 @@ class BatchedExecutor(ClientExecutor):
         return results
 
 
-# Unpicklable work closures for rounds in flight, as a stack so nested
-# executor use is reentrant: each run_round pushes its closure, forks
-# (children inherit the whole stack), and pops exactly its own frame on the
-# way out. These closures never cross a pipe — workers address them by
-# stack index.
-_FORK_WORK: "list[WorkFn]" = []
-
-
-def _invoke(index: int, cid: int, payload: Mapping[str, Any]) -> "ClientUpdate":
-    assert index < len(_FORK_WORK), "worker forked without a registered work fn"
-    return _FORK_WORK[index](cid, payload)
-
-
 # Per-worker cache of the last unpickled round snapshot. Tokens are unique
 # per (executor instance, round), so a worker unpickles each round's work
 # closure at most once and reuses it for every task it runs that round.
@@ -350,13 +329,11 @@ class ParallelExecutor(ClientExecutor):
     pickled once per round, sent along with each task as an opaque byte
     blob, and unpickled at most once per round in each worker; the pool is
     forked lazily on the first parallel round and kept until :meth:`close`.
-    If the closure is not picklable, the pool is instead forked for that
-    one round, after the closure is registered in ``_FORK_WORK``, and shut
-    down when the round ends — correctness never depends on picklability,
-    only the spin-up saving does. The first such round logs the pickling
-    error once per executor. ``last_round_mode`` records what the most
-    recent round did: ``"serial"`` (fewer than two workers or tasks, or no
-    fork on this platform), ``"shipped"`` or ``"forked"``.
+    A closure that does not pickle (a lambda or local-function model
+    factory, say) raises :class:`TypeError` before any pool is forked.
+    ``last_round_mode`` records what the most recent round did:
+    ``"serial"`` (fewer than two workers or tasks, or no fork on this
+    platform) or ``"shipped"``.
 
     A worker death breaks the pool; the recovery ladder (module docstring)
     discards it and lazily forks a fresh one, so later waves and rounds
@@ -381,7 +358,6 @@ class ParallelExecutor(ClientExecutor):
         self._id = next(_EXECUTOR_IDS)
         self._pool: "_PoolExecutor | None" = None
         self._round_seq = 0
-        self._warned_unpicklable = False
         self.last_round_mode: "str | None" = None
 
     # The live pool (threads, pipes, locks) must never ride along when the
@@ -401,34 +377,16 @@ class ParallelExecutor(ClientExecutor):
         try:
             blob = pickle.dumps(work, protocol=pickle.HIGHEST_PROTOCOL)
         except Exception as exc:  # pickle raises whatever __reduce__ raises
-            if not self._warned_unpicklable:
-                self._warned_unpicklable = True
-                log.warning(
-                    "round snapshot does not pickle (%s: %s); forking a pool "
-                    "per round instead of shipping to a long-lived one",
-                    type(exc).__name__, exc,
-                )
-            return self._run_forked(work, tasks)
+            raise TypeError(
+                f"round work {work!r} does not pickle ({type(exc).__name__}: "
+                f"{exc}); the process pool ships each round's work to its "
+                "workers — build it from a module-level factory or a "
+                "functools.partial of one"
+            ) from exc
         self._round_seq += 1
         self.last_round_mode = "shipped"
         call = functools.partial(_invoke_shipped, (self._id, self._round_seq), blob)
         return self._run_with_recovery(call, work, tasks)
-
-    def _run_forked(self, work: WorkFn, tasks: "Sequence[Task]") -> "list[ClientUpdate]":
-        """One round on a pool that lives for this round only."""
-        self.last_round_mode = "forked"
-        self.close()  # a pool forked earlier cannot see this round's closure
-        index = len(_FORK_WORK)
-        _FORK_WORK.append(work)
-        try:
-            return self._run_with_recovery(
-                functools.partial(_invoke, index), work, tasks
-            )
-        finally:
-            # Pop our frame (and anything a misbehaving nested call leaked
-            # above it) even if pool shutdown itself raises.
-            del _FORK_WORK[index:]
-            self.close()
 
     def _run_with_recovery(
         self,
@@ -507,11 +465,7 @@ class ParallelExecutor(ClientExecutor):
             self._pool = None
 
 
-# The historical name of the run-long ("shipped") pool lifetime.
-PersistentParallelExecutor = ParallelExecutor
-
-
-EXECUTOR_KINDS = ("serial", "parallel", "persistent", "batched")
+EXECUTOR_KINDS = ("serial", "parallel", "batched")
 
 
 def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor:
@@ -521,11 +475,10 @@ def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor
     and 0/1 → a :class:`BatchedExecutor` that stacks only fully batched
     programs (homogeneous MLP cohorts) and runs everything else serially,
     bit-identical to :class:`SerialExecutor`. An explicit ``kind`` —
-    ``"serial"`` (the reference), ``"parallel"``, ``"persistent"`` or
-    ``"batched"`` (stacks conv models too), e.g. from ``--executor`` /
-    ``$REPRO_EXECUTOR`` — picks the backend directly; ``"parallel"`` and
-    ``"persistent"`` are two spellings of the same pool and treat
-    ``workers < 2`` as "use all cores".
+    ``"serial"`` (the reference), ``"parallel"`` or ``"batched"`` (stacks
+    conv models too), e.g. from ``--executor`` / ``$REPRO_EXECUTOR`` —
+    picks the backend directly; ``"parallel"`` treats ``workers < 2`` as
+    "use all cores".
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0; got {workers}")

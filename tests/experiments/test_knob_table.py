@@ -19,7 +19,7 @@ from repro.fl import FLConfig
 # flag, value on the command line, env variable, exported string, field, parsed value
 ROUND_TRIPS = [
     ("--workers", "3", "REPRO_WORKERS", "3", "workers", 3),
-    ("--executor", "persistent", "REPRO_EXECUTOR", "persistent", "executor", "persistent"),
+    ("--executor", "parallel", "REPRO_EXECUTOR", "parallel", "executor", "parallel"),
     ("--faults", "Dropout=0.3, loss=0.1", "REPRO_FAULTS", "Dropout=0.3, loss=0.1",
      "faults", "Dropout=0.3, loss=0.1"),
     ("--deadline", "30", "REPRO_DEADLINE", "30.0", "deadline", 30.0),

@@ -22,7 +22,7 @@ NON_DEFAULT = dict(
     rounds=7, sample_ratio=0.5, local_epochs=1, batch_size=8, lr=0.05, seed=3,
     eval_local=True, prox_mu=0.1, distill_epochs=2, distill_temperature=2.0,
     kl_weight=0.5, ensemble="mean", compression="fp16",
-    workers=3, executor="persistent", faults="dropout=0.2,signflip=0.1", deadline=30.0,
+    workers=3, executor="parallel", faults="dropout=0.2,signflip=0.1", deadline=30.0,
     over_provision=False, aggregation="buffered", buffer_size=2, staleness_alpha=0.25,
     max_staleness=4, defense="trimmed=0.3", norm_ceiling=50.0, max_cohort=3,
     state_residency=2,

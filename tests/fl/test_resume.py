@@ -186,7 +186,7 @@ class TestResumeValidation:
         # parity across backends ⇒ a checkpoint may resume under a
         # different worker count / executor kind
         a = FedAvg(model_fn, fed, make_cfg())
-        b = FedAvg(model_fn, fed, make_cfg(workers=4, executor="persistent"))
+        b = FedAvg(model_fn, fed, make_cfg(workers=4, executor="parallel"))
         assert a.config_fingerprint() == b.config_fingerprint()
         c = FedAvg(model_fn, fed, make_cfg(faults="dropout=0.5"))
         assert a.config_fingerprint() != c.config_fingerprint()

@@ -3,7 +3,7 @@
 One thousand clients, 5% sampled, faults and a trimmed-mean defense live —
 the acceptance triple (FedAvg, SCAFFOLD, FedKEMF) must produce the *same*
 ``RunHistory.fingerprint()`` across every combination of data residency
-(eager / lazy) and executor (serial / persistent / batched), plus through
+(eager / lazy) and executor (serial / the worker pool / batched), plus through
 a kill-and-resume whose per-client state store actually spilled to disk.
 """
 
@@ -32,7 +32,7 @@ DEFENSE = "trimmed=0.2"
 ALGOS = {"fedavg": FedAvg, "scaffold": Scaffold, "fedkemf": FedKEMF}
 EXECUTORS = {
     "serial": dict(executor="serial"),
-    "persistent": dict(workers=2, executor="persistent"),
+    "persistent": dict(workers=2, executor="parallel"),  # the run-long pool
     "batched": dict(executor="batched"),
 }
 

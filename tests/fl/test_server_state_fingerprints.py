@@ -188,13 +188,13 @@ class TestParentCapturedServerStateFingerprints:
         assert {"signflip", "scale", "noise", "freerider"} <= roles
 
     @pytest.mark.parametrize(
-        "cell, residency", [("fedadam", None), ("scaffold", 1)]
+        "cell, residency", [("fedadam", None), ("scaffold", 1), ("fedmd-logitcorrupt", None)]
     )
     def test_resumed_run_unmoved(self, cell, residency, fed, model_fn, tmp_path):
         """A run checkpointed mid-schedule reloads its server state (the
         optimizer moments, the controls — spilled to disk with a residency
-        of one) as plain mappings and must land on the straight run's
-        literal."""
+        of one — FedMD's touched client models as a {cid: state} mapping)
+        as plain mappings and must land on the straight run's literal."""
         name, overrides = CELLS[cell]
         cfg = make_cfg(state_residency=residency, **overrides)
         cls = ALGORITHM_REGISTRY.get(name)

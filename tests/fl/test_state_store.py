@@ -15,6 +15,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.fl.checkpoint import CheckpointError
 from repro.fl.state_store import ClientModelBank, ClientStateStore, LazyFactoryBank
 from repro.nn.models import MLP
 
@@ -200,15 +201,18 @@ class TestClientModelBank:
         for k in want:
             np.testing.assert_array_equal(got[k], want[k])
 
-    def test_load_states_legacy_list(self):
+    def test_load_states_refuses_a_list(self):
+        """The all-clients list format is not a checkpoint payload: the
+        bank refuses it, naming what it got, and keeps its touched models."""
         bank = ClientModelBank(self.fns())
-        states = [make_model(9).state_dict() for _ in range(4)]
-        bank.load_states(states)
-        assert bank.touched == [0, 1, 2, 3]
-        for cid in range(4):
-            got = bank[cid].state_dict()
-            for k in got:
-                np.testing.assert_array_equal(got[k], states[cid][k])
+        trained = {k: v * 2 for k, v in bank[1].state_dict().items()}
+        bank[1].load_state_dict(trained)
+        with pytest.raises(CheckpointError, match="got list"):
+            bank.load_states([make_model(9).state_dict() for _ in range(4)])
+        assert bank.touched == [1]
+        got = bank[1].state_dict()
+        for k in trained:
+            np.testing.assert_array_equal(got[k], trained[k])
 
     def test_load_states_reverts_missing_to_fresh(self):
         bank = ClientModelBank(self.fns())

@@ -17,6 +17,7 @@ from repro.nn.models import (
     vgg11,
     MODEL_REGISTRY,
 )
+from repro.nn.serialization import dumps_state_dict
 from repro.nn.tensor import Tensor
 
 from tests.helpers import rand_t
@@ -38,6 +39,7 @@ class TestResNet:
         # paper: 2.1 MB per round per client = up + down of ~1.05 MB fp32
         m = resnet20(seed=0)
         assert 1.0 < model_payload_mb(m) < 1.15
+        assert 1.05e6 < len(dumps_state_dict(m.state_dict())) < 1.15e6  # on the wire
 
     def test_forward_shape(self):
         m = resnet20(seed=0, width_mult=0.25)
@@ -72,6 +74,9 @@ class TestVGG:
     def test_paper_scale_params(self):
         m = vgg11(seed=0)
         assert 9.0e6 < m.num_parameters() < 9.5e6  # ~9.23M, the 37/42 MB row
+        # the static quantity behind Table 1: paper 42 MB vs 2.1 MB per round
+        # (20x); fp32 payloads give ~33x
+        assert m.num_bytes() / resnet20(seed=0).num_bytes() > 15
 
     def test_forward_paper_size(self):
         m = vgg11(seed=0, width_mult=0.125)

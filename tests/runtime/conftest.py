@@ -49,7 +49,7 @@ def micro_fed_equal():
 def micro_model_fn():
     # A partial of a module-level function (not a local closure) so that the
     # whole algorithm snapshot — which holds this factory — is picklable and
-    # PersistentParallelExecutor can ship it instead of falling back.
+    # ParallelExecutor can ship it (it refuses work that does not pickle).
     return functools.partial(
         build_model,
         "mlp",

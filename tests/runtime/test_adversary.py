@@ -20,7 +20,6 @@ from repro.runtime.adversary import (
 from repro.runtime.executors import (
     BatchedExecutor,
     ParallelExecutor,
-    PersistentParallelExecutor,
     fork_available,
 )
 from repro.runtime.faults import FaultSpec, parse_fault_spec
@@ -306,8 +305,8 @@ class TestRuntimeWiring:
 
 class TestLabelflipClone:
     """The flipped-label trainer is built on demand from the honest one —
-    nothing is cached on the algorithm, so nothing rides in the persistent
-    pool's snapshot and forked client work writes nothing to ``self``."""
+    nothing is cached on the algorithm, so nothing rides in the pool's
+    shipped snapshot and client work writes nothing to ``self``."""
 
     def _check(self, algo, honest, clone):
         x, y = honest.dataset.arrays()
@@ -370,11 +369,11 @@ class TestExecutorParityUnderAttack:
         make = ALGORITHM_REGISTRY.get("fedavg")
         cfg = dict(faults=ATTACKS, defense="median")
         serial = make(micro_model_fn, micro_fed, _config(**cfg))
-        persistent = make(
-            micro_model_fn, micro_fed, _config(workers=4, executor="persistent", **cfg)
+        pool = make(
+            micro_model_fn, micro_fed, _config(workers=4, executor="parallel", **cfg)
         )
-        assert isinstance(persistent.runtime.executor, PersistentParallelExecutor)
-        _assert_same_run(serial, persistent)
+        assert isinstance(pool.runtime.executor, ParallelExecutor)
+        _assert_same_run(serial, pool)
 
     def test_serial_vs_batched(self, micro_fed_equal, micro_model_fn):
         """Labelflip clients must peel out of the stacked cohort (they train

@@ -1,4 +1,5 @@
-"""VirtualClock unit tests — the per-architecture FLOP cache key.
+"""VirtualClock unit tests — the per-architecture FLOP cache key and the
+synchronous-round timing.
 
 The cache must be keyed on the architecture's interned state layout
 (ordered ``(name, shape, dtype)`` entries): a ``(class name, num_bytes)``
@@ -11,6 +12,7 @@ from __future__ import annotations
 import pytest
 
 from repro.fl.devices import DEVICE_TIERS
+from repro.nn.models import resnet20, resnet44
 from repro.nn.models.mlp import MLP
 from repro.nn.serialization import state_layout
 from repro.runtime.clock import VirtualClock
@@ -67,3 +69,43 @@ def test_client_time_scales_with_slowdown():
     assert slow > base
     timing = clock.client_timing(0, model, steps=3, payload_bytes=1024)
     assert slow - base == pytest.approx((4.0 - 1.0) * timing.compute_s)
+
+
+SMALL, MID, LARGE = DEVICE_TIERS[:3]
+
+
+class TestRoundTime:
+    def test_straggler_is_max(self):
+        models = [resnet44(seed=0, width_mult=0.25), resnet44(seed=1, width_mult=0.25)]
+        rt = VirtualClock([SMALL, LARGE], (8, 3, 8, 8)).round_timing(models, [5, 5], 1000)
+        assert rt.straggler_s == max(c.total_s for c in rt.clients)
+        assert rt.utilization < 1.0
+
+    def test_uniform_fleet_high_utilization(self):
+        models = [resnet20(seed=s, width_mult=0.25) for s in range(3)]
+        rt = VirtualClock([MID] * 3, (8, 3, 8, 8)).round_timing(models, [4, 4, 4], 100)
+        assert rt.utilization > 0.99
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError):
+            _clock(0).round_timing([], [], 0)
+
+    def test_misaligned_lists_rejected(self):
+        with pytest.raises(ValueError):
+            _clock().round_timing([MLP(8, 4, seed=0)], [1, 1], 100)
+
+    def test_resource_matching_beats_uniform_big_model(self):
+        """The paper's system argument: deploying ResNet-44 everywhere is
+        gated by the iot tier; matching models to devices balances the
+        round."""
+        clock = VirtualClock([SMALL, MID, LARGE], (8, 3, 8, 8))
+        uniform = [resnet44(seed=s, width_mult=0.25) for s in range(3)]
+        matched = [
+            resnet20(seed=0, width_mult=0.25),
+            resnet20(seed=1, width_mult=0.25),  # mid gets something light too
+            resnet44(seed=2, width_mult=0.25),
+        ]
+        rt_uniform = clock.round_timing(uniform, [4, 4, 4], 1000)
+        rt_matched = clock.round_timing(matched, [4, 4, 4], 1000)
+        assert rt_matched.straggler_s < rt_uniform.straggler_s
+        assert rt_matched.utilization > rt_uniform.utilization

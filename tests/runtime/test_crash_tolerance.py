@@ -9,7 +9,6 @@ re-armed pool.
 
 from __future__ import annotations
 
-import functools
 import os
 
 import numpy as np
@@ -21,7 +20,6 @@ from repro.runtime.executors import (
     WORKER_CRASH,
     ClientUpdate,
     ParallelExecutor,
-    PersistentParallelExecutor,
     RetryPolicy,
     SerialExecutor,
     fork_available,
@@ -71,27 +69,13 @@ def _explode(cid, payload):
     raise RuntimeError(f"client {cid} exploded")
 
 
-def _forked(work):
-    """``work`` behind a lambda: it cannot pickle, so the executor forks a
-    pool for the round instead of shipping to its run-long one."""
-    return functools.partial(lambda inner, cid, payload: inner(cid, payload), work)
-
-
-# One ladder, two pool lifetimes. The ids are the names the two cases have
-# always had: "parallel" was the fork-per-round class, "persistent" the
-# shipped pool.
 @needs_fork
-@pytest.mark.parametrize(
-    "lifetime, wrap",
-    [("forked", _forked), ("shipped", lambda work: work)],
-    ids=["parallel", "persistent"],
-)
 class TestWorkerCrash:
-    def test_round_survives_and_reports(self, lifetime, wrap):
+    def test_round_survives_and_reports(self):
         tasks = _tasks(5)
         with ParallelExecutor(2, retry=FAST_RETRY) as ex:
-            updates = ex.run_round(wrap(_crashing_work), tasks)
-            assert ex.last_round_mode == lifetime
+            updates = ex.run_round(_crashing_work, tasks)
+            assert ex.last_round_mode == "shipped"
             # every healthy client finished, in task order
             assert [u.client_id for u in updates] == [0, 1, 3, 4]
             for (cid, payload), u in zip(
@@ -101,33 +85,33 @@ class TestWorkerCrash:
             # the poison client is a failure, not an exception
             assert ex.last_round_failures == {CRASH_CID: WORKER_CRASH}
 
-    def test_next_round_rearms(self, lifetime, wrap):
+    def test_next_round_rearms(self):
         tasks = _tasks(5)
         with ParallelExecutor(2, retry=FAST_RETRY) as ex:
-            ex.run_round(wrap(_crashing_work), tasks)
-            clean = ex.run_round(wrap(_healthy_work), tasks)
+            ex.run_round(_crashing_work, tasks)
+            clean = ex.run_round(_healthy_work, tasks)
             # recovery did not change how the executor hands out state
-            assert ex.last_round_mode == lifetime
+            assert ex.last_round_mode == "shipped"
             assert [u.client_id for u in clean] == [0, 1, 2, 3, 4]
             assert ex.last_round_failures == {}
 
-    def test_work_exception_still_propagates(self, lifetime, wrap):
+    def test_work_exception_still_propagates(self):
         # Programming errors are not infrastructure failures: no retry, no
         # "worker-crash" masking — the exception reaches the caller.
         with ParallelExecutor(2, retry=FAST_RETRY) as ex:
             with pytest.raises(RuntimeError, match="exploded"):
-                ex.run_round(wrap(_explode), _tasks(4))
-            assert ex.last_round_mode == lifetime
+                ex.run_round(_explode, _tasks(4))
+            assert ex.last_round_mode == "shipped"
 
 
 @needs_fork
 class TestPersistentPoolRecovery:
     def test_shipped_mode_kept_after_crash(self):
-        with PersistentParallelExecutor(2, retry=FAST_RETRY) as ex:
+        with ParallelExecutor(2, retry=FAST_RETRY) as ex:
             ex.run_round(_crashing_work, _tasks(5))
             assert ex.last_round_mode == "shipped"
             ex.run_round(_healthy_work, _tasks(5))
-            # recovery did not demote the executor to fork-per-round
+            # recovery kept shipping to the re-armed pool
             assert ex.last_round_mode == "shipped"
 
 
@@ -139,11 +123,23 @@ class TestContextManager:
 
     @needs_fork
     def test_persistent_pool_released(self):
-        ex = PersistentParallelExecutor(2)
+        ex = ParallelExecutor(2)
         with ex:
             ex.run_round(_healthy_work, _tasks(4))
             assert ex._pool is not None
         assert ex._pool is None
+
+
+class CrashyFedAvg(FedAvg):
+    """FedAvg whose worker dies on one client in round 0. Module level, so
+    the round snapshot pickles and the pool is shipped it."""
+
+    name = "FedAvg"
+
+    def client_work(self, round_idx, cid, payload):
+        if round_idx == 0 and cid == self._crash_cid:
+            os._exit(1)
+        return super().client_work(round_idx, cid, payload)
 
 
 @needs_fork
@@ -151,15 +147,6 @@ class TestAlgorithmLevelCrash:
     def test_run_records_worker_crash(self, micro_fed, micro_model_fn):
         """A worker death inside client work flows into the history like an
         injected fault: the round completes, the client is a failure."""
-
-        class CrashyFedAvg(FedAvg):
-            name = "FedAvg"
-
-            def client_work(self, round_idx, cid, payload):
-                if round_idx == 0 and cid == self._crash_cid:
-                    os._exit(1)
-                return super().client_work(round_idx, cid, payload)
-
         cfg = FLConfig(
             rounds=2, sample_ratio=1.0, local_epochs=1, batch_size=16, seed=0, workers=2
         )

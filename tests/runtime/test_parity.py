@@ -9,11 +9,7 @@ import pytest
 
 from repro.core import FedKEMF, local_model_builders, plan_multi_model
 from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
-from repro.runtime.executors import (
-    ParallelExecutor,
-    PersistentParallelExecutor,
-    fork_available,
-)
+from repro.runtime.executors import ParallelExecutor, fork_available
 
 
 def _assert_histories_identical(a, b):
@@ -95,37 +91,54 @@ class TestSerialParallelParity:
         _assert_histories_identical(serial.run(), parallel.run())
         _assert_models_identical(serial.global_model, parallel.global_model)
 
+    def test_fedavg_parity_buffered(self, micro_fed, micro_model_fn):
+        """The buffered-aggregation server state riding on the run (the
+        update buffer, staleness bookkeeping) comes through the pool
+        untouched, and the straggler plan really produces stale merges."""
+        cfg = dict(
+            rounds=3, seed=1, faults="slowdown=10,straggler=0.4",
+            aggregation="buffered", buffer_size=2, staleness_alpha=0.5, max_staleness=6,
+        )
+        serial = ALGORITHM_REGISTRY.get("fedavg")(
+            micro_model_fn, micro_fed, _config(executor="serial", **cfg)
+        )
+        parallel = ALGORITHM_REGISTRY.get("fedavg")(
+            micro_model_fn, micro_fed, _config(workers=2, executor="parallel", **cfg)
+        )
+        want, got = serial.run(), parallel.run()
+        assert parallel.runtime.executor.last_round_mode == "shipped"
+        assert got.fingerprint() == want.fingerprint()
+        assert got.staleness_histogram() == want.staleness_histogram()
+        assert any(s > 0 for s in got.staleness_histogram())
+        _assert_models_identical(serial.global_model, parallel.global_model)
+
 
 @needs_fork
 class TestThreeWayParity:
-    """Serial vs the pool under both lifetimes: bit-identical histories and
-    models under the same seed. The picklable factory must really be
-    shipped to the run-long pool (not silently forked per round), and the
-    closure factory — which cannot pickle — must really be forked."""
+    """Serial vs the pool named explicitly: bit-identical histories and
+    models under the same seed, and the picklable factory really is shipped
+    to the run-long pool. A factory that does not pickle is refused."""
 
     def _check(self, algo_factory, model_fn):
+        runs = {}
+        for executor in ("serial", "parallel"):
+            algo = algo_factory(_config(workers=4, executor=executor), model_fn)
+            runs[executor] = (algo.run(), algo)
+        assert isinstance(runs["parallel"][1].runtime.executor, ParallelExecutor)
+        assert runs["parallel"][1].runtime.executor.last_round_mode == "shipped"
+        _assert_histories_identical(runs["serial"][0], runs["parallel"][0])
+        _assert_models_identical(
+            runs["serial"][1].global_model, runs["parallel"][1].global_model
+        )
+        assert runs["serial"][1].meter.total == runs["parallel"][1].meter.total
+
         def closure_fn():  # local closure: defeats pickle-by-reference
             return model_fn()
 
-        kinds = {
-            "serial": ("serial", model_fn, None),
-            "parallel": ("parallel", closure_fn, "forked"),
-            "persistent": ("persistent", model_fn, "shipped"),
-        }
-        runs = {}
-        for kind, (executor, fn, mode) in kinds.items():
-            algo = algo_factory(_config(workers=4, executor=executor), fn)
-            runs[kind] = (algo.run(), algo)
-            if mode is not None:
-                assert isinstance(algo.runtime.executor, ParallelExecutor)
-                assert algo.runtime.executor.last_round_mode == mode
-        assert ParallelExecutor is PersistentParallelExecutor
-        for kind in ("parallel", "persistent"):
-            _assert_histories_identical(runs["serial"][0], runs[kind][0])
-            _assert_models_identical(
-                runs["serial"][1].global_model, runs[kind][1].global_model
-            )
-            assert runs["serial"][1].meter.total == runs[kind][1].meter.total
+        refused = algo_factory(_config(workers=4, executor="parallel"), closure_fn)
+        with pytest.raises(TypeError, match="does not pickle"):
+            refused.run()
+        assert refused.runtime.executor._pool is None
         return runs
 
     def test_fedavg(self, micro_fed, micro_model_fn):
@@ -140,12 +153,11 @@ class TestThreeWayParity:
             micro_model_fn,
         )
         # persistent on-device models must round-trip through the pool too
-        for kind in ("parallel", "persistent"):
-            for m_s, m_p in zip(
-                runs["serial"][1].local_models_for_eval(),
-                runs[kind][1].local_models_for_eval(),
-            ):
-                _assert_models_identical(m_s, m_p)
+        for m_s, m_p in zip(
+            runs["serial"][1].local_models_for_eval(),
+            runs["parallel"][1].local_models_for_eval(),
+        ):
+            _assert_models_identical(m_s, m_p)
 
     def test_multi_model_fedkemf_is_shipped(self, micro_fed, micro_model_fn):
         """Table 3's heterogeneous deployment: ``local_model_builders``
