@@ -3,10 +3,12 @@
 Mechanizes the contracts the reproduction's headline guarantees rest on:
 nothing draws hidden entropy (paired Table 1–3 comparisons), no wall-clock
 value feeds recorded state (bit-identical checkpoint resume), shared cache
-entries stay frozen (the PR-2 aliasing bug class), autograd ops always
-register a backward, and every algorithm's mutable server state is
-checkpointable and picklable (the PR-3 drift bug class and the executor
-process boundary).
+entries stay frozen (the cache aliasing bug class), autograd ops always
+register a backward, and every algorithm's mutable server state is named
+by its checkpoint hooks (the resume drift bug class). The analysis is
+static: it never imports the code it lints. The runtime half of those
+contracts (payloads and algorithms pickle, ``server_state`` round-trips)
+is checked by the registry tests, ``tests/fl/test_registry_contract.py``.
 
 Run it as ``python -m repro.analysis`` (installed alias: ``reprolint``);
 see DESIGN.md §"Static analysis" for the rule table and

@@ -39,10 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--format",
         choices=sorted(FORMATTERS),
         default="text",
-        help=(
-            "output format (github emits ::error workflow annotations, "
-            "sarif emits a code-scanning upload document)"
-        ),
+        help="output format (github emits ::error workflow annotations)",
     )
     parser.add_argument(
         "--select",
@@ -58,32 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to skip (glob patterns allowed)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file of known findings: fail only on findings not "
-            "recorded there (see --write-baseline)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings into --baseline FILE and exit 0",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-rule wall time after the report (CI budgets the total)",
-    )
-    parser.add_argument(
-        "--no-contracts",
-        action="store_true",
-        help="skip the reflection contract pass over the algorithm registry",
-    )
-    parser.add_argument(
-        "--contracts-only",
-        action="store_true",
-        help="run only the registry contract pass (no file linting)",
     )
     parser.add_argument(
         "--list-rules",
@@ -96,16 +70,18 @@ def build_parser() -> argparse.ArgumentParser:
 def _parse_codes(raw: "str | None", known: "set[str]") -> "frozenset[str] | None":
     """Expand a comma list of codes/globs against the registered codes.
 
-    Returns ``None`` for "no selection". An unknown literal code or a
-    pattern matching nothing is reported as ``ValueError`` — a typo that
-    silently selected zero rules would green-light anything.
+    Returns ``None`` for "no selection". An unknown literal code, a
+    pattern matching nothing, or a list naming no code at all (``""``,
+    ``" , "`` — an empty CI variable) is reported as ``ValueError``: a
+    selection of zero rules would green-light anything.
     """
     if raw is None:
         return None
+    tokens = [t.strip().upper() for t in raw.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError(f"rule list {raw!r} names no rule code")
     out: set[str] = set()
-    for token in (t.strip().upper() for t in raw.split(",")):
-        if not token:
-            continue
+    for token in tokens:
         if any(ch in token for ch in "*?["):
             matched = set(fnmatch.filter(known, token))
             if not matched:
@@ -136,11 +112,6 @@ def main(argv: "list[str] | None" = None) -> int:
             print(f"       {rule.invariant}")
         return 0
 
-    if args.write_baseline and not args.baseline:
-        print("reprolint: --write-baseline requires --baseline FILE", file=sys.stderr)
-        return 2
-
-    config = AnalysisConfig.default()
     known = {rule.code for rule in ALL_RULES}
     try:
         select = _parse_codes(args.select, known)
@@ -148,49 +119,15 @@ def main(argv: "list[str] | None" = None) -> int:
     except ValueError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
-    config = config.with_overrides(
-        select=select,
-        ignore=ignore,
-        run_contracts=not args.no_contracts,
-    )
+    config = AnalysisConfig.default().with_overrides(select=select, ignore=ignore)
 
     try:
-        if args.contracts_only:
-            from repro.analysis.contracts import run_contract_checks
-            from repro.analysis.engine import LintResult
-
-            result = LintResult(violations=run_contract_checks())
-        else:
-            result = lint_paths(args.paths, config=config)
+        result = lint_paths(args.paths, config=config)
     except FileNotFoundError as exc:
         print(f"reprolint: {exc}", file=sys.stderr)
         return 2
 
-    baselined = 0
-    if args.baseline:
-        from repro.analysis.baseline import (
-            apply_baseline,
-            load_baseline,
-            write_baseline,
-        )
-
-        if args.write_baseline:
-            write_baseline(args.baseline, result.violations)
-            print(
-                f"reprolint: wrote {len(result.violations)} finding(s) "
-                f"to {args.baseline}"
-            )
-            return 0
-        try:
-            baseline = load_baseline(args.baseline)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            print(f"reprolint: cannot read baseline: {exc}", file=sys.stderr)
-            return 2
-        result.violations, baselined = apply_baseline(result.violations, baseline)
-
     print(FORMATTERS[args.format](result))
-    if baselined:
-        print(f"reprolint: {baselined} finding(s) matched the baseline", file=sys.stderr)
     if args.profile:
         _print_profile(result.timings)
     return 0 if result.ok else 1

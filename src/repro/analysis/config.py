@@ -47,12 +47,11 @@ DEFAULT_SCOPES: dict[str, PathScope] = {
 
 @dataclass
 class AnalysisConfig:
-    """What to run, where, and whether to include the contract pass."""
+    """Which rules run, and where."""
 
     select: "frozenset[str] | None" = None  # None = all registered rules
     ignore: frozenset[str] = frozenset()
     scopes: dict[str, PathScope] = field(default_factory=dict)
-    run_contracts: bool = True
 
     @classmethod
     def default(cls) -> "AnalysisConfig":

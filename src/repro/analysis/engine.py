@@ -6,12 +6,10 @@ one :class:`~repro.analysis.callgraph.ProjectIndex` over every parsed
 module and runs the RPL7xx dataflow rules against it — cross-file
 reachability needs the whole project at once. Pragmas suppress per line
 (including any line of a multi-line expression span and a flow finding's
-enclosing ``def``), path scopes gate per rule, and the optional contract
-pass (reflection over the algorithm registry) appends its findings at the
-end; when it runs, RPL704 findings that the *live* server_state round
-trip disproves are dropped (static approximation, dynamic arbiter). A
-file that does not parse is itself a finding (``RPL001``) rather than a
-crash — the linter runs in CI over trees it did not write.
+enclosing ``def``) and path scopes gate per rule. The engine never
+imports the code it lints. A file that does not parse is itself a finding
+(``RPL001``) rather than a crash — the linter runs in CI over trees it did
+not write.
 
 Per-rule wall time is accumulated in :attr:`LintResult.timings` (shown by
 ``reprolint --profile``; the CI lint job budgets the total).
@@ -158,14 +156,6 @@ def lint_paths(
                 else:
                     result.violations.append(violation)
     _run_flow_pass(result, modules, pragmas_by_display, config)
-    if config.run_contracts:
-        from repro.analysis.contracts import CONTRACT_RULES, run_contract_checks
-
-        enabled = tuple(r for r in CONTRACT_RULES if config.rule_enabled(r.code))
-        if enabled:
-            started = time.perf_counter()
-            result.violations.extend(run_contract_checks(rules=enabled))
-            result.timings["contracts"] = time.perf_counter() - started
     result.violations.sort()
     return result
 
@@ -186,7 +176,6 @@ def _run_flow_pass(
     started = time.perf_counter()
     index = ProjectIndex(modules)
     result.timings["flow:index"] = time.perf_counter() - started
-    flow_violations: list[Violation] = []
     for rule in enabled:
         started = time.perf_counter()
         found = list(rule.check_project(index))
@@ -199,12 +188,4 @@ def _run_flow_pass(
             if _suppressed(pragmas_by_display.get(violation.path), violation):
                 result.suppressed += 1
             else:
-                flow_violations.append(violation)
-    if config.run_contracts and any(v.code == "RPL704" for v in flow_violations):
-        from repro.analysis.contracts import disproven_by_live_round_trip
-
-        dropped = disproven_by_live_round_trip(
-            [v for v in flow_violations if v.code == "RPL704"]
-        )
-        flow_violations = [v for v in flow_violations if v not in dropped]
-    result.violations.extend(flow_violations)
+                result.violations.append(violation)

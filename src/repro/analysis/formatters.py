@@ -1,12 +1,10 @@
-"""Output formatters: human text, GitHub annotations, and SARIF."""
+"""Output formatters: human text and GitHub annotations."""
 
 from __future__ import annotations
 
-import json
-
 from repro.analysis.engine import LintResult
 
-__all__ = ["format_text", "format_github", "format_sarif", "FORMATTERS"]
+__all__ = ["format_text", "format_github", "FORMATTERS"]
 
 
 def format_text(result: LintResult) -> str:
@@ -40,60 +38,4 @@ def format_github(result: LintResult) -> str:
     return "\n".join(lines)
 
 
-def format_sarif(result: LintResult) -> str:
-    """SARIF 2.1.0 — the schema GitHub code scanning ingests.
-
-    One run, one driver (``reprolint``), one rule entry per distinct code
-    seen, one result per finding. Everything reprolint reports guards a
-    replay/determinism invariant, so every finding maps to ``"error"``.
-    """
-    from repro.analysis.rules import RULES_BY_CODE
-
-    codes = sorted({v.code for v in result.violations})
-    rules = []
-    for code in codes:
-        rule = RULES_BY_CODE.get(code)
-        entry: dict[str, object] = {"id": code}
-        if rule is not None:
-            entry["name"] = rule.name
-            entry["shortDescription"] = {"text": rule.invariant or rule.name}
-        rules.append(entry)
-    results = [
-        {
-            "ruleId": v.code,
-            "ruleIndex": codes.index(v.code),
-            "level": "error",
-            "message": {"text": v.message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": v.path},
-                        "region": {
-                            "startLine": v.line,
-                            "startColumn": v.col + 1,
-                        },
-                    }
-                }
-            ],
-        }
-        for v in result.violations
-    ]
-    doc = {
-        "$schema": "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json",
-        "version": "2.1.0",
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": "reprolint",
-                        "rules": rules,
-                    }
-                },
-                "results": results,
-            }
-        ],
-    }
-    return json.dumps(doc, indent=2)
-
-
-FORMATTERS = {"text": format_text, "github": format_github, "sarif": format_sarif}
+FORMATTERS = {"text": format_text, "github": format_github}

@@ -1,13 +1,12 @@
-"""Rule registry: every reprolint rule, AST and contract, by code.
+"""Rule registry: every reprolint rule, AST and flow, by code.
 
 Adding a rule = write the class, instantiate it in :data:`AST_RULES` (or
-``CONTRACT_RULES`` in :mod:`repro.analysis.contracts`); the CLI, engine,
+:data:`~repro.analysis.rules.flow_rules.FLOW_RULES`); the CLI, engine,
 ``--list-rules`` and the fixture-coverage test pick it up from here.
 """
 
 from __future__ import annotations
 
-from repro.analysis.contracts import CONTRACT_RULES
 from repro.analysis.rules.aliasing import CacheEntryMutation, OutAliasesTensorData
 from repro.analysis.rules.autograd_ops import ForwardWithoutBackward, MissingSuperInit
 from repro.analysis.rules.base import AstRule, Rule, SourceModule, Violation
@@ -42,7 +41,7 @@ AST_RULES: tuple[AstRule, ...] = (
     PerClientLoop(),
 )
 
-ALL_RULES: tuple[Rule, ...] = AST_RULES + FLOW_RULES + CONTRACT_RULES
+ALL_RULES: tuple[Rule, ...] = AST_RULES + FLOW_RULES
 
 RULES_BY_CODE: dict[str, Rule] = {rule.code: rule for rule in ALL_RULES}
 if len(RULES_BY_CODE) != len(ALL_RULES):  # pragma: no cover - registration bug

@@ -3,9 +3,10 @@
 A rule is a small object with an identity (``code`` like ``RPL102``, a
 kebab-case ``name``, the invariant it guards) and a ``check`` method that
 yields :class:`Violation` records. AST rules receive one parsed
-:class:`SourceModule` per file; contract rules (``kind = "contract"``) run
-once per lint invocation against the live, imported codebase instead of
-file-by-file (see :mod:`repro.analysis.contracts`).
+:class:`SourceModule` per file; flow rules (``kind = "flow"``) run once per
+lint invocation over the project call graph (see
+:mod:`repro.analysis.rules.flow_rules`). Nothing here imports the code
+under analysis.
 """
 
 from __future__ import annotations
@@ -37,12 +38,9 @@ class Violation:
     # Suppression metadata (not part of the finding's identity): the last
     # line of the offending expression, so a pragma anywhere on a
     # multi-line call suppresses, plus extra anchor lines (flow rules
-    # record the enclosing ``def`` line). ``data`` carries rule-specific
-    # facts for downstream passes (RPL704 stores (class, attr) so the
-    # contract pass can cross-check against the live round trip).
+    # record the enclosing ``def`` line).
     end_line: int = field(default=0, compare=False)
     anchors: tuple[int, ...] = field(default=(), compare=False)
-    data: tuple[str, ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
@@ -112,7 +110,7 @@ class Rule:
 
     code: str = "RPL000"
     name: str = "unnamed"
-    kind: str = "ast"  # "ast" (per-file) or "contract" (per-invocation)
+    kind: str = "ast"  # "ast" (per-file) or "flow" (per-project)
     invariant: str = ""  # one line: what must hold, shown by --list-rules
 
     def check(self, module: SourceModule) -> Iterable[Violation]:
@@ -133,6 +131,6 @@ class Rule:
 
 
 class AstRule(Rule):
-    """Marker base for per-file AST rules (all rules except contracts)."""
+    """Marker base for per-file AST rules (all rules except flow rules)."""
 
     kind = "ast"

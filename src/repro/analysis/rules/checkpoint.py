@@ -5,7 +5,8 @@ The PR-3 bug class: an ``FLAlgorithm`` subclass that grows mutable state in
 but never overrides ``server_state()`` — checkpoints then silently omit
 that state, and a resumed run drifts from the uninterrupted trajectory.
 The complementary *runtime* check (does ``server_state`` round-trip
-through ``load_server_state``?) lives in :mod:`repro.analysis.contracts`.
+through ``load_server_state``?) is a registry test
+(``tests/fl/test_registry_contract.py``).
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from typing import Iterable
 
 from repro.analysis.rules.base import AstRule, SourceModule, Violation
 
-__all__ = ["MissingServerState"]
+__all__ = ["MissingServerState", "ALGORITHM_BASES"]
 
 # Classes known to be FLAlgorithm subclasses (cross-file bases the AST
 # cannot resolve). Deriving from one of the *stateful* bases counts as
 # inheriting a server_state() that the parent's author already wrote; new
 # mutable attributes added on top still warrant an override, which the
-# runtime contract pass catches.
+# registry's server_state round-trip test catches.
 _ALGO_BASES = frozenset(
     {
         "FLAlgorithm",
@@ -35,6 +36,9 @@ _ALGO_BASES = frozenset(
 _STATEFUL_BASES = frozenset(
     {"Scaffold", "FedMD", "FedAvgM", "FedAdam", "FedKEMF", "FedKD"}
 )
+# Every algorithm class name the static rules recognise without resolving
+# an import; a tier-1 test checks it names every registered algorithm.
+ALGORITHM_BASES = _ALGO_BASES | _STATEFUL_BASES
 
 _MUTABLE_CTORS = frozenset({"list", "dict", "set", "defaultdict", "OrderedDict", "deque"})
 _STATE_HOOKS = ("setup", "__init__")
@@ -155,7 +159,7 @@ class MissingServerState(AstRule):
         if _depth > 10:
             return False
         for base in self._base_names(cls):
-            if base in _ALGO_BASES or base in _STATEFUL_BASES:
+            if base in ALGORITHM_BASES:
                 return True
             if base in classes and self._is_algorithm(classes[base], classes, _depth + 1):
                 return True

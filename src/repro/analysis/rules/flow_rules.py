@@ -11,8 +11,9 @@ enclosing ``def`` line as a pragma anchor, so either line can carry an
 The rules only analyse *algorithm classes* — classes that (transitively)
 derive from ``FLAlgorithm`` or one of the registered algorithm bases.
 Base-name matching is deliberately permissive: a fixture subclassing a
-bare ``FLAlgorithm`` name without a resolvable import still counts, and
-when the live registry is importable its class names extend the set.
+bare ``FLAlgorithm`` name without a resolvable import still counts. The
+names come from :data:`~repro.analysis.rules.checkpoint.ALGORITHM_BASES`;
+the analyser never imports the program it analyses.
 
 | code   | path property proved                                          |
 | ------ | ------------------------------------------------------------- |
@@ -31,6 +32,7 @@ from typing import Iterable, Sequence
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProjectIndex
 from repro.analysis.dataflow import effects_for, escape_summary
 from repro.analysis.rules.base import Rule, SourceModule, Violation
+from repro.analysis.rules.checkpoint import ALGORITHM_BASES
 
 __all__ = [
     "FlowRule",
@@ -43,27 +45,6 @@ __all__ = [
     "algorithm_classes",
 ]
 
-# Known algorithm base-class names: the FLAlgorithm root plus every class
-# the registry binds (kept in sync with rules/checkpoint.py). Lint-time
-# fallback for when `repro.fl.algorithms` is not importable (pure fixture
-# trees); the live registry extends this set when it is.
-_ALGO_BASE_NAMES = frozenset(
-    {
-        "FLAlgorithm",
-        "FedAvg",
-        "FedProx",
-        "FedNova",
-        "FedDF",
-        "_FedOptBase",
-        "FedAvgM",
-        "FedAdam",
-        "Scaffold",
-        "FedMD",
-        "FedKEMF",
-        "FedKD",
-    }
-)
-
 _CLIENT_WORK_HOOKS = ("client_work", "client_work_batched")
 _RETURNING_HOOKS = ("client_payload", "server_state")
 _AGGREGATE_HOOKS = ("aggregate", "aggregate_buffered", "apply_client_update")
@@ -74,31 +55,12 @@ _STATE_HOOKS = ("server_state", "load_server_state")
 # checkpoint's model payload, and the scratch module is rebuilt on load.
 _CHECKPOINTED_ELSEWHERE = frozenset({"global_model", "_scratch"})
 
-_registry_names_cache: "frozenset[str] | None" = None
-
-
-def _registry_class_names() -> frozenset[str]:
-    """Class names bound in the live algorithm registry, when importable."""
-    global _registry_names_cache
-    if _registry_names_cache is not None:
-        return _registry_names_cache
-    names: set[str] = set()
-    try:
-        from repro.analysis.contracts import algorithm_entries
-
-        names = {cls.__name__ for _, cls in algorithm_entries()}
-    except Exception:  # registry not importable: fixture-only lint
-        names = set()
-    _registry_names_cache = frozenset(names)
-    return _registry_names_cache
-
 
 def algorithm_classes(index: ProjectIndex) -> list[ClassInfo]:
     """Classes in the project that are (or derive from) an FL algorithm."""
-    bases = _ALGO_BASE_NAMES | _registry_class_names()
     out = []
     for cls in index.classes.values():
-        if cls.name in bases or index.derives_from(cls, bases):
+        if cls.name in ALGORITHM_BASES or index.derives_from(cls, ALGORITHM_BASES):
             out.append(cls)
     return sorted(out, key=lambda c: c.qualname)
 
@@ -114,14 +76,7 @@ class FlowRule(Rule):
     def check(self, module: SourceModule) -> Iterable[Violation]:  # pragma: no cover
         raise TypeError(f"{self.code} is a flow rule; use check_project()")
 
-    def flow_violation(
-        self,
-        fn: FunctionInfo,
-        node: ast.AST,
-        message: str,
-        *,
-        data: tuple[str, ...] = (),
-    ) -> Violation:
+    def flow_violation(self, fn: FunctionInfo, node: ast.AST, message: str) -> Violation:
         return Violation(
             path=fn.display,
             line=getattr(node, "lineno", fn.node.lineno),
@@ -130,7 +85,6 @@ class FlowRule(Rule):
             message=message,
             end_line=getattr(node, "end_lineno", 0) or 0,
             anchors=(fn.node.lineno,),
-            data=data,
         )
 
 
@@ -264,7 +218,6 @@ class UncapturedAggregateWrite(FlowRule):
                         f"but never rides the server_state()/load_server_state "
                         f"round trip of {cls.name}; a resumed run would "
                         f"silently reset it",
-                        data=(cls.name, attr),
                     )
 
 

@@ -452,7 +452,7 @@ class FLAlgorithm:
         if self.defense is not None and self.defense.stateful:
             # Stateful defenses (autoclip's running threshold) must resume
             # bit-identically or a restored run clips differently and
-            # drifts — the property reprolint RPL905 guards.
+            # drifts (tests/fl/test_registry_contract.py checks this).
             state["_defense"] = self.defense.state()
         return state
 

@@ -6,7 +6,8 @@ to repeat the list is a loop over :func:`knobs`: the range checks in
 ``FLConfig.__post_init__``, ``runtime_defaults()`` and the CLI's flags and
 environment exports (:mod:`repro.experiments`), the execution-only set that
 ``FLAlgorithm.config_fingerprint()`` excludes, ``history.meta["runtime"]``
-and reprolint's RPL904 contract. The run-level knobs that are not
+and the registry's fingerprint check (``tests/fl/test_registry_contract.py``).
+The run-level knobs that are not
 ``FLConfig`` fields use the same record in :mod:`repro.experiments.configs`.
 """
 

@@ -35,7 +35,8 @@ Contracts the rest of the system relies on:
 - Aggregators with mutable state (``autoclip``) round-trip through
   ``state()`` / ``load_state()`` and ride inside
   ``FLAlgorithm.server_state()`` under the reserved ``"_defense"`` key
-  (reprolint contract RPL905), so defended runs resume bit-identically.
+  (a registry contract test checks it), so defended runs resume
+  bit-identically.
 - Everything here is deterministic: no RNG, no wall clock, no dependence
   on aggregation order beyond the sorted-by-client-id order the round loop
   already guarantees.
@@ -149,9 +150,9 @@ class RobustAggregator:
     reference are flattened into the first state's layout on entry.
 
     ``stateful`` aggregators carry mutable cross-round state; it must
-    round-trip through :meth:`state` / :meth:`load_state` (reprolint
-    RPL905) because the algorithm layer checkpoints it inside
-    ``server_state()``.
+    round-trip through :meth:`state` / :meth:`load_state` (a registry
+    contract test checks it) because the algorithm layer checkpoints it
+    inside ``server_state()``.
     """
 
     kind = "base"
@@ -240,9 +241,9 @@ class NormClipAggregator(RobustAggregator):
 class AutoClipAggregator(NormClipAggregator):
     """Adaptive norm clipping: the threshold for round *t* is the median
     client delta norm observed in round *t−1* (no clipping on the first
-    round, when there is no history). The running threshold is the mutable
-    state RPL905 guards — it must ride in checkpoints or a resumed run
-    clips differently and drifts."""
+    round, when there is no history). The running threshold is mutable
+    state — it must ride in checkpoints or a resumed run clips differently
+    and drifts."""
 
     kind = "autoclip"
     stateful = True

@@ -206,7 +206,7 @@ def _update_state(update: "ClientUpdate") -> dict:
     """Decompose a :class:`ClientUpdate` into plain checkpointable data.
 
     Field-by-field (rather than pickling the dataclass) so checkpoint
-    consumers — and reprolint's ``_deep_equal`` — see dicts of numpy
+    consumers — and the registry contract tests — see dicts of numpy
     arrays/scalars they can compare structurally.
     """
     return copy.deepcopy(

@@ -13,11 +13,11 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 @pytest.fixture
 def lint_fixture():
-    """Lint a single fixture file with scopes cleared and contracts off
-    (fixtures live under tests/, outside every default path scope)."""
+    """Lint a single fixture file with scopes cleared (fixtures live under
+    tests/, outside every default path scope)."""
 
     def run(name: str, **config_overrides):
-        config = AnalysisConfig(scopes={}, run_contracts=False, **config_overrides)
+        config = AnalysisConfig(scopes={}, **config_overrides)
         return lint_paths([FIXTURES / name], config=config)
 
     return run

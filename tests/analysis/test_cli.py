@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pathlib
 
+import pytest
+
 from repro.analysis import ALL_RULES
 from repro.analysis.cli import main
 
@@ -17,9 +19,7 @@ def run_cli(capsys, *argv: str) -> "tuple[int, str]":
 
 
 def test_clean_file_exits_zero(capsys):
-    code, out = run_cli(
-        capsys, str(FIXTURES / "rpl501_good.py"), "--no-contracts"
-    )
+    code, out = run_cli(capsys, str(FIXTURES / "rpl501_good.py"))
     assert code == 0
     assert "0 violations" in out
 
@@ -28,7 +28,6 @@ def test_violations_exit_one_text_format(capsys):
     code, out = run_cli(
         capsys,
         str(FIXTURES / "rpl102_bad.py"),
-        "--no-contracts",
         "--select",
         "RPL102",
     )
@@ -43,7 +42,6 @@ def test_github_format_emits_error_annotations(capsys):
     code, out = run_cli(
         capsys,
         str(FIXTURES / "rpl102_bad.py"),
-        "--no-contracts",
         "--select",
         "RPL102",
         "--format",
@@ -59,7 +57,6 @@ def test_ignore_flag_silences_rule(capsys):
     code, out = run_cli(
         capsys,
         str(FIXTURES / "rpl103_bad.py"),
-        "--no-contracts",
         "--ignore",
         "RPL103",
     )
@@ -79,46 +76,13 @@ def test_list_rules_covers_every_registered_rule(capsys):
     assert code == 0
     for rule in ALL_RULES:
         assert rule.code in out, f"--list-rules omits {rule.code}"
-    assert "[contract]" in out and "[ast]" in out
-
-
-def test_contracts_only_runs_registry_pass(capsys):
-    code, out = run_cli(capsys, "--contracts-only")
-    assert code == 0, out
-
-
-def test_sarif_format_is_valid_code_scanning_payload(capsys):
-    import json
-
-    code, out = run_cli(
-        capsys,
-        str(FIXTURES / "rpl102_bad.py"),
-        "--no-contracts",
-        "--select",
-        "RPL102",
-        "--format",
-        "sarif",
-    )
-    assert code == 1
-    doc = json.loads(out)
-    assert doc["version"] == "2.1.0"
-    (run,) = doc["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "reprolint"
-    assert [r["id"] for r in driver["rules"]] == ["RPL102"]
-    assert len(run["results"]) == 2
-    for result in run["results"]:
-        assert result["ruleId"] == "RPL102"
-        assert result["level"] == "error"
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region["startLine"] >= 1 and region["startColumn"] >= 1
+    assert "[ast]" in out and "[flow]" in out
 
 
 def test_select_glob_expands_to_rule_family(capsys):
     code, out = run_cli(
         capsys,
         str(FIXTURES / "rpl705_bad.py"),
-        "--no-contracts",
         "--select",
         "RPL7*",
     )
@@ -130,14 +94,32 @@ def test_select_glob_matching_nothing_is_usage_error(capsys):
     assert main([str(FIXTURES), "--select", "RPLX*"]) == 2
 
 
+@pytest.mark.parametrize("codes", ["", " , "])
+def test_select_naming_no_code_is_usage_error(capsys, codes):
+    """An empty CI variable expanding into ``--select`` must not disable
+    every rule and pass."""
+    assert main([str(FIXTURES / "rpl102_bad.py"), "--select", codes]) == 2
+    assert "names no rule code" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--baseline", "x"],
+        ["--write-baseline"],
+        ["--no-contracts"],
+        ["--contracts-only"],
+        ["--format", "sarif"],
+    ],
+)
+def test_removed_options_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([str(FIXTURES / "rpl501_good.py"), *argv])
+    assert exit_info.value.code == 2
+
+
 def test_profile_prints_per_rule_timings(capsys):
-    code = main(
-        [
-            str(FIXTURES / "rpl501_good.py"),
-            "--no-contracts",
-            "--profile",
-        ]
-    )
+    code = main([str(FIXTURES / "rpl501_good.py"), "--profile"])
     captured = capsys.readouterr()
     assert code == 0
     assert "per-rule timing" in captured.err

@@ -10,7 +10,7 @@ _SKIPPED_DIRS = ("build", "dist", ".ruff_cache", "repro.egg-info", "__pycache__"
 
 
 def _config() -> AnalysisConfig:
-    return AnalysisConfig(scopes={}, run_contracts=False)
+    return AnalysisConfig(scopes={})
 
 
 def test_generated_dirs_are_skipped(tmp_path):

@@ -85,8 +85,9 @@ class TestResumeParity:
         got = resumed.run(ROUNDS, checkpoint_dir=tmp_path, resume_from=True)
 
         assert history_key(got) == history_key(full)
-        # the one-line form of the same comparison (reprolint RPL904's
-        # sibling contract): timing drift must not reach the fingerprint
+        # the one-line form of the same comparison (sibling of the
+        # registry's fingerprint check): timing drift must not reach the
+        # fingerprint
         assert got.fingerprint() == full.fingerprint()
         assert_same_weights(resumed, straight)
 

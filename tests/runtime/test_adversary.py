@@ -406,7 +406,8 @@ class TestResumeUnderAttack:
     def test_attacked_defended_resume_is_bit_identical(
         self, micro_fed, micro_model_fn, tmp_path
     ):
-        """Autoclip carries mutable cross-round state (the RPL905 case):
+        """Autoclip carries mutable cross-round state (the defense case of
+        ``tests/fl/test_registry_contract.py``):
         a run killed mid-schedule must resume onto the straight-through
         fingerprint, attacks and all."""
         make = ALGORITHM_REGISTRY.get("fedavg")
