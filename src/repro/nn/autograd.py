@@ -96,12 +96,24 @@ def backward(root: "Tensor", grad: np.ndarray | None = None) -> None:
     # Seed gradient buffers keyed by node identity; flushed into .grad only
     # for leaves / retained tensors to keep memory bounded.
     grads: dict[int, np.ndarray] = {id(root): grad}
+    # Owners of the arrays stored as some .grad in this pass: a closure may
+    # hand the same array (or a view of it) to two parents, or a read-only
+    # broadcast view, and .grad is updated in place (FedProx, SCAFFOLD).
+    owners: set[int] = set()
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
         if node.requires_grad and (node._is_leaf or node._retains_grad):
-            node.grad = g if node.grad is None else node.grad + g
+            if node.grad is None:
+                owner = id(g if g.base is None else g.base)
+                if not g.flags.writeable or owner in owners:
+                    g = g.copy(order="K")
+                    owner = id(g)
+                owners.add(owner)
+                node.grad = g
+            else:
+                node.grad = node.grad + g
         if node._backward_fn is not None:
             parent_grads = node._backward_fn(g)
             for parent, pg in zip(node._parents, parent_grads):

@@ -143,6 +143,8 @@ def _per_slice(m: _StackedLeaf, x: Tensor) -> Tensor:
         grads = [None] * (1 + len(params))
         for i, (fn, which) in enumerate(slices):
             for j, gj in zip(which, fn(g[i])):
+                if gj is None:  # a data input: conv2d computes no gradient for it
+                    continue
                 if grads[j] is None:
                     grads[j] = np.empty((k,) + gj.shape, dtype=gj.dtype)
                 grads[j][i] = gj

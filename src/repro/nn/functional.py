@@ -71,17 +71,16 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         rows = math.prod(x.data.shape[:-1])
         profiler.add_flops("linear", 2 * rows * weight.data.shape[-2] * weight.data.shape[-1])
 
-    if bias is None:
+    # A data input (no gradient wanted) skips the ``g @ W`` product.
+    input_grad = x.requires_grad
 
-        def bwd(g):
-            return g @ weight.data, np.swapaxes(g, -1, -2) @ x.data
+    def bwd(g):
+        gx = g @ weight.data if input_grad else None
+        gw = np.swapaxes(g, -1, -2) @ x.data
+        return (gx, gw) if bias is None else (gx, gw, g.sum(axis=-2))
 
-        return Tensor._make(out, (x, weight), bwd)
-
-    def bwd_b(g):
-        return g @ weight.data, np.swapaxes(g, -1, -2) @ x.data, g.sum(axis=-2)
-
-    return Tensor._make(out, (x, weight, bias), bwd_b)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._make(out, parents, bwd)
 
 
 def _stable_log_softmax(z: np.ndarray, axis: int) -> np.ndarray:
@@ -437,13 +436,15 @@ def _conv_forward(rows: np.ndarray, w2: np.ndarray, bias: np.ndarray | None, n: 
     return out
 
 
-def _conv_backward(cols: np.ndarray, w2: np.ndarray, gout: np.ndarray):
+def _conv_backward(cols: np.ndarray, w2: np.ndarray, gout: np.ndarray, input_grad: bool = True):
     """``cols`` (F, N·L) and upstream ``gout`` (N, OC, L) to ``(gcols, gw2)``:
-    the column gradient as a logical (N, F, L) view for :func:`_col2im` and
-    the (OC, F) weight gradient."""
+    the column gradient as a logical (N, F, L) view for :func:`_col2im`
+    (``None`` without ``input_grad``) and the (OC, F) weight gradient."""
     n, oc = gout.shape[:2]
     g_rows = gout.transpose(0, 2, 1).reshape(-1, oc)  # (N·L, OC), shared
     gw2 = g_rows.T * cols.T if len(g_rows) == 1 else np.matmul(cols, g_rows).T
+    if not input_grad:
+        return None, gw2
     gcols = np.matmul(g_rows, w2).reshape(n, -1, len(cols)).transpose(0, 2, 1)
     return gcols, gw2
 
@@ -474,10 +475,14 @@ def conv2d(
     if profiler.is_counting():
         profiler.add_flops("conv2d", 2 * n * oc * out_h * out_w * c * kh * kw)
 
+    # A data input (the first layer's images) skips the column-gradient
+    # GEMM and the col2im fold; gw and gb come from the same calls either way.
+    input_grad = x.requires_grad
+
     def bwd(g):
         gout = g.reshape(n, oc, -1)  # (N, OC, L)
-        gcols, gw2 = _conv_backward(_im2col_cols(xp, kh, kw, stride), w2, gout)
-        gx = _col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
+        gcols, gw2 = _conv_backward(_im2col_cols(xp, kh, kw, stride), w2, gout, input_grad)
+        gx = None if gcols is None else _col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
         gw = gw2.reshape(weight.data.shape)
         if bias is None:
             return gx, gw
@@ -651,27 +656,33 @@ def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     """
     k = kernel_size
     s = stride if stride is not None else k
-    n, c, h, w = x.data.shape
+    _, _, h, w = x.data.shape
     if s != k or h % k or w % k:
         raise NotImplementedError(
             f"max_pool2d supports kernel==stride with divisible dims; got "
             f"k={k}, s={s}, h={h}, w={w}"
         )
-    oh, ow = h // k, w // k
     if profiler.is_counting():
         profiler.add_flops("pool", x.data.size)
     out = _window_max(x.data, k)
 
     def bwd(g):
-        windows = x.data.reshape(n, c, oh, k, ow, k)
-        # The winner mask and tie counts are only needed for the gradient,
-        # so they are built lazily here — eval-mode forwards (the ensemble
-        # teacher hot loop) never pay for the two full-size temporaries.
-        mask = windows == out.reshape(n, c, oh, 1, ow, 1)
-        counts = mask.sum(axis=(3, 5), keepdims=True)
-        g6 = g.reshape(n, c, oh, 1, ow, 1)
-        gx = (mask * g6 / counts).reshape(n, c, h, w)
-        return (gx.astype(x.dtype, copy=False),)
+        # The winner cells and tie counts are built here, not at forward, so
+        # eval-mode forwards (the ensemble teacher hot loop) never pay for
+        # them. As in _window_max, one pass per strided window cell: a winner
+        # gets g / (tie count), the others 0 · that share (a signed zero, or
+        # NaN for an infinite g). Dividing in x's dtype gives the bits of
+        # float64(g) / count rounded back: both operands are exact float32
+        # values and 53 ≥ 2·24 + 2, so the double rounding is innocuous.
+        hits = [x.data[..., i::k, j::k] == out for i in range(k) for j in range(k)]
+        counts = hits[0].astype(x.dtype)
+        for hit in hits[1:]:
+            counts += hit
+        share = g / counts  # a NaN window has no winner: count 0, NaN below
+        gx = np.empty(x.data.shape, dtype=x.dtype)
+        for (i, j), hit in zip(np.ndindex(k, k), hits):
+            np.multiply(hit, share, out=gx[..., i::k, j::k])
+        return (gx,)
 
     return Tensor._make(out, (x,), bwd)
 

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
 from repro.nn import no_grad, set_grad_enabled, is_grad_enabled
+from repro.nn.module import Parameter
+from repro.nn.optim.optimizer import clip_grad_norm
 from repro.nn.tensor import Tensor
 
 from tests.helpers import rand_t
@@ -98,3 +101,49 @@ class TestGradMode:
         out = (Tensor(frozen.data) * a).sum()
         out.backward()
         np.testing.assert_allclose(a.grad, frozen.data)
+
+
+class TestGradStorage:
+    """``.grad`` is an array its tensor owns: writable and shared with no
+    other tensor's ``.grad``, since FedProx and SCAFFOLD update it in place."""
+
+    def test_shared_gradient_is_not_aliased(self):
+        # (a + b)'s backward hands its one upstream array to both parents.
+        a, b, c = (Parameter(np.full(3, v, dtype=np.float32)) for v in (1.0, 2.0, 3.0))
+        ((a + b) * c).sum().backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        a.grad += 1
+        np.testing.assert_array_equal(b.grad, [3.0, 3.0, 3.0])
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0, 4.0])
+
+    def test_view_of_a_stored_gradient_is_not_aliased(self):
+        a = Parameter(np.ones((3, 1), dtype=np.float32))
+        b = Parameter(np.ones(3, dtype=np.float32))
+        (a.reshape(3) + b).sum().backward()
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_broadcast_gradient_is_writeable(self):
+        p = Parameter(np.ones((2, 3), dtype=np.float32))
+        p.sum().backward()
+        assert p.grad.flags.writeable
+        p.grad += 1
+        np.testing.assert_array_equal(p.grad, np.full((2, 3), 2.0))
+
+    def test_clip_grad_norm_after_sum(self):
+        p = Parameter(np.ones((2, 3), dtype=np.float32))
+        p.sum().backward()
+        total = clip_grad_norm([p], 1.0)
+        assert total == pytest.approx(np.sqrt(6.0))
+        assert float(np.linalg.norm(p.grad)) == pytest.approx(1.0, rel=1e-6)
+
+    def test_adaptive_avg_pool_gradient_is_writeable(self):
+        x = rand_t((2, 3, 4, 4), seed=11)
+        F.adaptive_avg_pool2d(x).sum().backward()
+        assert x.grad.flags.writeable and x.grad.shape == (2, 3, 4, 4)
+        x.grad *= 2
+
+    def test_owned_gradient_is_stored_without_a_copy(self):
+        a = Parameter(np.zeros(3, dtype=np.float32))
+        handed = np.arange(3, dtype=np.float32)
+        Tensor._make(np.zeros(3, dtype=np.float32), (a,), lambda g: (handed,)).sum().backward()
+        assert a.grad is handed

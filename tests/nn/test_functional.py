@@ -137,6 +137,30 @@ class TestLeadingAxis:
             if bias:
                 _same_bits(b.grad[i], bi.grad)
 
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "no-bias"])
+    @pytest.mark.parametrize("lead", [pytest.param((), id="2d")] + LEADS)
+    def test_linear_data_input(self, lead, bias):
+        """A data input gets no gradient (the ``g @ W`` product is skipped)
+        and the weight and bias gradients keep every bit."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal(lead + (5, 7)).astype(np.float32)
+        w = rng.standard_normal(lead + (4, 7)).astype(np.float32)
+        b = rng.standard_normal(lead + (4,)).astype(np.float32) if bias else None
+        g = rng.standard_normal(lead + (5, 4)).astype(np.float32)
+        runs = []
+        for input_grad in (False, True):
+            xt, wt = Tensor(x, requires_grad=input_grad), Tensor(w, requires_grad=True)
+            bt = None if b is None else Tensor(b, requires_grad=True)
+            out = F.linear(xt, wt, bt)
+            if not input_grad:
+                assert out._backward_fn(g)[0] is None
+            out.backward(g)
+            runs.append((xt.grad, out.data, wt.grad) + (() if b is None else (bt.grad,)))
+        (x_grad, *got), (_, *want) = runs
+        assert x_grad is None
+        for got_one, want_one in zip(got, want):
+            _same_bits(got_one, want_one)
+
     @pytest.mark.parametrize("reduction", ["mean", "sum"])
     @pytest.mark.parametrize("lead", LEADS)
     def test_cross_entropy(self, lead, reduction):

@@ -8,7 +8,9 @@ einsum spelling lives only in this file — over hand-picked geometries, the
 perf workloads' layer shapes and a seeded sample of a 7 050-geometry sweep.
 The offset-accumulate col2im is a pure reimplementation of the scatter
 reference; finite differences then anchor the whole conv backward to
-calculus.
+calculus. The max-pool backward keeps the parent's mask / count / float64
+formula as its oracle, and a data input's conv backward is held to the
+requires-grad call's parameter gradients.
 """
 
 from __future__ import annotations
@@ -142,27 +144,30 @@ def _conv_from_rows(rows_fn, x, wt, b, g, stride, pad):
     return (out, gx, gw) if b is None else (out, gx, gw, gout.sum(axis=(0, 2)))
 
 
-def _conv2d(x, wt, b, g, stride, pad):
-    xt, wtt = Tensor(x, requires_grad=True), Tensor(wt, requires_grad=True)
+def _conv2d(x, wt, b, g, stride, pad, input_grad=True):
+    """conv2d's out / gx / gw (/ gb); ``input_grad=False`` makes ``x`` data."""
+    xt, wtt = Tensor(x, requires_grad=input_grad), Tensor(wt, requires_grad=True)
     bt = None if b is None else Tensor(b, requires_grad=True)
     out = F.conv2d(xt, wtt, bt, stride=stride, padding=pad)
     out.backward(g)
     return (out.data, xt.grad, wtt.grad) + (() if b is None else (bt.grad,))
 
 
-def _conv2d_k(x, wt, b, g, stride, pad):
+def _conv2d_k(x, wt, b, g, stride, pad, input_grad=True):
     """A stacked Conv2d leaf, two clients holding the same slice; returns
-    client 1's out / gx / gw (/ gb)."""
+    client 1's out / gx / gw (/ gb), gx ``None`` for a data input."""
     oc, c, k, _ = wt.shape
     conv = Conv2d(c, oc, k, stride=stride, padding=pad, bias=b is not None,
                   rng=np.random.default_rng(0))
     sm = build_stacked(Sequential(conv), 2)
     state = {"0.weight": wt} if b is None else {"0.weight": wt, "0.bias": b}
     sm.load_client_states([state, state])
-    xt = Tensor(np.stack([x, x]), requires_grad=True)
+    xt = Tensor(np.stack([x, x]), requires_grad=input_grad)
     out = sm(xt)
     out.backward(np.stack([g, g]))
-    return tuple(t[1] for t in [out.data, xt.grad] + [p.grad for p in sm.parameters()])
+    return tuple(
+        None if t is None else t[1] for t in [out.data, xt.grad] + [p.grad for p in sm.parameters()]
+    )
 
 
 def assert_same_bits(got, want):
@@ -170,7 +175,8 @@ def assert_same_bits(got, want):
     assert len(got) == len(want)
     for name, a, b in zip(("out", "gx", "gw", "gb"), got, want):
         assert a.shape == b.shape and a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=name)
+        uint = f"u{a.itemsize}"
+        np.testing.assert_array_equal(a.view(uint), b.view(uint), err_msg=name)
         assert a.strides == b.strides, f"{name}: {a.strides} vs {b.strides}"
 
 
@@ -277,6 +283,141 @@ class TestMaxPoolBitwise:
             want = x.reshape(kk, n, c, h // k, k, w // k, k).max(axis=(4, 6))
             stacked = build_stacked(Sequential(MaxPool2d(k)), kk)
             assert_same_bits((stacked(Tensor(x)).data,), (want,))
+
+
+# A data input (x.requires_grad False) at stride 1 and 2, and at the N, L
+# and F = 1 geometries that take the reference operand.
+# (n, c, h, w, k, stride, pad, oc)
+DATA_INPUT_CASES = [
+    (2, 3, 8, 8, 3, 1, 1, 4),
+    (3, 2, 9, 9, 3, 2, 0, 4),
+    (1, 3, 8, 8, 3, 2, 1, 4),  # N = 1
+    (2, 16, 1, 1, 3, 1, 1, 4),  # L = 1
+    (3, 1, 7, 7, 1, 2, 0, 3),  # F = 1
+    (16, 3, 16, 16, 5, 1, 2, 8),  # cnn-2's first layer
+]
+
+
+class TestConvDataInput:
+    """A data input gets no gradient and costs no column-gradient GEMM or
+    col2im fold; the weight and bias gradients keep every bit."""
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+    def test_parameter_grads_match_and_col2im_is_skipped(self, bias, monkeypatch):
+        folds = []
+
+        def counting_col2im(*args):
+            folds.append(args[1])
+            return _col2im_accumulate(*args)
+
+        monkeypatch.setattr(F, "_col2im", counting_col2im)
+        for case in DATA_INPUT_CASES:
+            inputs, (stride, pad) = _conv_inputs(case, bias), case[5:7]
+            got = _conv2d(*inputs, stride, pad, input_grad=False)
+            assert got[1] is None and not folds, case
+            want = _conv2d(*inputs, stride, pad)
+            assert len(folds) == 1  # the patched fold is the one conv2d runs
+            folds.clear()
+            assert_same_bits(got[:1] + got[2:], want[:1] + want[2:])
+
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+    def test_stacked_conv_on_data_input_matches_serial(self, bias):
+        for case in DATA_INPUT_CASES:
+            inputs, (stride, pad) = _conv_inputs(case, bias), case[5:7]
+            got = _conv2d_k(*inputs, stride, pad, input_grad=False)
+            want = _conv2d(*inputs, stride, pad, input_grad=False)
+            assert got[1] is None and want[1] is None
+            for a, b in zip(got[:1] + got[2:], want[:1] + want[2:]):
+                np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _max_pool_grad_parent(x, out, g, k):
+    """The parent commit's max-pool backward, verbatim: a full-size winner
+    mask, int64 tie counts over two strided axes and a float64 divide cast
+    back to the input dtype."""
+    n, c, h, w = x.shape
+    oh, ow = h // k, w // k
+    windows = x.reshape(n, c, oh, k, ow, k)
+    mask = windows == out.reshape(n, c, oh, 1, ow, 1)
+    counts = mask.sum(axis=(3, 5), keepdims=True)
+    g6 = g.reshape(n, c, oh, 1, ow, 1)
+    gx = (mask * g6 / counts).reshape(n, c, h, w)
+    return gx.astype(x.dtype, copy=False)
+
+
+def _pool_case(k, dtype, seed, shape=None):
+    """Seeded max-pool input and upstream gradient. Inputs cycle through
+    relu outputs (ties of ±0.0), small integers (ties of up to k² cells) and
+    values holding ±0.0 and NaN (NaN windows); the gradient is scaled across
+    the dtype's range, subnormals included, and holds ±0, ±inf and NaN."""
+    rng = np.random.default_rng(seed)
+    if shape is None:
+        shape = (int(rng.integers(1, 4)), int(rng.integers(1, 5)),
+                 k * int(rng.integers(1, 5)), k * int(rng.integers(1, 5)))
+    kind = seed % 3
+    if kind == 0:
+        x = rng.standard_normal(shape)
+        x = x * (x > 0)
+    elif kind == 1:
+        x = rng.integers(-1, 2, size=shape).astype(np.float64)
+    else:
+        x = rng.standard_normal(shape)
+        special = rng.random(shape) < 0.4
+        x[special] = rng.choice([0.0, -0.0, np.nan, 1.0], size=int(special.sum()))
+    lo, hi = (-44, 38) if dtype == np.float32 else (-320, 307)
+    n, c, h, w = shape
+    g = rng.standard_normal((n, c, h // k, w // k)) * 10.0 ** rng.uniform(lo, hi)
+    special = rng.random(g.shape) < 0.2
+    g[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
+    with np.errstate(over="ignore"):
+        return x.astype(dtype), g.astype(dtype)
+
+
+class TestMaxPoolBackwardBitwise:
+    """The k² strided-cell backward ≡ the parent's mask / count / float64
+    formula, as integer views (NaN payloads and zero signs included), dtype
+    and strides."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_max_pool2d_grad_matches_parent(self, k, dtype):
+        for seed in range(150):
+            x, g = _pool_case(k, dtype, seed)
+            xt = Tensor(x, requires_grad=True)
+            xt.data = x  # Tensor() casts float64 to float32; keep the dtype
+            out = F.max_pool2d(xt, k)
+            with np.errstate(all="ignore"):
+                out.backward(g)
+                want = _max_pool_grad_parent(x, out.data, g, k)
+            assert_same_bits((xt.grad,), (want,))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_stacked_max_pool2d_grad_matches_parent(self, k):
+        for seed in range(60):
+            x, g = _pool_case(k, np.float32, seed)
+            x2, g2 = _pool_case(k, np.float32, seed + 1000, shape=x.shape)
+            stacked = build_stacked(Sequential(MaxPool2d(k)), 2)
+            xt = Tensor(np.stack([x, x2]), requires_grad=True)
+            out = stacked(xt)
+            with np.errstate(all="ignore"):
+                out.backward(np.stack([g, g2]))
+                for i, (xi, gi) in enumerate(((x, g), (x2, g2))):
+                    want = _max_pool_grad_parent(xi, out.data[i], gi, k)
+                    assert_same_bits((xt.grad[i],), (want,))
+
+    def test_fuzz_covers_ties_and_nan_windows(self):
+        """The cases above reach every tie count from 1 to k² and windows
+        with no winner (NaN), so the equality is not vacuous there."""
+        for k in (2, 3):
+            seen = set()
+            for seed in range(150):
+                x, _ = _pool_case(k, np.float32, seed)
+                n, c, h, w = x.shape
+                out = F.max_pool2d(Tensor(x), k).data
+                windows = x.reshape(n, c, h // k, k, w // k, k)
+                counts = (windows == out.reshape(n, c, h // k, 1, w // k, 1)).sum(axis=(3, 5))
+                seen.update(np.unique(counts).tolist())
+            assert seen == set(range(k * k + 1))
 
 
 def _cols_for(geometry, seed=0):
