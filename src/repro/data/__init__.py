@@ -1,4 +1,4 @@
-"""Datasets, synthetic generators, transforms and federated partitioning.
+"""Datasets, synthetic generators, loaders and federated partitioning.
 
 The sandbox has no CIFAR-10/MNIST files and no network, so
 :mod:`repro.data.synthetic` provides procedural drop-ins with the same tensor
@@ -34,7 +34,6 @@ from repro.data.files import (
     write_idx,
     resolve_dataset,
 )
-from repro.data import transforms
 
 __all__ = [
     "Dataset",
@@ -61,5 +60,4 @@ __all__ = [
     "read_idx",
     "write_idx",
     "resolve_dataset",
-    "transforms",
 ]

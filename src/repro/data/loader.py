@@ -1,13 +1,13 @@
 """Mini-batch loader.
 
 Gathers whole batches with fancy indexing on the dense arrays (one NumPy
-gather per batch, no per-sample Python), applies optional batch transforms,
-and reshuffles per epoch from its own generator.
+gather per batch, no per-sample Python) and reshuffles per epoch from its
+own generator. A trailing short batch is kept.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -27,13 +27,8 @@ class DataLoader:
         Mini-batch size.
     shuffle:
         Reshuffle order each epoch.
-    drop_last:
-        Drop a trailing short batch (keeps batch-norm statistics stable on
-        very small shards).
-    transform:
-        Optional batch transform ``f(x, rng) -> x``.
     seed:
-        Shuffle/transform RNG seed.
+        Shuffle RNG seed.
     """
 
     def __init__(
@@ -41,8 +36,6 @@ class DataLoader:
         dataset: Dataset,
         batch_size: int = 32,
         shuffle: bool = True,
-        drop_last: bool = False,
-        transform: Callable[[np.ndarray, np.random.Generator], np.ndarray] | None = None,
         seed: int | None = None,
     ) -> None:
         if batch_size <= 0:
@@ -52,35 +45,21 @@ class DataLoader:
             raise ValueError("cannot build a DataLoader over an empty dataset")
         self.batch_size = batch_size
         self.shuffle = shuffle
-        self.drop_last = drop_last
-        self.transform = transform
         self._rng = np.random.default_rng(seed)
 
     def __len__(self) -> int:
-        n = len(self.x)
-        if self.drop_last and n >= self.batch_size:  # a shorter shard is one batch
-            return n // self.batch_size
-        return (n + self.batch_size - 1) // self.batch_size
+        return (len(self.x) + self.batch_size - 1) // self.batch_size
 
     def epoch_orders(self, epochs: int = 1) -> "list[np.ndarray]":
         """The sample orders of the next ``epochs`` epochs, one shuffle
-        draw each, cut to the samples an epoch visits (``drop_last``).
-        Batch ``j`` of an epoch is ``order[j*batch_size:(j+1)*batch_size]``;
-        :meth:`__iter__` and the lockstep cohort scaffold both batch by it."""
+        draw each. Batch ``j`` of an epoch is
+        ``order[j*batch_size:(j+1)*batch_size]``; :meth:`__iter__` and the
+        lockstep cohort scaffold both batch by it."""
         n = len(self.x)
-        stop = (n // self.batch_size) * self.batch_size if self.drop_last else n
-        if stop == 0:  # shard smaller than one batch: yield it whole
-            stop = n
-        return [
-            (self._rng.permutation(n) if self.shuffle else np.arange(n))[:stop]
-            for _ in range(epochs)
-        ]
+        return [self._rng.permutation(n) if self.shuffle else np.arange(n) for _ in range(epochs)]
 
     def __iter__(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         (order,) = self.epoch_orders()
         for start in range(0, len(order), self.batch_size):
             idx = order[start : start + self.batch_size]
-            xb = self.x[idx]
-            if self.transform is not None:
-                xb = self.transform(xb, self._rng)
-            yield xb, self.y[idx]
+            yield self.x[idx], self.y[idx]

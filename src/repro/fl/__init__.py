@@ -17,7 +17,6 @@ from repro.fl.metrics import (
     rounds_to_target,
     converged_round,
     average_local_accuracy,
-    client_fairness_report,
 )
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.trainer import LocalTrainer, TrainStats
@@ -57,7 +56,6 @@ __all__ = [
     "rounds_to_target",
     "converged_round",
     "average_local_accuracy",
-    "client_fairness_report",
     "RoundRecord",
     "RunHistory",
     "LocalTrainer",

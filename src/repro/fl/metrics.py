@@ -20,7 +20,6 @@ __all__ = [
     "rounds_to_target",
     "converged_round",
     "average_local_accuracy",
-    "client_fairness_report",
 ]
 
 
@@ -98,29 +97,3 @@ def average_local_accuracy(
         raise ValueError("models/datasets length mismatch")
     accs = [evaluate_model(m, d, batch_size)[0] for m, d in zip(models, datasets)]
     return float(np.mean(accs))
-
-
-def client_fairness_report(
-    models: "list[Module]", datasets: "list[Dataset]", batch_size: int = 256
-) -> dict:
-    """Distribution of per-client accuracy — the fairness lens the paper's
-    introduction raises ("produce an unfair, ineffective global model").
-
-    Returns mean/std/min/max plus the bottom-decile mean ("worst-10%"),
-    the standard FL fairness summary (Michieli & Ozay 2021).
-    """
-    if len(models) != len(datasets):
-        raise ValueError("models/datasets length mismatch")
-    if not models:
-        raise ValueError("need at least one client")
-    accs = np.array([evaluate_model(m, d, batch_size)[0] for m, d in zip(models, datasets)])
-    k = max(1, len(accs) // 10)
-    worst = np.sort(accs)[:k]
-    return {
-        "per_client": accs,
-        "mean": float(accs.mean()),
-        "std": float(accs.std()),
-        "min": float(accs.min()),
-        "max": float(accs.max()),
-        "worst_decile_mean": float(worst.mean()),
-    }

@@ -51,38 +51,40 @@ class ClientStateStore(MutableMapping):
     resident_limit:
         Maximum entries held in RAM; the least-recently-used overflow is
         pickled to disk. ``None`` = unbounded (no spilling ever).
-    spill_dir:
-        Directory for spill files. Default: a private temporary directory,
-        created lazily on first spill and removed when the store is
-        garbage-collected.
+
+    Spill files live in a private temporary directory, created on the first
+    spill and removed when the store is garbage-collected; it holds exactly
+    one file per spilled entry.
     """
 
-    def __init__(
-        self, resident_limit: int | None = None, spill_dir: "str | Path | None" = None
-    ) -> None:
+    def __init__(self, resident_limit: int | None = None) -> None:
         if resident_limit is not None and resident_limit < 1:
             raise ValueError(f"resident_limit must be >= 1; got {resident_limit}")
         self.resident_limit = resident_limit
         self._resident: "OrderedDict[int, object]" = OrderedDict()
         self._spilled: "dict[int, Path]" = {}
-        self._spill_dir = Path(spill_dir) if spill_dir is not None else None
         self._tmpdir: "tempfile.TemporaryDirectory | None" = None
 
     # -- spill machinery ------------------------------------------------ #
 
     def _spill_root(self) -> Path:
-        if self._spill_dir is None:
-            if self._tmpdir is None:
-                self._tmpdir = tempfile.TemporaryDirectory(prefix="client-state-")
-            return Path(self._tmpdir.name)
-        self._spill_dir.mkdir(parents=True, exist_ok=True)
-        return self._spill_dir
+        if self._tmpdir is None:
+            self._tmpdir = tempfile.TemporaryDirectory(prefix="client-state-")
+        return Path(self._tmpdir.name)
 
     def _spill_one(self) -> None:
         cid, value = self._resident.popitem(last=False)  # least recently used
         path = self._spill_root() / f"client-{cid}.pkl"
         path.write_bytes(pickle.dumps(value))
         self._spilled[cid] = path
+
+    def _unspill(self, cid: int) -> bool:
+        """Delete ``cid``'s spill file, if it has one; True if it had."""
+        path = self._spilled.pop(cid, None)
+        if path is None:
+            return False
+        path.unlink()
+        return True
 
     def _enforce(self) -> None:
         if self.resident_limit is None:
@@ -97,17 +99,18 @@ class ClientStateStore(MutableMapping):
         if cid in self._resident:
             self._resident.move_to_end(cid)
             return self._resident[cid]
-        path = self._spilled.pop(cid, None)
+        path = self._spilled.get(cid)
         if path is None:
             raise KeyError(cid)
         value = pickle.loads(path.read_bytes())
+        self._unspill(cid)
         self._resident[cid] = value
         self._enforce()
         return value
 
     def __setitem__(self, cid: int, value: object) -> None:
         cid = int(cid)
-        self._spilled.pop(cid, None)  # a fresh write supersedes any spill
+        self._unspill(cid)  # a fresh write supersedes any spill
         self._resident[cid] = value
         self._resident.move_to_end(cid)
         self._enforce()
@@ -116,9 +119,7 @@ class ClientStateStore(MutableMapping):
         cid = int(cid)
         if cid in self._resident:
             del self._resident[cid]
-        elif cid in self._spilled:
-            del self._spilled[cid]
-        else:
+        elif not self._unspill(cid):
             raise KeyError(cid)
 
     def __iter__(self):
@@ -158,7 +159,8 @@ class ClientStateStore(MutableMapping):
 
     def clear(self) -> None:
         self._resident.clear()
-        self._spilled.clear()
+        for cid in list(self._spilled):
+            self._unspill(cid)
 
     # -- pickling (executor snapshots) ----------------------------------- #
 
@@ -166,17 +168,10 @@ class ClientStateStore(MutableMapping):
         # Snapshots are self-contained: spilled entries are materialized by
         # value so a worker process never depends on the parent's temp
         # files. The restored store re-spills into its own directory.
-        return {
-            "resident_limit": self.resident_limit,
-            "spill_dir": str(self._spill_dir) if self._spill_dir is not None else None,
-            "items": self.export(),
-        }
+        return {"resident_limit": self.resident_limit, "items": self.export()}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(
-            resident_limit=state["resident_limit"],
-            spill_dir=state["spill_dir"],
-        )
+        self.__init__(resident_limit=state["resident_limit"])
         self.load(state["items"])
 
 
@@ -264,14 +259,13 @@ class ClientModelBank:
         self,
         model_fns: "Sequence[Callable[[], object]]",
         resident_limit: int | None = None,
-        spill_dir: "str | Path | None" = None,
     ) -> None:
         if resident_limit is not None and resident_limit < 1:
             raise ValueError(f"resident_limit must be >= 1; got {resident_limit}")
         self._fns = list(model_fns)
         self.resident_limit = resident_limit
         self._live: "OrderedDict[int, object]" = OrderedDict()
-        self._parked = ClientStateStore(resident_limit=resident_limit, spill_dir=spill_dir)
+        self._parked = ClientStateStore(resident_limit=resident_limit)
 
     def __len__(self) -> int:
         return len(self._fns)

@@ -3,8 +3,9 @@
 This subpackage replaces PyTorch for the reproduction (no GPU frameworks are
 available offline). It provides a reverse-mode autograd engine over NumPy
 arrays (:mod:`repro.nn.tensor`), composite neural-network ops with
-hand-written backward passes (:mod:`repro.nn.functional`), layer modules,
-losses, optimizers, and the paper's model zoo (2-layer CNN, MLP, VGG-11,
+hand-written backward passes (:mod:`repro.nn.functional`, which also holds
+the two losses the paper trains with), layer modules, the SGD and Adam
+optimizers, and the paper's model zoo (2-layer CNN, MLP, VGG-11,
 ResNet-20/32/44).
 
 Gradient correctness of every primitive is verified against central finite
@@ -12,7 +13,7 @@ differences in ``tests/nn/test_gradcheck.py``.
 """
 
 from repro.nn.autograd import is_grad_enabled, no_grad, set_grad_enabled
-from repro.nn.tensor import Tensor, tensor, zeros, ones, full, arange, randn, stack, concatenate
+from repro.nn.tensor import Tensor
 from repro.nn import functional
 from repro.nn.module import Module, Parameter
 from repro.nn.layers import (
@@ -23,15 +24,12 @@ from repro.nn.layers import (
     AvgPool2d,
     AdaptiveAvgPool2d,
     ReLU,
-    Tanh,
-    Sigmoid,
     Dropout,
     Flatten,
     Identity,
     Sequential,
     ModuleList,
 )
-from repro.nn.loss import CrossEntropyLoss, KLDivLoss, MSELoss, SoftTargetKLLoss
 from repro.nn.serialization import (
     state_dict_num_bytes,
     dumps_state_dict,
@@ -40,14 +38,6 @@ from repro.nn.serialization import (
 
 __all__ = [
     "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
-    "arange",
-    "randn",
-    "stack",
-    "concatenate",
     "no_grad",
     "set_grad_enabled",
     "is_grad_enabled",
@@ -61,17 +51,11 @@ __all__ = [
     "AvgPool2d",
     "AdaptiveAvgPool2d",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
     "Dropout",
     "Flatten",
     "Identity",
     "Sequential",
     "ModuleList",
-    "CrossEntropyLoss",
-    "KLDivLoss",
-    "MSELoss",
-    "SoftTargetKLLoss",
     "state_dict_num_bytes",
     "dumps_state_dict",
     "loads_state_dict",

@@ -50,15 +50,11 @@ from repro.nn.layers import (
     Conv2d,
     Dropout,
     Flatten,
-    GELU,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.models.cnn import CNN2Layer
 from repro.nn.models.mlp import MLP
@@ -82,7 +78,7 @@ class _Unsupported(Exception):
 _PER_SLICE = (Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, AdaptiveAvgPool2d)
 
 # Stateless leaves that act elementwise, so they run unchanged on (K, B, ...).
-_ELEMENTWISE = (ReLU, Tanh, Sigmoid, GELU, LeakyReLU, Identity, Dropout)
+_ELEMENTWISE = (ReLU, Identity, Dropout)
 
 # Containers whose own ``forward`` calls only their children and elementwise
 # Tensor ops, so it runs unchanged on (K, B, ...) once the leaves are stacked.

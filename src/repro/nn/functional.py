@@ -26,28 +26,20 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.nn import profiler
-from repro.nn.tensor import Tensor, unbroadcast
+from repro.nn.tensor import Tensor
 
 __all__ = [
     "linear",
     "softmax",
     "log_softmax",
     "cross_entropy",
-    "nll_loss",
     "kl_div_with_logits",
-    "symmetric_kl_with_logits",
-    "mse_loss",
     "conv2d",
     "batch_norm2d",
-    "group_norm",
-    "layer_norm",
     "max_pool2d",
     "avg_pool2d",
     "adaptive_avg_pool2d",
     "dropout",
-    "gelu",
-    "leaky_relu",
-    "one_hot",
     "im2col_indices",
 ]
 
@@ -112,14 +104,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._make(out, (x,), bwd)
 
 
-def one_hot(labels: np.ndarray, num_classes: int, dtype=np.float32) -> np.ndarray:
-    """Dense one-hot encoding of an integer label vector."""
-    labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
     """Softmax cross-entropy with integer labels (Eq. 1 of the paper).
 
@@ -150,28 +134,6 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, reduction: str = "mean") -
         return (grad * mult[..., None, None],)
 
     return Tensor._make(np.asarray(loss, dtype=logits.dtype), (logits,), bwd)
-
-
-def nll_loss(logp: Tensor, labels: np.ndarray, reduction: str = "mean") -> Tensor:
-    """Negative log-likelihood over precomputed log-probabilities."""
-    labels = np.asarray(labels)
-    n = logp.data.shape[0]
-    picked = logp.data[np.arange(n), labels]
-    if reduction == "mean":
-        loss = -picked.mean()
-        scale = 1.0 / n
-    elif reduction == "sum":
-        loss = -picked.sum()
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    def bwd(g):
-        grad = np.zeros_like(logp.data)
-        grad[np.arange(n), labels] = -float(g) * scale
-        return (grad,)
-
-    return Tensor._make(np.asarray(loss, dtype=logp.dtype), (logp,), bwd)
 
 
 def kl_div_with_logits(
@@ -215,36 +177,6 @@ def kl_div_with_logits(
         return (grad_base * g.astype(grad_base.dtype)[..., None, None],)
 
     return Tensor._make(np.asarray(loss, dtype=student_logits.dtype), (student_logits,), bwd)
-
-
-def symmetric_kl_with_logits(a_logits: Tensor, b_logits: Tensor) -> tuple[Tensor, Tensor]:
-    """Both directions of Eq. 2, each detached from the other network.
-
-    Returns ``(D_KL(b||a) for updating a, D_KL(a||b) for updating b)`` as in
-    Alg. 1 lines 6–7.
-    """
-    loss_a = kl_div_with_logits(b_logits.detach(), a_logits)
-    loss_b = kl_div_with_logits(a_logits.detach(), b_logits)
-    return loss_a, loss_b
-
-
-def mse_loss(pred: Tensor, target: Tensor | np.ndarray, reduction: str = "mean") -> Tensor:
-    """Mean-squared error."""
-    t = target.data if isinstance(target, Tensor) else np.asarray(target, dtype=pred.dtype)
-    diff = pred.data - t
-    if reduction == "mean":
-        loss = np.mean(diff * diff)
-        scale = 2.0 / diff.size
-    elif reduction == "sum":
-        loss = np.sum(diff * diff)
-        scale = 2.0
-    else:
-        raise ValueError(f"unknown reduction {reduction!r}")
-
-    def bwd(g):
-        return (diff * (float(g) * scale),)
-
-    return Tensor._make(np.asarray(loss, dtype=pred.dtype), (pred,), bwd)
 
 
 # ---------------------------------------------------------------------- #
@@ -563,77 +495,6 @@ def batch_norm2d(
     return Tensor._make(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
 
 
-def _normalize_grads(g, xhat, inv_std, axes, m):
-    """Shared backward for statistics-normalizing ops (LN/GN/BN share it)."""
-    sum_g = g.sum(axis=axes, keepdims=True)
-    sum_g_xhat = (g * xhat).sum(axis=axes, keepdims=True)
-    return (inv_std / m) * (m * g - sum_g - xhat * sum_g_xhat)
-
-
-def group_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    num_groups: int,
-    eps: float = 1e-5,
-) -> Tensor:
-    """Group normalization (Wu & He 2018) over (N, C, H, W).
-
-    Batch-size independent, so unlike BatchNorm it behaves identically on
-    tiny non-IID client shards — the standard FL-friendly normalizer
-    (offered as an extension; the paper's models use BN).
-    """
-    n, c, h, w = x.data.shape
-    if c % num_groups:
-        raise ValueError(f"channels ({c}) not divisible by groups ({num_groups})")
-    gshape = (n, num_groups, c // num_groups, h, w)
-    xg = x.data.reshape(gshape)
-    axes = (2, 3, 4)
-    mean = xg.mean(axis=axes, keepdims=True)
-    var = xg.var(axis=axes, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat_g = (xg - mean) * inv_std
-    xhat = xhat_g.reshape(n, c, h, w)
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
-    m = (c // num_groups) * h * w
-    if profiler.is_counting():
-        profiler.add_flops("groupnorm", 4 * x.data.size)
-
-    def bwd(g):
-        dxhat = (g * gamma.data.reshape(1, c, 1, 1)).reshape(gshape)
-        gx = _normalize_grads(dxhat, xhat_g, inv_std, axes, m).reshape(n, c, h, w)
-        ggamma = (g * xhat).sum(axis=(0, 2, 3))
-        gbeta = g.sum(axis=(0, 2, 3))
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
-
-    return Tensor._make(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis of (N, D) features."""
-    if x.data.ndim != 2:
-        raise ValueError(f"layer_norm expects (N, D) input; got {x.data.shape}")
-    d = x.data.shape[1]
-    mean = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv_std
-    out = gamma.data * xhat + beta.data
-    if profiler.is_counting():
-        profiler.add_flops("layernorm", 4 * x.data.size)
-
-    def bwd(g):
-        dxhat = g * gamma.data
-        gx = _normalize_grads(dxhat, xhat, inv_std, (1,), d)
-        return (
-            gx.astype(x.dtype, copy=False),
-            (g * xhat).sum(axis=0),
-            g.sum(axis=0),
-        )
-
-    return Tensor._make(out.astype(x.dtype, copy=False), (x, gamma, beta), bwd)
-
-
 # ---------------------------------------------------------------------- #
 # pooling
 # ---------------------------------------------------------------------- #
@@ -729,36 +590,6 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
 # ---------------------------------------------------------------------- #
 # regularization
 # ---------------------------------------------------------------------- #
-
-
-def gelu(x: Tensor) -> Tensor:
-    """GELU, tanh approximation (Hendrycks & Gimpel 2016).
-
-    y = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))); backward is the exact
-    derivative of this approximation.
-    """
-    c = np.float32(np.sqrt(2.0 / np.pi))
-    a = np.float32(0.044715)
-    x3 = x.data**3
-    inner = c * (x.data + a * x3)
-    t = np.tanh(inner)
-    out = 0.5 * x.data * (1.0 + t)
-
-    def bwd(g):
-        sech2 = 1.0 - t * t
-        dinner = c * (1.0 + 3.0 * a * x.data * x.data)
-        grad = 0.5 * (1.0 + t) + 0.5 * x.data * sech2 * dinner
-        return (g * grad.astype(x.dtype, copy=False),)
-
-    return Tensor._make(out.astype(x.dtype, copy=False), (x,), bwd)
-
-
-def leaky_relu(x: Tensor, negative_slope: float = 0.01) -> Tensor:
-    """Leaky ReLU: x for x>0, slope·x otherwise."""
-    mask = x.data > 0
-    scale = np.where(mask, np.float32(1.0), np.float32(negative_slope))
-    out = x.data * scale
-    return Tensor._make(out, (x,), lambda g: (g * scale,))
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

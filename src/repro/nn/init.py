@@ -1,4 +1,4 @@
-"""Weight initializers (Kaiming / Xavier), deterministic via explicit RNGs."""
+"""Weight initializers (Kaiming), deterministic via explicit RNGs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from repro.nn.tensor import DEFAULT_DTYPE
 
-__all__ = ["kaiming_normal", "kaiming_uniform", "xavier_uniform", "zeros", "ones", "fan_in_out"]
+__all__ = ["kaiming_normal", "kaiming_uniform", "zeros", "ones", "fan_in_out"]
 
 
 def fan_in_out(shape: tuple[int, ...]) -> tuple[int, int]:
@@ -34,13 +34,6 @@ def kaiming_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: floa
     """He-uniform init; bound = gain * sqrt(3 / fan_in)."""
     fan_in, _ = fan_in_out(shape)
     bound = gain * math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
-
-
-def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot-uniform init; bound = gain * sqrt(6 / (fan_in + fan_out))."""
-    fan_in, fan_out = fan_in_out(shape)
-    bound = gain * math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape).astype(DEFAULT_DTYPE)
 
 

@@ -3,9 +3,8 @@
 from repro.nn.layers.linear import Linear
 from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.norm import BatchNorm2d
-from repro.nn.layers.norm_extra import GroupNorm, LayerNorm
 from repro.nn.layers.pooling import MaxPool2d, AvgPool2d, AdaptiveAvgPool2d
-from repro.nn.layers.activation import ReLU, Tanh, Sigmoid, GELU, LeakyReLU
+from repro.nn.layers.activation import ReLU
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.container import Sequential, ModuleList
 from repro.nn.layers.flatten import Flatten, Identity
@@ -14,16 +13,10 @@ __all__ = [
     "Linear",
     "Conv2d",
     "BatchNorm2d",
-    "GroupNorm",
-    "LayerNorm",
     "MaxPool2d",
     "AvgPool2d",
     "AdaptiveAvgPool2d",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "GELU",
-    "LeakyReLU",
     "Dropout",
     "Sequential",
     "ModuleList",

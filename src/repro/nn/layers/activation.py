@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
 
-__all__ = ["ReLU", "Tanh", "Sigmoid", "GELU", "LeakyReLU"]
+__all__ = ["ReLU"]
 
 
 class ReLU(Module):
@@ -15,39 +14,3 @@ class ReLU(Module):
 
     def __repr__(self) -> str:
         return "ReLU()"
-
-
-class Tanh(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.tanh()
-
-    def __repr__(self) -> str:
-        return "Tanh()"
-
-
-class Sigmoid(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return x.sigmoid()
-
-    def __repr__(self) -> str:
-        return "Sigmoid()"
-
-
-class GELU(Module):
-    def forward(self, x: Tensor) -> Tensor:
-        return F.gelu(x)
-
-    def __repr__(self) -> str:
-        return "GELU()"
-
-
-class LeakyReLU(Module):
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = negative_slope
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.leaky_relu(x, self.negative_slope)
-
-    def __repr__(self) -> str:
-        return f"LeakyReLU(negative_slope={self.negative_slope})"

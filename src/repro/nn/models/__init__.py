@@ -12,7 +12,7 @@ from repro.nn.models.mlp import MLP
 from repro.nn.models.resnet import CifarResNet, resnet20, resnet32, resnet44, resnet56
 from repro.nn.models.vgg import VGG, vgg11
 from repro.nn.models.factory import MODEL_REGISTRY, build_model, model_payload_mb
-from repro.nn.models.knowledge import default_knowledge_network, KNOWLEDGE_DEFAULTS
+from repro.nn.models.knowledge import KNOWLEDGE_DEFAULTS
 
 __all__ = [
     "CNN2Layer",
@@ -27,6 +27,5 @@ __all__ = [
     "MODEL_REGISTRY",
     "build_model",
     "model_payload_mb",
-    "default_knowledge_network",
     "KNOWLEDGE_DEFAULTS",
 ]

@@ -9,42 +9,10 @@ as the knowledge network").
 
 from __future__ import annotations
 
-from repro.nn.models.factory import build_model
-from repro.nn.module import Module
-
-__all__ = ["KNOWLEDGE_DEFAULTS", "default_knowledge_network"]
+__all__ = ["KNOWLEDGE_DEFAULTS"]
 
 # dataset family → default knowledge-network architecture name
 KNOWLEDGE_DEFAULTS: dict[str, str] = {
     "cifar10": "resnet-20",
     "mnist": "cnn-2",
 }
-
-
-def default_knowledge_network(
-    dataset: str,
-    num_classes: int = 10,
-    in_channels: int = 3,
-    image_size: int = 32,
-    width_mult: float = 1.0,
-    seed: int | None = None,
-) -> Module:
-    """Build the paper's default knowledge network for a dataset family.
-
-    Raises ``KeyError`` for unknown families so misconfigured experiments
-    fail loudly rather than silently communicating the wrong payload.
-    """
-    key = dataset.strip().lower()
-    if key not in KNOWLEDGE_DEFAULTS:
-        raise KeyError(
-            f"no default knowledge network for dataset {dataset!r}; "
-            f"known: {sorted(KNOWLEDGE_DEFAULTS)}"
-        )
-    return build_model(
-        KNOWLEDGE_DEFAULTS[key],
-        num_classes=num_classes,
-        in_channels=in_channels,
-        image_size=image_size,
-        width_mult=width_mult,
-        seed=seed,
-    )

@@ -1,16 +1,12 @@
-"""Optimizers and learning-rate schedulers."""
+"""Optimizers: SGD for local training, Adam for server distillation."""
 
 from repro.nn.optim.optimizer import Optimizer, clip_grad_norm
 from repro.nn.optim.sgd import SGD
 from repro.nn.optim.adam import Adam
-from repro.nn.optim.scheduler import StepLR, CosineAnnealingLR, ConstantLR
 
 __all__ = [
     "Optimizer",
     "clip_grad_norm",
     "SGD",
     "Adam",
-    "StepLR",
-    "CosineAnnealingLR",
-    "ConstantLR",
 ]

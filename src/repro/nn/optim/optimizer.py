@@ -54,14 +54,6 @@ class Optimizer:
     def step(self) -> None:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def state_dict(self) -> dict:
-        """Optimizer hyper/slot state for checkpointing (stateful FL clients)."""
-        return {"lr": self.lr, "steps": self.steps}
-
-    def load_state_dict(self, state: dict) -> None:
-        self.lr = float(state["lr"])
-        self.steps = int(state["steps"])
-
 
 def clip_grad_norm(params: Iterable[Parameter], max_norm: float) -> float:
     """Clip the global L2 gradient norm in place; returns the pre-clip norm."""

@@ -1,4 +1,4 @@
-"""Stochastic gradient descent with momentum / Nesterov / weight decay."""
+"""Stochastic gradient descent with momentum and weight decay."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ __all__ = ["SGD"]
 class SGD(Optimizer):
     """SGD matching torch semantics.
 
-    ``v ← μ v + (g + λ θ)``; ``θ ← θ − lr·v`` (or the Nesterov variant).
+    ``v ← μ v + (g + λ θ)``; ``θ ← θ − lr·v``.
     The local solver for every FL algorithm in the paper.
     """
 
@@ -25,14 +25,10 @@ class SGD(Optimizer):
         lr: float,
         momentum: float = 0.0,
         weight_decay: float = 0.0,
-        nesterov: bool = False,
     ) -> None:
         super().__init__(params, lr)
-        if nesterov and momentum <= 0:
-            raise ValueError("nesterov momentum requires momentum > 0")
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.nesterov = nesterov
         self._velocity: list[np.ndarray | None] = [None] * len(self.params)
 
     def step(self) -> None:
@@ -57,24 +53,7 @@ class SGD(Optimizer):
                     v *= self.momentum
                     v += g
                 self._velocity[i] = v
-                if self.nesterov:
-                    nbuf = self.scratch_for(1, i)
-                    np.multiply(v, self.momentum, out=nbuf)
-                    nbuf += g  # g + μv
-                    g = nbuf
-                else:
-                    g = v
+                g = v
             np.multiply(g, self.lr, out=buf)  # self-aliasing multiply is safe
             p.data -= buf
         self.steps += 1
-
-    def state_dict(self) -> dict:
-        state = super().state_dict()
-        state["velocity"] = [None if v is None else v.copy() for v in self._velocity]
-        return state
-
-    def load_state_dict(self, state: dict) -> None:
-        super().load_state_dict(state)
-        vel = state.get("velocity")
-        if vel is not None:
-            self._velocity = [None if v is None else v.copy() for v in vel]

@@ -14,24 +14,13 @@ Design notes (see the HPC-Python guides):
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.nn import autograd
 
-__all__ = [
-    "Tensor",
-    "tensor",
-    "zeros",
-    "ones",
-    "full",
-    "arange",
-    "randn",
-    "stack",
-    "concatenate",
-    "unbroadcast",
-]
+__all__ = ["Tensor", "unbroadcast"]
 
 DEFAULT_DTYPE = np.float32
 
@@ -296,16 +285,6 @@ class Tensor:
         out = np.sqrt(a.data)
         return Tensor._make(out, (a,), lambda g: (g * 0.5 / out,))
 
-    def tanh(self) -> "Tensor":
-        a = self
-        out = np.tanh(a.data)
-        return Tensor._make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-    def sigmoid(self) -> "Tensor":
-        a = self
-        out = 1.0 / (1.0 + np.exp(-a.data))
-        return Tensor._make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
     def relu(self) -> "Tensor":
         a = self
         mask = a.data > 0
@@ -425,82 +404,3 @@ class Tensor:
             return (full,)
 
         return Tensor._make(out, (a,), bwd)
-
-    def pad2d(self, pad: int) -> "Tensor":
-        """Zero-pad the last two (spatial) axes symmetrically by ``pad``."""
-        if pad == 0:
-            return self
-        a = self
-        width = [(0, 0)] * (a.data.ndim - 2) + [(pad, pad), (pad, pad)]
-        out = np.pad(a.data, width)
-
-        def bwd(g):
-            sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-            return (g[sl],)
-
-        return Tensor._make(out, (a,), bwd)
-
-
-# ---------------------------------------------------------------------- #
-# factory functions
-# ---------------------------------------------------------------------- #
-
-
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    """Create a tensor (alias for the constructor; mirrors ``torch.tensor``)."""
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def zeros(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.zeros(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def ones(*shape, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    return Tensor(np.ones(shape, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def full(shape, fill_value: float, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.full(shape, fill_value, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def arange(*args, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.arange(*args, dtype=DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def randn(*shape, rng: np.random.Generator | None = None, requires_grad: bool = False) -> Tensor:
-    if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-        shape = tuple(shape[0])
-    if rng is None:
-        from repro.utils.rng import new_rng  # local: nn must stay importable alone
-
-        rng = new_rng(None)
-    return Tensor(rng.standard_normal(shape).astype(DEFAULT_DTYPE), requires_grad=requires_grad)
-
-
-def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack tensors along a new axis (differentiable)."""
-    ts = list(tensors)
-    out = np.stack([t.data for t in ts], axis=axis)
-
-    def bwd(g):
-        pieces = np.split(g, len(ts), axis=axis)
-        return tuple(np.squeeze(p, axis=axis) for p in pieces)
-
-    return Tensor._make(out, tuple(ts), bwd)
-
-
-def concatenate(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis (differentiable)."""
-    ts = list(tensors)
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def bwd(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._make(out, tuple(ts), bwd)

@@ -9,12 +9,9 @@ requirement for the paired algorithm comparisons in Tables 1–3.
 
 from __future__ import annotations
 
-import contextlib
-from typing import Iterator, Sequence
-
 import numpy as np
 
-__all__ = ["new_rng", "spawn_rngs", "temp_seed", "RngMixin", "derive_seed"]
+__all__ = ["new_rng", "derive_seed"]
 
 # Fixed stream keys so that independently-seeded subsystems never collide.
 _STREAM_KEYS = {
@@ -57,46 +54,3 @@ def new_rng(seed: int | None = None, stream: str = "generic", index: int = 0) ->
         # funnel through here, so the lint gate covers everything else.
         return np.random.default_rng()  # reprolint: allow[RPL102] sole sanctioned unseeded fallback
     return np.random.default_rng(derive_seed(seed, stream, index))
-
-
-def spawn_rngs(seed: int, n: int, stream: str = "generic") -> list[np.random.Generator]:
-    """Create ``n`` independent generators, e.g. one per federated client."""
-    return [new_rng(seed, stream, i) for i in range(n)]
-
-
-@contextlib.contextmanager
-def temp_seed(seed: int) -> Iterator[np.random.Generator]:
-    """Context manager yielding a throwaway seeded generator.
-
-    Provided for tests that need locally-reproducible noise without
-    plumbing a generator through the call tree.
-    """
-    yield np.random.default_rng(seed)
-
-
-class RngMixin:
-    """Mixin giving an object a lazily-created, optionally-seeded RNG."""
-
-    _rng: np.random.Generator | None = None
-    _seed: int | None = None
-
-    def seed(self, seed: int | None) -> None:
-        """(Re)seed the object's private generator."""
-        self._seed = seed
-        self._rng = np.random.default_rng(seed)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        if self._rng is None:
-            self._rng = np.random.default_rng(self._seed)
-        return self._rng
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, pool: Sequence[int], k: int
-) -> list[int]:
-    """Sample ``k`` distinct items from ``pool`` (stable helper for samplers)."""
-    if k > len(pool):
-        raise ValueError(f"cannot sample {k} items from a pool of {len(pool)}")
-    idx = rng.choice(len(pool), size=k, replace=False)
-    return [pool[i] for i in sorted(idx.tolist())]

@@ -5,7 +5,6 @@ import pytest
 
 from repro.data.loader import DataLoader
 from repro.data.synthetic import make_blobs
-from repro.data.transforms import GaussianNoise
 
 
 class TestBatching:
@@ -16,15 +15,9 @@ class TestBatching:
         assert sizes == [16, 16, 16, 2]
         assert len(DataLoader(ds, batch_size=16)) == 4
 
-    def test_drop_last(self):
-        ds = make_blobs(50, seed=0)
-        dl = DataLoader(ds, batch_size=16, drop_last=True, shuffle=False)
-        assert len(dl) == 3
-        assert [len(y) for _, y in dl] == [16, 16, 16]
-
     def test_tiny_dataset_smaller_than_batch(self):
         ds = make_blobs(5, seed=0)
-        dl = DataLoader(ds, batch_size=16, drop_last=True)
+        dl = DataLoader(ds, batch_size=16)
         batches = list(dl)
         assert len(batches) == 1 and len(batches[0][1]) == 5
         assert len(dl) == 1
@@ -68,21 +61,3 @@ class TestShuffling:
         b = [y for _, y in DataLoader(ds, batch_size=8, seed=5)]
         for ya, yb in zip(a, b):
             np.testing.assert_array_equal(ya, yb)
-
-
-class TestTransformHook:
-    def test_transform_applied(self):
-        ds = make_blobs(16, seed=0)
-        # blobs are (N, dim): use a transform-compatible noise on 2-d input
-        def t(x, rng):
-            return x + 100.0
-
-        dl = DataLoader(ds, batch_size=16, shuffle=False, transform=t)
-        (x, _), = list(dl)
-        assert (x > 50).any()
-
-    def test_labels_untouched_by_transform(self):
-        ds = make_blobs(16, seed=0)
-        dl = DataLoader(ds, batch_size=16, shuffle=False, transform=lambda x, r: x * 0)
-        (_, y), = list(dl)
-        np.testing.assert_array_equal(y, ds.y)

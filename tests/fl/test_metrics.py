@@ -86,26 +86,6 @@ class TestConvergedRound:
         assert converged_round([0.5] * 10, window=3, tol=0.01) == 1
 
 
-class TestFairnessReport:
-    def test_fields_and_consistency(self):
-        from repro.fl.metrics import client_fairness_report
-
-        datasets = [make_blobs(30, num_classes=4, dim=8, seed=s) for s in range(12)]
-        models = [MLP(8, 4, seed=0)] * 12
-        rep = client_fairness_report(models, datasets)
-        assert len(rep["per_client"]) == 12
-        assert rep["min"] <= rep["worst_decile_mean"] <= rep["mean"] <= rep["max"]
-        assert rep["std"] >= 0
-
-    def test_validation(self):
-        from repro.fl.metrics import client_fairness_report
-
-        with pytest.raises(ValueError):
-            client_fairness_report([], [])
-        with pytest.raises(ValueError):
-            client_fairness_report([MLP(8, 4, seed=0)], [])
-
-
 class TestAverageLocal:
     def test_mean_of_per_client(self):
         ds_a = make_blobs(40, num_classes=4, dim=8, seed=0)

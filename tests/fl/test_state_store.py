@@ -28,6 +28,11 @@ def trainer_stub(cid):
     return {"cid": cid, "kind": "trainer"}
 
 
+def spill_files(store):
+    """The files in a store's private spill directory."""
+    return sorted(store._spill_root().glob("*"))
+
+
 class TestClientStateStore:
     def test_dict_semantics_unbounded(self):
         s = ClientStateStore()
@@ -41,21 +46,21 @@ class TestClientStateStore:
         with pytest.raises(KeyError):
             s[1]
 
-    def test_lru_spill_and_promote(self, tmp_path):
-        s = ClientStateStore(resident_limit=2, spill_dir=tmp_path)
+    def test_lru_spill_and_promote(self):
+        s = ClientStateStore(resident_limit=2)
         for cid in range(4):
             s[cid] = blob(cid)
         assert s.resident_count == 2
         assert s.spilled_count == 2
-        assert sorted(tmp_path.glob("client-*.pkl")) != []
+        assert len(spill_files(s)) == 2
         # 0 was least recently used → spilled; reading promotes it back
         np.testing.assert_array_equal(s[0]["w"], blob(0)["w"])
         assert s.resident_count == 2  # promotion evicted someone else
         assert len(s) == 4
         assert list(s) == [0, 1, 2, 3]
 
-    def test_peek_and_export_do_not_promote(self, tmp_path):
-        s = ClientStateStore(resident_limit=1, spill_dir=tmp_path)
+    def test_peek_and_export_do_not_promote(self):
+        s = ClientStateStore(resident_limit=1)
         for cid in range(3):
             s[cid] = blob(cid)
         spilled_before = s.spilled_count
@@ -66,12 +71,28 @@ class TestClientStateStore:
         for cid in out:
             np.testing.assert_array_equal(out[cid]["w"], blob(cid)["w"])
 
-    def test_fresh_write_supersedes_spill(self, tmp_path):
-        s = ClientStateStore(resident_limit=1, spill_dir=tmp_path)
+    def test_fresh_write_supersedes_spill(self):
+        s = ClientStateStore(resident_limit=1)
         s[0] = blob(0)
         s[1] = blob(1)  # spills 0
         s[0] = {"w": np.zeros(2), "cid": "new"}
         assert s[0]["cid"] == "new"
+
+    def test_spill_directory_holds_exactly_the_spilled_entries(self):
+        """A promoted, overwritten, deleted or cleared entry takes its spill
+        file with it, so the directory never outgrows ``spilled_count``."""
+        s = ClientStateStore(resident_limit=2)
+        for cid in range(6):
+            s[cid] = blob(cid)  # 0..3 spilled
+        assert len(spill_files(s)) == s.spilled_count == 4
+        s[0]  # promote 0, which spills 4
+        assert len(spill_files(s)) == s.spilled_count == 4
+        s[1] = blob(1)  # overwrite spilled 1, which spills 5
+        assert len(spill_files(s)) == s.spilled_count == 4
+        del s[2]
+        assert len(spill_files(s)) == s.spilled_count == 3
+        s.clear()
+        assert spill_files(s) == [] and s.spilled_count == 0
 
     def test_load_round_trip(self):
         a = ClientStateStore(resident_limit=2)
@@ -168,8 +189,8 @@ class TestClientModelBank:
         for k in trained:
             np.testing.assert_array_equal(back[k], trained[k])
 
-    def test_spill_counter_under_pressure(self, tmp_path):
-        bank = ClientModelBank(self.fns(6), resident_limit=1, spill_dir=tmp_path)
+    def test_spill_counter_under_pressure(self):
+        bank = ClientModelBank(self.fns(6), resident_limit=1)
         for cid in range(6):
             bank[cid]
         assert bank.live_count == 1

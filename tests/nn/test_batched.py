@@ -18,7 +18,6 @@ from repro.nn import functional as F
 from repro.core.ensemble import EnsembleModule
 from repro.nn.batched import StackedModel, build_stacked
 from repro.nn.layers import (
-    GELU,
     AdaptiveAvgPool2d,
     AvgPool2d,
     BatchNorm2d,
@@ -26,12 +25,10 @@ from repro.nn.layers import (
     Dropout,
     Flatten,
     Identity,
-    LeakyReLU,
     Linear,
     MaxPool2d,
+    ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.models.factory import build_model
 from repro.nn.module import Module, Parameter
@@ -113,7 +110,8 @@ MODEL_CASES = {
     "cnn-2": (dict(num_classes=4, in_channels=1, image_size=8, width_mult=0.25), (1, 8, 8)),
     "resnet-20": (dict(num_classes=4, in_channels=3, image_size=8, width_mult=0.25), (3, 8, 8)),
     "vgg-11": (dict(num_classes=4, in_channels=3, image_size=8, width_mult=0.125), (3, 8, 8)),
-    # Every elementwise leaf and a bias-less Linear, none of which the zoo uses.
+    # Every elementwise leaf (ReLU, Identity, Dropout(0)) around a bias-less
+    # Linear, which no zoo model has.
     "elementwise": (dict(num_classes=4), (1, 8, 8)),
 }
 
@@ -123,8 +121,8 @@ def _build(name, seed, **kw):
         return build_model(name, seed=seed, **kw)
     rng = np.random.default_rng(seed)
     return Sequential(
-        Flatten(), Linear(64, 16, bias=False, rng=rng), Tanh(), GELU(), LeakyReLU(0.2),
-        Sigmoid(), Identity(), Dropout(0.0), Linear(16, kw["num_classes"], rng=rng),
+        Flatten(), Linear(64, 16, bias=False, rng=rng), ReLU(), Identity(), Dropout(0.0),
+        Linear(16, kw["num_classes"], rng=rng),
     )
 
 

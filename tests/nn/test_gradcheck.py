@@ -41,11 +41,6 @@ class TestDenseHeads:
         y = np.array([0, 1, 2, 3, 4, 0])
         check_grads(lambda: F.cross_entropy(x, y, reduction=reduction), [x])
 
-    def test_nll(self):
-        x = rand_t((4, 3), seed=9)
-        y = np.array([0, 2, 1, 1])
-        check_grads(lambda: F.nll_loss(F.log_softmax(x, axis=1), y), [x])
-
     @pytest.mark.parametrize("temperature", [1.0, 2.5])
     def test_kl_div(self, temperature):
         teacher = rand_t((5, 4), seed=10, scale=2.0, requires_grad=False)
@@ -54,12 +49,6 @@ class TestDenseHeads:
             lambda: F.kl_div_with_logits(teacher, student, temperature=temperature),
             [student],
         )
-
-    @pytest.mark.parametrize("reduction", ["mean", "sum"])
-    def test_mse(self, reduction):
-        x = rand_t((4, 3), seed=12)
-        t = rand_t((4, 3), seed=13, requires_grad=False)
-        check_grads(lambda: F.mse_loss(x, t, reduction=reduction), [x])
 
 
 class TestConv:

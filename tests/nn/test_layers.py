@@ -16,8 +16,6 @@ from repro.nn import (
     ModuleList,
     ReLU,
     Sequential,
-    Sigmoid,
-    Tanh,
 )
 from repro.nn.tensor import Tensor
 
@@ -71,12 +69,8 @@ class TestPoolingLayers:
 
 class TestActivations:
     def test_shapes_preserved(self):
-        for m in (ReLU(), Tanh(), Sigmoid()):
+        for m in (ReLU(), Identity()):
             assert m(x4()).shape == (2, 3, 8, 8)
-
-    def test_sigmoid_range(self):
-        out = Sigmoid()(rand_t((10,), scale=5.0)).data
-        assert (out > 0).all() and (out < 1).all()
 
 
 class TestDropoutLayer:
@@ -104,14 +98,14 @@ class TestContainers:
         assert m(x4()).shape == (2, 4)
 
     def test_sequential_iteration_len_getitem(self):
-        m = Sequential(ReLU(), Tanh())
+        m = Sequential(ReLU(), Identity())
         assert len(m) == 2
-        assert isinstance(m[1], Tanh)
-        assert [type(c).__name__ for c in m] == ["ReLU", "Tanh"]
+        assert isinstance(m[1], Identity)
+        assert [type(c).__name__ for c in m] == ["ReLU", "Identity"]
 
     def test_sequential_append(self):
         m = Sequential(ReLU())
-        m.append(Tanh())
+        m.append(Identity())
         assert len(m) == 2
 
     def test_module_list_registers_params(self):

@@ -1,15 +1,18 @@
 """Model zoo: shapes, parameter counts, determinism, factory behavior."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from repro.experiments.runner import ExperimentRunner
 from repro.nn.models import (
     CNN2Layer,
     MLP,
     CifarResNet,
     VGG,
+    KNOWLEDGE_DEFAULTS,
     build_model,
-    default_knowledge_network,
     model_payload_mb,
     resnet20,
     resnet32,
@@ -138,14 +141,23 @@ class TestFactory:
 
 
 class TestKnowledgeDefaults:
-    def test_cifar_default_is_resnet20(self):
-        m = default_knowledge_network("cifar10", width_mult=1.0)
+    """The paper's pairing, read through ``ExperimentRunner.knowledge_fn``
+    (the builder every run uses): ResNet-20 for CIFAR-10, a 2-layer CNN for
+    MNIST, and ``KeyError`` for any other family."""
+
+    def test_cifar_default_is_resnet20(self, micro_scale):
+        assert KNOWLEDGE_DEFAULTS["cifar10"] == "resnet-20"
+        widths = {**micro_scale.width_mult, "resnet": 1.0}
+        runner = ExperimentRunner(dataclasses.replace(micro_scale, width_mult=widths))
+        m = runner.knowledge_fn("CIFAR10")()
+        assert isinstance(m, CifarResNet) and m.depth == 20
         assert m.num_parameters() == 272_474
 
-    def test_mnist_default_is_cnn2(self):
-        m = default_knowledge_network("mnist", in_channels=1, image_size=28, width_mult=0.25)
-        assert isinstance(m, CNN2Layer)
+    def test_mnist_default_is_cnn2(self, micro_scale):
+        assert KNOWLEDGE_DEFAULTS["mnist"] == "cnn-2"
+        assert isinstance(ExperimentRunner(micro_scale).knowledge_fn("mnist")(), CNN2Layer)
 
-    def test_unknown_dataset(self):
+    def test_unknown_dataset(self, micro_scale):
+        assert sorted(KNOWLEDGE_DEFAULTS) == ["cifar10", "mnist"]
         with pytest.raises(KeyError):
-            default_knowledge_network("imagenet")
+            ExperimentRunner(micro_scale).knowledge_fn("imagenet")

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.nn.tensor import Tensor, concatenate, stack
 
 from tests.helpers import check_grads, rand_t
 
@@ -38,25 +37,6 @@ class TestGetitemVariants:
         a = rand_t((6,), seed=5)
         a[::2].sum().backward()
         np.testing.assert_array_equal(a.grad, [1, 0, 1, 0, 1, 0])
-
-
-class TestStackConcatEdge:
-    def test_stack_axis1(self):
-        a, b = rand_t((2, 3), seed=6), rand_t((2, 3), seed=7)
-        assert stack([a, b], axis=1).shape == (2, 2, 3)
-
-    def test_concat_unequal_lengths(self):
-        a, b = rand_t((2, 3), seed=8), rand_t((5, 3), seed=9)
-        out = concatenate([a, b], axis=0)
-        assert out.shape == (7, 3)
-        out.sum().backward()
-        np.testing.assert_array_equal(a.grad, np.ones((2, 3)))
-        np.testing.assert_array_equal(b.grad, np.ones((5, 3)))
-
-    def test_single_element(self):
-        a = rand_t((2, 2), seed=10)
-        assert stack([a]).shape == (1, 2, 2)
-        assert concatenate([a]).shape == (2, 2)
 
 
 class TestDtypeInterplay:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.nn import no_grad
-from repro.nn.tensor import Tensor, arange, concatenate, full, ones, stack, tensor, unbroadcast, zeros
+from repro.nn.tensor import Tensor, unbroadcast
 
 from tests.helpers import check_grads, rand_t
 
@@ -18,30 +18,23 @@ class TestConstruction:
         t = Tensor(np.arange(3))
         assert t.dtype in (np.int64, np.int32)
 
-    def test_factories(self):
-        assert zeros(2, 3).shape == (2, 3)
-        assert ones((4,)).data.sum() == 4
-        assert full((2, 2), 7.0).data[0, 0] == 7.0
-        assert arange(5).shape == (5,)
-        assert tensor([1.0, 2.0]).shape == (2,)
-
     def test_item_and_len(self):
-        assert tensor([[3.0]]).item() == 3.0
+        assert Tensor(np.array([[3.0]])).item() == 3.0
         with pytest.raises(ValueError):
-            tensor([1.0, 2.0]).item()
-        assert len(zeros(5, 2)) == 5
+            Tensor(np.array([1.0, 2.0])).item()
+        assert len(Tensor(np.zeros((5, 2)))) == 5
 
     def test_repr_mentions_grad(self):
-        assert "requires_grad" in repr(zeros(1, requires_grad=True))
+        assert "requires_grad" in repr(Tensor(np.zeros(1), requires_grad=True))
 
 
 class TestArithmetic:
     def test_add_values(self):
-        a, b = tensor([1.0, 2.0]), tensor([3.0, 4.0])
+        a, b = Tensor(np.array([1.0, 2.0])), Tensor(np.array([3.0, 4.0]))
         np.testing.assert_allclose((a + b).data, [4.0, 6.0])
 
     def test_scalar_coercion_both_sides(self):
-        a = tensor([2.0])
+        a = Tensor(np.array([2.0]))
         np.testing.assert_allclose((a + 1).data, [3.0])
         np.testing.assert_allclose((1 + a).data, [3.0])
         np.testing.assert_allclose((a - 1).data, [1.0])
@@ -52,17 +45,17 @@ class TestArithmetic:
         np.testing.assert_allclose((2 / a).data, [1.0])
 
     def test_neg_pow(self):
-        a = tensor([2.0, -3.0])
+        a = Tensor(np.array([2.0, -3.0]))
         np.testing.assert_allclose((-a).data, [-2.0, 3.0])
         np.testing.assert_allclose((a ** 2).data, [4.0, 9.0])
 
     def test_pow_tensor_exponent_rejected(self):
         with pytest.raises(TypeError):
-            tensor([2.0]) ** tensor([2.0])
+            Tensor(np.array([2.0])) ** Tensor(np.array([2.0]))
 
     def test_matmul_2d(self):
-        a = tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = tensor([[1.0, 0.0], [0.0, 1.0]])
+        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]))
         np.testing.assert_allclose((a @ b).data, a.data)
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
@@ -100,7 +93,7 @@ class TestArithmetic:
 
 
 class TestElementwiseFns:
-    @pytest.mark.parametrize("name", ["exp", "tanh", "sigmoid", "relu", "abs"])
+    @pytest.mark.parametrize("name", ["exp", "relu", "abs"])
     def test_grads(self, name):
         a = rand_t((4, 3), seed=11)
         check_grads(lambda: getattr(a, name)().sum(), [a])
@@ -112,7 +105,7 @@ class TestElementwiseFns:
         check_grads(lambda: a.sqrt().sum(), [a])
 
     def test_clip_values_and_grad_mask(self):
-        a = tensor([-2.0, 0.5, 2.0])
+        a = Tensor(np.array([-2.0, 0.5, 2.0]))
         a.requires_grad = True
         out = a.clip(-1.0, 1.0)
         np.testing.assert_allclose(out.data, [-1.0, 0.5, 1.0])
@@ -120,7 +113,7 @@ class TestElementwiseFns:
         np.testing.assert_allclose(a.grad, [0.0, 1.0, 0.0])
 
     def test_relu_values(self):
-        a = tensor([-1.0, 0.0, 2.0])
+        a = Tensor(np.array([-1.0, 0.0, 2.0]))
         np.testing.assert_allclose(a.relu().data, [0.0, 0.0, 2.0])
 
 
@@ -143,25 +136,25 @@ class TestReductions:
         check_grads(lambda: (a.mean(axis=axis) ** 2).sum(), [a])
 
     def test_max_values(self):
-        a = tensor([[1.0, 5.0], [7.0, 2.0]])
+        a = Tensor(np.array([[1.0, 5.0], [7.0, 2.0]]))
         np.testing.assert_allclose(a.max().data, 7.0)
         np.testing.assert_allclose(a.max(axis=0).data, [7.0, 5.0])
         np.testing.assert_allclose(a.min(axis=1).data, [1.0, 2.0])
 
     def test_max_grad_routes_to_argmax(self):
-        a = tensor([[1.0, 5.0], [7.0, 2.0]])
+        a = Tensor(np.array([[1.0, 5.0], [7.0, 2.0]]))
         a.requires_grad = True
         a.max(axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_max_grad_splits_ties(self):
-        a = tensor([[3.0, 3.0]])
+        a = Tensor(np.array([[3.0, 3.0]]))
         a.requires_grad = True
         a.max(axis=1).sum().backward()
         np.testing.assert_allclose(a.grad, [[0.5, 0.5]])
 
     def test_argmax(self):
-        a = tensor([[1.0, 5.0], [7.0, 2.0]])
+        a = Tensor(np.array([[1.0, 5.0], [7.0, 2.0]]))
         np.testing.assert_array_equal(a.argmax(axis=1), [1, 0])
 
 
@@ -183,20 +176,6 @@ class TestShapeOps:
     def test_getitem_grads(self):
         a = rand_t((4, 5), seed=19)
         check_grads(lambda: (a[1:3, ::2] ** 2).sum(), [a])
-
-    def test_pad2d(self):
-        a = rand_t((1, 1, 3, 3), seed=20)
-        padded = a.pad2d(2)
-        assert padded.shape == (1, 1, 7, 7)
-        assert float(padded.data[0, 0, 0, 0]) == 0.0
-        check_grads(lambda: (a.pad2d(1) ** 2).sum(), [a])
-        assert a.pad2d(0) is a
-
-    def test_stack_and_concatenate_grads(self):
-        a = rand_t((2, 3), seed=21)
-        b = rand_t((2, 3), seed=22)
-        check_grads(lambda: (stack([a, b], axis=0) ** 2).sum(), [a, b])
-        check_grads(lambda: (concatenate([a, b], axis=1) ** 2).sum(), [a, b])
 
 
 class TestUnbroadcast:

@@ -42,10 +42,15 @@ class TestDesignDoc:
             assert (ROOT / "benchmarks" / target).exists(), f"missing {target}"
 
     def test_named_packages_importable(self):
-        text = (ROOT / "DESIGN.md").read_text()
-        for mod in set(re.findall(r"`(repro\.[a-z_.]+)`", text)):
-            mod = mod.rstrip(".")
-            __import__(mod)
+        """Every `repro.*` module DESIGN.md or README.md names imports."""
+        for doc in ("DESIGN.md", "README.md"):
+            text = (ROOT / doc).read_text()
+            for mod in sorted(set(re.findall(r"`(repro\.[a-z_.]+)`", text))):
+                mod = mod.rstrip(".")
+                try:
+                    __import__(mod)
+                except ImportError as exc:
+                    pytest.fail(f"{doc} names `{mod}`, which does not import: {exc}")
 
 
 class TestReadme:

@@ -5,8 +5,8 @@ import logging
 import numpy as np
 import pytest
 
-from repro.utils import Registry, get_logger, new_rng, spawn_rngs, temp_seed
-from repro.utils.rng import RngMixin, choice_without_replacement, derive_seed
+from repro.utils import Registry, get_logger, new_rng
+from repro.utils.rng import derive_seed
 
 
 class TestRngStreams:
@@ -29,37 +29,9 @@ class TestRngStreams:
         # unknown stream names map to the generic stream deterministically
         assert derive_seed(1, "nonsense", 0) == derive_seed(1, "generic", 0)
 
-    def test_spawn_rngs(self):
-        rngs = spawn_rngs(7, 5, "train")
-        assert len(rngs) == 5
-        draws = [r.standard_normal() for r in rngs]
-        assert len(set(draws)) == 5  # all distinct
-
     def test_none_seed_nondeterministic_allowed(self):
         r = new_rng(None)
         assert isinstance(r, np.random.Generator)
-
-    def test_temp_seed(self):
-        with temp_seed(3) as r1, temp_seed(3) as r2:
-            np.testing.assert_array_equal(r1.standard_normal(3), r2.standard_normal(3))
-
-    def test_mixin(self):
-        class Thing(RngMixin):
-            pass
-
-        t = Thing()
-        t.seed(5)
-        a = t.rng.standard_normal(2)
-        t.seed(5)
-        np.testing.assert_array_equal(a, t.rng.standard_normal(2))
-
-    def test_choice_without_replacement(self):
-        rng = np.random.default_rng(0)
-        out = choice_without_replacement(rng, list(range(10, 20)), 4)
-        assert len(set(out)) == 4
-        assert all(10 <= v < 20 for v in out)
-        with pytest.raises(ValueError):
-            choice_without_replacement(rng, [1, 2], 3)
 
 
 class TestRegistry:
