@@ -17,6 +17,7 @@ import numpy as np
 from repro.core.distill import DistillConfig, distill_to_student
 from repro.core.ensemble import member_logits, weighted_ensemble_logits
 from repro.data.dataset import Dataset
+from repro.nn.functional import shared_operand
 from repro.nn.module import Module
 from repro.nn.serialization import average_states
 
@@ -74,17 +75,20 @@ def fuse_ensemble_distill(
     # All member logits land in one preallocated (M, N, C) buffer: each
     # member is loaded into ``scratch`` once and forwarded over the public
     # set in eval-chunk batches, writing straight into its buffer row — no
-    # per-member arrays and no final np.stack copy.
+    # per-member arrays and no final np.stack copy. Every member's first conv
+    # reads the same public chunks, so their im2col operands are gathered
+    # once for the whole pass (``shared_operand``; bit-identical).
     chunk = distill_config.eval_batch_size
     stacked: np.ndarray | None = None
-    for mi, state in enumerate(client_states):
-        scratch.load_state_dict(state)
-        if stacked is None:
-            first = member_logits(scratch, x, batch_size=chunk)
-            stacked = np.empty((len(client_states), *first.shape), dtype=first.dtype)
-            stacked[0] = first
-        else:
-            member_logits(scratch, x, batch_size=chunk, out=stacked[mi])
+    with shared_operand(x):
+        for mi, state in enumerate(client_states):
+            scratch.load_state_dict(state)
+            if stacked is None:
+                first = member_logits(scratch, x, batch_size=chunk)
+                stacked = np.empty((len(client_states), *first.shape), dtype=first.dtype)
+                stacked[0] = first
+            else:
+                member_logits(scratch, x, batch_size=chunk, out=stacked[mi])
     if member_filter is not None:
         member_weights = member_filter(stacked, member_weights)
     teacher = weighted_ensemble_logits(stacked, strategy, member_weights)

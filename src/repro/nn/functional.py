@@ -19,13 +19,15 @@ back with the leading shape ``(K,)``.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+from typing import Iterator
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
-from repro.nn import profiler
+from repro.nn import autograd, profiler
 from repro.nn.tensor import Tensor
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "adaptive_avg_pool2d",
     "dropout",
     "im2col_indices",
+    "shared_operand",
 ]
 
 # ---------------------------------------------------------------------- #
@@ -234,8 +237,13 @@ def _im2col_gather(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
 
 
 def _windows(xp: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
-    """Zero-copy (N, C, out_h, out_w, kh, kw) window view of a padded input."""
-    return sliding_window_view(xp, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    """Zero-copy, read-only (N, C, out_h, out_w, kh, kw) window view of a
+    padded input: ``sliding_window_view(...)[:, :, ::s, ::s]`` built as one
+    strided view (the same shape and strides, without the generic setup)."""
+    n, c, hp, wp = xp.shape
+    sn, sc, sh, sw = xp.strides
+    shape = (n, c, (hp - kh) // stride + 1, (wp - kw) // stride + 1, kh, kw)
+    return as_strided(xp, shape, (sn, sc, sh * stride, sw * stride, sh, sw), writeable=False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -314,29 +322,43 @@ def _col2im_scatter(
 def _col2im_accumulate(
     cols: np.ndarray, x_shape: tuple[int, int, int, int], kh: int, kw: int, stride: int, pad: int
 ) -> np.ndarray:
-    """Fast col2im: reshape the columns to (N, C, kh, kw, OH, OW) and fold
-    each of the kh·kw kernel offsets back with one vectorized strided add.
+    """Fast col2im: fold each of the kh·kw kernel offsets back with one
+    vectorized strided add, channel-last, from the GEMM's own layout.
 
-    Replaces the element-wise ``np.add.at`` scatter (typically 5–20× on this
-    op). Per output cell, contributions arrive in ascending (ki, kj) order —
-    the same order the scatter walks its index buffer — so the float32
-    accumulation is bit-identical to the reference.
+    ``cols`` is the logical (N, F, L) column gradient; :func:`_conv_backward`
+    hands over the transposed view of its C-contiguous (N, L, F) product, so
+    reading it as (N, out_h, out_w, C, kh, kw) copies nothing. The padded
+    buffer is channel-last and phase-split by the stride, ``buf[n, y % s,
+    x % s, y // s, x // s, c]`` for padded cell (y, x), so each offset's
+    target block keeps (out_w, C) contiguous — one long inner loop per
+    output row at every stride. Per padded cell, contributions arrive in
+    ascending (ki, kj) order — the order the ``np.add.at`` scatter walks its
+    index buffer — so the accumulation is bit-identical to the reference.
+    The interior comes back as a fresh C-contiguous NCHW array (s² strided
+    copies, one per phase), so later ops see the layout of every other
+    gradient and reduce in the same stride order.
     """
     n, c, h, w = x_shape
-    out_h = (h + 2 * pad - kh) // stride + 1
-    out_w = (w + 2 * pad - kw) // stride + 1
-    padded = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
-    # conv2d's column gradient arrives as a transposed view; one blocked
-    # copy to C order first makes each of the kh·kw folds a contiguous read.
-    cols6 = np.ascontiguousarray(cols).reshape(n, c, kh, kw, out_h, out_w)
+    s = stride
+    out_h = (h + 2 * pad - kh) // s + 1
+    out_w = (w + 2 * pad - kw) // s + 1
+    nlf = np.ascontiguousarray(cols.transpose(0, 2, 1)).reshape(n, out_h, out_w, c, kh, kw)
+    buf = np.zeros((n, s, s, -(-(h + 2 * pad) // s), -(-(w + 2 * pad) // s), c), dtype=cols.dtype)
     for ki in range(kh):
-        hi = ki + stride * (out_h - 1) + 1
+        qi, ri = divmod(ki, s)
         for kj in range(kw):
-            wi = kj + stride * (out_w - 1) + 1
-            padded[:, :, ki:hi:stride, kj:wi:stride] += cols6[:, :, ki, kj]
-    if pad > 0:
-        return padded[:, :, pad:-pad, pad:-pad]
-    return padded
+            qj, rj = divmod(kj, s)
+            buf[:, ri, rj, qi : qi + out_h, qj : qj + out_w] += nlf[..., ki, kj]
+    out = np.empty(x_shape, dtype=cols.dtype)
+    for ry in range(s):
+        y0 = (ry - pad) % s  # first interior row of this phase
+        qy, ny = (y0 + pad) // s, len(range(y0, h, s))
+        for rx in range(s):
+            x0 = (rx - pad) % s
+            qx, nx = (x0 + pad) // s, len(range(x0, w, s))
+            block = buf[:, ry, rx, qy : qy + ny, qx : qx + nx]
+            out[:, :, y0::s, x0::s] = block.transpose(0, 3, 1, 2)
+    return out
 
 
 _col2im = _col2im_accumulate  # the one col2im conv2d runs
@@ -381,6 +403,74 @@ def _conv_backward(cols: np.ndarray, w2: np.ndarray, gout: np.ndarray, input_gra
     return gcols, gw2
 
 
+# The open ``shared_operand`` block: (the owner array of its source, the
+# entries keyed by view and geometry), or None outside any block.
+_shared: "tuple[np.ndarray, dict] | None" = None
+
+# Cap on the bytes one block holds. A teacher pass over a large public set
+# runs it in many eval chunks, one entry each; past the cap a chunk is
+# gathered per call as outside the block.
+_SHARED_OPERAND_BYTES = 64 << 20
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array owning ``a``'s memory (``a`` itself if it is no view)."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+@contextlib.contextmanager
+def shared_operand(x: np.ndarray) -> Iterator[None]:
+    """Within the block, :func:`conv2d` gathers the forward operand of an
+    input viewing ``x``'s memory once per view and geometry, then reuses it.
+
+    For passes that run many models over the same data: the ensemble
+    teacher forwards every member over the public set, so each member's
+    first conv would gather the same padded operand again. Only a forward
+    with grad off, on an input that does not require grad and whose data is
+    a view of ``x``'s owner array, is served; an entry is keyed by the
+    view's byte offset into that owner, shape, strides and dtype. The block
+    holds the owner, so its memory is never freed and reused under a live
+    key, and the same view of it is the same bytes as long as nothing
+    writes to ``x`` inside the block. Every other call runs as outside.
+    Each GEMM is handed the very operand it would have gathered, so the
+    outputs are bit-identical. Entries and the reference to ``x`` are
+    dropped on exit.
+    """
+    global _shared
+    prev = _shared
+    _shared = (_owner(x), {})
+    try:
+        yield
+    finally:
+        _shared = prev
+
+
+def _forward_operand(
+    x: Tensor, kh: int, kw: int, stride: int, pad: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """conv2d's padded input and forward GEMM operand ``(xp, rows)``, taken
+    from the open :func:`shared_operand` block where it serves ``x``."""
+    key = None
+    if _shared is not None and not x.requires_grad and not autograd.is_grad_enabled():
+        owner, entries = _shared
+        data = x.data
+        if _owner(data) is owner:
+            offset = data.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+            key = (offset, data.shape, data.strides, data.dtype.str, kh, kw, stride, pad)
+            if key in entries:
+                return entries[key]
+    xp = _pad_input(x.data, pad)
+    rows = _im2col_rows(xp, kh, kw, stride)
+    if key is not None:
+        held = sum(r.nbytes for _, r in entries.values())
+        if held + rows.nbytes <= _SHARED_OPERAND_BYTES:
+            rows.flags.writeable = False  # one array serves every later call
+            entries[key] = (xp, rows)
+    return xp, rows
+
+
 def conv2d(
     x: Tensor,
     weight: Tensor,
@@ -399,11 +489,11 @@ def conv2d(
         raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    xp = _pad_input(x.data, padding)
+    xp, rows = _forward_operand(x, kh, kw, stride, padding)
     w2 = weight.data.reshape(oc, -1)  # (OC, C*kh*kw)
-    out = _conv_forward(
-        _im2col_rows(xp, kh, kw, stride), w2, None if bias is None else bias.data, n
-    ).reshape(n, oc, out_h, out_w)
+    out = _conv_forward(rows, w2, None if bias is None else bias.data, n).reshape(
+        n, oc, out_h, out_w
+    )
     if profiler.is_counting():
         profiler.add_flops("conv2d", 2 * n * oc * out_h * out_w * c * kh * kw)
 

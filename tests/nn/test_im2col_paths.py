@@ -15,12 +15,20 @@ requires-grad call's parameter gradients.
 
 from __future__ import annotations
 
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core import fusion
+from repro.core.distill import DistillConfig
+from repro.core.ensemble import member_logits
+from repro.data.dataset import ArrayDataset
 from repro.nn import functional as F
+from repro.nn.autograd import no_grad
 from repro.nn.batched import build_stacked
 from repro.nn.functional import (
     _col2im_accumulate,
@@ -29,6 +37,7 @@ from repro.nn.functional import (
     im2col_indices,
 )
 from repro.nn.layers import Conv2d, MaxPool2d, Sequential
+from repro.nn.models import build_model
 from repro.nn.tensor import Tensor
 from tests.helpers import check_grads
 
@@ -543,3 +552,256 @@ class TestConvGradcheck:
             lambda: F.conv2d(x, w, b, stride=stride, padding=pad).sum(),
             [x, w, b],
         )
+
+
+def _public_images(n, seed=5):
+    return np.random.default_rng(seed).standard_normal((n, 3, 16, 16)).astype(np.float32)
+
+
+def _cnn2(seed):
+    """A cnn-2 knowledge network at the kemf_fusion width."""
+    return build_model(
+        "cnn-2", num_classes=10, in_channels=3, image_size=16, width_mult=0.25, seed=seed
+    )
+
+
+@pytest.fixture(scope="module")
+def cnn2_members():
+    """16 members, as in a kemf_fusion round."""
+    return [_cnn2(s) for s in range(16)]
+
+
+@pytest.fixture
+def gathers(monkeypatch):
+    """Every ``_im2col_rows`` call conv2d makes, as the padded input's shape."""
+    shapes = []
+    real = F._im2col_rows
+
+    def counting(xp, kh, kw, stride):
+        shapes.append(xp.shape)
+        return real(xp, kh, kw, stride)
+
+    monkeypatch.setattr(F, "_im2col_rows", counting)
+    return shapes
+
+
+def _teacher_pass(models, x, chunk):
+    return np.stack([member_logits(m, x, batch_size=chunk) for m in models])
+
+
+def _conv_eval(x, seed=0):
+    """One 3→4 k3 p1 conv over ``x`` with grad off; the output array."""
+    wt = np.random.default_rng(seed).standard_normal((4, 3, 3, 3)).astype(np.float32)
+    with no_grad():
+        return F.conv2d(Tensor(x), Tensor(wt), padding=1).data
+
+
+class TestSharedOperand:
+    """``shared_operand`` hands every member's first conv one gathered
+    operand and changes no bit; everything else gathers as before."""
+
+    @pytest.mark.parametrize("chunk", [16, 256], ids=["3-chunks", "1-chunk"])
+    def test_teacher_logits_match_unshared(self, cnn2_members, chunk):
+        x = _public_images(40)
+        want = _teacher_pass(cnn2_members, x, chunk)
+        with F.shared_operand(x):
+            got = _teacher_pass(cnn2_members, x, chunk)
+        assert_same_bits((got,), (want,))
+
+    def test_resnet_teacher_logits_match_unshared(self):
+        """Batch norm in eval mode, stride-2 stages and k1 shortcuts."""
+        models = [
+            build_model("resnet-20", num_classes=10, in_channels=3, image_size=16,
+                        width_mult=0.25, seed=s)
+            for s in range(3)
+        ]
+        x = _public_images(24, seed=6)
+        want = _teacher_pass(models, x, 16)
+        with F.shared_operand(x):
+            got = _teacher_pass(models, x, 16)
+        assert_same_bits((got,), (want,))
+
+    @pytest.mark.parametrize("n_public, chunk, chunks", [(64, 256, 1), (40, 16, 3)])
+    def test_fusion_gathers_first_layer_once(
+        self, cnn2_members, gathers, monkeypatch, n_public, chunk, chunks
+    ):
+        """Through ``fuse_ensemble_distill``'s teacher pass: the first conv's
+        operand once per public chunk, every later layer once per member."""
+        monkeypatch.setattr(fusion, "distill_to_student", lambda *args: 0.0)
+        public = ArrayDataset(_public_images(n_public), np.zeros(n_public, dtype=np.int64))
+        fusion.fuse_ensemble_distill(
+            _cnn2(98), _cnn2(99), [m.state_dict() for m in cnn2_members], None, public, "max",
+            DistillConfig(eval_batch_size=chunk), init_from_average=False,
+        )
+        first = [s for s in gathers if s[1] == 3]
+        later = [s for s in gathers if s[1] != 3]
+        assert len(first) == chunks
+        assert len(later) == len(cnn2_members) * chunks  # cnn-2 has two convs
+
+    def test_input_requiring_grad_is_not_served(self, gathers):
+        x = _public_images(4)
+        wt = Tensor(np.ones((4, 3, 3, 3), dtype=np.float32))
+        with F.shared_operand(x), no_grad():
+            for _ in range(2):
+                F.conv2d(Tensor(x, requires_grad=True), wt, padding=1)
+        assert len(gathers) == 2
+
+    def test_grad_mode_on_is_not_served(self, gathers):
+        x = _public_images(4)
+        wt = Tensor(np.ones((4, 3, 3, 3), dtype=np.float32), requires_grad=True)
+        with F.shared_operand(x):
+            for _ in range(2):
+                F.conv2d(Tensor(x), wt, padding=1)
+        assert len(gathers) == 2
+
+    def test_equal_array_that_is_no_view_is_not_served(self, gathers):
+        x = _public_images(4)
+        other = x + 1.0  # same shape, strides and dtype, other owner
+        with F.shared_operand(x):
+            _conv_eval(x)
+            got = _conv_eval(other)
+        assert len(gathers) == 2
+        assert_same_bits((got,), (_conv_eval(other),))
+
+    def test_buffer_at_a_freed_address_is_not_served(self, gathers):
+        """The stale hit an address key gave: a later input allocated where
+        an earlier, freed one of the same shape lived."""
+        x = _public_images(4)
+        rng = np.random.default_rng(9)
+        with F.shared_operand(x):
+            outs, inputs = [], []
+            for _ in range(4):
+                t = rng.standard_normal(x.shape).astype(np.float32)
+                inputs.append(t.copy())
+                outs.append(_conv_eval(t))
+                del t  # the next draw may land at this address
+            served = _conv_eval(x), _conv_eval(x)
+        assert len(gathers) == 5  # four inputs, then x once
+        for t, out in zip(inputs, outs):
+            assert_same_bits((out,), (_conv_eval(t),))
+        assert_same_bits(served[1:], served[:1])
+
+    def test_calls_after_the_block_are_not_served(self, gathers):
+        x = _public_images(4)
+        with F.shared_operand(x):
+            _conv_eval(x)
+            _conv_eval(x)
+        assert len(gathers) == 1
+        _conv_eval(x)
+        assert len(gathers) == 2
+
+    def test_nothing_survives_the_block(self):
+        x = _public_images(8)
+        ref = weakref.ref(x)
+        with F.shared_operand(x):
+            _conv_eval(x)
+            _conv_eval(x[:4])
+            assert len(F._shared[1]) == 2
+        assert F._shared is None
+        del x
+        gc.collect()
+        assert ref() is None
+
+    def test_entries_stop_at_the_byte_cap(self, gathers, monkeypatch):
+        """Past the cap a view is gathered per call, as outside the block."""
+        x = _public_images(8)
+        one_entry = 4 * 16 * 16 * 27 * 4  # rows of a 4-image chunk, bytes
+        monkeypatch.setattr(F, "_SHARED_OPERAND_BYTES", one_entry)
+        with F.shared_operand(x):
+            for _ in range(2):
+                _conv_eval(x[:4])
+                _conv_eval(x[4:])
+        assert len(gathers) == 3  # x[:4] once, x[4:] twice
+
+
+def _fold_cols(n, c, h, w, k, stride, pad, dtype, seed, layout="gemm"):
+    """A seeded column gradient as the logical (N, F, L) array col2im takes.
+    Values spread over seven decades, so per-cell sums depend on their
+    order; a tenth are subnormal and a twentieth ±0, ±inf or NaN.
+
+    ``layout``: ``"gemm"`` is ``_conv_backward``'s transposed view of a
+    C-contiguous (N, L, F) product; ``"nfl"`` a C-contiguous (N, F, L)
+    array; ``"strided"`` a view with a step on the F axis."""
+    out_h, out_w = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    f, ell = c * k * k, out_h * out_w
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4, (n, ell, f))
+    vals = (rng.standard_normal((n, ell, f)) * scale).astype(dtype)
+    kind = rng.random(vals.shape)
+    tiny = np.finfo(dtype).smallest_subnormal * rng.integers(-64, 65, size=vals.shape)
+    vals[kind < 0.1] = tiny[kind < 0.1]
+    special = kind > 0.95
+    vals[special] = rng.choice([0.0, -0.0, np.inf, -np.inf, np.nan], size=int(special.sum()))
+    if layout == "gemm":
+        return vals.transpose(0, 2, 1)
+    if layout == "nfl":
+        return np.ascontiguousarray(vals.transpose(0, 2, 1))
+    wide = np.zeros((n, 2 * f, ell), dtype=dtype)
+    wide[:, ::2] = vals.transpose(0, 2, 1)
+    return wide[:, ::2]
+
+
+# Fold geometries (n, c, h, w, k, stride, pad): every GEOMETRIES entry, the
+# stride-2 and stride-3 stages, the k1 s2 shortcuts and N, L, F = 1.
+FOLD_GEOMETRIES = GEOMETRIES + [
+    (3, 4, 16, 16, 3, 2, 1),  # resnet-20 stage entry
+    (2, 8, 8, 8, 3, 2, 1),
+    (3, 4, 16, 16, 1, 2, 0),  # k1 s2 shortcuts
+    (2, 8, 8, 8, 1, 2, 0),
+    (2, 3, 11, 10, 3, 3, 1),  # stride 3, ragged
+    (2, 2, 9, 9, 2, 3, 2),
+    (1, 3, 9, 7, 3, 2, 1),  # N = 1
+    (3, 2, 3, 3, 3, 1, 0),  # L = 1
+    (4, 1, 6, 5, 1, 1, 0),  # F = 1
+    (1, 1, 1, 1, 1, 1, 0),  # all three
+]
+
+
+def _nan_as_one(a):
+    """``a`` with every NaN as the one ``np.nan``: ``np.add.at`` runs another
+    NumPy loop than a strided add, and which of two NaN operands survives
+    (payload and sign) follows the loop, not the summation order."""
+    return np.where(np.isnan(a), np.array(np.nan, dtype=a.dtype), a)
+
+
+class TestChannelLastFold:
+    """The channel-last, phase-split col2im fold ≡ the ``np.add.at``
+    scatter, as integer views: sums whose value depends on their order,
+    signed zeros, infinities and NaN cells, both dtypes and any layout.
+    Every geometry whose windows overlap (k > s, L > 1) fails here under a
+    fold that visits (ki, kj) in another order; the others have one
+    contribution per cell and pin the indexing."""
+
+    @pytest.mark.parametrize("layout", ["gemm", "nfl", "strided"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
+    def test_fold_matches_scatter(self, dtype, layout):
+        for gi, (n, c, h, w, k, stride, pad) in enumerate(FOLD_GEOMETRIES):
+            for seed in range(3):
+                cols = _fold_cols(n, c, h, w, k, stride, pad, dtype, 100 * gi + seed, layout)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = _col2im_scatter(cols, (n, c, h, w), k, k, stride, pad)
+                    got = _col2im_accumulate(cols, (n, c, h, w), k, k, stride, pad)
+                assert got.flags.c_contiguous and got.shape == (n, c, h, w)
+                assert_same_bits((_nan_as_one(got),), (_nan_as_one(want),))
+
+    def test_conv_backward_view_is_folded_without_a_column_copy(self):
+        """Given ``_conv_backward``'s view the fold allocates its padded
+        buffer and the output, never an (N, F, L)-sized copy of the columns
+        (the C-contiguous (N, F, L) layout does need one; that is the check
+        that the measurement sees such a copy)."""
+        n, c, h, w, k, stride, pad = 4, 8, 16, 16, 3, 1, 1
+        gout = np.random.default_rng(3).standard_normal((n, 4, h * w)).astype(np.float32)
+        w2 = np.random.default_rng(4).standard_normal((4, c * k * k)).astype(np.float32)
+        cols_fl = np.zeros((c * k * k, n * h * w), dtype=np.float32)
+        gcols, _ = F._conv_backward(cols_fl, w2, gout)
+        assert not gcols.flags.c_contiguous
+        own = 4 * (n * c * (h + 2 * pad) ** 2 + n * c * h * w)  # buffer + output
+        peaks = []
+        for cols in (gcols, np.ascontiguousarray(gcols)):
+            tracemalloc.start()
+            try:
+                _col2im_accumulate(cols, (n, c, h, w), k, k, stride, pad)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < own + gcols.nbytes // 4 < peaks[1]
