@@ -38,10 +38,6 @@ DEFAULT_SCOPES: dict[str, PathScope] = {
     # The fused SGD/Adam step buffers via out= deliberately (no-grad,
     # per-param scratch); the aliasing hazard is autograd op bodies.
     "RPL302": PathScope(include=("src/repro/nn",), exclude=("src/repro/nn/optim",)),
-    # Per-client Python loops are only a regression inside the stacked
-    # tensor program; everywhere else (trainers, aggregation, tests) a
-    # loop over clients is the intended shape.
-    "RPL601": PathScope(include=("src/repro/nn/batched.py",)),
 }
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis.rules.aliasing import CacheEntryMutation, OutAliasesTensorData
 from repro.analysis.rules.autograd_ops import ForwardWithoutBackward, MissingSuperInit
 from repro.analysis.rules.base import AstRule, Rule, SourceModule, Violation
-from repro.analysis.rules.batched import PerClientLoop
 from repro.analysis.rules.checkpoint import MissingServerState
 from repro.analysis.rules.flow_rules import FLOW_RULES, FlowRule
 from repro.analysis.rules.rng import GlobalNumpyRng, StdlibRandom, UnseededDefaultRng
@@ -38,7 +37,6 @@ AST_RULES: tuple[AstRule, ...] = (
     MissingServerState(),
     ForwardWithoutBackward(),
     MissingSuperInit(),
-    PerClientLoop(),
 )
 
 ALL_RULES: tuple[Rule, ...] = AST_RULES + FLOW_RULES

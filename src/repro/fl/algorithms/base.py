@@ -308,7 +308,8 @@ class FLAlgorithm:
 
         Under an executor with ``fully_batched_only`` set (the in-process
         default) a cohort stacks only when every model it trains is
-        :func:`~repro.nn.batched.fully_batched`. Each kept cohort is split
+        :func:`~repro.nn.batched.fully_batched` (has no conv, batch-norm or
+        pool layer, whose stack buys no speed). Each kept cohort is split
         by :func:`split_cohort` into stacks of at most ``MAX_STACK_WIDTH``.
         """
         only_full = getattr(self.runtime.executor, "fully_batched_only", False)

@@ -8,32 +8,26 @@ of K small GEMMs.
 
 This module holds no arithmetic of its own. :func:`build_stacked` copies the
 template's own module tree, swapping each stateful or shape-dependent leaf
-for a stacked leaf that runs the serial layer's own ``forward``; the
-containers' own ``forward`` methods then run the stacked program on
-``(K, B, ...)`` inputs, and the trainers call the serial losses on its
+for a stacked leaf that runs the serial layer's own ``forward`` on the whole
+stack; the containers' own ``forward`` methods then run the stacked program
+on ``(K, B, ...)`` inputs, and the trainers call the serial losses on its
 ``(K, B, C)`` logits.
 
 Bit-identity contract
 ---------------------
 Every client slice of a stacked program must replay the serial kernels in
 :mod:`repro.nn.functional` **bit-for-bit**; the batched executor is
-fingerprint-pinned against :class:`SerialExecutor`. Two regimes:
+fingerprint-pinned against :class:`SerialExecutor`. The kernels carry it:
+each takes a leading client axis and acts on each index exactly as on its
+own slice. ``F.linear`` runs batched matmuls; the losses, batch norm and the
+pools reduce over their trailing axes only; elementwise ops broadcast; and
+``F.conv2d`` walks the client axis inside its one autograd node, handing
+every client's GEMMs one model's operands.
 
-- *Fully batched*: ``F.linear`` and the two losses take a leading client
-  axis and act on each index exactly as on its 2-D slice (batched matmuls,
-  last-axis reductions), and elementwise ops broadcast. A stacked Linear
-  runs ``Linear.forward`` on the whole stack.
-- *Per-client slices* for the ``_PER_SLICE`` layers (Conv2d, BatchNorm2d,
-  the pools): multi-axis float reductions and the im2col path, where a fused
-  call over the client axis may pick another pairwise summation tree. Their
-  stacked leaf runs the template layer's own ``forward`` once per client
-  slice (:func:`_per_slice`), so its forward and backward *are* the serial
-  kernel. That K-length loop is the one RPL601-allowed loop here; RPL601
-  flags any other per-client loop that should use the stacked axis.
-
-:func:`fully_batched` tells the two apart for a whole model: stacking a
-program with per-slice layers buys no speed and holds K clients' activations
-at once, so the in-process default executor stacks only fully batched ones.
+:func:`fully_batched` tells a model without conv, batch-norm or pool layers
+(the ``_NOT_STACKED_BY_DEFAULT`` tuple) from one with them: stacking a conv
+program buys no speed and holds K clients' activations at once, so the
+in-process default executor stacks only fully batched ones.
 """
 
 from __future__ import annotations
@@ -71,11 +65,11 @@ class _Unsupported(Exception):
     """Raised while copying a template that has no stacked equivalent."""
 
 
-# Layers whose stacked leaf runs the template layer's own ``forward`` once per
-# client slice (:func:`_per_slice`): their multi-axis float reductions and the
-# im2col path would reduce in another order across the client axis. Max-pool
-# has no such reduction, but every zoo model that pools also convolves.
-_PER_SLICE = (Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, AdaptiveAvgPool2d)
+# Layers that stack under ``--executor batched`` but not under the in-process
+# default (:func:`fully_batched`): conv walks the stack one client at a time,
+# so a conv stack buys no speed, only K clients' activations at once. Every
+# zoo model with batch norm or a pool also convolves.
+_NOT_STACKED_BY_DEFAULT = (Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, AdaptiveAvgPool2d)
 
 # Stateless leaves that act elementwise, so they run unchanged on (K, B, ...).
 _ELEMENTWISE = (ReLU, Identity, Dropout)
@@ -89,8 +83,7 @@ _CONTAINERS = (Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG)
 class _StackedLeaf(Module):
     """One template leaf for K clients: the leaf's hyperparameters, its
     parameters and buffers as (K,)+shape arrays under the leaf's own names,
-    and a ``forward`` that runs the layer's own ``forward``: on the whole
-    stack for Linear, on each client slice for a ``_PER_SLICE`` layer."""
+    and the layer's own ``forward``, run on the whole stack."""
 
     def __init__(self, leaf: Module, k: int) -> None:
         super().__init__()
@@ -102,51 +95,9 @@ class _StackedLeaf(Module):
         for name, b in leaf._buffers.items():
             self.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
         self._serial = type(leaf)
-        self._op = _per_slice if self._serial in _PER_SLICE else self._serial.forward
 
     def forward(self, x: Tensor) -> Tensor:
-        return self._op(self, x)
-
-
-def _per_slice(m: _StackedLeaf, x: Tensor) -> Tensor:
-    """Run the template layer's own ``forward`` on each client slice.
-
-    Client ``i`` gets a shallow copy of ``m`` holding fresh slices of its
-    parameters and views ``b[i]`` of its buffers, so BatchNorm's in-place
-    running-stat update writes the stack. The forward is one
-    :mod:`repro.nn.functional` node per slice: its output is copied into one
-    (K, ...) array and dropped, and only its backward closure is kept, with
-    its parents mapped by identity to the stacked (x, parameters).
-    """
-    params = tuple(m._parameters.values())
-    k = len(x.data)
-    out = None
-    slices = []
-    for i in range(k):  # reprolint: allow[RPL601]
-        xi = Tensor(x.data[i], requires_grad=x.requires_grad)
-        pis = [Tensor(p.data[i], requires_grad=True) for p in params]
-        view = copy.copy(m)
-        vars(view).update(zip(m._parameters, pis))
-        vars(view).update((name, b[i]) for name, b in m._buffers.items())
-        y = m._serial.forward(view, xi)
-        if out is None:
-            out = np.empty((k,) + y.shape, dtype=y.dtype)
-        out[i] = y.data
-        where = {id(t): j for j, t in enumerate([xi, *pis])}
-        slices.append((y._backward_fn, [where[id(t)] for t in y._parents]))
-
-    def bwd(g):
-        grads = [None] * (1 + len(params))
-        for i, (fn, which) in enumerate(slices):
-            for j, gj in zip(which, fn(g[i])):
-                if gj is None:  # a data input: conv2d computes no gradient for it
-                    continue
-                if grads[j] is None:
-                    grads[j] = np.empty((k,) + gj.shape, dtype=gj.dtype)
-                grads[j][i] = gj
-        return grads
-
-    return Tensor._make(out, (x,) + params, bwd)
+        return self._serial.forward(self, x)
 
 
 def _twin(m: Module) -> Module:
@@ -160,7 +111,7 @@ def _twin(m: Module) -> Module:
 def _stack(m: Module, k: int) -> Module:
     """Copy the module tree ``m`` for K clients (rules in :func:`build_stacked`)."""
     kind = type(m)
-    if kind is Linear or kind in _PER_SLICE:
+    if kind is Linear or kind in _NOT_STACKED_BY_DEFAULT:
         if kind is AdaptiveAvgPool2d and m.output_size != 1:
             raise _Unsupported("adaptive pool with output_size != 1")
         return _StackedLeaf(m, k)
@@ -249,6 +200,7 @@ def build_stacked(template: Module, k: int) -> StackedModel | None:
 
 
 def fully_batched(template: Module) -> bool:
-    """Whether ``template``'s stacked program has no per-client-slice layer,
-    i.e. every layer runs as one vectorized call across the client axis."""
-    return not any(isinstance(m, _PER_SLICE) for m in template.modules())
+    """Whether ``template`` has no conv, batch-norm or pool layer, i.e. its
+    stacked program is worth running by default: every layer is one
+    vectorized call across the client axis, none a walk over it."""
+    return not any(isinstance(m, _NOT_STACKED_BY_DEFAULT) for m in template.modules())

@@ -10,11 +10,13 @@ The KL-divergence helpers implement Eq. 2 of the paper, which drives both the
 deep-mutual-learning local update (Alg. 1) and the server-side ensemble
 distillation (Eq. 4).
 
-Leading client axes: :func:`linear`, :func:`cross_entropy` and
-:func:`kl_div_with_logits` also take inputs with extra leading axes — K
-clients stacked as ``(K, N, …)`` by :mod:`repro.nn.batched` — and then act
-on each leading index exactly as on its 2-D slice, bit for bit; a loss comes
-back with the leading shape ``(K,)``.
+Leading client axes: every op here except :func:`dropout` also takes
+inputs with extra leading axes — K clients stacked as ``(K, N, …)`` by
+:mod:`repro.nn.batched` — and then acts on each leading index exactly as on
+its own slice, bit for bit; a loss comes back with the leading shape
+``(K,)``. :func:`linear` runs batched matmuls, the losses, batch norm and
+the pools reduce over their trailing axes only, and :func:`conv2d` walks the
+leading index one client at a time through its 2-D kernels.
 """
 
 from __future__ import annotations
@@ -364,8 +366,8 @@ def _col2im_accumulate(
 _col2im = _col2im_accumulate  # the one col2im conv2d runs
 
 
-# The three conv contractions, once, for conv2d (nn.batched's stacked
-# Conv2d runs conv2d itself on each client slice).
+# The three conv contractions, once, for conv2d (which runs them once per
+# client of a stacked input).
 # They hand BLAS the operands the parent's ``einsum(optimize=True)`` ended
 # up handing it, and operand arrangement is part of the bits: OpenBLAS picks
 # small-matrix kernels by transposition flag, so ``(O,F) @ (F,N·L)`` or a
@@ -448,20 +450,20 @@ def shared_operand(x: np.ndarray) -> Iterator[None]:
 
 
 def _forward_operand(
-    x: Tensor, kh: int, kw: int, stride: int, pad: int
+    x: np.ndarray, requires_grad: bool, kh: int, kw: int, stride: int, pad: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """conv2d's padded input and forward GEMM operand ``(xp, rows)``, taken
-    from the open :func:`shared_operand` block where it serves ``x``."""
+    """conv2d's padded input and forward GEMM operand ``(xp, rows)`` for one
+    client's input ``x``, taken from the open :func:`shared_operand` block
+    where it serves ``x``."""
     key = None
-    if _shared is not None and not x.requires_grad and not autograd.is_grad_enabled():
+    if _shared is not None and not requires_grad and not autograd.is_grad_enabled():
         owner, entries = _shared
-        data = x.data
-        if _owner(data) is owner:
-            offset = data.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
-            key = (offset, data.shape, data.strides, data.dtype.str, kh, kw, stride, pad)
+        if _owner(x) is owner:
+            offset = x.__array_interface__["data"][0] - owner.__array_interface__["data"][0]
+            key = (offset, x.shape, x.strides, x.dtype.str, kh, kw, stride, pad)
             if key in entries:
                 return entries[key]
-    xp = _pad_input(x.data, pad)
+    xp = _pad_input(x, pad)
     rows = _im2col_rows(xp, kh, kw, stride)
     if key is not None:
         held = sum(r.nbytes for _, r in entries.values())
@@ -469,6 +471,25 @@ def _forward_operand(
             rows.flags.writeable = False  # one array serves every later call
             entries[key] = (xp, rows)
     return xp, rows
+
+
+def _each_client(lead: tuple[int, ...], fn) -> tuple:
+    """Run ``fn(i)`` for every client index ``i`` of the leading shape
+    ``lead`` and put the arrays it returns together. One model (``lead``
+    empty, a single index ``()``) gets them back as they are, strides and
+    all; K clients get one ``lead + shape`` array per entry (``None`` stays
+    ``None``), filled client by client."""
+    outs = None
+    for i in np.ndindex(lead):
+        parts = fn(i)
+        if not lead:
+            return parts
+        if outs is None:
+            outs = tuple(None if p is None else np.empty(lead + p.shape, p.dtype) for p in parts)
+        for out, part in zip(outs, parts):
+            if out is not None:
+                out[i] = part
+    return outs
 
 
 def conv2d(
@@ -482,33 +503,47 @@ def conv2d(
 
     Forward and backward are both expressed as one big matmul over im2col
     operands, so the arithmetic lands in BLAS.
+
+    ``x``: (…, N, C, H, W), ``weight``: (…, OC, C, kh, kw), ``bias``:
+    (…, OC), with the same leading axes ``…`` on all three. The one node
+    walks them a client at a time through the same 2-D kernels, so every
+    client's GEMMs get exactly one model's operands and the im2col
+    transients stay one client's size.
     """
-    n, c, h, w = x.data.shape
-    oc, ic, kh, kw = weight.data.shape
-    if ic != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, weight expects {ic}")
+    lead = x.data.shape[:-4]
+    n, c, h, w = x.data.shape[-4:]
+    oc, ic, kh, kw = weight.data.shape[-4:]
+    if ic != c or weight.data.shape[:-4] != lead:
+        raise ValueError(f"conv2d shape mismatch: input {x.data.shape}, weight {weight.data.shape}")
     out_h = (h + 2 * padding - kh) // stride + 1
     out_w = (w + 2 * padding - kw) // stride + 1
-    xp, rows = _forward_operand(x, kh, kw, stride, padding)
-    w2 = weight.data.reshape(oc, -1)  # (OC, C*kh*kw)
-    out = _conv_forward(rows, w2, None if bias is None else bias.data, n).reshape(
-        n, oc, out_h, out_w
-    )
-    if profiler.is_counting():
-        profiler.add_flops("conv2d", 2 * n * oc * out_h * out_w * c * kh * kw)
-
+    w2 = weight.data.reshape(lead + (oc, -1))  # (…, OC, C*kh*kw)
     # A data input (the first layer's images) skips the column-gradient
     # GEMM and the col2im fold; gw and gb come from the same calls either way.
     input_grad = x.requires_grad
+    xps = {}
+
+    def forward(i):
+        xps[i], rows = _forward_operand(x.data[i], input_grad, kh, kw, stride, padding)
+        out = _conv_forward(rows, w2[i], None if bias is None else bias.data[i], n)
+        return (out.reshape(n, oc, out_h, out_w),)
+
+    (out,) = _each_client(lead, forward)
+    if profiler.is_counting():
+        profiler.add_flops("conv2d", 2 * math.prod(lead) * n * oc * out_h * out_w * c * kh * kw)
 
     def bwd(g):
-        gout = g.reshape(n, oc, -1)  # (N, OC, L)
-        gcols, gw2 = _conv_backward(_im2col_cols(xp, kh, kw, stride), w2, gout, input_grad)
-        gx = None if gcols is None else _col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
-        gw = gw2.reshape(weight.data.shape)
-        if bias is None:
-            return gx, gw
-        return gx, gw, gout.sum(axis=(0, 2))
+        def backward(i):
+            gout = g[i].reshape(n, oc, -1)  # (N, OC, L)
+            cols = _im2col_cols(xps[i], kh, kw, stride)
+            gcols, gw2 = _conv_backward(cols, w2[i], gout, input_grad)
+            del cols  # before the fold, so the two transients never coexist
+            gx = None if gcols is None else _col2im(gcols, (n, c, h, w), kh, kw, stride, padding)
+            gb = None if bias is None else gout.sum(axis=(0, 2))
+            return gx, gw2.reshape(oc, c, kh, kw), gb
+
+        gx, gw, gb = _each_client(lead, backward)
+        return (gx, gw) if bias is None else (gx, gw, gb)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return Tensor._make(out, parents, bwd)
@@ -534,9 +569,11 @@ def batch_norm2d(
     In training mode, batch statistics are used and ``running_*`` buffers are
     updated in place (exponential moving average). In eval mode the running
     statistics are used and the op is a plain affine transform.
+    ``x``: (…, N, C, H, W), the parameters and buffers (…, C).
     """
-    n, c, h, w = x.data.shape
-    axes = (0, 2, 3)
+    n, c, h, w = x.data.shape[-4:]
+    axes = (-4, -2, -1)
+    per_channel = x.data.shape[:-4] + (1, c, 1, 1)
     if training:
         mean = x.data.mean(axis=axes)
         var = x.data.var(axis=axes)
@@ -554,16 +591,16 @@ def batch_norm2d(
     if profiler.is_counting():
         profiler.add_flops("batchnorm", 4 * x.data.size)
     inv_std = 1.0 / np.sqrt(var + eps)
-    mean4 = mean.reshape(1, c, 1, 1)
-    inv4 = inv_std.reshape(1, c, 1, 1)
+    mean4 = mean.reshape(per_channel)
+    inv4 = inv_std.reshape(per_channel)
     xhat = (x.data - mean4) * inv4
-    out = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    out = gamma.data.reshape(per_channel) * xhat + beta.data.reshape(per_channel)
 
     if training:
 
         def bwd(g):
             m = n * h * w
-            gamma4 = gamma.data.reshape(1, c, 1, 1)
+            gamma4 = gamma.data.reshape(per_channel)
             dxhat = g * gamma4
             # standard batchnorm backward
             sum_dxhat = dxhat.sum(axis=axes, keepdims=True)
@@ -576,7 +613,7 @@ def batch_norm2d(
     else:
 
         def bwd(g):
-            gamma4 = gamma.data.reshape(1, c, 1, 1)
+            gamma4 = gamma.data.reshape(per_channel)
             gx = g * gamma4 * inv4
             ggamma = (g * xhat).sum(axis=axes)
             gbeta = g.sum(axis=axes)
@@ -602,12 +639,13 @@ def _window_max(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def max_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor:
-    """Max pooling; fast path requires ``kernel_size == stride`` and
-    spatial dims divisible by the kernel (true for every model in the zoo).
+    """Max pooling over the last two axes; fast path requires
+    ``kernel_size == stride`` and spatial dims divisible by the kernel (true
+    for every model in the zoo).
     """
     k = kernel_size
     s = stride if stride is not None else k
-    _, _, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     if s != k or h % k or w % k:
         raise NotImplementedError(
             f"max_pool2d supports kernel==stride with divisible dims; got "
@@ -642,7 +680,7 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     """Average pooling; same fast-path constraints as :func:`max_pool2d`."""
     k = kernel_size
     s = stride if stride is not None else k
-    n, c, h, w = x.data.shape
+    *planes, h, w = x.data.shape
     if s != k or h % k or w % k:
         raise NotImplementedError(
             f"avg_pool2d supports kernel==stride with divisible dims; got "
@@ -651,11 +689,11 @@ def avg_pool2d(x: Tensor, kernel_size: int, stride: int | None = None) -> Tensor
     oh, ow = h // k, w // k
     if profiler.is_counting():
         profiler.add_flops("pool", x.data.size)
-    out = x.data.reshape(n, c, oh, k, ow, k).mean(axis=(3, 5))
+    out = x.data.reshape(*planes, oh, k, ow, k).mean(axis=(-3, -1))
 
     def bwd(g):
-        g6 = g.reshape(n, c, oh, 1, ow, 1) / (k * k)
-        gx = np.broadcast_to(g6, (n, c, oh, k, ow, k)).reshape(n, c, h, w)
+        g6 = g.reshape(*planes, oh, 1, ow, 1) / (k * k)
+        gx = np.broadcast_to(g6, (*planes, oh, k, ow, k)).reshape(x.data.shape)
         return (gx.astype(x.dtype, copy=False),)
 
     return Tensor._make(out, (x,), bwd)
@@ -665,13 +703,13 @@ def adaptive_avg_pool2d(x: Tensor, output_size: int = 1) -> Tensor:
     """Adaptive average pooling; only global (1×1) output is needed here."""
     if output_size != 1:
         raise NotImplementedError("only global adaptive average pooling is supported")
-    n, c, h, w = x.data.shape
+    h, w = x.data.shape[-2:]
     if profiler.is_counting():
         profiler.add_flops("pool", x.data.size)
-    out = x.data.mean(axis=(2, 3), keepdims=True)
+    out = x.data.mean(axis=(-2, -1), keepdims=True)
 
     def bwd(g):
-        gx = np.broadcast_to(g / (h * w), (n, c, h, w))
+        gx = np.broadcast_to(g / (h * w), x.data.shape)
         return (gx.astype(x.dtype, copy=False),)
 
     return Tensor._make(out, (x,), bwd)

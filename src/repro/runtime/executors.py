@@ -11,8 +11,8 @@ client. The executor decides the mechanics:
   runs whatever it declines serially — bit-identical results to
   :class:`SerialExecutor`, far fewer (much larger) kernel launches. With
   ``fully_batched_only`` it is the in-process default: it stacks only
-  programs without per-client-slice ops (tiny MLP cohorts) and leaves
-  conv / batch-norm models to the serial call;
+  programs without conv, batch-norm or pool layers (tiny MLP cohorts) and
+  leaves conv models to the serial call;
 - :class:`ParallelExecutor` fans tasks out over a fork-based
   ``ProcessPoolExecutor`` that lives for the whole run and hands every
   worker the round-start state: the work closure is pickled **once per
@@ -257,11 +257,12 @@ class BatchedExecutor(ClientExecutor):
     either way.
 
     ``fully_batched_only`` is the stacking policy the algorithm's grouping
-    rule reads: when set, only programs without per-client-slice ops
-    (:func:`repro.nn.batched.fully_batched`) stack, because stacking conv
-    and batch-norm layers buys no speed and multiplies activation memory by
-    the stack width. :func:`make_executor` sets it for the in-process
-    default; ``--executor batched`` leaves it off and stacks both regimes.
+    rule reads: when set, only programs without conv, batch-norm or pool
+    layers (:func:`repro.nn.batched.fully_batched`) stack, because conv
+    walks the stack one client at a time, so a conv stack buys no speed
+    and multiplies activation memory by the stack width.
+    :func:`make_executor` sets it for the in-process default;
+    ``--executor batched`` leaves it off and stacks conv models too.
 
     :attr:`last_round_mode` records what happened: ``"batched"`` (every
     client stacked), ``"mixed"`` (some stacked, some serial), or
@@ -473,8 +474,9 @@ def make_executor(workers: int = 0, kind: "str | None" = None) -> ClientExecutor
 
     With ``kind=None`` (the default) ≥2 workers → :class:`ParallelExecutor`
     and 0/1 → a :class:`BatchedExecutor` that stacks only fully batched
-    programs (homogeneous MLP cohorts) and runs everything else serially,
-    bit-identical to :class:`SerialExecutor`. An explicit ``kind`` —
+    programs (homogeneous MLP cohorts: no conv, batch-norm or pool layer)
+    and runs everything else serially, bit-identical to
+    :class:`SerialExecutor`. An explicit ``kind`` —
     ``"serial"`` (the reference), ``"parallel"`` or ``"batched"`` (stacks
     conv models too), e.g. from ``--executor`` / ``$REPRO_EXECUTOR`` —
     picks the backend directly; ``"parallel"`` treats ``workers < 2`` as

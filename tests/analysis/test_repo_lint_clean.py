@@ -13,9 +13,7 @@ import pathlib
 from repro.analysis import AnalysisConfig, lint_paths
 from repro.analysis.callgraph import ProjectIndex
 from repro.analysis.engine import iter_python_files
-from repro.analysis.pragmas import parse_pragmas
 from repro.analysis.rules.base import SourceModule, collect_aliases
-from repro.analysis.rules.batched import PerClientLoop
 from repro.analysis.rules.flow_rules import algorithm_classes
 from repro.fl.algorithms import ALGORITHM_REGISTRY
 
@@ -55,15 +53,3 @@ def test_flow_rules_see_every_registered_algorithm():
     seen = {cls.name for cls in algorithm_classes(index)}
     registered = {ALGORITHM_REGISTRY.get(name).__name__ for name in ALGORITHM_REGISTRY.names()}
     assert registered <= seen, sorted(registered - seen)
-
-
-def test_batched_has_one_sanctioned_per_client_loop():
-    """``nn/batched.py`` has exactly one ``allow[RPL601]`` pragma, on the
-    loop RPL601 itself flags (``_per_slice``'s): a second hand-written
-    per-slice op fails here, not in review."""
-    module = _module(SRC / "nn" / "batched.py")
-    allowed = [
-        line for line, codes in parse_pragmas(module.source).allows.items() if "RPL601" in codes
-    ]
-    flagged = [v.line for v in PerClientLoop().check(module)]
-    assert len(allowed) == 1 and flagged == allowed

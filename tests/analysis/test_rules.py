@@ -18,7 +18,6 @@ CASES = {
     "RPL401": ("rpl401_bad.py", "rpl401_good.py", 2),
     "RPL501": ("rpl501_bad.py", "rpl501_good.py", 2),
     "RPL502": ("rpl502_bad.py", "rpl502_good.py", 2),
-    "RPL601": ("rpl601_bad.py", "rpl601_good.py", 3),
     "RPL701": ("rpl701_bad.py", "rpl701_good.py", 3),
     "RPL702": ("rpl702_bad.py", "rpl702_good.py", 2),
     "RPL703": ("rpl703_bad.py", "rpl703_good.py", 4),

@@ -42,7 +42,7 @@ def _conv(**kw):
     return lambda: Conv2d(3, 4, rng=np.random.default_rng(0), **kw)
 
 
-# Every per-slice leaf: case id -> (template factory, training mode).
+# Every conv, batch-norm and pool leaf: case id -> (template factory, training mode).
 LEAF_CASES = {
     "conv-k3s1p1-bias": (_conv(kernel_size=3, padding=1, bias=True), True),
     "conv-k3s1p1": (_conv(kernel_size=3, padding=1), True),

@@ -340,6 +340,65 @@ class TestConvDataInput:
                 np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+def _client_inputs(case, bias, seed):
+    """Client ``seed``'s own x / weight / bias / upstream gradient for ``case``."""
+    n, c, h, w, k, stride, pad, oc = case
+    rng = np.random.default_rng([sum(case), seed])
+    out_h, out_w = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+    return (
+        rng.standard_normal((n, c, h, w)).astype(np.float32),
+        (rng.standard_normal((oc, c, k, k)) * 0.5).astype(np.float32),
+        rng.standard_normal(oc).astype(np.float32) if bias else None,
+        rng.standard_normal((n, oc, out_h, out_w)).astype(np.float32),
+    )
+
+
+class TestStackedConvDistinctClients:
+    """conv2d on K = 3 stacked clients, each with its own weights, bias,
+    input and upstream gradient, ≡ each client's own serial call over every
+    ``CONV_CASES`` geometry (the sweep's N, L and F = 1 cases included), for
+    a data input and for one that requires grad. Every array is compared as
+    bits; out, gx and gb also by strides. The stacked weight gradient is one
+    C-ordered (K, …) array, where one model's is the transposed GEMM
+    product, so only its bits are compared: the optimizer reads it
+    elementwise."""
+
+    @pytest.mark.parametrize("input_grad", [True, False], ids=["grad-input", "data-input"])
+    @pytest.mark.parametrize("bias", [True, False], ids=["bias", "nobias"])
+    def test_each_client_matches_its_serial_call(self, bias, input_grad):
+        for case in CONV_CASES:
+            stride, pad = case[5:7]
+            clients = [_client_inputs(case, bias, seed) for seed in range(3)]
+            x, wt, b, g = (None if a[0] is None else np.stack(a) for a in zip(*clients))
+            xt, wtt = Tensor(x, requires_grad=input_grad), Tensor(wt, requires_grad=True)
+            bt = None if b is None else Tensor(b, requires_grad=True)
+            out = F.conv2d(xt, wtt, bt, stride=stride, padding=pad)
+            out.backward(g)
+            for i, inputs in enumerate(clients):
+                want = _conv2d(*inputs, stride, pad, input_grad=input_grad)
+                got = [out.data[i], None if xt.grad is None else xt.grad[i], wtt.grad[i]]
+                got += [] if bt is None else [bt.grad[i]]
+                assert len(got) == len(want)
+                for name, a, w in zip(("out", "gx", "gw", "gb"), got, want):
+                    if w is None:
+                        assert a is None, (case, name)
+                        continue
+                    assert a.shape == w.shape and a.dtype == w.dtype, (case, name)
+                    np.testing.assert_array_equal(
+                        a.view(np.uint32), w.view(np.uint32), err_msg=f"{case} {name}"
+                    )
+                    if name != "gw":
+                        assert a.strides == w.strides, (case, name)
+
+    def test_weight_without_the_client_axis_is_refused(self):
+        # Reshaping a (2, 3, 3, 3) weight to (K=2, OC, -1) would succeed and
+        # hand each client half a filter bank.
+        x = Tensor(np.zeros((2, 1, 3, 4, 4), dtype=np.float32))
+        for wt in (np.zeros((2, 3, 3, 3)), np.zeros((3, 2, 3, 3, 3)), np.zeros((2, 2, 4, 3, 3))):
+            with pytest.raises(ValueError, match="conv2d shape mismatch"):
+                F.conv2d(x, Tensor(wt.astype(np.float32)))
+
+
 def _max_pool_grad_parent(x, out, g, k):
     """The parent commit's max-pool backward, verbatim: a full-size winner
     mask, int64 tie counts over two strided axes and a float64 divide cast

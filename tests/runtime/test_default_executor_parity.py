@@ -6,7 +6,7 @@ bytes (SHA-256), same on-device local models.
 The default is a :class:`BatchedExecutor` with ``fully_batched_only`` set:
 MLP cohorts stack (``last_round_mode == "batched"``) in stacks of at most
 ``MAX_STACK_WIDTH`` whose sizes differ by at most one; cnn-2 and resnet-20
-cohorts, whose stacked programs loop over per-client slices, run
+cohorts, whose stacked conv programs buy no speed, run
 ``"serial"`` under the default and ``"batched"`` only under an explicit
 ``executor="batched"``.
 """
