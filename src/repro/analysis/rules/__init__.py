@@ -10,7 +10,6 @@ from __future__ import annotations
 from repro.analysis.rules.aliasing import CacheEntryMutation, OutAliasesTensorData
 from repro.analysis.rules.autograd_ops import ForwardWithoutBackward, MissingSuperInit
 from repro.analysis.rules.base import AstRule, Rule, SourceModule, Violation
-from repro.analysis.rules.checkpoint import MissingServerState
 from repro.analysis.rules.flow_rules import FLOW_RULES, FlowRule
 from repro.analysis.rules.rng import GlobalNumpyRng, StdlibRandom, UnseededDefaultRng
 from repro.analysis.rules.wallclock import WallClockCall
@@ -34,7 +33,6 @@ AST_RULES: tuple[AstRule, ...] = (
     WallClockCall(),
     CacheEntryMutation(),
     OutAliasesTensorData(),
-    MissingServerState(),
     ForwardWithoutBackward(),
     MissingSuperInit(),
 )

@@ -8,19 +8,21 @@ rule anchors its finding at the offending statement and records the
 enclosing ``def`` line as a pragma anchor, so either line can carry an
 ``allow[...]`` pragma.
 
-The rules only analyse *algorithm classes* — classes that (transitively)
-derive from ``FLAlgorithm`` or one of the registered algorithm bases.
+The rules only analyse *algorithm classes* — ``FLAlgorithm`` and the
+classes that (transitively) derive from it in the linted project.
 Base-name matching is deliberately permissive: a fixture subclassing a
-bare ``FLAlgorithm`` name without a resolvable import still counts. The
-names come from :data:`~repro.analysis.rules.checkpoint.ALGORITHM_BASES`;
-the analyser never imports the program it analyses.
+bare ``FLAlgorithm`` name without a resolvable import still counts. A
+subclass of a concrete algorithm (``FedAvg``) is found through that
+class's own ancestry, so it needs ``src/repro`` in the same lint run; the
+analyser never imports the program it analyses.
 
 | code   | path property proved                                          |
 | ------ | ------------------------------------------------------------- |
 | RPL701 | no ambient RNG reachable from ``client_work``/``_batched``    |
 | RPL702 | nothing reachable from client work mutates ``self`` state     |
 | RPL703 | ``client_payload``/``server_state`` return copies, not aliases|
-| RPL704 | attrs written on aggregate paths ride ``server_state()``      |
+| RPL704 | attrs written on aggregate paths ride ``server_state()``, and |
+|        | checkpoint-hook overrides merge ``super()``'s state            |
 | RPL705 | no wall-clock/entropy reachable from ``round()``              |
 """
 
@@ -32,7 +34,6 @@ from typing import Iterable, Sequence
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProjectIndex
 from repro.analysis.dataflow import effects_for, escape_summary
 from repro.analysis.rules.base import Rule, SourceModule, Violation
-from repro.analysis.rules.checkpoint import ALGORITHM_BASES
 
 __all__ = [
     "FlowRule",
@@ -49,6 +50,7 @@ _CLIENT_WORK_HOOKS = ("client_work", "client_work_batched")
 _RETURNING_HOOKS = ("client_payload", "server_state")
 _AGGREGATE_HOOKS = ("aggregate", "aggregate_buffered", "apply_client_update")
 _STATE_HOOKS = ("server_state", "load_server_state")
+_ROOT = "FLAlgorithm"
 
 # Attrs checkpointed through a dedicated channel rather than the
 # server_state() dict: the global model itself is serialized as the
@@ -57,11 +59,8 @@ _CHECKPOINTED_ELSEWHERE = frozenset({"global_model", "_scratch"})
 
 
 def algorithm_classes(index: ProjectIndex) -> list[ClassInfo]:
-    """Classes in the project that are (or derive from) an FL algorithm."""
-    out = []
-    for cls in index.classes.values():
-        if cls.name in ALGORITHM_BASES or index.derives_from(cls, ALGORITHM_BASES):
-            out.append(cls)
+    """``FLAlgorithm`` and every class in the project that derives from it."""
+    out = [cls for cls in index.classes.values() if index.derives_from(cls, (_ROOT,))]
     return sorted(out, key=lambda c: c.qualname)
 
 
@@ -188,22 +187,36 @@ class UncapturedAggregateWrite(FlowRule):
     code = "RPL704"
     name = "aggregate-write-not-in-server-state"
     invariant = (
-        "Every attr written on an aggregate/apply_client_update path is "
-        "captured by the server_state()/load_server_state round trip; "
-        "anything else silently resets on resume (dataflow upgrade of RPL401)."
+        "Every attr written on an aggregate/apply_client_update path or in "
+        "a round() override is captured by the server_state()/"
+        "load_server_state round trip, and overrides of those two hooks "
+        "merge super()'s state; anything else silently resets on resume."
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
         seen: set[tuple[str, int, str]] = set()
+        # A round() override is an aggregate path of its own (the extension
+        # point examples/custom_algorithm.py teaches); the base round() is
+        # judged through the hooks it calls, so the walk never enters it,
+        # not even from an override's super().round().
+        base_round = {
+            root.methods["round"]
+            for root in index.classes_by_name.get(_ROOT, ())
+            if "round" in root.methods
+        }
         for cls in algorithm_classes(index):
-            if cls.name == "FLAlgorithm":
+            if cls.name == _ROOT:
                 # The root class's own writes are judged per concrete
                 # subclass (capture sets differ down the hierarchy).
                 continue
+            yield from self._unmerged_state_hooks(cls)
+            entries = [
+                (fn, c)
+                for fn, c in _entries(index, [cls], _AGGREGATE_HOOKS + ("round",))
+                if fn not in base_round
+            ]
             captured = _captured_attrs(index, cls) | _CHECKPOINTED_ELSEWHERE
-            for reached in index.reachable(
-                _entries(index, [cls], _AGGREGATE_HOOKS), self_only=True
-            ):
+            for reached in index.reachable(entries, self_only=True, skip=base_round):
                 for attr, node in effects_for(reached.fn, index).self_writes.items():
                     if attr in captured:
                         continue
@@ -219,6 +232,35 @@ class UncapturedAggregateWrite(FlowRule):
                         f"round trip of {cls.name}; a resumed run would "
                         f"silently reset it",
                     )
+
+    def _unmerged_state_hooks(self, cls: ClassInfo) -> Iterable[Violation]:
+        """The base class checkpoints its own server state (the buffered-
+        aggregation update buffer) through these hooks, so an override that
+        never calls ``super()`` drops the in-flight updates from every
+        checkpoint."""
+        for hook in _STATE_HOOKS:
+            fn = cls.methods.get(hook)
+            if fn is not None and not _calls_super(fn.node, hook):
+                yield self.flow_violation(
+                    fn,
+                    fn.node,
+                    f"{fn.short()}() never calls super().{hook}(); base-class "
+                    f"server state (the buffered-aggregation update buffer) "
+                    f"is dropped from checkpoints and a mid-buffer resume "
+                    f"loses the in-flight updates",
+                )
+
+
+def _calls_super(fn: ast.AST, hook: str) -> bool:
+    return any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == hook
+        and isinstance(node.func.value, ast.Call)
+        and isinstance(node.func.value.func, ast.Name)
+        and node.func.value.func.id == "super"
+        for node in ast.walk(fn)
+    )
 
 
 def _captured_attrs(index: ProjectIndex, cls: ClassInfo) -> set[str]:

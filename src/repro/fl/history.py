@@ -10,11 +10,11 @@ liability, so a history can be attached to a **streaming JSONL sink**
 (:meth:`RunHistory.stream_to`): every appended record is written as one
 JSON line and the in-RAM list is trimmed to a short tail, keeping resident
 records O(1) in the round count. The sink is transparent — aggregate
-series (``accuracies``, ``participation``, …) re-read the file, and
-:meth:`fingerprint` is maintained incrementally so it is byte-for-byte the
-same hash an unstreamed history would produce. Stream files round-trip via
-:meth:`RunHistory.from_jsonl`, which raises :class:`HistoryStreamError`
-(not bare ``json`` errors) on truncated or corrupt files.
+series (``accuracies``, ``participation``, …) and :meth:`fingerprint`
+re-read the file, so streaming never changes the fingerprint. Stream files
+round-trip via :meth:`RunHistory.from_jsonl`, which raises
+:class:`HistoryStreamError` (not bare ``json`` errors) on truncated or
+corrupt files.
 """
 
 from __future__ import annotations
@@ -133,7 +133,6 @@ class RunHistory:
         self._sink_file = None
         self._keep_records: int = 1
         self._streamed: int = 0  # records written to the sink so far
-        self._digest: "hashlib._Hash | None" = None
         self._last_round: int | None = (
             self.records[-1].round_idx if self.records else None
         )
@@ -189,29 +188,11 @@ class RunHistory:
             "meta": dict(self.meta),
         }
         handle.write(json.dumps(header, sort_keys=True) + "\n")
-        # Incremental fingerprint: feed the exact byte stream that
-        # json.dumps(payload, sort_keys=True) would produce for the
-        # unstreamed history — the sorted payload keys put "rounds" between
-        # "num_clients" and "sample_ratio", so the head/records/tail split
-        # is compositional.
-        head = json.dumps(
-            {
-                "algorithm": self.algorithm,
-                "model": self.model,
-                "num_clients": self.num_clients,
-            },
-            sort_keys=True,
-        )
-        digest = hashlib.sha256()
-        digest.update(head[:-1].encode("utf-8"))
-        digest.update(b', "rounds": [')
         self._sink_path = sink
         self._sink_file = handle
         self._keep_records = int(keep_records)
         self._streamed = 0
-        self._digest = digest
-        backlog = list(self.records)
-        for record in backlog:
+        for record in self.records:
             self._write_record(record)
         del self.records[: max(0, len(self.records) - self._keep_records)]
         handle.flush()
@@ -219,8 +200,8 @@ class RunHistory:
 
     def close_stream(self) -> None:
         """Flush and close the sink file handle. The history stays in
-        streaming mode (series re-read the file; the incremental
-        fingerprint survives); only appending would reopen the file."""
+        streaming mode (series and the fingerprint re-read the file); only
+        appending would reopen the file."""
         if self._sink_file is not None:
             self._sink_file.flush()
             self._sink_file.close()
@@ -229,12 +210,8 @@ class RunHistory:
     def _write_record(self, record: RoundRecord) -> None:
         if self._sink_file is None:  # reattach after close_stream()
             self._sink_file = self._sink_path.open("a", encoding="utf-8")
-        round_dict = _round_to_dict(record)
-        self._sink_file.write(json.dumps(round_dict, sort_keys=True) + "\n")
+        self._sink_file.write(json.dumps(_round_to_dict(record), sort_keys=True) + "\n")
         self._sink_file.flush()
-        if self._streamed:
-            self._digest.update(b", ")
-        self._digest.update(_fingerprint_record_bytes(round_dict))
         self._streamed += 1
 
     def iter_records(self):
@@ -363,22 +340,30 @@ class RunHistory:
         vary between machines and between a straight-through run and a
         kill-and-resume run; neither is part of the determinism contract,
         so both are excluded. Two histories with the same fingerprint made
-        the same measurements round for round. Streamed histories maintain
-        the digest incrementally over the same byte stream, so streaming
-        never changes the fingerprint.
+        the same measurements round for round.
+
+        The digest sees the byte stream ``json.dumps(payload,
+        sort_keys=True)`` produces for the identity and the rounds, one
+        record at a time from :meth:`iter_records`: the sorted keys put
+        ``"rounds"`` between ``"num_clients"`` and ``"sample_ratio"``, so
+        head, records and tail compose, and a streamed history hashes its
+        sink without holding its rounds in RAM.
         """
-        if self._digest is not None:
-            digest = self._digest.copy()
-            tail = "], \"sample_ratio\": " + json.dumps(self.sample_ratio) + "}"
-            digest.update(tail.encode("utf-8"))
-            return digest.hexdigest()[:16]
-        payload = self.to_dict()
-        payload.pop("meta", None)
-        for r in payload["rounds"]:
-            r.pop("wall_time", None)
-        digest = hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode("utf-8")
+        head = json.dumps(
+            {
+                "algorithm": self.algorithm,
+                "model": self.model,
+                "num_clients": self.num_clients,
+            },
+            sort_keys=True,
         )
+        digest = hashlib.sha256(head[:-1].encode("utf-8") + b', "rounds": [')
+        for i, record in enumerate(self.iter_records()):
+            if i:
+                digest.update(b", ")
+            digest.update(_fingerprint_record_bytes(_round_to_dict(record)))
+        tail = "], \"sample_ratio\": " + json.dumps(self.sample_ratio) + "}"
+        digest.update(tail.encode("utf-8"))
         return digest.hexdigest()[:16]
 
     @classmethod
@@ -471,13 +456,12 @@ class RunHistory:
         }
 
     def __getstate__(self) -> dict:
-        # Pickling a streamed history detaches it: open file handles and
-        # hashlib digests don't pickle, so materialize the full record list
-        # and hand over a plain in-memory history.
+        # Pickling a streamed history detaches it: open file handles don't
+        # pickle, so materialize the full record list and hand over a plain
+        # in-memory history.
         state = dict(self.__dict__)
         state["records"] = list(self.iter_records())
         state["_sink_path"] = None
         state["_sink_file"] = None
-        state["_digest"] = None
         state["_streamed"] = 0
         return state

@@ -473,16 +473,19 @@ def _layout_mismatch(state: FlatState, reference: FlatState) -> "str | None":
 # ---------------------------------------------------------------------- #
 
 
+# Robust z-score (median/MAD) past which a member's confidence is an outlier.
+_CONFIDENCE_Z = 2.5
+
+
 def confidence_member_weights(
     stacked: np.ndarray,
     base: "Sequence[float] | None" = None,
-    z_threshold: float = 2.5,
 ) -> "Sequence[float] | np.ndarray | None":
     """Confidence/outlier weights for an (M, N, C) ensemble logit stack.
 
     Members whose logits are non-finite are dropped outright; the rest are
     scored by mean max-softmax confidence and members beyond
-    ``z_threshold`` robust z-scores (median/MAD) of the cohort are dropped
+    ``_CONFIDENCE_Z`` robust z-scores (median/MAD) of the cohort are dropped
     — catching corrupted-logit knowledge networks whose confidence profile
     is either flat noise (far below the cohort) or saturated garbage (far
     above it). Fails open: when nothing is filtered the ``base`` weights
@@ -510,7 +513,7 @@ def confidence_member_weights(
     keep = finite.copy()
     if mad > 0.0:
         z = np.abs(conf - med) / (1.4826 * mad)
-        keep &= z <= z_threshold
+        keep &= z <= _CONFIDENCE_Z
         if not keep.any():
             keep = finite.copy()
     if keep.all():

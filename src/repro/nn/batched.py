@@ -7,11 +7,10 @@ a Linear layer becomes one batched matmul ``(K,B,in) @ (K,in,out)`` instead
 of K small GEMMs.
 
 This module holds no arithmetic of its own. :func:`build_stacked` copies the
-template's own module tree, swapping each stateful or shape-dependent leaf
-for a stacked leaf that runs the serial layer's own ``forward`` on the whole
-stack; the containers' own ``forward`` methods then run the stacked program
-on ``(K, B, ...)`` inputs, and the trainers call the serial losses on its
-``(K, B, C)`` logits.
+template's own module tree once, with every parameter and buffer as a
+``(K,) + shape`` array under its own name; every module's own ``forward``
+then runs the stacked program on ``(K, B, ...)`` inputs, and the trainers
+call the serial losses on its ``(K, B, C)`` logits.
 
 Bit-identity contract
 ---------------------
@@ -61,76 +60,44 @@ from repro.nn.tensor import Tensor
 __all__ = ["StackedModel", "build_stacked", "fully_batched"]
 
 
-class _Unsupported(Exception):
-    """Raised while copying a template that has no stacked equivalent."""
-
-
 # Layers that stack under ``--executor batched`` but not under the in-process
 # default (:func:`fully_batched`): conv walks the stack one client at a time,
 # so a conv stack buys no speed, only K clients' activations at once. Every
 # zoo model with batch norm or a pool also convolves.
 _NOT_STACKED_BY_DEFAULT = (Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, AdaptiveAvgPool2d)
 
-# Stateless leaves that act elementwise, so they run unchanged on (K, B, ...).
-_ELEMENTWISE = (ReLU, Identity, Dropout)
-
-# Containers whose own ``forward`` calls only their children and elementwise
-# Tensor ops, so it runs unchanged on (K, B, ...) once the leaves are stacked.
-# A model joins this list only if its forward meets that condition.
-_CONTAINERS = (Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG)
-
-
-class _StackedLeaf(Module):
-    """One template leaf for K clients: the leaf's hyperparameters, its
-    parameters and buffers as (K,)+shape arrays under the leaf's own names,
-    and the layer's own ``forward``, run on the whole stack."""
-
-    def __init__(self, leaf: Module, k: int) -> None:
-        super().__init__()
-        own = set(vars(self)) | set(leaf._parameters) | set(leaf._buffers)
-        # Hyperparameters (and a ``None`` bias) carry over as they are.
-        self.__dict__.update((n, v) for n, v in vars(leaf).items() if n not in own)
-        for name, p in leaf._parameters.items():
-            setattr(self, name, Parameter(np.empty((k,) + p.shape, dtype=p.dtype)))
-        for name, b in leaf._buffers.items():
-            self.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
-        self._serial = type(leaf)
-
-    def forward(self, x: Tensor) -> Tensor:
-        return self._serial.forward(self, x)
+# Module types whose own ``forward`` runs unchanged on (K, B, ...): every
+# layer's kernel takes leading client axes, and each container's forward
+# calls only its children and elementwise Tensor ops. A model joins this set
+# only if its forward meets that condition.
+_STACKABLE = frozenset(
+    {Linear, Flatten, ReLU, Identity, Dropout, *_NOT_STACKED_BY_DEFAULT,
+     Sequential, MLP, CNN2Layer, BasicBlock, CifarResNet, VGG}
+)
 
 
-def _twin(m: Module) -> Module:
-    """A shallow copy of ``m`` with registries of its own (and no entries)."""
+def _stack(m: Module, k: int) -> Module | None:
+    """Copy the module tree ``m`` for K clients, or ``None`` if any module
+    in it has no stacked equivalent (rules in :func:`build_stacked`)."""
+    kind = type(m)
+    if kind not in _STACKABLE or (kind is Dropout and m.p > 0):
+        return None
+    # The shallow copy keeps the hyperparameters; the registries are its own.
     twin = copy.copy(m)
     for registry in ("_parameters", "_buffers", "_modules"):
         object.__setattr__(twin, registry, OrderedDict())
-    return twin
-
-
-def _stack(m: Module, k: int) -> Module:
-    """Copy the module tree ``m`` for K clients (rules in :func:`build_stacked`)."""
-    kind = type(m)
-    if kind is Linear or kind in _NOT_STACKED_BY_DEFAULT:
-        if kind is AdaptiveAvgPool2d and m.output_size != 1:
-            raise _Unsupported("adaptive pool with output_size != 1")
-        return _StackedLeaf(m, k)
+    for name, p in m._parameters.items():
+        setattr(twin, name, Parameter(np.empty((k,) + p.shape, dtype=p.dtype)))
+    for name, b in m._buffers.items():
+        twin.register_buffer(name, np.empty((k,) + b.shape, dtype=b.dtype))
+    for name, child in m._modules.items():
+        stacked = _stack(child, k)
+        if stacked is None:
+            return None
+        setattr(twin, name, stacked)
     if kind is Flatten:
-        twin = _twin(m)
         twin.start_dim = m.start_dim + 1  # the leading client axis shifts every dim
-        return twin
-    if kind in _ELEMENTWISE:
-        if kind is Dropout and m.p > 0:
-            # Each client owns a private RNG stream; a stacked mask draw would
-            # diverge from the serial order. Fall back to serial training.
-            raise _Unsupported("dropout with p > 0")
-        return _twin(m)
-    if kind in _CONTAINERS and not (m._parameters or m._buffers):
-        twin = _twin(m)
-        for name, child in m._modules.items():
-            setattr(twin, name, _stack(child, k))
-        return twin
-    raise _Unsupported(f"no stacked equivalent for {kind.__name__}")
+    return twin
 
 
 class StackedModel(Module):
@@ -184,19 +151,15 @@ def build_stacked(template: Module, k: int) -> StackedModel | None:
     """Copy ``template``'s own module tree into a :class:`StackedModel` of K
     clients.
 
-    Leaves with parameters or a shape-dependent kernel (Linear, Conv2d,
-    BatchNorm2d, the pools) become stacked leaves; Flatten is copied with
-    its ``start_dim`` shifted past the client axis; elementwise leaves are
-    copied unchanged; containers on the allowlist are copied with stacked
-    children, so their own ``forward`` is the stacked program.
-    Returns ``None`` for anything else — a type off the allowlist, active
-    dropout, adaptive pooling past 1×1, a container that owns parameters —
-    and the caller trains those clients through the serial path.
+    Every module is copied with its hyperparameters, and its parameters and
+    buffers become ``(K,) + shape`` arrays under the same names; Flatten's
+    ``start_dim`` shifts past the client axis. Returns ``None`` if a module's
+    type is not in ``_STACKABLE`` or a dropout is active (each client owns a
+    private RNG stream, which a stacked mask draw would not replay); the
+    caller trains those clients through the serial path.
     """
-    try:
-        return StackedModel(_stack(template, k), k)
-    except _Unsupported:
-        return None
+    net = _stack(template, k)
+    return None if net is None else StackedModel(net, k)
 
 
 def fully_batched(template: Module) -> bool:

@@ -61,6 +61,10 @@ class AdaptiveAvgPool2d(Module):
 
     def __init__(self, output_size: int = 1) -> None:
         super().__init__()
+        if output_size != 1:
+            raise NotImplementedError(
+                f"AdaptiveAvgPool2d supports output_size == 1 only; got {output_size}"
+            )
         self.output_size = output_size
 
     def forward(self, x: Tensor) -> Tensor:

@@ -45,9 +45,9 @@ drives each round through a recovery ladder:
    the run alive when parallel execution is impossible.
 
 Only *infrastructure* failures enter the ladder (a broken pool, an
-unpicklable result, a per-task timeout). Ordinary exceptions raised by the
-work function itself still propagate — those are programming errors, and
-masking them as client failures would hide real bugs.
+unpicklable result). Ordinary exceptions raised by the work function itself
+still propagate — those are programming errors, and masking them as client
+failures would hide real bugs.
 
 **Population-scale snapshots.** What the fork/pickle boundary actually
 ships is bounded by the federation flavor. An eager
@@ -74,7 +74,6 @@ import pickle
 import time
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import ProcessPoolExecutor as _PoolExecutor
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
@@ -163,17 +162,11 @@ class RetryPolicy:
     isolate_after:
         Consecutive pool breaks before switching to isolation mode (one
         task per fresh pool) so the poison task is attributed precisely.
-    task_timeout_s:
-        Per-task result deadline in real seconds; a worker that exceeds it
-        is treated as crashed and its pool is recycled. ``None`` disables
-        timeouts (the default — virtual-clock stragglers are modelled by
-        :mod:`repro.runtime.faults`, not wall time).
     """
 
     max_attempts: int = 3
     backoff_s: float = 0.05
     isolate_after: int = 2
-    task_timeout_s: "float | None" = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -182,14 +175,12 @@ class RetryPolicy:
             raise ValueError(f"backoff_s must be >= 0; got {self.backoff_s}")
         if self.isolate_after < 1:
             raise ValueError(f"isolate_after must be >= 1; got {self.isolate_after}")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError(f"task_timeout_s must be positive; got {self.task_timeout_s}")
 
 
 # Exceptions that mean "the execution substrate failed", not "the work
-# function raised": a dead pool, a result that could not cross the pipe, a
-# hung worker. Everything else propagates to the caller unchanged.
-_INFRA_FAILURES = (BrokenExecutor, pickle.PicklingError, _FuturesTimeout)
+# function raised": a dead pool, or a result that could not cross the pipe.
+# Everything else propagates to the caller unchanged.
+_INFRA_FAILURES = (BrokenExecutor, pickle.PicklingError)
 
 
 class ClientExecutor:
@@ -432,7 +423,7 @@ class ParallelExecutor(ClientExecutor):
             try:
                 for cid, fut in futures.items():
                     try:
-                        results[cid] = fut.result(timeout=policy.task_timeout_s)
+                        results[cid] = fut.result()
                         pending.pop(cid)
                     except _INFRA_FAILURES:
                         broken = True

@@ -203,16 +203,10 @@ class FLRuntime:
 
             # Both federation flavors expose sample_shape without touching
             # a client shard (a lazy federation would otherwise have to
-            # materialize client 0 just to size the clock's batches); the
-            # getattr fallback keeps third-party duck-typed federations
-            # working.
-            shape = getattr(fed, "sample_shape", None)
-            if shape is None:
-                sample, _label = fed.client_train[0][0]
-                shape = sample.shape
+            # materialize client 0 just to size the clock's batches).
             clock = VirtualClock(
                 profiles=sample_device_profiles(fed.num_clients, seed=cfg.seed),
-                batch_input_shape=(cfg.batch_size, *shape),
+                batch_input_shape=(cfg.batch_size, *fed.sample_shape),
             )
         return cls(
             executor=make_executor(cfg.workers, cfg.executor),

@@ -1,7 +1,10 @@
-"""Must-flag: attrs written on aggregate/apply_client_update paths that
-never ride the server_state() round trip — a resumed run silently resets
-them. The writes hide one call deep; the per-class RPL401 heuristic
-cannot see them."""
+"""Must-flag: state a resumed run would silently lose. Attrs written on
+aggregate/apply_client_update paths (one call deep included) and in a
+round() override that never ride the server_state() round trip, and a
+checkpoint-hook override that drops the base class's state by never
+calling super()."""
+
+from collections import OrderedDict
 
 from repro.fl.algorithms.base import FLAlgorithm
 
@@ -32,3 +35,38 @@ class ForgetfulAlgorithm(FLAlgorithm):
     def load_server_state(self, state):
         super().load_server_state(state)
         self.round_count = state["round_count"]
+
+
+class RoundOverrideAlgorithm(FLAlgorithm):
+    """The custom-round extension point: its own round() is an aggregate
+    path."""
+
+    name = "RoundOverride"
+
+    def setup(self):
+        self.server_momentum = {}
+
+    def round(self, round_idx, selected):
+        for cid in selected:
+            self.server_momentum[cid] = round_idx  # not captured
+
+
+class BufferDroppingAlgorithm(FLAlgorithm):
+    """Overrides server_state but rebuilds the dict from scratch — the base
+    class's buffered-aggregation buffer never reaches the checkpoint."""
+
+    name = "BufferDropping"
+
+    def setup(self) -> None:
+        self.moments = OrderedDict()
+
+    def server_state(self) -> dict:
+        return {"moments": OrderedDict(self.moments)}  # no super() merge
+
+    def load_server_state(self, state: dict) -> None:
+        super().load_server_state(state)
+        self.moments = OrderedDict(state["moments"])
+
+    def aggregate(self, round_idx, updates):
+        for u in updates:
+            self.moments[u.client_id] = u.weight

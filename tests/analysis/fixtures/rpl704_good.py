@@ -1,5 +1,6 @@
 """Clean twin of rpl704_bad: the same deep writes, but every written attr
-is captured by the server_state()/load_server_state round trip."""
+is captured by the server_state()/load_server_state round trip; and
+mutable state that no aggregate path writes needs no capture."""
 
 from repro.fl.algorithms.base import FLAlgorithm
 
@@ -34,3 +35,16 @@ class CapturedAlgorithm(FLAlgorithm):
         self.round_count = state["round_count"]
         self.velocity = {int(cid): v for cid, v in state["velocity"].items()}
         self.audit_log = list(state["audit_log"])
+
+
+class UnwrittenListAlgorithm(FLAlgorithm):
+    """A list made in setup() that nothing writes afterwards: a resume
+    rebuilds it exactly, so there is nothing to checkpoint."""
+
+    name = "UnwrittenList"
+
+    def setup(self):
+        self.cohort_sizes = [2, 4, 8]
+
+    def aggregate(self, round_idx, updates):
+        pass

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import AST_RULES, FLOW_RULES
+from repro.analysis import AST_RULES, FLOW_RULES, AnalysisConfig, lint_paths
 
 CASES = {
     "RPL101": ("rpl101_bad.py", "rpl101_good.py", 5),
@@ -15,13 +15,12 @@ CASES = {
     "RPL201": ("rpl201_bad.py", "rpl201_good.py", 4),
     "RPL301": ("rpl301_bad.py", "rpl301_good.py", 4),
     "RPL302": ("rpl302_bad.py", "rpl302_good.py", 1),
-    "RPL401": ("rpl401_bad.py", "rpl401_good.py", 2),
     "RPL501": ("rpl501_bad.py", "rpl501_good.py", 2),
     "RPL502": ("rpl502_bad.py", "rpl502_good.py", 2),
     "RPL701": ("rpl701_bad.py", "rpl701_good.py", 3),
     "RPL702": ("rpl702_bad.py", "rpl702_good.py", 2),
     "RPL703": ("rpl703_bad.py", "rpl703_good.py", 4),
-    "RPL704": ("rpl704_bad.py", "rpl704_good.py", 2),
+    "RPL704": ("rpl704_bad.py", "rpl704_good.py", 4),
     "RPL705": ("rpl705_bad.py", "rpl705_good.py", 3),
 }
 
@@ -56,6 +55,29 @@ def test_good_fixtures_clean_under_all_rules(lint_fixture):
     for code, (_, good, _) in CASES.items():
         result = lint_fixture(good)
         assert result.ok, f"{good}: {result.violations}"
+
+
+def test_rpl704_round_override_does_not_walk_the_base_round(tmp_path):
+    """The base round() is judged through the hooks it calls, so an
+    override's super().round() does not pull the base round's own writes
+    into its walk; the override's own write is still flagged."""
+    pkg = tmp_path / "src" / "repro" / "fl"
+    pkg.mkdir(parents=True)
+    (pkg / "base.py").write_text(
+        "class FLAlgorithm:\n"
+        "    def round(self, round_idx, selected):\n"
+        "        self._round_start = round_idx\n"
+    )
+    (pkg / "custom.py").write_text(
+        "from repro.fl.base import FLAlgorithm\n"
+        "class Counting(FLAlgorithm):\n"
+        "    def round(self, round_idx, selected):\n"
+        "        self.seen = round_idx\n"
+        "        super().round(round_idx, selected)\n"
+    )
+    config = AnalysisConfig(scopes={}, select=frozenset({"RPL704"}))
+    result = lint_paths([tmp_path / "src"], config=config, root=tmp_path)
+    assert [(v.path, v.line) for v in result.violations] == [("src/repro/fl/custom.py", 4)]
 
 
 def test_rules_have_identity():

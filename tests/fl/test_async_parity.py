@@ -319,7 +319,7 @@ class TestParentCapturedFingerprints:
 # *before* the conv and max-pool kernels stopped going through
 # ``np.einsum`` / a two-axis ``max``: a literal that moves means a kernel
 # changed a bit somewhere. Equal IID shards, so ``executor="batched"``
-# really stacks the cohort through the per-slice conv and pool leaves.
+# really stacks the cohort through the conv and pool kernels' client axis.
 # ``vgg-11`` on 8×8 inputs reaches 1×1 feature maps (``L == 1``); the
 # ``-tail1`` cell evaluates in chunks of 59 + 1 samples (``N == 1``).
 
@@ -390,5 +390,5 @@ class TestParentCapturedConvFingerprints:
         assert (fingerprint, sha) == PARENT_CONV[name, model, eval_batch_size]
         if executor == "batched":  # the stacked kernels really ran
             assert algo.runtime.executor.last_round_mode == "batched"
-        elif executor is None:  # the default leaves per-slice programs serial
+        elif executor is None:  # the default leaves conv programs serial
             assert algo.runtime.executor.last_round_mode == "serial"

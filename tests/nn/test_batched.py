@@ -253,11 +253,16 @@ class TestBuildStacked:
                                         for s in (0, 1)]),
                 id="ensemble",
             ),
-            pytest.param(lambda: Sequential(AdaptiveAvgPool2d(2), Flatten()), id="adaptive-pool-2"),
         ],
     )
     def test_unsupported_module_returns_none(self, make):
         assert build_stacked(make(), K) is None
+
+    def test_adaptive_pool_past_one_is_refused_at_construction(self):
+        # The kernel pools to 1×1 only, so no model holding any other
+        # output size is ever built, stacked or not.
+        with pytest.raises(NotImplementedError, match="output_size == 1"):
+            AdaptiveAvgPool2d(2)
 
     def test_active_dropout_returns_none(self):
         # Stochastic layers have no lockstep equivalent; the builder must
