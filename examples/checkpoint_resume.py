@@ -79,7 +79,9 @@ def main() -> None:
         resumed_algo = make_algo(fed)
         resumed = resumed_algo.run(ROUNDS, checkpoint_dir=ckpt_dir, resume_from=True)
 
-    # Bit-identical replay: same per-round series, same final weights.
+    # Bit-identical replay: same history fingerprint (timing-free by
+    # construction), same per-round series, same final weights.
+    assert resumed.fingerprint() == full.fingerprint(), "resumed history diverged"
     assert np.array_equal(resumed.accuracies, full.accuracies)
     assert np.array_equal(resumed.cum_bytes, full.cum_bytes)
     for k, v in reference.global_model.state_dict().items():

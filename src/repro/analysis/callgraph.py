@@ -10,7 +10,9 @@ the cross-file structure those rules traverse:
   repo-relative path, so ``src/repro/fl/comm.py`` resolves imports of
   ``repro.fl.comm``);
 - a **symbol table** per module: top-level functions and classes, plus the
-  import-alias map the per-file rules already use;
+  import-alias map the per-file rules already use (names resolve through
+  their ``rules.base.dotted_name`` and ``self_attr`` too, so both passes
+  read a call the same way);
 - a **class table** with base-class references resolved through imports,
   an approximate MRO, and method resolution (``resolve_method``);
 - **attribute-type binding**: ``self.channel = Channel(...)`` in any
@@ -38,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Collection, Iterable, Sequence
 
-from repro.analysis.rules.base import SourceModule
+from repro.analysis.rules.base import SourceModule, dotted_name, self_attr
 
 __all__ = [
     "CallSite",
@@ -236,7 +238,7 @@ class ProjectIndex:
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                attrs = [a for t in targets if (a := _self_attr(t)) is not None]
+                attrs = [a for t in targets if (a := self_attr(t)) is not None]
                 if not attrs or node.value is None:
                     continue
                 typed = self._value_class(node.value, aliases)
@@ -256,7 +258,7 @@ class ProjectIndex:
             )
         if not isinstance(value, ast.Call):
             return None
-        ref = _dotted(value.func, aliases)
+        ref = dotted_name(value.func, aliases)
         resolved = self._resolve_class_ref(ref) if ref else None
         return resolved.qualname if resolved else None
 
@@ -345,7 +347,7 @@ class ProjectIndex:
                 fn.calls.append(site)
             # functools.partial(f, ...) freezes f for a later call: record
             # an edge to f as if it were called here.
-            qn = _dotted(node.func, aliases)
+            qn = dotted_name(node.func, aliases)
             if qn in ("functools.partial", "partial") and node.args:
                 inner = self._classify_callee_expr(node.args[0], fn, aliases, local_types)
                 if inner is not None:
@@ -380,9 +382,9 @@ class ProjectIndex:
                 target = local if (local in self.functions or local in self.classes) else func.id
             return ("name", target)
         if isinstance(func, ast.Attribute):
-            base = func.value
-            if isinstance(base, ast.Name) and base.id == "self":
+            if self_attr(func) is not None:
                 return ("self", func.attr)
+            base = func.value
             if (
                 isinstance(base, ast.Call)
                 and isinstance(base.func, ast.Name)
@@ -392,7 +394,7 @@ class ProjectIndex:
             receiver = self._receiver_type(base, fn, aliases, local_types)
             if receiver is not None:
                 return ("typed", f"{receiver}.{func.attr}")
-            qn = _dotted(func, aliases)
+            qn = dotted_name(func, aliases)
             if qn is not None:
                 return ("name", qn)
         return None
@@ -411,7 +413,7 @@ class ProjectIndex:
         if isinstance(expr, ast.Name):
             return local_types.get(expr.id)
         if isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id == "self":
+            if self_attr(expr) is not None:
                 if fn.cls is None:
                     return None
                 return self._attr_type(fn.cls, expr.attr)
@@ -442,14 +444,9 @@ class ProjectIndex:
             if not isinstance(target, ast.Name):
                 continue
             typed = self._value_class(node.value, aliases)
-            if typed is None and isinstance(node.value, ast.Attribute):
-                value = node.value
-                if (
-                    isinstance(value.value, ast.Name)
-                    and value.value.id == "self"
-                    and fn.cls is not None
-                ):
-                    typed = self._attr_type(fn.cls, value.attr)
+            attr = self_attr(node.value)
+            if typed is None and attr is not None and fn.cls is not None:
+                typed = self._attr_type(fn.cls, attr)
             if typed is None and isinstance(node.value, ast.Name):
                 typed = types.get(node.value.id)
             if typed is not None:
@@ -480,7 +477,8 @@ class ProjectIndex:
             if cls is not None:  # constructor call → __init__ body runs
                 return self.resolve_method(cls, "__init__")
             # bare name that is a same-module function of the caller is
-            # already qualified by _dotted; anything else is unresolved.
+            # already qualified by _classify_callee_expr; anything else is
+            # unresolved.
             return None
         return None
 
@@ -544,31 +542,10 @@ class ProjectIndex:
 # ---------------------------------------------------------------------- #
 
 
-def _dotted(node: ast.expr, aliases: dict[str, str]) -> "str | None":
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))
-
-
 def _base_ref(node: ast.expr, aliases: dict[str, str]) -> "str | None":
     if isinstance(node, ast.Subscript):  # Generic[T] bases
         node = node.value
-    return _dotted(node, aliases)
-
-
-def _self_attr(node: ast.expr) -> "str | None":
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
+    return dotted_name(node, aliases)
 
 
 def _annotation_class_ref(
@@ -586,4 +563,4 @@ def _annotation_class_ref(
         return _annotation_class_ref(annotation.left, aliases)  # T | None
     if isinstance(annotation, ast.Subscript):
         return None  # Optional[T]/list[T]: container typing is out of scope
-    return _dotted(annotation, aliases)
+    return dotted_name(annotation, aliases)

@@ -1,7 +1,7 @@
 """Per-function dataflow summaries consumed by the RPL7xx flow rules.
 
-Three kinds of facts are extracted from each function body, all cheap
-single-pass AST walks memoised per :class:`FunctionInfo`:
+Three kinds of facts are extracted from each function body by cheap AST
+walks, memoised per :class:`FunctionInfo`:
 
 - **self-state writes** (:attr:`Effects.self_writes`): assignments,
   augmented assignments, subscript stores, deletes, and calls to known
@@ -9,14 +9,16 @@ single-pass AST walks memoised per :class:`FunctionInfo`:
   Object-method mutation (``self.model.load_state_dict(...)``) is
   deliberately excluded — the scratch-module pattern makes it ubiquitous
   and legitimate; the write-back contract covers those objects.
-- **ambient randomness** (:attr:`Effects.ambient_rng`): RNG construction
-  or use not keyed by the ``(seed, round, client)`` ``new_rng`` lanes —
-  the unseeded forms RPL101–103 catch at the call site, plus
-  ``new_rng()``/``new_rng(seed=None)`` (the sanctioned *interactive*
-  fallback, fatal when it flows into per-client work).
-- **wall-clock / entropy** (:attr:`Effects.wall_entropy`): the RPL201
-  wall-clock table plus OS-entropy sources (``os.urandom``, ``uuid``,
-  ``secrets``) — anything that would make ``round()`` irreproducible.
+- **ambient randomness** (:attr:`Effects.ambient_rng`) and **wall-clock /
+  entropy** (:attr:`Effects.wall_entropy`): the calls
+  :func:`repro.analysis.rules.rng.classify_call` classifies, the one
+  classifier RPL101/102/201 read at module level. Ambient randomness is
+  the global-state NumPy functions, unseeded constructors, stdlib
+  ``random`` calls, and ``new_rng()``/``new_rng(seed=None)`` (the
+  sanctioned *interactive* fallback, fatal when it flows into per-client
+  work); wall-clock / entropy is the civil-time reads plus OS-entropy
+  sources (``os.urandom``, ``uuid``, ``secrets``) — anything that would
+  make ``round()`` irreproducible.
 
 On top of those, :func:`escape_summary` performs the small alias analysis
 behind RPL703: which ``self.<attr>`` objects can a hook *return* without
@@ -37,6 +39,8 @@ import ast
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProjectIndex
+from repro.analysis.rules.base import dotted_name, self_attr
+from repro.analysis.rules.rng import entropy_calls
 
 __all__ = [
     "Effects",
@@ -67,63 +71,14 @@ MUTATOR_METHODS = frozenset(
     }
 )
 
-# numpy.random module-level functions driven by the hidden global
-# BitGenerator (mirrors the RPL101 table).
-_GLOBAL_STATE_FUNCS = frozenset(
-    {
-        "seed",
-        "random",
-        "rand",
-        "randn",
-        "randint",
-        "random_sample",
-        "ranf",
-        "sample",
-        "choice",
-        "shuffle",
-        "permutation",
-        "uniform",
-        "normal",
-        "standard_normal",
-        "binomial",
-        "poisson",
-        "beta",
-        "gamma",
-        "exponential",
-        "laplace",
-        "multinomial",
-        "multivariate_normal",
-        "get_state",
-        "set_state",
-    }
-)
-
-# Wall-clock table (mirrors RPL201; perf_counter/monotonic are sanctioned
-# for *measurement*) plus OS-entropy sources.
-_WALL_ENTROPY_CALLS = frozenset(
-    {
-        "time.time",
-        "time.time_ns",
-        "time.ctime",
-        "time.asctime",
-        "time.localtime",
-        "time.gmtime",
-        "datetime.datetime.now",
-        "datetime.datetime.utcnow",
-        "datetime.datetime.today",
-        "datetime.date.today",
-        "os.urandom",
-        "os.getrandom",
-        "uuid.uuid1",
-        "uuid.uuid4",
-        "secrets.token_bytes",
-        "secrets.token_hex",
-        "secrets.token_urlsafe",
-        "secrets.randbits",
-        "secrets.randbelow",
-        "secrets.choice",
-    }
-)
+# Messages for the ambient-RNG kinds of rules.rng.classify_call; the
+# other kinds (wall-clock, os-entropy) are wall/entropy effects.
+_AMBIENT_RNG = {
+    "unseeded": "unseeded {}()",
+    "global-state": "global-state {}()",
+    "stdlib": "stdlib {}()",
+    "fallback": "new_rng() without a seed (interactive fallback lane)",
+}
 
 # Constructors whose result is a mutable container / array.
 _MUTABLE_CTOR_CALLS = frozenset(
@@ -187,12 +142,13 @@ def effects_for(fn: FunctionInfo, index: ProjectIndex) -> Effects:
     if cached is not None:
         return cached
     eff = Effects()
-    aliases = fn.module.aliases
     for node in ast.walk(fn.node):
         _scan_self_write(node, eff)
-        if isinstance(node, ast.Call):
-            _scan_rng(node, aliases, eff)
-            _scan_wall_entropy(node, aliases, eff)
+    for node, kind, name in entropy_calls(fn.node, fn.module.aliases):
+        if kind in _AMBIENT_RNG:
+            eff.ambient_rng.append((node, _AMBIENT_RNG[kind].format(name)))
+        else:
+            eff.wall_entropy.append((node, f"{name}()"))
     _effects_cache[fn.qualname] = eff
     return eff
 
@@ -211,12 +167,12 @@ def _scan_self_write(node: ast.AST, eff: Effects) -> None:
     if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
-            attr = _written_self_attr(target)
+            attr = self_attr(target, subscript=True)
             if attr is not None:
                 eff.self_writes.setdefault(attr, node)
     elif isinstance(node, ast.Delete):
         for target in node.targets:
-            attr = _written_self_attr(target)
+            attr = self_attr(target, subscript=True)
             if attr is not None:
                 eff.self_writes.setdefault(attr, node)
     elif isinstance(node, ast.Call):
@@ -225,19 +181,6 @@ def _scan_self_write(node: ast.AST, eff: Effects) -> None:
             attr = _self_attr_root(func.value, direct_only=True)
             if attr is not None:
                 eff.self_writes.setdefault(attr, node)
-
-
-def _written_self_attr(target: ast.expr) -> "str | None":
-    """``self.x`` / ``self.x[...]`` as an assignment or delete target."""
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
 
 
 def _self_attr_root(expr: ast.expr, *, direct_only: bool = False) -> "str | None":
@@ -252,55 +195,13 @@ def _self_attr_root(expr: ast.expr, *, direct_only: bool = False) -> "str | None
         if isinstance(expr, ast.Subscript):
             expr = expr.value
         elif isinstance(expr, ast.Attribute):
-            if isinstance(expr.value, ast.Name) and expr.value.id == "self":
-                return expr.attr if (not direct_only or depth == 0) else None
+            attr = self_attr(expr)
+            if attr is not None:
+                return attr if (not direct_only or depth == 0) else None
             expr = expr.value
             depth += 1
         else:
             return None
-
-
-# ---------------------------------------------------------------------- #
-# ambient randomness / wall clock
-# ---------------------------------------------------------------------- #
-
-
-def _scan_rng(call: ast.Call, aliases: dict[str, str], eff: Effects) -> None:
-    name = _dotted(call.func, aliases)
-    if name is None:
-        return
-    if name.startswith("numpy.random."):
-        tail = name[len("numpy.random.") :]
-        if tail in ("default_rng", "RandomState", "Generator") and _unseeded(call):
-            eff.ambient_rng.append((call, f"unseeded numpy.random.{tail}()"))
-        elif tail in _GLOBAL_STATE_FUNCS:
-            eff.ambient_rng.append((call, f"global-state numpy.random.{tail}()"))
-        return
-    if name.startswith("random."):
-        eff.ambient_rng.append((call, f"stdlib {name}()"))
-        return
-    if name == "new_rng" or name.endswith(".new_rng"):
-        if _unseeded(call):
-            eff.ambient_rng.append(
-                (call, "new_rng() without a seed (interactive fallback lane)")
-            )
-
-
-def _unseeded(call: ast.Call) -> bool:
-    """No positional seed and no ``seed=``/first kwarg, or explicit None."""
-    if call.args:
-        first = call.args[0]
-        return isinstance(first, ast.Constant) and first.value is None
-    for kw in call.keywords:
-        if kw.arg in ("seed", None):
-            return isinstance(kw.value, ast.Constant) and kw.value.value is None
-    return True
-
-
-def _scan_wall_entropy(call: ast.Call, aliases: dict[str, str], eff: Effects) -> None:
-    name = _dotted(call.func, aliases)
-    if name in _WALL_ENTROPY_CALLS:
-        eff.wall_entropy.append((call, f"{name}()"))
 
 
 # ---------------------------------------------------------------------- #
@@ -323,13 +224,7 @@ def mutable_attrs(index: ProjectIndex, cls: ClassInfo) -> set[str]:
                 targets = (
                     node.targets if isinstance(node, ast.Assign) else [node.target]
                 )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        out.add(target.attr)
+                out.update(a for t in targets if (a := self_attr(t)) is not None)
     return out
 
 
@@ -337,7 +232,7 @@ def _is_mutable_value(value: ast.expr, aliases: dict[str, str]) -> bool:
     if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
         return True
     if isinstance(value, ast.Call):
-        name = _dotted(value.func, aliases)
+        name = dotted_name(value.func, aliases)
         return name in _MUTABLE_CTOR_CALLS
     return False
 
@@ -456,7 +351,7 @@ def _collect_call_escapes(
         return
     # Shallow copies keep element aliasing: dict(self.x) of a dict of
     # arrays still exposes the live arrays.
-    name = _dotted(func, fn.module.aliases)
+    name = dotted_name(func, fn.module.aliases)
     if name in _SHALLOW_COPY_CALLS and len(call.args) == 1 and not call.keywords:
         arg = call.args[0]
         attr = _self_attr_root(arg)
@@ -473,32 +368,16 @@ def _collect_call_escapes(
         # Generator/comprehension arguments build fresh elements — clean.
         return
     # Self-method call: propagate the callee's escapes (bounded depth).
-    if (
-        depth < 3
-        and isinstance(func, ast.Attribute)
-        and isinstance(func.value, ast.Name)
-        and func.value.id == "self"
-    ):
-        callee = index.resolve_method(cls, func.attr)
+    method = self_attr(func) if depth < 3 else None
+    if method is not None:
+        callee = index.resolve_method(cls, method)
         if callee is not None and callee.qualname != fn.qualname:
             for inner in escape_summary(callee, index, cls, _depth=depth + 1):
                 escapes.append(
                     Escape(
                         node=call,
                         attr=inner.attr,
-                        reason=(
-                            f"{callee.short()}() {inner.reason.replace('returns', 'returns', 1)}"
-                        ),
+                        reason=f"{callee.short()}() {inner.reason}",
                     )
                 )
 
-
-def _dotted(node: ast.expr, aliases: dict[str, str]) -> "str | None":
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(aliases.get(node.id, node.id))
-    return ".".join(reversed(parts))

@@ -11,8 +11,7 @@ from repro.analysis.rules.aliasing import CacheEntryMutation, OutAliasesTensorDa
 from repro.analysis.rules.autograd_ops import ForwardWithoutBackward, MissingSuperInit
 from repro.analysis.rules.base import AstRule, Rule, SourceModule, Violation
 from repro.analysis.rules.flow_rules import FLOW_RULES, FlowRule
-from repro.analysis.rules.rng import GlobalNumpyRng, StdlibRandom, UnseededDefaultRng
-from repro.analysis.rules.wallclock import WallClockCall
+from repro.analysis.rules.rng import GlobalNumpyRng, StdlibRandom, UnseededDefaultRng, WallClockCall
 
 __all__ = [
     "Rule",

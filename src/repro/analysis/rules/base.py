@@ -23,6 +23,7 @@ __all__ = [
     "AstRule",
     "collect_aliases",
     "dotted_name",
+    "self_attr",
 ]
 
 
@@ -103,6 +104,19 @@ def dotted_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
         return None
     parts.append(aliases.get(node.id, node.id))
     return ".".join(reversed(parts))
+
+
+def self_attr(node: ast.AST, *, subscript: bool = False) -> str | None:
+    """``x`` for ``self.x`` (with ``subscript``, for ``self.x[...]`` too)."""
+    if subscript and isinstance(node, ast.Subscript):
+        node = node.value
+    if (
+        isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+    ):
+        return node.attr
+    return None
 
 
 class Rule:

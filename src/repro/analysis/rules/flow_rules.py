@@ -29,11 +29,11 @@ analyser never imports the program it analyses.
 from __future__ import annotations
 
 import ast
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProjectIndex
-from repro.analysis.dataflow import effects_for, escape_summary
-from repro.analysis.rules.base import Rule, SourceModule, Violation
+from repro.analysis.callgraph import ClassInfo, FunctionInfo, ProjectIndex, Reached
+from repro.analysis.dataflow import Effects, effects_for, escape_summary
+from repro.analysis.rules.base import Rule, SourceModule, Violation, self_attr
 
 __all__ = [
     "FlowRule",
@@ -86,6 +86,24 @@ class FlowRule(Rule):
             anchors=(fn.node.lineno,),
         )
 
+    def flag_paths(
+        self,
+        index: ProjectIndex,
+        reached: Iterable[Reached],
+        facts: "Callable[[Effects], Iterable[tuple[ast.AST, str]]]",
+        message: "Callable[[Reached, str], str]",
+        seen: "set[tuple[ast.AST, str]] | None" = None,
+    ) -> Iterator[Violation]:
+        """One finding per ``(node, detail)`` fact of each reached function's
+        effects; a fact met again on another path (or, through a shared
+        ``seen``, on another walk) is reported once, with its first witness."""
+        seen = set() if seen is None else seen
+        for r in reached:
+            for node, detail in facts(effects_for(r.fn, index)):
+                if (node, detail) not in seen:
+                    seen.add((node, detail))
+                    yield self.flow_violation(r.fn, node, message(r, detail))
+
 
 def _entries(
     index: ProjectIndex, classes: Sequence[ClassInfo], hooks: Sequence[str]
@@ -108,21 +126,17 @@ class RngFlowsIntoClientWork(FlowRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
-        classes = algorithm_classes(index)
-        seen: set[tuple[str, int, int]] = set()
-        for reached in index.reachable(_entries(index, classes, _CLIENT_WORK_HOOKS)):
-            for node, desc in effects_for(reached.fn, index).ambient_rng:
-                key = (reached.fn.display, node.lineno, node.col_offset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.flow_violation(
-                    reached.fn,
-                    node,
-                    f"ambient RNG ({desc}) flows into per-client work via "
-                    f"{reached.via()}; derive it from new_rng(seed, stream, "
-                    f"index) keyed by (seed, round, client) instead",
-                )
+        entries = _entries(index, algorithm_classes(index), _CLIENT_WORK_HOOKS)
+        return self.flag_paths(
+            index,
+            index.reachable(entries),
+            lambda eff: eff.ambient_rng,
+            lambda r, desc: (
+                f"ambient RNG ({desc}) flows into per-client work via "
+                f"{r.via()}; derive it from new_rng(seed, stream, "
+                f"index) keyed by (seed, round, client) instead"
+            ),
+        )
 
 
 class WorkerSideSelfMutation(FlowRule):
@@ -135,23 +149,17 @@ class WorkerSideSelfMutation(FlowRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
-        classes = algorithm_classes(index)
-        seen: set[tuple[str, int, str]] = set()
-        for reached in index.reachable(
-            _entries(index, classes, _CLIENT_WORK_HOOKS), self_only=True
-        ):
-            for attr, node in effects_for(reached.fn, index).self_writes.items():
-                key = (reached.fn.display, node.lineno, attr)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.flow_violation(
-                    reached.fn,
-                    node,
-                    f"self.{attr} is mutated on the {reached.via()} path; "
-                    f"worker-side writes are lost under fork executors — "
-                    f"move the write parent-side (round()/apply_client_update)",
-                )
+        entries = _entries(index, algorithm_classes(index), _CLIENT_WORK_HOOKS)
+        return self.flag_paths(
+            index,
+            index.reachable(entries, self_only=True),
+            _self_writes,
+            lambda r, attr: (
+                f"self.{attr} is mutated on the {r.via()} path; "
+                f"worker-side writes are lost under fork executors — "
+                f"move the write parent-side (round()/apply_client_update)"
+            ),
+        )
 
 
 class AliasedHookReturn(FlowRule):
@@ -194,7 +202,7 @@ class UncapturedAggregateWrite(FlowRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
-        seen: set[tuple[str, int, str]] = set()
+        seen: set[tuple[ast.AST, str]] = set()
         # A round() override is an aggregate path of its own (the extension
         # point examples/custom_algorithm.py teaches); the base round() is
         # judged through the hooks it calls, so the walk never enters it,
@@ -216,22 +224,18 @@ class UncapturedAggregateWrite(FlowRule):
                 if fn not in base_round
             ]
             captured = _captured_attrs(index, cls) | _CHECKPOINTED_ELSEWHERE
-            for reached in index.reachable(entries, self_only=True, skip=base_round):
-                for attr, node in effects_for(reached.fn, index).self_writes.items():
-                    if attr in captured:
-                        continue
-                    key = (reached.fn.display, node.lineno, attr)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    yield self.flow_violation(
-                        reached.fn,
-                        node,
-                        f"self.{attr} is written on the {reached.via()} path "
-                        f"but never rides the server_state()/load_server_state "
-                        f"round trip of {cls.name}; a resumed run would "
-                        f"silently reset it",
-                    )
+            yield from self.flag_paths(
+                index,
+                index.reachable(entries, self_only=True, skip=base_round),
+                lambda eff: [(n, a) for n, a in _self_writes(eff) if a not in captured],
+                lambda r, attr: (
+                    f"self.{attr} is written on the {r.via()} path "
+                    f"but never rides the server_state()/load_server_state "
+                    f"round trip of {cls.name}; a resumed run would "
+                    f"silently reset it"
+                ),
+                seen,
+            )
 
     def _unmerged_state_hooks(self, cls: ClassInfo) -> Iterable[Violation]:
         """The base class checkpoints its own server state (the buffered-
@@ -271,14 +275,12 @@ def _captured_attrs(index: ProjectIndex, cls: ClassInfo) -> set[str]:
             method = anc.methods.get(hook)
             if method is None:
                 continue
-            for node in ast.walk(method.node):
-                if (
-                    isinstance(node, ast.Attribute)
-                    and isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                ):
-                    out.add(node.attr)
+            out.update(a for n in ast.walk(method.node) if (a := self_attr(n)) is not None)
     return out
+
+
+def _self_writes(eff: Effects) -> "list[tuple[ast.AST, str]]":
+    return [(node, attr) for attr, node in eff.self_writes.items()]
 
 
 class WallClockReachableFromRound(FlowRule):
@@ -291,21 +293,17 @@ class WallClockReachableFromRound(FlowRule):
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
-        classes = algorithm_classes(index)
-        seen: set[tuple[str, int, int]] = set()
-        for reached in index.reachable(_entries(index, classes, ("round",))):
-            for node, desc in effects_for(reached.fn, index).wall_entropy:
-                key = (reached.fn.display, node.lineno, node.col_offset)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield self.flow_violation(
-                    reached.fn,
-                    node,
-                    f"wall-clock/entropy call {desc} is reachable from "
-                    f"round() via {reached.via()}; rounds must replay "
-                    f"bit-identically from (seed, round, client)",
-                )
+        entries = _entries(index, algorithm_classes(index), ("round",))
+        return self.flag_paths(
+            index,
+            index.reachable(entries),
+            lambda eff: eff.wall_entropy,
+            lambda r, desc: (
+                f"wall-clock/entropy call {desc} is reachable from "
+                f"round() via {r.via()}; rounds must replay "
+                f"bit-identically from (seed, round, client)"
+            ),
+        )
 
 
 FLOW_RULES: tuple[FlowRule, ...] = (

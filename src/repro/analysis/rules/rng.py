@@ -1,26 +1,46 @@
-"""Determinism rules: no hidden entropy sources.
+"""Determinism rules: no hidden entropy sources, no civil time.
 
 Every stochastic stream in this repo must be a pure function of
 ``(seed, round, client)`` (see ``utils/rng.py``) — that is what makes the
 paired Table 1–3 comparisons, fault-injection replay, and bit-identical
-checkpoint resume valid. These rules flag the three ways ambient entropy
-sneaks in: the legacy global NumPy RNG, zero-argument
-``np.random.default_rng()``, and the stdlib ``random`` module.
+checkpoint resume valid. This module is the one place that classifies an
+entropy call (:func:`classify_call`): the global-state NumPy table, the
+unseeded-constructor predicate and the wall-clock/OS-entropy table below
+are read by the per-file rules here (RPL101, RPL102, RPL201) and by the
+flow pass (``dataflow.effects_for``, behind RPL701 and RPL705), so a call
+one rule flags at module level the other flags on a path.
+
+RPL103 flags the stdlib ``random`` *import*; RPL201 is path-scoped to
+``src/repro`` by default (benchmarks and examples report wall timings),
+and reads only civil time: durations use ``time.perf_counter``, simulated
+time the runtime's ``VirtualClock``.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.analysis.rules.base import AstRule, SourceModule, Violation, dotted_name
 
-__all__ = ["GlobalNumpyRng", "UnseededDefaultRng", "StdlibRandom"]
+__all__ = [
+    "GLOBAL_STATE_FUNCS",
+    "UNSEEDED_CONSTRUCTORS",
+    "WALL_CLOCK_CALLS",
+    "OS_ENTROPY_CALLS",
+    "unseeded",
+    "classify_call",
+    "entropy_calls",
+    "GlobalNumpyRng",
+    "UnseededDefaultRng",
+    "StdlibRandom",
+    "WallClockCall",
+]
 
 # Module-level functions of numpy.random that draw from (or reseed) the
 # hidden global RandomState. Methods on an explicit Generator share these
 # names; resolution through the import table keeps them apart.
-_GLOBAL_STATE_FUNCS = frozenset(
+GLOBAL_STATE_FUNCS = frozenset(
     {
         "seed",
         "get_state",
@@ -44,13 +64,114 @@ _GLOBAL_STATE_FUNCS = frozenset(
         "beta",
         "gamma",
         "exponential",
+        "laplace",
         "multinomial",
+        "multivariate_normal",
         "dirichlet",
     }
 )
 
+# numpy.random constructors that draw OS entropy when no seed reaches them.
+UNSEEDED_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})
 
-class GlobalNumpyRng(AstRule):
+# Civil-time reads (perf_counter/monotonic are sanctioned for measurement).
+WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.ctime",
+        "time.asctime",
+        "time.localtime",
+        "time.gmtime",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "datetime.date.today",
+    }
+)
+
+# OS entropy: irreproducible like the wall clock, but not civil time, so
+# only the flow pass (RPL705) reads these.
+OS_ENTROPY_CALLS = frozenset(
+    {
+        "os.urandom",
+        "os.getrandom",
+        "uuid.uuid1",
+        "uuid.uuid4",
+        "secrets.token_bytes",
+        "secrets.token_hex",
+        "secrets.token_urlsafe",
+        "secrets.randbits",
+        "secrets.randbelow",
+        "secrets.choice",
+    }
+)
+
+
+def unseeded(call: ast.Call) -> bool:
+    """No positional seed and no ``seed=``/``**`` kwarg, or a constant
+    ``None`` one: NumPy then draws OS entropy exactly as for no seed."""
+    if call.args:
+        first = call.args[0]
+        return isinstance(first, ast.Constant) and first.value is None
+    for kw in call.keywords:
+        if kw.arg in ("seed", None):
+            return isinstance(kw.value, ast.Constant) and kw.value.value is None
+    return True
+
+
+def classify_call(call: ast.Call, aliases: dict[str, str]) -> "tuple[str, str] | None":
+    """``(kind, resolved name)`` of an entropy call, else ``None``.
+
+    Kinds: ``global-state`` (a :data:`GLOBAL_STATE_FUNCS` function),
+    ``unseeded`` (an :data:`UNSEEDED_CONSTRUCTORS` call passing no seed),
+    ``stdlib`` (a stdlib ``random`` function), ``fallback`` (``new_rng``
+    without a seed: the sanctioned interactive lane, fatal only on a
+    client path), ``wall-clock`` and ``os-entropy``.
+    """
+    name = dotted_name(call.func, aliases)
+    if name is None:
+        return None
+    if name.startswith("numpy.random."):
+        func = name.rsplit(".", 1)[1]
+        if func in UNSEEDED_CONSTRUCTORS:
+            return ("unseeded", name) if unseeded(call) else None
+        return ("global-state", name) if func in GLOBAL_STATE_FUNCS else None
+    if name.startswith("random."):
+        return ("stdlib", name)
+    if name == "new_rng" or name.endswith(".new_rng"):
+        return ("fallback", name) if unseeded(call) else None
+    if name in WALL_CLOCK_CALLS:
+        return ("wall-clock", name)
+    if name in OS_ENTROPY_CALLS:
+        return ("os-entropy", name)
+    return None
+
+
+def entropy_calls(
+    tree: ast.AST, aliases: dict[str, str]
+) -> Iterator[tuple[ast.Call, str, str]]:
+    """Every classified call under ``tree``: ``(node, kind, name)``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            found = classify_call(node, aliases)
+            if found is not None:
+                yield node, found[0], found[1]
+
+
+class _EntropyCallRule(AstRule):
+    """Flags the module's calls of one :func:`classify_call` kind."""
+
+    flags = ""
+    message = ""  # formatted with the resolved call name
+
+    def check(self, module: SourceModule) -> Iterable[Violation]:
+        for node, kind, name in entropy_calls(module.tree, module.aliases):
+            if kind == self.flags:
+                yield self.violation(module, node, self.message.format(name))
+
+
+class GlobalNumpyRng(_EntropyCallRule):
     """``np.random.rand(...)``-style calls mutate process-global state."""
 
     code = "RPL101"
@@ -59,26 +180,15 @@ class GlobalNumpyRng(AstRule):
         "nothing draws from (or reseeds) the global NumPy RNG; all sampling "
         "goes through an explicit seeded Generator (utils.rng.new_rng)"
     )
-
-    def check(self, module: SourceModule) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qn = dotted_name(node.func, module.aliases)
-            if qn is None or not qn.startswith("numpy.random."):
-                continue
-            func = qn.rsplit(".", 1)[1]
-            if func in _GLOBAL_STATE_FUNCS:
-                yield self.violation(
-                    module,
-                    node,
-                    f"call to numpy.random.{func} uses the process-global RNG; "
-                    "draw from an explicit generator (utils.rng.new_rng) instead",
-                )
+    flags = "global-state"
+    message = (
+        "call to {} uses the process-global RNG; "
+        "draw from an explicit generator (utils.rng.new_rng) instead"
+    )
 
 
-class UnseededDefaultRng(AstRule):
-    """Zero-argument ``default_rng()`` silently breaks replayability."""
+class UnseededDefaultRng(_EntropyCallRule):
+    """An unseeded ``default_rng()`` silently breaks replayability."""
 
     code = "RPL102"
     name = "unseeded-default-rng"
@@ -86,21 +196,11 @@ class UnseededDefaultRng(AstRule):
         "every Generator is constructed from a derived seed; an OS-entropy "
         "default_rng() makes runs unreproducible and resume non-bit-identical"
     )
-
-    def check(self, module: SourceModule) -> Iterable[Violation]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qn = dotted_name(node.func, module.aliases)
-            if qn != "numpy.random.default_rng":
-                continue
-            if not node.args and not node.keywords:
-                yield self.violation(
-                    module,
-                    node,
-                    "np.random.default_rng() with no seed draws OS entropy; "
-                    "route through utils.rng.new_rng / derive_seed",
-                )
+    flags = "unseeded"
+    message = (
+        "{}() with no seed draws OS entropy; "
+        "route through utils.rng.new_rng / derive_seed"
+    )
 
 
 class StdlibRandom(AstRule):
@@ -132,3 +232,20 @@ class StdlibRandom(AstRule):
                         "import from stdlib 'random'; use numpy Generators "
                         "from utils.rng so every stream is seed-derived",
                     )
+
+
+class WallClockCall(_EntropyCallRule):
+    """Civil-time reads inside the library's algorithm/kernel paths."""
+
+    code = "RPL201"
+    name = "wall-clock-call"
+    invariant = (
+        "library code never reads civil time: durations use "
+        "time.perf_counter, simulated time uses runtime.VirtualClock, and "
+        "no wall-clock value feeds RunHistory fingerprints or checkpoints"
+    )
+    flags = "wall-clock"
+    message = (
+        "wall-clock read {}(); use time.perf_counter for "
+        "durations or the runtime VirtualClock for simulated time"
+    )

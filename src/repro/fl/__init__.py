@@ -22,11 +22,7 @@ from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.trainer import LocalTrainer, TrainStats
 from repro.fl.devices import DeviceProfile, DEVICE_TIERS, assign_models_by_resources
 from repro.fl.latency import estimate_client_time
-from repro.fl.checkpoint import (
-    CheckpointError,
-    save_history,
-    load_history,
-)
+from repro.fl.checkpoint import CheckpointError
 from repro.fl.robust import (
     DEFENSE_KINDS,
     RobustAggregator,
@@ -65,8 +61,6 @@ __all__ = [
     "assign_models_by_resources",
     "estimate_client_time",
     "CheckpointError",
-    "save_history",
-    "load_history",
     "DEFENSE_KINDS",
     "RobustAggregator",
     "confidence_member_weights",

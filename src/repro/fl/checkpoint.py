@@ -1,28 +1,21 @@
-"""Experiment persistence: run histories, model checkpoints and *resumable
-run state* on disk.
+"""Resumable run state on disk.
 
 Long FL sweeps (the `paper` scale runs for hours) need durable artifacts:
+:class:`RunCheckpoint` + :func:`save_run_checkpoint` /
+:func:`load_run_checkpoint` hold the *complete* mid-schedule state of a run
+(global model, algorithm server state, comm-meter ledger, partial history,
+config fingerprint) so a crashed or killed run resumes bit-identically
+(``FLAlgorithm.run(resume_from=...)``).
 
-- :func:`save_history` / :func:`load_history` — a :class:`RunHistory` as
-  JSON (the exact series the tables/figures consume);
-- :func:`save_model` / :func:`load_model` — a module's state dict in the
-  same versioned binary wire format the channel uses;
-- :class:`RunCheckpoint` + :func:`save_run_checkpoint` /
-  :func:`load_run_checkpoint` — the *complete* mid-schedule state of a run
-  (global model, algorithm server state, comm-meter ledger, partial
-  history, config fingerprint) so a crashed or killed run resumes
-  bit-identically (``FLAlgorithm.run(resume_from=...)``).
-
-Every write in this module is **atomic**: content goes to a same-directory
-``*.tmp`` file first and is moved into place with ``os.replace``, so a
-SIGKILL mid-write can never leave a half-written history or
-checkpoint — the reader sees either the old version or the new one.
+Every write is **atomic**: content goes to a same-directory ``*.tmp`` file
+first and is moved into place with ``os.replace``, so a SIGKILL mid-write
+can never leave a half-written checkpoint — the reader sees either the old
+version or the new one.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import pathlib
 import pickle
@@ -30,15 +23,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.fl.history import RunHistory
-from repro.nn.module import Module
-from repro.nn.serialization import dumps_state_dict, loads_state_dict
-
 __all__ = [
-    "save_history",
-    "load_history",
-    "save_model",
-    "load_model",
     "CheckpointError",
     "RunCheckpoint",
     "RUN_CHECKPOINT_VERSION",
@@ -82,49 +67,6 @@ def _atomic_write_bytes(path: pathlib.Path, data: bytes) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # only survives if the replace failed
-
-
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
-# ---------------------------------------------------------------------- #
-# histories and weights
-# ---------------------------------------------------------------------- #
-
-
-def save_history(history: RunHistory, path: "str | pathlib.Path") -> pathlib.Path:
-    """Write a run history as pretty-printed JSON (atomically)."""
-    path = pathlib.Path(path)
-    _atomic_write_text(path, json.dumps(history.to_dict(), indent=2))
-    return path
-
-
-def load_history(path: "str | pathlib.Path") -> RunHistory:
-    """Reconstruct a :class:`RunHistory` written by :func:`save_history`."""
-    return RunHistory.from_dict(json.loads(pathlib.Path(path).read_text()))
-
-
-def save_model(model_or_state: "Module | Mapping[str, np.ndarray]", path) -> pathlib.Path:
-    """Write a module's (or raw) state dict in the binary wire format
-    (atomically)."""
-    state = (
-        model_or_state.state_dict()
-        if isinstance(model_or_state, Module)
-        else model_or_state
-    )
-    path = pathlib.Path(path)
-    _atomic_write_bytes(path, dumps_state_dict(state))
-    return path
-
-
-def load_model(path, into: "Module | None" = None):
-    """Read a state dict; if ``into`` is given, load it and return the module."""
-    state = loads_state_dict(pathlib.Path(path).read_bytes())
-    if into is None:
-        return state
-    into.load_state_dict(state)
-    return into
 
 
 # ---------------------------------------------------------------------- #

@@ -12,17 +12,21 @@ JSON line and the in-RAM list is trimmed to a short tail, keeping resident
 records O(1) in the round count. The sink is transparent — aggregate
 series (``accuracies``, ``participation``, …) and :meth:`fingerprint`
 re-read the file, so streaming never changes the fingerprint. Stream files
-round-trip via :meth:`RunHistory.from_jsonl`, which raises
-:class:`HistoryStreamError` (not bare ``json`` errors) on truncated or
-corrupt files.
+round-trip via :meth:`RunHistory.from_jsonl`. Both read the sink through
+one checked reader, so a truncated or corrupt file raises
+:class:`HistoryStreamError` (not bare ``json`` errors) either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -110,6 +114,60 @@ def _record_from_dict(r: dict) -> RoundRecord:
     )
 
 
+def _read_stream(path: Path) -> Iterator:
+    """Yield the sink's header dict, then one :class:`RoundRecord` per line.
+
+    The one reader behind :meth:`RunHistory.from_jsonl` and a streamed
+    history's :meth:`~RunHistory.iter_records`; it holds one line at a time.
+
+    Raises :class:`HistoryStreamError` — never a bare ``json`` or
+    ``KeyError`` — when the file is unreadable or empty, has a bad header,
+    or carries a corrupt record line. A final line without its newline
+    terminator (a process killed mid-write) is a hard error too, not
+    silently dropped data.
+    """
+    lineno = 0
+    try:
+        with path.open("r", encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.endswith("\n"):
+                    raise HistoryStreamError(
+                        f"truncated history stream {path}: final line is missing its "
+                        "newline terminator (process killed mid-write?)"
+                    )
+                what = "header line" if lineno == 1 else f"record at line {lineno}"
+                try:
+                    raw = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise HistoryStreamError(f"corrupt {what} in {path}: {exc}") from exc
+                if lineno == 1:
+                    if not isinstance(raw, dict) or raw.get("format") != _STREAM_FORMAT:
+                        raise HistoryStreamError(
+                            f"{path} is not a history stream (missing format marker "
+                            f"{_STREAM_FORMAT!r})"
+                        )
+                    if raw.get("version") != _STREAM_VERSION:
+                        raise HistoryStreamError(
+                            f"unsupported history stream version {raw.get('version')!r} "
+                            f"in {path} (supported: {_STREAM_VERSION})"
+                        )
+                    yield raw
+                    continue
+                if not isinstance(raw, dict) or "round" not in raw:
+                    raise HistoryStreamError(f"corrupt {what} of {path}: not a round object")
+                try:
+                    record = _record_from_dict(raw)
+                except (KeyError, TypeError, ValueError, AttributeError) as exc:
+                    raise HistoryStreamError(
+                        f"invalid history stream {path}: {what}: {exc!r}"
+                    ) from exc
+                yield record
+    except (OSError, UnicodeDecodeError) as exc:
+        raise HistoryStreamError(f"cannot read history stream {path}: {exc}") from exc
+    if lineno == 0:
+        raise HistoryStreamError(f"empty history stream: {path}")
+
+
 def _fingerprint_record_bytes(round_dict: dict) -> bytes:
     """One round's contribution to the fingerprint payload (wall-clock
     durations are machine noise, excluded from the determinism contract)."""
@@ -167,6 +225,11 @@ class RunHistory:
         subsequent :meth:`append` adds one line and trims the in-RAM list
         to the last ``keep_records`` records. Re-attaching after a resume
         therefore rewrites the sink to match the restored history exactly.
+        A history that is already streaming is rewritten from
+        :meth:`iter_records` into a sibling ``*.tmp`` file moved into place
+        with ``os.replace``, so the flushed rounds survive even when
+        ``path`` is the current sink, and RAM never holds more than the
+        in-RAM tail.
 
         The header snapshots ``meta`` at attach time; later ``meta``
         mutations stay in-memory only (``meta`` is outside the fingerprint
@@ -177,7 +240,6 @@ class RunHistory:
         self.close_stream()
         sink = Path(path)
         sink.parent.mkdir(parents=True, exist_ok=True)
-        handle = sink.open("w", encoding="utf-8")
         header = {
             "format": _STREAM_FORMAT,
             "version": _STREAM_VERSION,
@@ -187,15 +249,21 @@ class RunHistory:
             "sample_ratio": self.sample_ratio,
             "meta": dict(self.meta),
         }
-        handle.write(json.dumps(header, sort_keys=True) + "\n")
+        tmp = sink.with_name(sink.name + ".tmp")
+        try:
+            with tmp.open("w", encoding="utf-8") as handle:
+                handle.write(json.dumps(header, sort_keys=True) + "\n")
+                streamed = 0
+                for record in self.iter_records():
+                    handle.write(json.dumps(_round_to_dict(record), sort_keys=True) + "\n")
+                    streamed += 1
+            os.replace(tmp, sink)
+        finally:
+            tmp.unlink(missing_ok=True)  # only survives if the rewrite failed
         self._sink_path = sink
-        self._sink_file = handle
         self._keep_records = int(keep_records)
-        self._streamed = 0
-        for record in self.records:
-            self._write_record(record)
+        self._streamed = streamed
         del self.records[: max(0, len(self.records) - self._keep_records)]
-        handle.flush()
         return self
 
     def close_stream(self) -> None:
@@ -208,7 +276,7 @@ class RunHistory:
             self._sink_file = None
 
     def _write_record(self, record: RoundRecord) -> None:
-        if self._sink_file is None:  # reattach after close_stream()
+        if self._sink_file is None:  # first append after stream_to()/close_stream()
             self._sink_file = self._sink_path.open("a", encoding="utf-8")
         self._sink_file.write(json.dumps(_round_to_dict(record), sort_keys=True) + "\n")
         self._sink_file.flush()
@@ -223,13 +291,9 @@ class RunHistory:
             return
         if self._sink_file is not None:
             self._sink_file.flush()
-        tail_start = self._streamed - len(self.records)
-        with self._sink_path.open("r", encoding="utf-8") as f:
-            next(f)  # header line
-            for i, line in enumerate(f):
-                if i >= tail_start:
-                    break
-                yield _record_from_dict(json.loads(line))
+        with contextlib.closing(_read_stream(self._sink_path)) as lines:
+            next(lines)  # header
+            yield from itertools.islice(lines, self._streamed - len(self.records))
         yield from self.records
 
     # ------------------------------------------------------------------ #
@@ -391,57 +455,21 @@ class RunHistory:
         hard error, not silently dropped data).
         """
         path = Path(path)
+        lines = _read_stream(path)
+        header = next(lines)
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise HistoryStreamError(f"cannot read history stream {path}: {exc}") from exc
-        if not text:
-            raise HistoryStreamError(f"empty history stream: {path}")
-        if not text.endswith("\n"):
-            raise HistoryStreamError(
-                f"truncated history stream {path}: final line is missing its "
-                "newline terminator (process killed mid-write?)"
+            history = cls(
+                algorithm=header.get("algorithm"),
+                model=header.get("model"),
+                num_clients=header.get("num_clients"),
+                sample_ratio=header.get("sample_ratio"),
+                meta=dict(header.get("meta", {})),
             )
-        lines = text.splitlines()
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise HistoryStreamError(f"corrupt header line in {path}: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != _STREAM_FORMAT:
-            raise HistoryStreamError(
-                f"{path} is not a history stream (missing format marker "
-                f"{_STREAM_FORMAT!r})"
-            )
-        if header.get("version") != _STREAM_VERSION:
-            raise HistoryStreamError(
-                f"unsupported history stream version {header.get('version')!r} "
-                f"in {path} (supported: {_STREAM_VERSION})"
-            )
-        rounds = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            try:
-                round_dict = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise HistoryStreamError(
-                    f"corrupt record at line {lineno} of {path}: {exc}"
-                ) from exc
-            if not isinstance(round_dict, dict) or "round" not in round_dict:
-                raise HistoryStreamError(
-                    f"corrupt record at line {lineno} of {path}: not a round object"
-                )
-            rounds.append(round_dict)
-        raw = {
-            "algorithm": header.get("algorithm"),
-            "model": header.get("model"),
-            "num_clients": header.get("num_clients"),
-            "sample_ratio": header.get("sample_ratio"),
-            "meta": header.get("meta", {}),
-            "rounds": rounds,
-        }
-        try:
-            return cls.from_dict(raw)
-        except (KeyError, TypeError, ValueError) as exc:
+            for record in lines:
+                history.append(record)
+        except (TypeError, ValueError) as exc:
             raise HistoryStreamError(f"invalid history stream {path}: {exc}") from exc
+        return history
 
     def to_dict(self) -> dict:
         """Plain-dict export (JSON-serializable) for logging/analysis.

@@ -6,4 +6,3 @@ from numpy.random import default_rng
 a = np.random.default_rng(0)
 seed = 7
 b = default_rng(seed)
-c = np.random.default_rng(seed=None)  # explicit seed kwarg is a caller decision

@@ -49,7 +49,7 @@ def test_github_format_emits_error_annotations(capsys):
     )
     assert code == 1
     annotations = [line for line in out.splitlines() if line.startswith("::error ")]
-    assert len(annotations) == 2
+    assert len(annotations) == 3
     assert all("file=" in a and "line=" in a and "title=RPL102" in a for a in annotations)
 
 

@@ -7,10 +7,16 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis import AST_RULES, FLOW_RULES, AnalysisConfig, lint_paths
+from repro.analysis.rules.rng import (
+    GLOBAL_STATE_FUNCS,
+    OS_ENTROPY_CALLS,
+    UNSEEDED_CONSTRUCTORS,
+    WALL_CLOCK_CALLS,
+)
 
 CASES = {
     "RPL101": ("rpl101_bad.py", "rpl101_good.py", 5),
-    "RPL102": ("rpl102_bad.py", "rpl102_good.py", 2),
+    "RPL102": ("rpl102_bad.py", "rpl102_good.py", 3),
     "RPL103": ("rpl103_bad.py", "rpl103_good.py", 2),
     "RPL201": ("rpl201_bad.py", "rpl201_good.py", 4),
     "RPL301": ("rpl301_bad.py", "rpl301_good.py", 4),
@@ -78,6 +84,82 @@ def test_rpl704_round_override_does_not_walk_the_base_round(tmp_path):
     config = AnalysisConfig(scopes={}, select=frozenset({"RPL704"}))
     result = lint_paths([tmp_path / "src"], config=config, root=tmp_path)
     assert [(v.path, v.line) for v in result.violations] == [("src/repro/fl/custom.py", 4)]
+
+
+def test_flow_finding_reached_twice_is_reported_once(tmp_path):
+    """A helper both client-work hooks reach, and an aggregate two
+    subclasses inherit, each yield one finding, with the first witness."""
+    path = tmp_path / "twice.py"
+    path.write_text(
+        "import numpy as np\n"
+        "from repro.fl.algorithms.base import FLAlgorithm\n"
+        "def noise():\n"
+        "    return np.random.rand()\n"
+        "class Base(FLAlgorithm):\n"
+        "    def client_work(self, round_idx, cid, payload):\n"
+        "        return noise()\n"
+        "    def client_work_batched(self, round_idx, cids, payloads):\n"
+        "        return noise()\n"
+        "    def aggregate(self, updates):\n"
+        "        self.drift = 1\n"
+        "class Left(Base):\n"
+        "    pass\n"
+        "class Right(Base):\n"
+        "    pass\n"
+    )
+    config = AnalysisConfig(scopes={}, select=frozenset({"RPL701", "RPL704"}))
+    found = lint_paths([path], config=config).violations
+    assert [(v.code, v.line) for v in found] == [("RPL701", 4), ("RPL704", 11)]
+    assert "via Base.client_work -> noise" in found[0].message
+
+
+# Agreement: the per-file rules and the flow rules read one entropy table,
+# so every entry is flagged both at module level and on a hook's path.
+_PROBE_HEADER = "import datetime, os, secrets, time, uuid\nimport numpy as np\n"
+_PROBE_ALGORITHM = (
+    "from repro.fl.algorithms.base import FLAlgorithm\n"
+    "class Probe(FLAlgorithm):\n"
+    "    def {hook}:\n"
+    "        return {call}\n"
+)
+_FLOW_HOOK = {
+    "RPL701": "client_work(self, round_idx, cid, payload)",
+    "RPL705": "round(self, round_idx, selected)",
+}
+_UNSEEDED_FORMS = sorted(
+    f"np.random.{ctor}({args})"
+    for ctor in UNSEEDED_CONSTRUCTORS
+    for args in ("", "None", "seed=None")
+)
+
+
+def _flagged_lines(tmp_path, body, code):
+    """Lines ``code`` flags in a probe module ending with ``body``."""
+    path = tmp_path / "probe.py"
+    path.write_text(_PROBE_HEADER + body)
+    config = AnalysisConfig(scopes={}, select=frozenset({code}))
+    return [v.line for v in lint_paths([path], config=config).violations]
+
+
+def _last_line(body):
+    return _PROBE_HEADER.count("\n") + body.count("\n")
+
+
+@pytest.mark.parametrize(
+    "call, module_rule, flow_rule",
+    [(f"np.random.{f}()", "RPL101", "RPL701") for f in sorted(GLOBAL_STATE_FUNCS)]
+    + [(form, "RPL102", "RPL701") for form in _UNSEEDED_FORMS]
+    + [(f"{name}()", "RPL201", "RPL705") for name in sorted(WALL_CLOCK_CALLS)]
+    + [(f"{name}()", None, "RPL705") for name in sorted(OS_ENTROPY_CALLS)],
+)
+def test_module_and_flow_rules_agree_on_the_entropy_table(
+    tmp_path, call, module_rule, flow_rule
+):
+    if module_rule is not None:
+        body = f"{call}\n"
+        assert _flagged_lines(tmp_path, body, module_rule) == [_last_line(body)]
+    body = _PROBE_ALGORITHM.format(hook=_FLOW_HOOK[flow_rule], call=call)
+    assert _flagged_lines(tmp_path, body, flow_rule) == [_last_line(body)]
 
 
 def test_rules_have_identity():

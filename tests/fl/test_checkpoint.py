@@ -1,5 +1,5 @@
-"""Persistence round trips, atomicity under simulated crashes, and the
-resumable RunCheckpoint format."""
+"""The resumable RunCheckpoint format and its atomicity under simulated
+crashes."""
 
 import os
 
@@ -11,16 +11,11 @@ from repro.fl.checkpoint import (
     RUN_CHECKPOINT_VERSION,
     CheckpointError,
     RunCheckpoint,
-    load_history,
-    load_model,
     load_run_checkpoint,
     run_checkpoint_path,
-    save_history,
-    save_model,
     save_run_checkpoint,
 )
 from repro.fl.history import RoundRecord, RunHistory
-from repro.nn.models import MLP
 
 
 def make_history(n=3):
@@ -33,38 +28,6 @@ def make_history(n=3):
             )
         )
     return h
-
-
-class TestHistoryRoundTrip:
-    def test_full_fidelity(self, tmp_path):
-        h = make_history()
-        save_history(h, tmp_path / "run.json")
-        back = load_history(tmp_path / "run.json")
-        assert back.algorithm == h.algorithm
-        assert back.meta == h.meta
-        np.testing.assert_allclose(back.accuracies, h.accuracies)
-        np.testing.assert_array_equal(back.cum_bytes, h.cum_bytes)
-        np.testing.assert_allclose(back.local_accuracies, h.local_accuracies)
-
-    def test_creates_parent_dirs(self, tmp_path):
-        save_history(make_history(), tmp_path / "a" / "b" / "run.json")
-        assert (tmp_path / "a" / "b" / "run.json").exists()
-
-
-class TestModelRoundTrip:
-    def test_weights_identical(self, tmp_path):
-        m = MLP(8, 4, hidden=(16,), seed=0)
-        save_model(m, tmp_path / "w.bin")
-        m2 = MLP(8, 4, hidden=(16,), seed=99)
-        load_model(tmp_path / "w.bin", into=m2)
-        for (_, p1), (_, p2) in zip(m.named_parameters(), m2.named_parameters()):
-            np.testing.assert_array_equal(p1.data, p2.data)
-
-    def test_raw_state_return(self, tmp_path):
-        m = MLP(8, 4, seed=0)
-        save_model(m.state_dict(), tmp_path / "w.bin")
-        state = load_model(tmp_path / "w.bin")
-        assert set(state) == set(m.state_dict())
 
 
 def make_run_checkpoint(next_round=3):
@@ -82,7 +45,7 @@ def make_run_checkpoint(next_round=3):
 class TestRunCheckpointFormat:
     def test_round_trip(self, tmp_path):
         ckpt = make_run_checkpoint()
-        path = save_run_checkpoint(ckpt, tmp_path / "run.ckpt")
+        path = save_run_checkpoint(ckpt, tmp_path / "a" / "b" / "run.ckpt")  # makes parents
         back = load_run_checkpoint(path)
         assert back.algorithm == ckpt.algorithm
         assert back.fingerprint == ckpt.fingerprint
@@ -183,16 +146,6 @@ class TestAtomicity:
 
         monkeypatch.setattr(ckpt_mod.os, "replace", exploding_replace)
 
-    def test_history_survives_crashed_rewrite(self, tmp_path, monkeypatch):
-        path = tmp_path / "run.json"
-        save_history(make_history(3), path)
-        before = path.read_bytes()
-        self._crash_on_replace(monkeypatch)
-        with pytest.raises(OSError):
-            save_history(make_history(5), path)
-        assert path.read_bytes() == before  # old version intact
-        assert list(tmp_path.glob("*.tmp")) == []  # no debris
-
     def test_run_checkpoint_survives_crashed_rewrite(self, tmp_path, monkeypatch):
         path = tmp_path / "run.ckpt"
         save_run_checkpoint(make_run_checkpoint(2), path)
@@ -204,7 +157,7 @@ class TestAtomicity:
 
     def test_interrupted_write_never_partial(self, tmp_path, monkeypatch):
         """Even a crash *during* the temp write leaves no partial target."""
-        path = tmp_path / "run.json"
+        path = tmp_path / "run.ckpt"
 
         real_fsync = os.fsync
 
@@ -214,6 +167,6 @@ class TestAtomicity:
 
         monkeypatch.setattr(ckpt_mod.os, "fsync", exploding_fsync)
         with pytest.raises(OSError):
-            save_history(make_history(), path)
+            save_run_checkpoint(make_run_checkpoint(), path)
         assert not path.exists()
         assert list(tmp_path.glob("*.tmp")) == []

@@ -80,6 +80,23 @@ class TestStreamingParity:
         assert late.fingerprint() == mem.fingerprint()
         assert late.num_rounds == 11
 
+    @pytest.mark.parametrize("same_path", [False, True], ids=["new-path", "same-path"])
+    def test_reattach_keeps_flushed_rounds(self, tmp_path, same_path):
+        """Re-attaching a streaming history rewrites the sink from every
+        round, not just the in-RAM tail; onto its own sink it goes through
+        a sibling temp file."""
+        mem, streamed = make_pair(n=5, keep=2, path=tmp_path / "h.jsonl")
+        target = tmp_path / ("h.jsonl" if same_path else "moved.jsonl")
+        streamed.stream_to(target, keep_records=2)
+        assert streamed.num_rounds == 5
+        assert len(streamed.records) == 2
+        assert streamed.fingerprint() == mem.fingerprint()
+        mem.append(record(6))
+        streamed.append(record(6))
+        assert streamed.fingerprint() == mem.fingerprint()
+        assert RunHistory.from_jsonl(target).to_dict() == mem.to_dict()
+        assert list(tmp_path.glob("*.tmp")) == []
+
     def test_append_after_close_reopens(self, tmp_path):
         mem, streamed = make_pair(n=5, path=tmp_path / "h.jsonl")
         streamed.close_stream()
@@ -172,6 +189,20 @@ class TestFromJsonl:
         p.write_text("\n".join(lines) + "\n")
         with pytest.raises(HistoryStreamError, match="line 3"):
             RunHistory.from_jsonl(p)
+
+    def test_corrupt_sink_fails_typed_on_read_back(self, tmp_path):
+        """A streamed history re-reads its flushed rounds through the same
+        checked reader as from_jsonl."""
+        p = tmp_path / "h.jsonl"
+        _, streamed = make_pair(n=5, keep=2, path=p)
+        streamed.close_stream()
+        lines = p.read_text().splitlines()
+        lines[2] = lines[2][: len(lines[2]) // 2]  # mangle flushed record 2
+        p.write_text("\n".join(lines) + "\n")
+        with pytest.raises(HistoryStreamError, match="line 3"):
+            streamed.fingerprint()
+        with pytest.raises(HistoryStreamError, match="line 3"):
+            streamed.accuracies
 
     def test_non_object_record_line(self, tmp_path):
         p = tmp_path / "h.jsonl"
