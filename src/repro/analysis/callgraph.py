@@ -38,7 +38,7 @@ from __future__ import annotations
 import ast
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.analysis.rules.base import SourceModule, dotted_name, self_attr
 
@@ -488,16 +488,14 @@ class ProjectIndex:
         *,
         self_only: bool = False,
         max_depth: int = MAX_DEPTH,
-        skip: "Collection[FunctionInfo]" = (),
     ) -> list[Reached]:
         """BFS closure over resolvable call edges.
 
         ``self_only`` restricts traversal to ``self.``/``super().`` method
         edges — the flow that provably stays on the *same object* (used by
         RPL702/704, which reason about the algorithm instance's state).
-        ``skip`` holds functions the walk never enters. Each function is
-        visited once per concrete class context; the recorded path is the
-        first (shortest) witness.
+        Each function is visited once per concrete class context; the
+        recorded path is the first (shortest) witness.
         """
         out: list[Reached] = []
         seen: set[tuple[str, str]] = set()
@@ -518,7 +516,7 @@ class ProjectIndex:
                 if self_only and site.kind not in ("self", "super"):
                     continue
                 callee = self.resolve_site(site, ctx, fn.cls)
-                if callee is None or callee in skip:
+                if callee is None:
                     continue
                 # Method edges keep the caller's concrete class context
                 # (inheritance stays bound through the subclass); edges to

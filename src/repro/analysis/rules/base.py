@@ -12,6 +12,7 @@ under analysis.
 from __future__ import annotations
 
 import ast
+import functools
 import pathlib
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -61,6 +62,15 @@ class SourceModule:
     source: str
     tree: ast.Module
     aliases: dict[str, str]  # local name -> dotted import target
+
+    @functools.cached_property
+    def entropy_calls(self) -> "list[tuple[ast.Call, str, str]]":
+        """The module's classified entropy calls, ``(node, kind, name)``
+        (:func:`repro.analysis.rules.rng.entropy_calls`): walked once and
+        shared by every per-file rule that reads them."""
+        from repro.analysis.rules.rng import entropy_calls  # rng imports this module
+
+        return list(entropy_calls(self.tree, self.aliases))
 
 
 def collect_aliases(tree: ast.Module) -> dict[str, str]:

@@ -203,30 +203,17 @@ class UncapturedAggregateWrite(FlowRule):
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:
         seen: set[tuple[ast.AST, str]] = set()
-        # A round() override is an aggregate path of its own (the extension
-        # point examples/custom_algorithm.py teaches); the base round() is
-        # judged through the hooks it calls, so the walk never enters it,
-        # not even from an override's super().round().
-        base_round = {
-            root.methods["round"]
-            for root in index.classes_by_name.get(_ROOT, ())
-            if "round" in root.methods
-        }
         for cls in algorithm_classes(index):
             if cls.name == _ROOT:
                 # The root class's own writes are judged per concrete
                 # subclass (capture sets differ down the hierarchy).
                 continue
             yield from self._unmerged_state_hooks(cls)
-            entries = [
-                (fn, c)
-                for fn, c in _entries(index, [cls], _AGGREGATE_HOOKS + ("round",))
-                if fn not in base_round
-            ]
+            entries = _entries(index, [cls], _AGGREGATE_HOOKS)
             captured = _captured_attrs(index, cls) | _CHECKPOINTED_ELSEWHERE
             yield from self.flag_paths(
                 index,
-                index.reachable(entries, self_only=True, skip=base_round),
+                index.reachable(entries, self_only=True),
                 lambda eff: [(n, a) for n, a in _self_writes(eff) if a not in captured],
                 lambda r, attr: (
                     f"self.{attr} is written on the {r.via()} path "

@@ -71,8 +71,31 @@ GLOBAL_STATE_FUNCS = frozenset(
     }
 )
 
-# numpy.random constructors that draw OS entropy when no seed reaches them.
-UNSEEDED_CONSTRUCTORS = frozenset({"default_rng", "RandomState", "Generator"})
+# numpy.random constructors that draw OS entropy when no seed reaches them:
+# the generator front ends, the bit generators and SeedSequence.
+UNSEEDED_CONSTRUCTORS = frozenset(
+    {
+        "default_rng",
+        "RandomState",
+        "Generator",
+        "PCG64",
+        "PCG64DXSM",
+        "MT19937",
+        "Philox",
+        "SFC64",
+        "SeedSequence",
+    }
+)
+
+# The parameters a constructor takes its seed through, where they are not
+# just ``seed``: a Generator is seeded by its bit generator (flagged on its
+# own when it is built unseeded), a SeedSequence by its entropy, and a
+# Philox by its seed or its key.
+_SEED_PARAMS: dict[str, tuple[str, ...]] = {
+    "Generator": ("bit_generator",),
+    "SeedSequence": ("entropy",),
+    "Philox": ("seed", "key"),
+}
 
 # Civil-time reads (perf_counter/monotonic are sanctioned for measurement).
 WALL_CLOCK_CALLS = frozenset(
@@ -108,16 +131,13 @@ OS_ENTROPY_CALLS = frozenset(
 )
 
 
-def unseeded(call: ast.Call) -> bool:
-    """No positional seed and no ``seed=``/``**`` kwarg, or a constant
-    ``None`` one: NumPy then draws OS entropy exactly as for no seed."""
-    if call.args:
-        first = call.args[0]
-        return isinstance(first, ast.Constant) and first.value is None
-    for kw in call.keywords:
-        if kw.arg in ("seed", None):
-            return isinstance(kw.value, ast.Constant) and kw.value.value is None
-    return True
+def unseeded(call: ast.Call, params: "tuple[str, ...]" = ("seed",)) -> bool:
+    """No positional seed and no ``params``/``**`` keyword, or only constant
+    ``None`` ones: NumPy then draws OS entropy exactly as for no seed."""
+    given = call.args[:1] + [
+        kw.value for kw in call.keywords if kw.arg is None or kw.arg in params
+    ]
+    return all(isinstance(v, ast.Constant) and v.value is None for v in given)
 
 
 def classify_call(call: ast.Call, aliases: dict[str, str]) -> "tuple[str, str] | None":
@@ -135,7 +155,8 @@ def classify_call(call: ast.Call, aliases: dict[str, str]) -> "tuple[str, str] |
     if name.startswith("numpy.random."):
         func = name.rsplit(".", 1)[1]
         if func in UNSEEDED_CONSTRUCTORS:
-            return ("unseeded", name) if unseeded(call) else None
+            seeded_by = _SEED_PARAMS.get(func, ("seed",))
+            return ("unseeded", name) if unseeded(call, seeded_by) else None
         return ("global-state", name) if func in GLOBAL_STATE_FUNCS else None
     if name.startswith("random."):
         return ("stdlib", name)
@@ -166,7 +187,7 @@ class _EntropyCallRule(AstRule):
     message = ""  # formatted with the resolved call name
 
     def check(self, module: SourceModule) -> Iterable[Violation]:
-        for node, kind, name in entropy_calls(module.tree, module.aliases):
+        for node, kind, name in module.entropy_calls:
             if kind == self.flags:
                 yield self.violation(module, node, self.message.format(name))
 

@@ -18,7 +18,7 @@ import numpy as np
 from repro.data.dataset import Dataset
 from repro.nn import functional as F
 from repro.nn.module import Module
-from repro.nn.optim import SGD, Adam
+from repro.nn.optim import Adam
 from repro.nn.tensor import Tensor
 
 __all__ = ["DistillConfig", "distill_to_student", "distill_from_teacher_logits"]
@@ -26,13 +26,12 @@ __all__ = ["DistillConfig", "distill_to_student", "distill_from_teacher_logits"]
 
 @dataclass(frozen=True)
 class DistillConfig:
-    """Distillation solver settings (server side)."""
+    """Distillation solver settings (server side); the solver is Adam."""
 
     epochs: int = 2
     lr: float = 5e-3
     batch_size: int = 64
     temperature: float = 1.0
-    optimizer: str = "adam"  # "adam" | "sgd"
     seed: int = 0
     # chunk size for the frozen ensemble-teacher forward over the public
     # set (inference only — any value gives identical logits; bigger chunks
@@ -68,13 +67,7 @@ def distill_from_teacher_logits(
         raise ValueError(
             f"teacher logits ({teacher_logits.shape[0]}) must match public set ({n})"
         )
-    if config.optimizer == "adam":
-        opt = Adam(student.parameters(), lr=config.lr)
-    elif config.optimizer == "sgd":
-        opt = SGD(student.parameters(), lr=config.lr, momentum=0.9)
-    else:
-        raise ValueError(f"unknown distillation optimizer {config.optimizer!r}")
-
+    opt = Adam(student.parameters(), lr=config.lr)
     rng = np.random.default_rng(config.seed)
     student.train()
     last_epoch_loss = 0.0

@@ -17,9 +17,11 @@ Subclasses implement the three per-round hooks —
   the global model)
 
 — and optionally :meth:`FLAlgorithm.apply_client_update` for persistent
-on-device state. Overriding :meth:`FLAlgorithm.round` wholesale remains
-supported for custom algorithms (it then bypasses fault injection).
-Everything else — sampling, metering, history — is shared, so paired
+on-device state and :meth:`FLAlgorithm.aggregate_buffered` for a
+staleness-aware server step. :meth:`FLAlgorithm.round` is the one round
+loop: a subclass that defines its own raises ``TypeError`` when the class
+is created, so every algorithm runs under the same sampling, metering,
+faults, executors, defenses, server regimes and history, and paired
 comparisons differ only in the algorithm itself.
 """
 
@@ -111,6 +113,15 @@ class FLAlgorithm:
 
     name = "base"
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "round" in vars(cls):
+            raise TypeError(
+                f"{cls.__name__} defines round(); FLAlgorithm.round() is the one "
+                "round loop. Override client_payload, client_work, "
+                "apply_client_update, aggregate or aggregate_buffered instead."
+            )
+
     def __init__(
         self,
         model_fn: ModelFn,
@@ -143,7 +154,6 @@ class FLAlgorithm:
         # data shards — see _prefetch_clients). Indexing and iteration keep
         # the old ``list[LocalTrainer]`` surface.
         self.trainers = LazyFactoryBank(self.make_trainer, fed.num_clients)
-        self._last_outcome: "RoundOutcome | None" = None
         # The round-start global state while round() builds its payloads
         # (see _downlink_state); None outside that step.
         self._round_start: "FlatState | None" = None
@@ -484,14 +494,16 @@ class FLAlgorithm:
 
     # round pipeline ---------------------------------------------------- #
 
-    def round(self, round_idx: int, selected: list[int]) -> None:
-        """One communication round through the execution runtime.
+    def round(self, round_idx: int, selected: list[int]) -> RoundOutcome:
+        """One communication round through the execution runtime; returns
+        what it measured.
 
         Pipeline: fault decisions → downlink broadcast (dropped clients
         never receive it) → executor fan-out of :meth:`client_work` →
         per-client write-back → metered uplink with bounded retransmission
         → virtual-clock first-K acceptance → :meth:`aggregate_buffered`
-        over the merged updates.
+        over the merged updates. Subclasses cannot override it (see
+        :meth:`__init_subclass__`); they customise it through the hooks.
         """
         rt = self.runtime
         decisions = {cid: rt.decide(round_idx, cid) for cid in selected}
@@ -517,7 +529,6 @@ class FLAlgorithm:
         crashed = rt.executor.last_round_failures
         if crashed:
             failures.update(crashed)
-            active = [cid for cid in active if cid not in crashed]
         for update in updates:
             self.apply_client_update(update)
 
@@ -648,10 +659,7 @@ class FLAlgorithm:
         stale_counts: "dict[int, int]" = {}
         for m in merges:
             stale_counts[m.staleness] = stale_counts.get(m.staleness, 0) + 1
-        self._last_outcome = RoundOutcome(
-            round_idx=round_idx,
-            sampled=list(selected),
-            trained=active,
+        return RoundOutcome(
             aggregated=[m.update.client_id for m in merges],
             failures=failures,
             sim_time_s=sim_time,
@@ -851,11 +859,7 @@ class FLAlgorithm:
             start = time.perf_counter()
             self.meter.begin_round(t)
             selected = self.select_clients(t)
-            self._last_outcome = None
-            self.round(t, selected)
-            # A wholesale round() override records no outcome: everyone
-            # selected took part and nothing failed.
-            outcome = self._last_outcome or RoundOutcome(t, aggregated=selected)
+            outcome = self.round(t, selected)
             acc, loss = evaluate_model(
                 self.evaluation_model(), self.fed.server_test, self.cfg.eval_batch_size
             )
@@ -880,9 +884,9 @@ class FLAlgorithm:
                     wall_time=time.perf_counter() - start,
                     num_sampled=len(selected),
                     num_failed=len(outcome.failures),
-                    failures=dict(outcome.failures),
+                    failures=outcome.failures,
                     sim_time_s=outcome.sim_time_s,
-                    staleness=dict(outcome.staleness),
+                    staleness=outcome.staleness,
                     buffer_len=outcome.buffer_len,
                 )
             )

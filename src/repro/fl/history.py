@@ -24,7 +24,7 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Iterator
 
@@ -76,42 +76,37 @@ class RoundRecord:
     buffer_len: int = 0
 
 
+# The record's JSON form, derived from its fields in declaration order: the
+# one renamed key (``round_idx`` is ``"round"`` on disk), int fields cast
+# (NumPy counters serialize as plain ints), dict fields keyed by ints in
+# memory and by their strings in JSON. A key missing from an old file takes
+# the field's default; a field without one is required.
+_CODEC = [
+    (f.name, "round" if f.name == "round_idx" else f.name, f.type,
+     f.default is MISSING and f.default_factory is MISSING)
+    for f in fields(RoundRecord)
+]
+
+
 def _round_to_dict(r: RoundRecord) -> dict:
-    return {
-        "round": r.round_idx,
-        "accuracy": r.accuracy,
-        "loss": r.loss,
-        "cum_bytes": int(r.cum_bytes),
-        "round_bytes": int(r.round_bytes),
-        "num_selected": r.num_selected,
-        "local_accuracy": r.local_accuracy,
-        "wall_time": r.wall_time,
-        "num_sampled": r.num_sampled,
-        "num_failed": r.num_failed,
-        "failures": {str(cid): reason for cid, reason in r.failures.items()},
-        "sim_time_s": r.sim_time_s,
-        "staleness": {str(s): n for s, n in r.staleness.items()},
-        "buffer_len": r.buffer_len,
-    }
+    out = {}
+    for name, key, kind, _required in _CODEC:
+        value = getattr(r, name)
+        if kind == "int":
+            value = int(value)
+        elif kind == "dict":
+            value = {str(k): v for k, v in value.items()}
+        out[key] = value
+    return out
 
 
 def _record_from_dict(r: dict) -> RoundRecord:
-    return RoundRecord(
-        round_idx=r["round"],
-        accuracy=r["accuracy"],
-        loss=r["loss"],
-        cum_bytes=r["cum_bytes"],
-        round_bytes=r["round_bytes"],
-        num_selected=r["num_selected"],
-        local_accuracy=r.get("local_accuracy"),
-        wall_time=r.get("wall_time", 0.0),
-        num_sampled=r.get("num_sampled"),
-        num_failed=r.get("num_failed", 0),
-        failures={int(cid): reason for cid, reason in r.get("failures", {}).items()},
-        sim_time_s=r.get("sim_time_s", 0.0),
-        staleness={int(s): n for s, n in r.get("staleness", {}).items()},
-        buffer_len=r.get("buffer_len", 0),
-    )
+    kwargs = {}
+    for name, key, kind, required in _CODEC:
+        if required or key in r:
+            value = r[key]
+            kwargs[name] = {int(k): v for k, v in value.items()} if kind == "dict" else value
+    return RoundRecord(**kwargs)
 
 
 def _read_stream(path: Path) -> Iterator:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import copy
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -207,20 +207,10 @@ def _update_state(update: "ClientUpdate") -> dict:
 
     Field-by-field (rather than pickling the dataclass) so checkpoint
     consumers — and the registry contract tests — see dicts of numpy
-    arrays/scalars they can compare structurally.
+    arrays/scalars they can compare structurally. The keys are the
+    dataclass's fields, so ``ClientUpdate(**state)`` rebuilds it.
     """
-    return copy.deepcopy(
-        {
-            "client_id": update.client_id,
-            "states": update.states,
-            "weight": update.weight,
-            "steps": update.steps,
-            "stats": update.stats,
-            "extra": update.extra,
-            "local_state": update.local_state,
-            "received": update.received,
-        }
-    )
+    return copy.deepcopy({f.name: getattr(update, f.name) for f in fields(update)})
 
 
 class UpdateBuffer:

@@ -38,8 +38,8 @@ drives each round through a recovery ladder:
    poison task is attributed precisely instead of taking neighbours down;
 3. a task that exhausts its attempt budget is dropped from the results and
    reported in :attr:`ClientExecutor.last_round_failures` as
-   ``"worker-crash"`` — the round loop folds it into
-   :class:`~repro.runtime.runtime.RoundOutcome.failures`;
+   ``"worker-crash"`` — the round loop folds it into the failures of the
+   :class:`~repro.runtime.runtime.RoundOutcome` it returns;
 4. if no pool can be created at all (fork failing with ``OSError``), the
    remaining tasks run serially in-process — the last resort that keeps
    the run alive when parallel execution is impossible.
@@ -142,8 +142,8 @@ class ClientUpdate:
 
 
 # Failure reason recorded for clients whose task died with the worker and
-# exhausted its retry budget. Flows through RoundOutcome.failures/RunHistory
-# alongside the fault-injected reasons (dropout / uplink-lost / deadline).
+# exhausted its retry budget. Flows through the round's RoundOutcome into its
+# RoundRecord alongside the fault-injected reasons (dropout / uplink-lost / deadline).
 WORKER_CRASH = "worker-crash"
 
 

@@ -59,7 +59,7 @@ STALE_EVICTED = "stale-evicted"
 # the server or silently poisoning the global model.
 REJECTED_UPDATE = "rejected-update"
 
-# The canonical failure taxonomy, in reporting order. failure_counts() and
+# The canonical failure taxonomy, in reporting order. Failure counts and
 # summaries iterate this tuple so outputs are deterministic regardless of
 # the order failures were recorded in.
 FAILURE_REASONS = (
@@ -90,9 +90,11 @@ def ordered_failure_counts(reasons) -> dict[str, int]:
 
 @dataclass
 class RoundOutcome:
-    """What actually happened in one executed round.
+    """What one executed round measured: :meth:`FLAlgorithm.round` returns
+    it and the run loop turns it into that round's ``RoundRecord``.
 
-    ``failures`` maps client id → reason: ``"dropout"`` (never started),
+    ``aggregated`` lists the merged clients. ``failures`` maps client id →
+    reason: ``"dropout"`` (never started),
     ``"uplink-lost"`` (all retransmissions lost), ``"deadline"`` (finished
     after the round deadline), ``"surplus"`` (on time, but the server had
     already accepted its target K — over-provisioning headroom),
@@ -107,18 +109,11 @@ class RoundOutcome:
     aggregation (always 0 in the synchronous regime).
     """
 
-    round_idx: int
-    sampled: list[int] = field(default_factory=list)
-    trained: list[int] = field(default_factory=list)
-    aggregated: list[int] = field(default_factory=list)
-    failures: dict[int, str] = field(default_factory=dict)
-    sim_time_s: float = 0.0
-    staleness: dict[int, int] = field(default_factory=dict)
-    buffer_len: int = 0
-
-    def failure_counts(self) -> dict[str, int]:
-        """Per-reason counts in deterministic (taxonomy) order."""
-        return ordered_failure_counts(self.failures.values())
+    aggregated: list[int]
+    failures: dict[int, str]
+    sim_time_s: float
+    staleness: dict[int, int]
+    buffer_len: int
 
 
 @dataclass

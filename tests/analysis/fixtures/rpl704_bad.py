@@ -1,8 +1,7 @@
 """Must-flag: state a resumed run would silently lose. Attrs written on
-aggregate/apply_client_update paths (one call deep included) and in a
-round() override that never ride the server_state() round trip, and a
-checkpoint-hook override that drops the base class's state by never
-calling super()."""
+aggregate/apply_client_update paths (one call deep included) that never
+ride the server_state() round trip, and a checkpoint-hook override that
+drops the base class's state by never calling super()."""
 
 from collections import OrderedDict
 
@@ -35,20 +34,6 @@ class ForgetfulAlgorithm(FLAlgorithm):
     def load_server_state(self, state):
         super().load_server_state(state)
         self.round_count = state["round_count"]
-
-
-class RoundOverrideAlgorithm(FLAlgorithm):
-    """The custom-round extension point: its own round() is an aggregate
-    path."""
-
-    name = "RoundOverride"
-
-    def setup(self):
-        self.server_momentum = {}
-
-    def round(self, round_idx, selected):
-        for cid in selected:
-            self.server_momentum[cid] = round_idx  # not captured
 
 
 class BufferDroppingAlgorithm(FLAlgorithm):

@@ -1,6 +1,7 @@
 """Must-flag: wall-clock and OS-entropy calls transitively reachable from
-an overridden round() — each one makes the round irreproducible, and none
-sits in round() itself."""
+round() — each one makes the round irreproducible, and none sits in
+round() itself. The fixture is linted without src/repro, so its round()
+stands in for the base class's round loop."""
 
 import datetime
 import os

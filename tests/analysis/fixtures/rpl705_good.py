@@ -1,6 +1,7 @@
 """Clean twin of rpl705_bad: the round path measures with the sanctioned
 perf_counter lane; the entropy helper exists but is only reachable from a
-maintenance entry point, never from round()."""
+maintenance entry point, never from round() (a stand-in for the base
+class's round loop, as in rpl705_bad)."""
 
 import os
 import time

@@ -26,7 +26,7 @@ CASES = {
     "RPL701": ("rpl701_bad.py", "rpl701_good.py", 3),
     "RPL702": ("rpl702_bad.py", "rpl702_good.py", 2),
     "RPL703": ("rpl703_bad.py", "rpl703_good.py", 4),
-    "RPL704": ("rpl704_bad.py", "rpl704_good.py", 4),
+    "RPL704": ("rpl704_bad.py", "rpl704_good.py", 3),
     "RPL705": ("rpl705_bad.py", "rpl705_good.py", 3),
 }
 
@@ -61,29 +61,6 @@ def test_good_fixtures_clean_under_all_rules(lint_fixture):
     for code, (_, good, _) in CASES.items():
         result = lint_fixture(good)
         assert result.ok, f"{good}: {result.violations}"
-
-
-def test_rpl704_round_override_does_not_walk_the_base_round(tmp_path):
-    """The base round() is judged through the hooks it calls, so an
-    override's super().round() does not pull the base round's own writes
-    into its walk; the override's own write is still flagged."""
-    pkg = tmp_path / "src" / "repro" / "fl"
-    pkg.mkdir(parents=True)
-    (pkg / "base.py").write_text(
-        "class FLAlgorithm:\n"
-        "    def round(self, round_idx, selected):\n"
-        "        self._round_start = round_idx\n"
-    )
-    (pkg / "custom.py").write_text(
-        "from repro.fl.base import FLAlgorithm\n"
-        "class Counting(FLAlgorithm):\n"
-        "    def round(self, round_idx, selected):\n"
-        "        self.seen = round_idx\n"
-        "        super().round(round_idx, selected)\n"
-    )
-    config = AnalysisConfig(scopes={}, select=frozenset({"RPL704"}))
-    result = lint_paths([tmp_path / "src"], config=config, root=tmp_path)
-    assert [(v.path, v.line) for v in result.violations] == [("src/repro/fl/custom.py", 4)]
 
 
 def test_flow_finding_reached_twice_is_reported_once(tmp_path):
@@ -131,6 +108,23 @@ _UNSEEDED_FORMS = sorted(
     for ctor in UNSEEDED_CONSTRUCTORS
     for args in ("", "None", "seed=None")
 )
+# A bit generator or SeedSequence built without a seed, handed to a
+# front end: flagged at the inner call.
+_OS_ENTROPY_SEED_FORMS = [
+    "np.random.Generator(np.random.PCG64())",
+    "np.random.Generator(bit_generator=np.random.MT19937())",
+    "np.random.default_rng(np.random.SeedSequence())",
+    "np.random.RandomState(np.random.MT19937(None))",
+]
+# Seeded through the parameter each constructor takes its seed by.
+_SEEDED_FORMS = [
+    "np.random.Generator(bit_generator=np.random.PCG64(0))",
+    "np.random.Generator(np.random.Philox(key=3))",
+    "np.random.Philox(None, key=3)",
+    "np.random.default_rng(np.random.SeedSequence(7))",
+    "np.random.SeedSequence(entropy=7, spawn_key=(1, 2))",
+    "np.random.SFC64(np.random.SeedSequence(entropy=7))",
+]
 
 
 def _flagged_lines(tmp_path, body, code):
@@ -148,7 +142,7 @@ def _last_line(body):
 @pytest.mark.parametrize(
     "call, module_rule, flow_rule",
     [(f"np.random.{f}()", "RPL101", "RPL701") for f in sorted(GLOBAL_STATE_FUNCS)]
-    + [(form, "RPL102", "RPL701") for form in _UNSEEDED_FORMS]
+    + [(form, "RPL102", "RPL701") for form in _UNSEEDED_FORMS + _OS_ENTROPY_SEED_FORMS]
     + [(f"{name}()", "RPL201", "RPL705") for name in sorted(WALL_CLOCK_CALLS)]
     + [(f"{name}()", None, "RPL705") for name in sorted(OS_ENTROPY_CALLS)],
 )
@@ -160,6 +154,13 @@ def test_module_and_flow_rules_agree_on_the_entropy_table(
         assert _flagged_lines(tmp_path, body, module_rule) == [_last_line(body)]
     body = _PROBE_ALGORITHM.format(hook=_FLOW_HOOK[flow_rule], call=call)
     assert _flagged_lines(tmp_path, body, flow_rule) == [_last_line(body)]
+
+
+@pytest.mark.parametrize("call", _SEEDED_FORMS)
+def test_seeded_constructors_pass_both_rules(tmp_path, call):
+    assert _flagged_lines(tmp_path, f"{call}\n", "RPL102") == []
+    body = _PROBE_ALGORITHM.format(hook=_FLOW_HOOK["RPL701"], call=call)
+    assert _flagged_lines(tmp_path, body, "RPL701") == []
 
 
 def test_rules_have_identity():

@@ -59,25 +59,6 @@ class TestDistillation:
         for (_, p1), (_, p2) in zip(sa.named_parameters(), sb.named_parameters()):
             np.testing.assert_array_equal(p1.data, p2.data)
 
-    def test_sgd_optimizer_option(self, trained_teacher):
-        teacher, _ = trained_teacher
-        pub = make_blobs(100, num_classes=4, dim=8, seed=6)
-        tl = member_logits(teacher, pub.x)
-        s = MLP(8, 4, seed=7)
-        loss = distill_from_teacher_logits(
-            s, tl, pub.x, DistillConfig(epochs=2, lr=1e-2, optimizer="sgd", seed=0)
-        )
-        assert np.isfinite(loss)
-
-    def test_bad_optimizer(self, trained_teacher):
-        teacher, _ = trained_teacher
-        pub = make_blobs(20, num_classes=4, dim=8, seed=8)
-        tl = member_logits(teacher, pub.x)
-        with pytest.raises(ValueError):
-            distill_from_teacher_logits(
-                MLP(8, 4, seed=0), tl, pub.x, DistillConfig(optimizer="lbfgs")
-            )
-
     def test_teacher_size_mismatch(self):
         with pytest.raises(ValueError):
             distill_from_teacher_logits(

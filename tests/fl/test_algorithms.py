@@ -14,6 +14,7 @@ from repro.fl import (
     FedDF,
     FedNova,
     FedProx,
+    FLAlgorithm,
     FLConfig,
     Scaffold,
 )
@@ -196,3 +197,36 @@ class TestRegistryAndConfig:
 
         with pytest.raises(ValueError):
             FedKEMF(mlp_fn, fed, CFG.with_overrides(fusion="bogus"))
+
+
+class TestOneRoundLoop:
+    """FLAlgorithm.round() is the only round loop: subclasses customise it
+    through the hooks and cannot replace it."""
+
+    @pytest.mark.parametrize("base", [FLAlgorithm, FedAvg])
+    def test_subclass_defining_round_is_refused_at_creation(self, base):
+        with pytest.raises(TypeError, match="defines round") as err:
+
+            class Wholesale(base):
+                def round(self, round_idx, selected):
+                    pass
+
+        for hook in (
+            "client_payload", "client_work", "apply_client_update",
+            "aggregate", "aggregate_buffered",
+        ):
+            assert hook in str(err.value)
+
+    def test_round_returns_what_the_record_holds(self, fed):
+        algo = FedAvg(mlp_fn, fed, CFG.with_overrides(faults="dropout=0.5"))
+        selected = algo.select_clients(0)
+        outcome = algo.round(0, selected)
+        history = FedAvg(mlp_fn, fed, CFG.with_overrides(faults="dropout=0.5")).run(rounds=1)
+        record = history.records[0]
+        assert outcome.failures  # dropout fired, so the comparison is not vacuous
+        assert record.num_selected == len(outcome.aggregated)
+        assert record.failures == outcome.failures
+        assert record.num_failed == len(outcome.failures)
+        assert record.staleness == outcome.staleness
+        assert record.buffer_len == outcome.buffer_len
+        assert record.num_sampled == len(selected)

@@ -22,7 +22,6 @@ from repro.runtime.executors import ClientUpdate
 from repro.runtime.runtime import (
     FAILURE_REASONS,
     STALE_EVICTED,
-    RoundOutcome,
     ordered_failure_counts,
 )
 
@@ -188,17 +187,13 @@ class TestFailureTaxonomy:
         """Regression: counts are keyed in taxonomy order regardless of the
         order failures were recorded in — two equivalent runs render the
         same summary line."""
-        a = RoundOutcome(
-            round_idx=0,
-            failures={1: "surplus", 2: "dropout", 3: STALE_EVICTED, 4: "dropout"},
-        )
-        b = RoundOutcome(
-            round_idx=0,
-            failures={4: "dropout", 3: STALE_EVICTED, 2: "dropout", 1: "surplus"},
-        )
-        assert list(a.failure_counts()) == list(b.failure_counts())
-        assert list(a.failure_counts()) == ["dropout", "surplus", STALE_EVICTED]
-        assert a.failure_counts() == {"dropout": 2, "surplus": 1, STALE_EVICTED: 1}
+        a = {1: "surplus", 2: "dropout", 3: STALE_EVICTED, 4: "dropout"}
+        b = {4: "dropout", 3: STALE_EVICTED, 2: "dropout", 1: "surplus"}
+        counts_a = ordered_failure_counts(a.values())
+        counts_b = ordered_failure_counts(b.values())
+        assert list(counts_a) == list(counts_b)
+        assert list(counts_a) == ["dropout", "surplus", STALE_EVICTED]
+        assert counts_a == {"dropout": 2, "surplus": 1, STALE_EVICTED: 1}
 
     def test_unknown_reasons_sort_lexicographically_after_taxonomy(self):
         counts = ordered_failure_counts(
