@@ -7,12 +7,14 @@ subclass and implement the ``aggregate`` hook. The base class's one round
 loop supplies the rest: sampling, byte metering, fault injection, the
 executors, robust-aggregation defenses, the buffered server regime,
 evaluation and history. The example checks that a FedEMA run under
-injected dropout records its dropouts.
+injected dropout records its dropouts, and that the process pool replays
+the serial run bit for bit.
 
 Run:  python examples/custom_algorithm.py
 """
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -64,7 +66,11 @@ def main() -> None:
         world, num_clients=8, n_train=800, n_test=200, n_public=200, alpha=0.3, seed=0
     )
     cfg = FLConfig(rounds=10, sample_ratio=0.4, local_epochs=2, batch_size=20, lr=0.02, seed=0)
-    model_fn = lambda: build_model("cnn-2", in_channels=3, image_size=8, width_mult=0.25, seed=1)
+    # a partial of a module-level function: the process pool ships the
+    # algorithm, factory included, to its workers, and a lambda does not pickle
+    model_fn = functools.partial(
+        build_model, "cnn-2", in_channels=3, image_size=8, width_mult=0.25, seed=1
+    )
 
     h_avg = FedAvg(model_fn, fed, cfg).run()
     h_ema = FedEMA(model_fn, fed, cfg).run()
@@ -76,10 +82,21 @@ def main() -> None:
 
     # The runtime axes come with the round loop: injected dropout reaches
     # FedEMA exactly as it reaches FedAvg.
-    faulty = FedEMA(model_fn, fed, dataclasses.replace(cfg, faults="dropout=0.3")).run()
+    faulty_cfg = dataclasses.replace(cfg, faults="dropout=0.3", executor="serial")
+    faulty = FedEMA(model_fn, fed, faulty_cfg).run()
     failures = faulty.total_failures()
     assert failures.get("dropout", 0) > 0, failures
     print(f"FedEMA under faults='dropout=0.3' recorded failures {failures}.")
+
+    # ... and so do the executors: the pool replays the serial run bit for bit.
+    pooled = FedEMA(model_fn, fed, dataclasses.replace(faulty_cfg, workers=2, executor="parallel"))
+    try:
+        fingerprint = pooled.run().fingerprint()
+    finally:
+        pooled.runtime.executor.close()
+    assert pooled.runtime.executor.last_round_mode == "shipped"
+    assert fingerprint == faulty.fingerprint(), (fingerprint, faulty.fingerprint())
+    print(f"The pool (workers=2) replays the serial run: fingerprint {fingerprint}.")
 
 
 if __name__ == "__main__":

@@ -195,10 +195,10 @@ class UncapturedAggregateWrite(FlowRule):
     code = "RPL704"
     name = "aggregate-write-not-in-server-state"
     invariant = (
-        "Every attr written on an aggregate/apply_client_update path or in "
-        "a round() override is captured by the server_state()/"
-        "load_server_state round trip, and overrides of those two hooks "
-        "merge super()'s state; anything else silently resets on resume."
+        "Every attr written on an aggregate/apply_client_update path is "
+        "captured by the server_state()/load_server_state round trip, and "
+        "overrides of those two hooks merge super()'s state; anything else "
+        "silently resets on resume."
     )
 
     def check_project(self, index: ProjectIndex) -> Iterable[Violation]:

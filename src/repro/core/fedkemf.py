@@ -72,8 +72,6 @@ class FedKEMF(FLAlgorithm):
         super().__init__(model_fn, fed, config, runtime=runtime)
 
     def setup(self) -> None:
-        if self.cfg.fusion not in ("ensemble-distill", "weight-average"):
-            raise ValueError(f"unknown fusion mode {self.cfg.fusion!r}")
         # Persistent local models — deployed on device, never communicated.
         # Behind a bank they are constructed on first touch (fresh init is
         # deterministic, so untouched clients carry no state at all) and,

@@ -206,6 +206,18 @@ class FLConfig:
             k.check(getattr(self, k.name))
         parse_fault_spec(self.faults)  # raises on a malformed spec string
         parse_defense(self.defense)  # raises on a malformed defense spec
+        # local: repro.core imports the algorithm base, which imports this module
+        from repro.core.ensemble import ENSEMBLE_REGISTRY
+        from repro.core.fusion import FUSION_MODES
+        from repro.fl.compression import CODEC_REGISTRY
+
+        for name, value, known in (
+            ("ensemble", self.ensemble, ENSEMBLE_REGISTRY),
+            ("fusion", self.fusion, FUSION_MODES),
+            ("compression", self.compression, CODEC_REGISTRY),
+        ):
+            if value is not None and value not in known:
+                raise ValueError(f"{name} must be one of {tuple(known)}; got {value!r}")
 
     def with_overrides(self, **kwargs) -> "FLConfig":
         """Functional update (configs are frozen; revalidates)."""

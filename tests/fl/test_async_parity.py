@@ -1,16 +1,12 @@
-"""Buffered-aggregation regime: parity anchor and staleness behaviour.
+"""Buffered-aggregation regime: staleness behaviour and parent-captured
+trajectories.
 
-The contract (DESIGN.md §10): ``aggregation="buffered"`` with
-``buffer_size`` equal to the per-round cohort and ``staleness_alpha = 0``
-must reproduce the synchronous run bit for bit — same
-``RunHistory.fingerprint()``, same weights — with and without fault
-injection. A *small* buffer genuinely changes the trajectory (updates land
-stale), records staleness histograms and buffer occupancy, and evicts
-updates beyond ``max_staleness`` as ``"stale-evicted"`` failures.
-
-Parity runs disable over-provisioning: the sync server marks surplus
-clients the buffered server would happily merge later, which is a real
-(intended) regime difference, not a bug.
+A *small* buffer genuinely changes the trajectory (updates land stale),
+records staleness histograms and buffer occupancy, and evicts updates
+beyond ``max_staleness`` as ``"stale-evicted"`` failures. That a buffer as
+large as the cohort with ``staleness_alpha = 0`` replays the synchronous
+run bit for bit (DESIGN.md §10) is the ``degenerate`` regime of
+``tests/fl/test_parity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.core.fedkemf import FedKEMF
 from repro.data import IIDPartitioner
 from repro.data.federated import build_federated_dataset
 from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
@@ -30,8 +25,6 @@ from repro.fl.algorithms.base import FLConfig
 from repro.fl.algorithms.fedavg import FedAvg
 from repro.nn.models import build_model
 from repro.runtime.runtime import STALE_EVICTED
-
-ALGOS = {"fedavg": FedAvg, "fedkemf": FedKEMF}
 
 ROUNDS = 4
 # Straggler-heavy plan: no dropout, so slow updates *arrive* (late) instead
@@ -65,45 +58,7 @@ def make_cfg(**overrides) -> FLConfig:
     return FLConfig(**base)
 
 
-def degenerate_cfg(algo, **overrides) -> FLConfig:
-    """The parity-anchor configuration: buffer as large as the cohort,
-    uniform (alpha = 0) weighting — must replay the sync run."""
-    return make_cfg(
-        aggregation="buffered",
-        buffer_size=algo.sampler.per_round,
-        staleness_alpha=0.0,
-        **overrides,
-    )
-
-
-def assert_same_weights(a, b) -> None:
-    sa, sb = a.global_model.state_dict(), b.global_model.state_dict()
-    assert list(sa) == list(sb)
-    for k in sa:
-        np.testing.assert_array_equal(sa[k], sb[k])
-
-
-class TestParityAnchor:
-    @pytest.mark.parametrize("name", sorted(ALGOS))
-    def test_degenerate_buffered_is_sync_no_faults(self, name, fed, model_fn):
-        cls = ALGOS[name]
-        sync_algo = cls(model_fn, fed, make_cfg())
-        sync = sync_algo.run()
-        buf_algo = cls(model_fn, fed, degenerate_cfg(sync_algo))
-        buffered = buf_algo.run()
-        assert buffered.fingerprint() == sync.fingerprint()
-        assert_same_weights(buf_algo, sync_algo)
-
-    @pytest.mark.parametrize("name", sorted(ALGOS))
-    def test_degenerate_buffered_is_sync_under_faults(self, name, fed, model_fn):
-        cls = ALGOS[name]
-        sync_algo = cls(model_fn, fed, make_cfg(faults=FAULTS))
-        sync = sync_algo.run()
-        buf_algo = cls(model_fn, fed, degenerate_cfg(sync_algo, faults=FAULTS))
-        buffered = buf_algo.run()
-        assert buffered.fingerprint() == sync.fingerprint()
-        assert_same_weights(buf_algo, sync_algo)
-
+class TestRegimeRecords:
     def test_sync_records_trivial_staleness(self, fed, model_fn):
         history = FedAvg(model_fn, fed, make_cfg(faults=FAULTS)).run()
         for r in history.records:

@@ -85,6 +85,11 @@ class TestRangeChecks:
             {"norm_ceiling": 0.0},
             {"max_cohort": 0},
             {"state_residency": 0},
+            # checked against the ensemble registry, FUSION_MODES and the
+            # codec registry; a typo used to surface mid-run or not at all
+            {"ensemble": "maxx"},
+            {"fusion": "avg"},
+            {"compression": "q9"},
         ],
     )
     def test_runtime_knob_ranges(self, bad):

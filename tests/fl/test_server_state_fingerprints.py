@@ -17,7 +17,6 @@ SHA-256)``; a literal that moves means a trajectory moved.
 from __future__ import annotations
 
 import functools
-import hashlib
 import pickle
 from collections import OrderedDict
 
@@ -29,6 +28,7 @@ from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
 from repro.fl.algorithms import ALGORITHM_REGISTRY
 from repro.fl.algorithms.base import FLConfig
 from repro.nn.models import build_model
+from tests.helpers import signature
 
 ROUNDS = 4
 RESUME_AT = 2
@@ -142,32 +142,6 @@ def make_cfg(**overrides) -> FLConfig:
     )
     base.update(overrides)
     return FLConfig(**base)
-
-
-def _digest(digest, value) -> None:
-    """Feed a server-state value into ``digest``: mappings in key order,
-    arrays by dtype, shape and bytes, scalars by repr."""
-    if isinstance(value, dict) or hasattr(value, "keys"):
-        for key in value:
-            digest.update(repr(key).encode())
-            _digest(digest, value[key])
-    elif isinstance(value, np.ndarray):
-        digest.update(f"{value.dtype}{value.shape}".encode())
-        digest.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            _digest(digest, item)
-    else:
-        digest.update(repr(value).encode())
-
-
-def signature(algo, history) -> "tuple[str, str, str]":
-    model = hashlib.sha256()
-    for arr in algo.global_model.state_dict().values():
-        model.update(np.ascontiguousarray(arr).tobytes())
-    server = hashlib.sha256()
-    _digest(server, algo.server_state())
-    return history.fingerprint(), model.hexdigest(), server.hexdigest()
 
 
 class TestParentCapturedServerStateFingerprints:

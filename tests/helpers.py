@@ -1,8 +1,10 @@
-"""Shared test utilities: finite-difference gradient checking, and the
-shards and bitwise state comparison of the stacked-trainer parity tests."""
+"""Shared test utilities: finite-difference gradient checking, the shards
+and bitwise state comparison of the stacked-trainer parity tests, and the
+run signature every parity and trajectory check compares."""
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable, Sequence
 
 import numpy as np
@@ -101,3 +103,32 @@ def assert_same_bits(got, want) -> None:
         b = want[key]
         assert a.shape == b.shape and a.dtype == b.dtype, key
         np.testing.assert_array_equal(a.view(np.uint32), b.view(np.uint32), err_msg=key)
+
+
+def _digest(digest, value) -> None:
+    """Feed a server-state value into ``digest``: mappings in key order,
+    arrays by dtype, shape and bytes, scalars by repr."""
+    if isinstance(value, dict) or hasattr(value, "keys"):
+        for key in value:
+            digest.update(repr(key).encode())
+            _digest(digest, value[key])
+    elif isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype}{value.shape}".encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            _digest(digest, item)
+    else:
+        digest.update(repr(value).encode())
+
+
+def signature(algo, history) -> "tuple[str, str, str]":
+    """A finished run as ``(history fingerprint, global-model SHA-256,
+    server-state SHA-256)``: equal signatures mean equal trajectories, equal
+    final weights and an equal checkpointable server state."""
+    model = hashlib.sha256()
+    for arr in algo.global_model.state_dict().values():
+        model.update(np.ascontiguousarray(arr).tobytes())
+    server = hashlib.sha256()
+    _digest(server, algo.server_state())
+    return history.fingerprint(), model.hexdigest(), server.hexdigest()

@@ -1,14 +1,13 @@
-"""Acceptance property of ``--executor batched``: a batched run replays the
-serial reference bit-identically — same ``RunHistory.fingerprint()``, same
-final global model, same on-device local models — for FedAvg and FedKEMF,
-with and without fault injection, whether the stacked path engages or falls
-back."""
+"""``--executor batched``: how the config selects it, how it orders a mixed
+round, and Table 3's heterogeneous local models, where one cohort is part
+stacked and part serial and must still replay the serial run bit for bit.
+Batched ≡ serial for every registry algorithm is a cell of
+``tests/fl/test_parity_matrix.py``."""
 
 from __future__ import annotations
 
 import functools
 
-import numpy as np
 import pytest
 
 from repro.core import FedKEMF
@@ -21,6 +20,7 @@ from repro.runtime.executors import (
     SerialExecutor,
     make_executor,
 )
+from tests.helpers import signature
 
 
 def _config(**overrides):
@@ -37,16 +37,6 @@ def _config(**overrides):
     return FLConfig(**base)
 
 
-def _assert_same_run(algo_serial, algo_batched):
-    h_serial = algo_serial.run()
-    h_batched = algo_batched.run()
-    assert h_serial.fingerprint() == h_batched.fingerprint()
-    sa = algo_serial.global_model.state_dict()
-    sb = algo_batched.global_model.state_dict()
-    for k in sa:
-        np.testing.assert_array_equal(sa[k], sb[k], err_msg=k)
-
-
 class TestMakeExecutor:
     def test_kind_registered(self):
         assert "batched" in EXECUTOR_KINDS
@@ -61,84 +51,7 @@ class TestMakeExecutor:
         assert isinstance(algo.runtime.executor, BatchedExecutor)
 
 
-class TestFedAvgParity:
-    def test_equal_shards_engage_stacked_path(self, micro_fed_equal, micro_model_fn):
-        serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(executor="serial")
-        )
-        batched = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(executor="batched")
-        )
-        _assert_same_run(serial, batched)
-        # Homogeneous models + equal shards: the whole cohort must stack.
-        assert batched.runtime.executor.last_round_mode == "batched"
-
-    def test_ragged_shards_fall_back(self, micro_fed, micro_model_fn):
-        # Dirichlet shards are unequal, so grouping yields singletons; the
-        # executor must still reproduce serial bits through its fallback.
-        serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed, _config(executor="serial")
-        )
-        batched = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed, _config(executor="batched")
-        )
-        _assert_same_run(serial, batched)
-
-    def test_with_faults(self, micro_fed_equal, micro_model_fn):
-        faults = "dropout=0.3,loss=0.1"
-        serial = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(faults=faults, executor="serial")
-        )
-        batched = ALGORITHM_REGISTRY.get("fedavg")(
-            micro_model_fn, micro_fed_equal, _config(faults=faults, executor="batched")
-        )
-        _assert_same_run(serial, batched)
-
-    def test_custom_client_work_falls_back(self, micro_fed_equal, micro_model_fn):
-        # FedProx overrides client_work (proximal grad hook) — the default
-        # batched hook must decline rather than silently drop the hook.
-        serial = ALGORITHM_REGISTRY.get("fedprox")(
-            micro_model_fn, micro_fed_equal, _config(executor="serial")
-        )
-        batched = ALGORITHM_REGISTRY.get("fedprox")(
-            micro_model_fn, micro_fed_equal, _config(executor="batched")
-        )
-        assert batched.client_work_batched(0, []) is None
-        _assert_same_run(serial, batched)
-        assert batched.runtime.executor.last_round_mode == "serial"
-
-
 class TestFedKEMFParity:
-    def _pair(self, fed, know_fn, local_fns, **cfg_overrides):
-        serial = FedKEMF(
-            know_fn, fed, _config(executor="serial", **cfg_overrides), local_model_fns=local_fns
-        )
-        batched = FedKEMF(
-            know_fn, fed, _config(executor="batched", **cfg_overrides),
-            local_model_fns=local_fns,
-        )
-        return serial, batched
-
-    def _assert_local_models_equal(self, serial, batched):
-        for ms, mb in zip(serial.local_models, batched.local_models):
-            ss, sb = ms.state_dict(), mb.state_dict()
-            for k in ss:
-                np.testing.assert_array_equal(ss[k], sb[k], err_msg=k)
-
-    def test_equal_shards_engage_stacked_path(self, micro_fed_equal, micro_model_fn):
-        serial, batched = self._pair(micro_fed_equal, micro_model_fn, micro_model_fn)
-        _assert_same_run(serial, batched)
-        assert batched.runtime.executor.last_round_mode == "batched"
-        self._assert_local_models_equal(serial, batched)
-
-    def test_with_faults(self, micro_fed_equal, micro_model_fn):
-        faults = "dropout=0.3,loss=0.1"
-        serial, batched = self._pair(
-            micro_fed_equal, micro_model_fn, micro_model_fn, faults=faults
-        )
-        _assert_same_run(serial, batched)
-        self._assert_local_models_equal(serial, batched)
-
     def test_heterogeneous_local_models_mixed_round(self, micro_fed_equal):
         # Table-3 setting: clients deploy different local architectures.
         # Five MLP clients form one stack; the lone CNN client runs serial —
@@ -152,17 +65,13 @@ class TestFedKEMFParity:
             image_size=8, width_mult=0.25, seed=2,
         )
         local_fns = [know_fn] * 5 + [cnn_fn]
-        serial, batched = self._pair(
-            micro_fed_equal, know_fn, local_fns, sample_ratio=1.0
-        )
-        _assert_same_run(serial, batched)
-        assert batched.runtime.executor.last_round_mode == "mixed"
-        self._assert_local_models_equal(serial, batched)
-
-    def test_ragged_shards_fall_back(self, micro_fed, micro_model_fn):
-        serial, batched = self._pair(micro_fed, micro_model_fn, micro_model_fn)
-        _assert_same_run(serial, batched)
-        self._assert_local_models_equal(serial, batched)
+        runs = {}
+        for executor in ("serial", "batched"):
+            cfg = _config(executor=executor, sample_ratio=1.0)
+            algo = FedKEMF(know_fn, micro_fed_equal, cfg, local_model_fns=local_fns)
+            runs[executor] = signature(algo, algo.run())
+        assert algo.runtime.executor.last_round_mode == "mixed"
+        assert runs["batched"] == runs["serial"]
 
 
 class TestBatchedExecutorUnit:

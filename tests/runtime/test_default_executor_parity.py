@@ -8,7 +8,8 @@ MLP cohorts stack (``last_round_mode == "batched"``) in stacks of at most
 ``MAX_STACK_WIDTH`` whose sizes differ by at most one; cnn-2 and resnet-20
 cohorts, whose stacked conv programs buy no speed, run
 ``"serial"`` under the default and ``"batched"`` only under an explicit
-``executor="batched"``.
+``executor="batched"``. Default ≡ serial on equal-shard MLP cohorts, for
+every registry algorithm, is a cell of ``tests/fl/test_parity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -135,22 +136,6 @@ class TestFedAvgMLP:
         serial, fp_serial, sha_serial = _run(make, "serial")
         assert widths == []  # the oracle never stacks
         assert (fp, sha) == (fp_serial, sha_serial)
-
-
-class TestFedKEMFMLP:
-    def test_knowledge_and_local_models_stack(self):
-        fed = _fed(12, 1)
-
-        def make(cfg):
-            return FedKEMF(
-                _model_fn("mlp", 1), fed, cfg, local_model_fns=_model_fn("mlp", 1, seed=2)
-            )
-
-        default, fp, sha = _run(make)
-        assert default.runtime.executor.last_round_mode == "batched"
-        serial, fp_serial, sha_serial = _run(make, "serial")
-        assert (fp, sha) == (fp_serial, sha_serial)
-        _assert_local_models_equal(default, serial)
 
 
 class TestPerSliceProgramsStaySerial:
