@@ -15,10 +15,10 @@ never carries the buffer, so there only the trajectory is compared.
 Tier-1 runs a deterministic pairwise cover of :data:`AXES` — every pair of
 values of two axes is in at least one cell — plus the full cross of the
 algorithms with the pool, both stacking executors, the degenerate buffer
-and a resume. A cell also
-asserts what makes it meaningful (the pool shipped the round, a cohort
-stacked, the small buffer merged late, the stream moved records out of
-RAM). The full product is ``itertools.product(*AXES.values())``.
+and a kill-and-resume. A cell also asserts what makes it meaningful (the
+pool shipped the round, a cohort stacked, the small buffer merged late, the
+stream moved records out of RAM, the killed run left updates pending and
+client state on disk). The full product is ``itertools.product(*AXES.values())``.
 """
 
 from __future__ import annotations
@@ -73,13 +73,15 @@ REGIMES = {
     "degenerate": dict(
         aggregation="buffered", buffer_size=COHORT, staleness_alpha=0.0, over_provision=False
     ),
-    "buffer2": dict(aggregation="buffered", buffer_size=2),
+    # stragglers arrive two versions late under faults; the bound evicts them
+    "buffer2": dict(aggregation="buffered", buffer_size=2, max_staleness=1),
     # the degenerate buffer's oracle (not an axis value)
     "sync-exact": dict(over_provision=False),
 }
 ADVERSITIES = {
     "none": {},
-    "faults": dict(faults="dropout=0.3,loss=0.1"),
+    # the virtual clock: stragglers reorder arrivals and go stale
+    "faults": dict(faults="dropout=0.3,loss=0.1,straggler=0.4,slowdown=6"),
     # autoclip keeps a running threshold in server_state()
     "attacks": dict(faults="signflip=0.15,noise=0.5@0.15,labelflip=0.15", defense="autoclip"),
 }
@@ -163,7 +165,8 @@ def run(cell: Cell, workdir=None):
     """Run one cell, resuming or streaming in ``workdir``; returns
     ``(algorithm, history)``."""
     cls = ALGORITHM_REGISTRY.get(cell.algorithm)
-    fed = federation(cell.world, cell.residency == "lazy")
+    # spilled state is a population-scale setup, so its data is lazy too
+    fed = federation(cell.world, cell.residency != "eager")
     cfg = config(cell)
 
     def finish(algo, **run_kwargs):
@@ -173,7 +176,13 @@ def run(cell: Cell, workdir=None):
             algo.runtime.executor.close()
 
     if cell.resume == "resume":
-        finish(cls(MODEL_FN, fed, cfg), rounds=RESUME_AT, checkpoint_dir=workdir)
+        killed, _ = finish(cls(MODEL_FN, fed, cfg), rounds=RESUME_AT, checkpoint_dir=workdir)
+        if cell in KILLS:  # there is state to restore
+            assert len(killed._update_buffer) > 0, "no update pending at the kill"
+            stores = {k for k, v in vars(killed).items() if hasattr(v, "spilled_count")}
+            assert stores == set(SPILLED.get(cell.algorithm, ())), stores
+            for store in stores:
+                assert getattr(killed, store).spilled_count > 0, f"{store} never spilled"
         return finish(cls(MODEL_FN, fed, cfg), checkpoint_dir=workdir, resume_from=True)
     if cell.resume == "stream":
         algo, history = finish(
@@ -215,11 +224,21 @@ def check(cell: Cell, workdir) -> None:
 # logit distillation) decline, and the executor runs them serially.
 STACKED = {"fedadam", "fedavg", "fedavgm", "feddf", "fedkd", "fedkemf"}
 
+# The per-client stores of the algorithms that keep client state, which
+# state_residency=1 spills to disk.
+SPILLED = {
+    "fedkd": ("local_models",),
+    "fedkemf": ("local_models",),
+    "fedmd": ("client_models",),
+    "scaffold": ("client_controls",),
+}
+
 PAIRWISE = pairwise_cover(AXES)
-# every algorithm killed with updates pending in the buffer and client
-# state spilled to disk (test_kill_leaves_state_to_restore), then resumed
+# every algorithm run through the pool under stragglers and a bounded
+# buffer, killed with updates pending and its client state spilled to disk
+# (asserted in run()), then resumed
 KILLS = [
-    Cell(name, "dirichlet", None, "spill", "buffer2", "faults", "resume")
+    Cell(name, "dirichlet", "parallel", "spill", "buffer2", "faults", "resume")
     for name in AXES["algorithm"]
 ]
 # every algorithm through the pool and the two stacking executors, through
@@ -252,16 +271,6 @@ def test_pairwise_cell(cell, tmp_path):
 def test_registry_cross(cell, tmp_path):
     _skip_without_fork(cell)
     check(cell, tmp_path)
-
-
-@pytest.mark.parametrize("cell", KILLS, ids=lambda c: c.id)
-def test_kill_leaves_state_to_restore(cell):
-    fed = federation(cell.world, lazy=False)
-    killed = ALGORITHM_REGISTRY.get(cell.algorithm)(MODEL_FN, fed, config(cell))
-    killed.run(RESUME_AT)
-    assert len(killed._update_buffer) > 0
-    stores = [v for v in vars(killed).values() if hasattr(v, "spilled_count")]
-    assert all(store.spilled_count > 0 for store in stores)
 
 
 def test_pairwise_cover_holds_every_pair():
