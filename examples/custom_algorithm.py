@@ -7,14 +7,17 @@ subclass and implement the ``aggregate`` hook. The base class's one round
 loop supplies the rest: sampling, byte metering, fault injection, the
 executors, robust-aggregation defenses, the buffered server regime,
 evaluation and history. The example checks that a FedEMA run under
-injected dropout records its dropouts, and that the process pool replays
-the serial run bit for bit.
+injected dropout records its dropouts, that the process pool replays the
+serial run bit for bit, and that a run checkpointed at round 5 and
+resumed replays the straight run (state a subclass keeps outside
+``server_state()`` would fail this).
 
 Run:  python examples/custom_algorithm.py
 """
 
 import dataclasses
 import functools
+import tempfile
 
 import numpy as np
 
@@ -97,6 +100,14 @@ def main() -> None:
     assert pooled.runtime.executor.last_round_mode == "shipped"
     assert fingerprint == faulty.fingerprint(), (fingerprint, faulty.fingerprint())
     print(f"The pool (workers=2) replays the serial run: fingerprint {fingerprint}.")
+
+    # ... and so does checkpoint/resume: a run killed after round 5 and
+    # resumed from its checkpoint replays the straight run.
+    with tempfile.TemporaryDirectory() as ckpt_dir:
+        FedEMA(model_fn, fed, faulty_cfg).run(rounds=5, checkpoint_dir=ckpt_dir)
+        resumed = FedEMA(model_fn, fed, faulty_cfg).run(checkpoint_dir=ckpt_dir, resume_from=True)
+    assert resumed.fingerprint() == faulty.fingerprint(), (resumed.fingerprint(), faulty.fingerprint())
+    print(f"Checkpointed at round 5 and resumed, FedEMA replays the straight run: {resumed.fingerprint()}.")
 
 
 if __name__ == "__main__":

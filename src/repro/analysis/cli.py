@@ -46,7 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="CODES",
         help=(
             "comma-separated rule codes to run exclusively; glob patterns "
-            "expand against the registered codes (e.g. RPL101,RPL7*)"
+            "expand against the registered codes (e.g. RPL101,RPL3*)"
         ),
     )
     parser.add_argument(
@@ -108,7 +108,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
     if args.list_rules:
         for rule in ALL_RULES:
-            print(f"{rule.code}  {rule.name}  [{rule.kind}]")
+            print(f"{rule.code}  {rule.name}  [ast]")
             print(f"       {rule.invariant}")
         return 0
 

@@ -1,10 +1,9 @@
 """Lint configuration: rule selection and path-scoped rule sets.
 
 Rules default to running everywhere, but some invariants only bind inside
-the library: wall-clock reads are fine in a benchmark that *reports* wall
-time, and the fused optimizers write through ``out=`` by design (they step
-under no-grad on scratch buffers). Scopes express that as substring
-matches on the repo-relative posix path — crude but predictable, and an
+part of the library: the fused optimizers write through ``out=`` by
+design (they step under no-grad on scratch buffers). Scopes express that
+as substring matches on the repo-relative posix path — crude but predictable, and an
 override away on the command line (``--select`` / ``--ignore``) or in a
 test (``AnalysisConfig(scopes={})`` lints fixtures wherever they live).
 """
@@ -32,9 +31,6 @@ class PathScope:
 
 
 DEFAULT_SCOPES: dict[str, PathScope] = {
-    # Benchmarks/examples measure and print wall timings — that is their
-    # job; only library code feeding recorded metrics is clock-free.
-    "RPL201": PathScope(include=("src/repro",)),
     # The fused SGD/Adam step buffers via out= deliberately (no-grad,
     # per-param scratch); the aliasing hazard is autograd op bodies.
     "RPL302": PathScope(include=("src/repro/nn",), exclude=("src/repro/nn/optim",)),

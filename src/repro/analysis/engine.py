@@ -1,13 +1,9 @@
 """The lint engine: discover files, parse once, run every applicable rule.
 
-Each file is parsed a single time into a :class:`SourceModule`; all AST
-rules share that tree. After the per-file pass, the **flow pass** builds
-one :class:`~repro.analysis.callgraph.ProjectIndex` over every parsed
-module and runs the RPL7xx dataflow rules against it — cross-file
-reachability needs the whole project at once. Pragmas suppress per line
-(including any line of a multi-line expression span and a flow finding's
-enclosing ``def``) and path scopes gate per rule. The engine never
-imports the code it lints. A file that does not parse is itself a finding
+Each file is parsed a single time into a :class:`SourceModule`; all rules
+share that tree. Pragmas suppress per line (including any line of a
+multi-line expression span) and path scopes gate per rule. The engine
+never imports the code it lints. A file that does not parse is itself a finding
 (``RPL001``) rather than a crash — the linter runs in CI over trees it did
 not write.
 
@@ -24,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.pragmas import FilePragmas, parse_pragmas
-from repro.analysis.rules import AST_RULES, FLOW_RULES, SourceModule, Violation
+from repro.analysis.pragmas import parse_pragmas
+from repro.analysis.rules import ALL_RULES, SourceModule, Violation
 from repro.analysis.rules.base import collect_aliases
 
 __all__ = ["LintResult", "iter_python_files", "lint_paths"]
@@ -111,12 +107,6 @@ def _load(path: pathlib.Path, display: str) -> "SourceModule | Violation":
     )
 
 
-def _suppressed(pragmas: "FilePragmas | None", violation: Violation) -> bool:
-    if pragmas is None:
-        return False
-    return pragmas.suppresses_any(violation.pragma_lines(), violation.code)
-
-
 def lint_paths(
     paths: Sequence["str | pathlib.Path"],
     config: "AnalysisConfig | None" = None,
@@ -125,8 +115,6 @@ def lint_paths(
     """Lint ``paths`` (files or directories) under ``config``."""
     config = config if config is not None else AnalysisConfig.default()
     result = LintResult()
-    modules: list[SourceModule] = []
-    pragmas_by_display: dict[str, FilePragmas] = {}
     for path in iter_python_files(paths):
         display = _display_path(path, root)
         loaded = _load(path, display)
@@ -138,9 +126,7 @@ def lint_paths(
         if pragmas.skip_file:
             continue
         result.files_checked += 1
-        modules.append(loaded)
-        pragmas_by_display[display] = pragmas
-        for rule in AST_RULES:
+        for rule in ALL_RULES:
             if not config.rule_enabled(rule.code):
                 continue
             if not config.rule_applies(rule.code, display):
@@ -151,41 +137,9 @@ def lint_paths(
                 time.perf_counter() - started
             )
             for violation in found:
-                if _suppressed(pragmas, violation):
+                if pragmas.suppresses_any(violation.pragma_lines(), violation.code):
                     result.suppressed += 1
                 else:
                     result.violations.append(violation)
-    _run_flow_pass(result, modules, pragmas_by_display, config)
     result.violations.sort()
     return result
-
-
-def _run_flow_pass(
-    result: LintResult,
-    modules: list[SourceModule],
-    pragmas_by_display: dict[str, FilePragmas],
-    config: AnalysisConfig,
-) -> None:
-    enabled = [r for r in FLOW_RULES if config.rule_enabled(r.code)]
-    if not enabled or not modules:
-        return
-    from repro.analysis import dataflow
-    from repro.analysis.callgraph import ProjectIndex
-
-    dataflow.reset_caches()  # summaries are keyed per project, not global
-    started = time.perf_counter()
-    index = ProjectIndex(modules)
-    result.timings["flow:index"] = time.perf_counter() - started
-    for rule in enabled:
-        started = time.perf_counter()
-        found = list(rule.check_project(index))
-        result.timings[rule.code] = result.timings.get(rule.code, 0.0) + (
-            time.perf_counter() - started
-        )
-        for violation in found:
-            if not config.rule_applies(rule.code, violation.path):
-                continue
-            if _suppressed(pragmas_by_display.get(violation.path), violation):
-                result.suppressed += 1
-            else:
-                result.violations.append(violation)

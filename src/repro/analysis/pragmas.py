@@ -36,8 +36,8 @@ class FilePragmas:
         return codes is not None and (code in codes or "*" in codes)
 
     def suppresses_any(self, lines: Iterable[int], code: str) -> bool:
-        """Pragma on *any* of ``lines`` (a multi-line expression span, or a
-        flow finding's enclosing ``def`` anchor) suppresses the finding."""
+        """Pragma on *any* of ``lines`` (a multi-line expression span)
+        suppresses the finding."""
         return any(self.suppresses(line, code) for line in lines)
 
 

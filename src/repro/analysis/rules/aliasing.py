@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.rules.base import AstRule, SourceModule, Violation, dotted_name
+from repro.analysis.rules.base import Rule, SourceModule, Violation, dotted_name
 
 __all__ = ["CacheEntryMutation", "OutAliasesTensorData"]
 
@@ -49,7 +49,7 @@ def _root_name(node: ast.AST) -> str | None:
     return node.id if isinstance(node, ast.Name) else None
 
 
-class CacheEntryMutation(AstRule):
+class CacheEntryMutation(Rule):
     """Writes through a binding that came out of a shared cache."""
 
     code = "RPL301"
@@ -151,7 +151,7 @@ class CacheEntryMutation(AstRule):
                     )
 
 
-class OutAliasesTensorData(AstRule):
+class OutAliasesTensorData(Rule):
     """``out=`` landing in a tensor's storage inside an autograd op."""
 
     code = "RPL302"

@@ -14,7 +14,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable
 
-from repro.analysis.rules.base import AstRule, SourceModule, Violation
+from repro.analysis.rules.base import Rule, SourceModule, Violation
 
 __all__ = ["ForwardWithoutBackward", "MissingSuperInit"]
 
@@ -37,7 +37,7 @@ _MODULE_BASES = frozenset(
 )
 
 
-class ForwardWithoutBackward(AstRule):
+class ForwardWithoutBackward(Rule):
     """``Tensor._make`` without a backward closure stops gradients."""
 
     code = "RPL501"
@@ -77,7 +77,7 @@ class ForwardWithoutBackward(AstRule):
                 )
 
 
-class MissingSuperInit(AstRule):
+class MissingSuperInit(Rule):
     """A Module ``__init__`` that skips ``super().__init__()``."""
 
     code = "RPL502"

@@ -2,11 +2,8 @@
 
 A rule is a small object with an identity (``code`` like ``RPL102``, a
 kebab-case ``name``, the invariant it guards) and a ``check`` method that
-yields :class:`Violation` records. AST rules receive one parsed
-:class:`SourceModule` per file; flow rules (``kind = "flow"``) run once per
-lint invocation over the project call graph (see
-:mod:`repro.analysis.rules.flow_rules`). Nothing here imports the code
-under analysis.
+receives one parsed :class:`SourceModule` per file and yields
+:class:`Violation` records. Nothing here imports the code under analysis.
 """
 
 from __future__ import annotations
@@ -21,10 +18,8 @@ __all__ = [
     "Violation",
     "SourceModule",
     "Rule",
-    "AstRule",
     "collect_aliases",
     "dotted_name",
-    "self_attr",
 ]
 
 
@@ -39,18 +34,15 @@ class Violation:
     message: str
     # Suppression metadata (not part of the finding's identity): the last
     # line of the offending expression, so a pragma anywhere on a
-    # multi-line call suppresses, plus extra anchor lines (flow rules
-    # record the enclosing ``def`` line).
+    # multi-line call suppresses.
     end_line: int = field(default=0, compare=False)
-    anchors: tuple[int, ...] = field(default=(), compare=False)
 
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.code} {self.message}"
 
     def pragma_lines(self) -> tuple[int, ...]:
         """Every line on which an ``allow`` pragma suppresses this finding."""
-        span = range(self.line, max(self.line, self.end_line) + 1)
-        return tuple(span) + tuple(a for a in self.anchors if a not in span)
+        return tuple(range(self.line, max(self.line, self.end_line) + 1))
 
 
 @dataclass
@@ -116,25 +108,11 @@ def dotted_name(node: ast.AST, aliases: dict[str, str]) -> str | None:
     return ".".join(reversed(parts))
 
 
-def self_attr(node: ast.AST, *, subscript: bool = False) -> str | None:
-    """``x`` for ``self.x`` (with ``subscript``, for ``self.x[...]`` too)."""
-    if subscript and isinstance(node, ast.Subscript):
-        node = node.value
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 class Rule:
     """Base class: identity + the invariant this check mechanizes."""
 
     code: str = "RPL000"
     name: str = "unnamed"
-    kind: str = "ast"  # "ast" (per-file) or "flow" (per-project)
     invariant: str = ""  # one line: what must hold, shown by --list-rules
 
     def check(self, module: SourceModule) -> Iterable[Violation]:
@@ -153,8 +131,3 @@ class Rule:
             end_line=(getattr(node, "end_lineno", 0) or 0) if isinstance(node, ast.expr) else 0,
         )
 
-
-class AstRule(Rule):
-    """Marker base for per-file AST rules (all rules except flow rules)."""
-
-    kind = "ast"

@@ -5,15 +5,13 @@ Every stochastic stream in this repo must be a pure function of
 paired Table 1–3 comparisons, fault-injection replay, and bit-identical
 checkpoint resume valid. This module is the one place that classifies an
 entropy call (:func:`classify_call`): the global-state NumPy table, the
-unseeded-constructor predicate and the wall-clock/OS-entropy table below
-are read by the per-file rules here (RPL101, RPL102, RPL201) and by the
-flow pass (``dataflow.effects_for``, behind RPL701 and RPL705), so a call
-one rule flags at module level the other flags on a path.
+unseeded-constructor predicate and the wall-clock and OS-entropy tables
+below are read by the per-file rules here (RPL101, RPL102, RPL201).
 
-RPL103 flags the stdlib ``random`` *import*; RPL201 is path-scoped to
-``src/repro`` by default (benchmarks and examples report wall timings),
-and reads only civil time: durations use ``time.perf_counter``, simulated
-time the runtime's ``VirtualClock``.
+RPL103 flags the stdlib ``random`` *import*. RPL201 flags every civil-time
+and OS-entropy call wherever it is: durations use ``time.perf_counter``,
+simulated time the runtime's ``VirtualClock``, randomness a seeded
+``utils.rng`` stream.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator
 
-from repro.analysis.rules.base import AstRule, SourceModule, Violation, dotted_name
+from repro.analysis.rules.base import Rule, SourceModule, Violation, dotted_name
 
 __all__ = [
     "GLOBAL_STATE_FUNCS",
@@ -113,8 +111,7 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-# OS entropy: irreproducible like the wall clock, but not civil time, so
-# only the flow pass (RPL705) reads these.
+# OS entropy: irreproducible like the wall clock (RPL201 reads both).
 OS_ENTROPY_CALLS = frozenset(
     {
         "os.urandom",
@@ -180,15 +177,15 @@ def entropy_calls(
                 yield node, found[0], found[1]
 
 
-class _EntropyCallRule(AstRule):
-    """Flags the module's calls of one :func:`classify_call` kind."""
+class _EntropyCallRule(Rule):
+    """Flags the module's calls of the :func:`classify_call` kinds it names."""
 
-    flags = ""
+    flags: "tuple[str, ...]" = ()
     message = ""  # formatted with the resolved call name
 
     def check(self, module: SourceModule) -> Iterable[Violation]:
         for node, kind, name in module.entropy_calls:
-            if kind == self.flags:
+            if kind in self.flags:
                 yield self.violation(module, node, self.message.format(name))
 
 
@@ -201,7 +198,7 @@ class GlobalNumpyRng(_EntropyCallRule):
         "nothing draws from (or reseeds) the global NumPy RNG; all sampling "
         "goes through an explicit seeded Generator (utils.rng.new_rng)"
     )
-    flags = "global-state"
+    flags = ("global-state",)
     message = (
         "call to {} uses the process-global RNG; "
         "draw from an explicit generator (utils.rng.new_rng) instead"
@@ -217,14 +214,14 @@ class UnseededDefaultRng(_EntropyCallRule):
         "every Generator is constructed from a derived seed; an OS-entropy "
         "default_rng() makes runs unreproducible and resume non-bit-identical"
     )
-    flags = "unseeded"
+    flags = ("unseeded",)
     message = (
         "{}() with no seed draws OS entropy; "
         "route through utils.rng.new_rng / derive_seed"
     )
 
 
-class StdlibRandom(AstRule):
+class StdlibRandom(Rule):
     """The stdlib ``random`` module is one more hidden global stream."""
 
     code = "RPL103"
@@ -256,17 +253,19 @@ class StdlibRandom(AstRule):
 
 
 class WallClockCall(_EntropyCallRule):
-    """Civil-time reads inside the library's algorithm/kernel paths."""
+    """Civil-time and OS-entropy reads, anywhere in the linted tree."""
 
     code = "RPL201"
     name = "wall-clock-call"
     invariant = (
-        "library code never reads civil time: durations use "
-        "time.perf_counter, simulated time uses runtime.VirtualClock, and "
-        "no wall-clock value feeds RunHistory fingerprints or checkpoints"
+        "no code reads civil time or OS entropy: durations use "
+        "time.perf_counter, simulated time uses runtime.VirtualClock, "
+        "randomness a seeded utils.rng stream, and no such value feeds "
+        "RunHistory fingerprints or checkpoints"
     )
-    flags = "wall-clock"
+    flags = ("wall-clock", "os-entropy")
     message = (
-        "wall-clock read {}(); use time.perf_counter for "
-        "durations or the runtime VirtualClock for simulated time"
+        "{}() reads civil time or OS entropy; use time.perf_counter for "
+        "durations, the runtime VirtualClock for simulated time and a "
+        "seeded utils.rng stream for randomness"
     )

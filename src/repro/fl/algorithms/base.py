@@ -430,7 +430,7 @@ class FLAlgorithm:
         # Ephemeral by construction — published for the duration of the
         # delegated aggregate() call and reset in the finally below, so it
         # never crosses a round boundary and has nothing to checkpoint.
-        self._staleness_discounts = [m.discount for m in merges]  # reprolint: allow[RPL704]
+        self._staleness_discounts = [m.discount for m in merges]
         try:
             self.aggregate(round_idx, [m.discounted() for m in merges])
         finally:

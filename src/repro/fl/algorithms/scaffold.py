@@ -94,9 +94,10 @@ class Scaffold(FLAlgorithm):
             )
         # The client control is handed out by value: the payload crosses an
         # executor boundary, and under the serial executor a live reference
-        # would let worker-side arithmetic alias the server's copy of cᵢ
-        # (reprolint RPL703). Values are copied bit-exactly, so the control
-        # maths downstream is unchanged.
+        # would let worker-side arithmetic alias the server's copy of cᵢ.
+        # Today's client_work never writes cᵢ in place, so the copy guards
+        # the next edit of it. Values are copied bit-exactly, so the
+        # control maths downstream is unchanged.
         client_control = copy.deepcopy(self.client_controls[cid])
         return {"state": state, "control": c_server, "client_control": client_control}
 

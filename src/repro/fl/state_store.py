@@ -13,11 +13,13 @@ O(touched):
   temporary directory). ``resident_limit=None`` (the default) is fully
   resident and behaves exactly like a dict.
 - :class:`ClientModelBank` — a lazy sequence of per-client models:
-  ``bank[cid]`` constructs from the client's model fn on first touch,
-  keeps at most ``resident_limit`` live modules, and parks evicted
-  modules' state dicts in a :class:`ClientStateStore`. Construction is
-  deterministic, so an untouched client's model is exactly its fresh
-  initialization — banks only need to persist *touched* state.
+  ``bank[cid]`` constructs from the client's model fn on first touch.
+  One :class:`ClientStateStore` holds the touched clients, so at most
+  ``resident_limit`` of them (live modules and written-back state dicts
+  together) stay in RAM, and an evicted module spills as its state dict.
+  Construction is deterministic, so an untouched client's model is
+  exactly its fresh initialization — banks only need to persist
+  *touched* state.
 - :class:`LazyFactoryBank` — a lazy sequence over a pure ``factory(cid)``
   (trainer banks): cached on touch, droppable at will, rebuilt bitwise.
 - :func:`client_model_fns` — the one reading of an algorithm's per-client
@@ -39,6 +41,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.fl.checkpoint import CheckpointError
+from repro.nn.module import Module
 
 __all__ = ["ClientStateStore", "ClientModelBank", "LazyFactoryBank", "client_model_fns"]
 
@@ -74,6 +77,8 @@ class ClientStateStore(MutableMapping):
 
     def _spill_one(self) -> None:
         cid, value = self._resident.popitem(last=False)  # least recently used
+        if isinstance(value, Module):  # a bank's live model spills as its weights
+            value = value.state_dict()
         path = self._spill_root() / f"client-{cid}.pkl"
         path.write_bytes(pickle.dumps(value))
         self._spilled[cid] = path
@@ -137,6 +142,11 @@ class ClientStateStore(MutableMapping):
     @property
     def spilled_count(self) -> int:
         return len(self._spilled)
+
+    def resident(self, cid: int) -> object:
+        """``cid``'s value if it is in RAM, else ``None`` (never reads disk
+        and never changes the recency order)."""
+        return self._resident.get(int(cid))
 
     def peek(self, cid: int) -> object:
         """Read a value without promoting it (spilled entries stay spilled)."""
@@ -243,12 +253,13 @@ class ClientModelBank:
     """Per-client persistent models, constructed on demand.
 
     ``bank[cid]`` is client ``cid``'s live module: constructed from its
-    model fn on first touch (loading any parked state), kept live up to
-    ``resident_limit`` modules, after which the least-recently-used one is
-    evicted — its state dict parked in a :class:`ClientStateStore` (which
-    itself spills past the same limit). With ``resident_limit=None`` every
-    touched module stays live, preserving object identity across rounds
-    (the eager semantics tests rely on).
+    model fn on first touch (loading any state written back to it). The
+    touched clients live in one :class:`ClientStateStore`, whose LRU keeps
+    at most ``resident_limit`` of them in RAM — live modules and the state
+    dicts written back to clients that are not live, together — and spills
+    the rest to disk, a live module as its state dict. With
+    ``resident_limit=None`` every touched module stays live, preserving
+    object identity across rounds (the eager semantics tests rely on).
 
     Only *touched* clients carry state: an untouched client's model is its
     deterministic fresh initialization, so :meth:`export_states` /
@@ -260,12 +271,9 @@ class ClientModelBank:
         model_fns: "Sequence[Callable[[], object]]",
         resident_limit: int | None = None,
     ) -> None:
-        if resident_limit is not None and resident_limit < 1:
-            raise ValueError(f"resident_limit must be >= 1; got {resident_limit}")
         self._fns = list(model_fns)
         self.resident_limit = resident_limit
-        self._live: "OrderedDict[int, object]" = OrderedDict()
-        self._parked = ClientStateStore(resident_limit=resident_limit)
+        self._store = ClientStateStore(resident_limit=resident_limit)
 
     def __len__(self) -> int:
         return len(self._fns)
@@ -274,58 +282,51 @@ class ClientModelBank:
         cid = int(cid)
         if not 0 <= cid < len(self._fns):
             raise IndexError(f"client {cid} outside bank of {len(self._fns)}")
-        model = self._live.get(cid)
-        if model is None:
-            model = self._fns[cid]()
-            if cid in self._parked:
-                model.load_state_dict(self._parked.pop(cid))
-            self._live[cid] = model
-            self._enforce()
-        else:
-            self._live.move_to_end(cid)
+        entry = self._store.get(cid)  # promotes; a spilled model comes back as its state
+        if isinstance(entry, Module):
+            return entry
+        model = self._fns[cid]()
+        if entry is not None:
+            model.load_state_dict(entry)
+        self._store[cid] = model
         return model
 
     def __iter__(self):
         for cid in range(len(self._fns)):
             yield self[cid]
 
-    def _enforce(self) -> None:
-        if self.resident_limit is None:
-            return
-        while len(self._live) > self.resident_limit:
-            cid, model = self._live.popitem(last=False)
-            self._parked[cid] = model.state_dict()
+    def _live(self, cid: int) -> "Module | None":
+        entry = self._store.resident(cid)
+        return entry if isinstance(entry, Module) else None
 
     def load_state(self, cid: int, state) -> None:
-        """Write back client ``cid``'s trained weights (live or parked)."""
+        """Write back client ``cid``'s trained weights (live or not)."""
         cid = int(cid)
-        if cid in self._live:
-            self._live[cid].load_state_dict(state)
-            self._live.move_to_end(cid)
-        else:
-            self._parked[cid] = state
+        model = self._live(cid)
+        if model is not None:
+            model.load_state_dict(state)
+            state = model
+        self._store[cid] = state  # most recently used
 
     @property
     def touched(self) -> "list[int]":
         """Clients whose models carry non-fresh state, sorted."""
-        return sorted(set(self._live) | set(self._parked))
+        return list(self._store)
 
     @property
     def live_count(self) -> int:
-        return len(self._live)
+        return sum(self._live(cid) is not None for cid in self._store)
 
     @property
     def spilled_count(self) -> int:
-        return self._parked.spilled_count
+        return self._store.spilled_count
 
     def export_states(self) -> "dict[int, object]":
         """Touched clients' state dicts by value (checkpoint payload)."""
         out: "dict[int, object]" = {}
-        for cid in self.touched:
-            if cid in self._live:
-                out[cid] = self._live[cid].state_dict()
-            else:
-                out[cid] = self._parked.peek(cid)
+        for cid in self._store:
+            entry = self._store.peek(cid)
+            out[cid] = entry.state_dict() if isinstance(entry, Module) else entry
         return out
 
     def load_states(self, payload) -> None:
@@ -342,9 +343,9 @@ class ClientModelBank:
         payload = {int(cid): state for cid, state in payload.items()}
         # Live modules keep their identity where possible; everything else
         # reverts to fresh-on-demand construction.
-        for cid in [c for c in self._live if c not in payload]:
-            del self._live[cid]
-        self._parked.clear()
+        for cid in list(self._store):
+            if cid not in payload or self._live(cid) is None:
+                del self._store[cid]
         for cid in sorted(payload):
             self.load_state(cid, payload[cid])
 

@@ -1,5 +1,7 @@
-"""Must-flag: civil-time reads that would leak into recorded metrics."""
+"""Must-flag: civil-time and OS-entropy reads that would leak into
+recorded metrics."""
 
+import os
 import time
 from datetime import datetime
 from time import time as now
@@ -8,3 +10,4 @@ start = time.time()
 stamp = datetime.now()
 later = now()
 ns = time.time_ns()
+nonce = os.urandom(8)

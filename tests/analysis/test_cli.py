@@ -76,18 +76,17 @@ def test_list_rules_covers_every_registered_rule(capsys):
     assert code == 0
     for rule in ALL_RULES:
         assert rule.code in out, f"--list-rules omits {rule.code}"
-    assert "[ast]" in out and "[flow]" in out
 
 
 def test_select_glob_expands_to_rule_family(capsys):
     code, out = run_cli(
         capsys,
-        str(FIXTURES / "rpl705_bad.py"),
+        str(FIXTURES / "rpl102_bad.py"),
         "--select",
-        "RPL7*",
+        "RPL1*",
     )
     assert code == 1
-    assert "RPL705" in out
+    assert "RPL102" in out
 
 
 def test_select_glob_matching_nothing_is_usage_error(capsys):

@@ -28,20 +28,6 @@ def test_pragma_on_any_line_of_multiline_expression(lint_fixture):
     assert result.suppressed == 1
 
 
-def test_pragma_on_closing_line_of_multiline_flow_call(lint_fixture):
-    result = lint_fixture("pragmas_flow_multiline.py", select=frozenset({"RPL701"}))
-    assert result.ok, [str(v) for v in result.violations]
-    assert result.suppressed == 1
-
-
-def test_def_line_pragma_suppresses_body_flow_finding(lint_fixture):
-    """Flow findings anchor the enclosing ``def`` line, so the pragma can
-    sit on the signature instead of the offending statement."""
-    result = lint_fixture("pragmas_flow_defline.py", select=frozenset({"RPL701"}))
-    assert result.ok, [str(v) for v in result.violations]
-    assert result.suppressed == 1
-
-
 def test_skip_file_excludes_everything(lint_fixture):
     result = lint_fixture("pragmas_skip_file.py")
     assert result.ok

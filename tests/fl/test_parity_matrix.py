@@ -14,11 +14,15 @@ never carries the buffer, so there only the trajectory is compared.
 
 Tier-1 runs a deterministic pairwise cover of :data:`AXES` — every pair of
 values of two axes is in at least one cell — plus the full cross of the
-algorithms with the pool, both stacking executors, the degenerate buffer
-and a kill-and-resume. A cell also asserts what makes it meaningful (the
+algorithms with the pool, both stacking executors, the degenerate buffer,
+a checkpoint-and-resume on the sync server and a kill-and-resume under
+faults. A cell also asserts what makes it meaningful (the
 pool shipped the round, a cohort stacked, the small buffer merged late, the
 stream moved records out of RAM, the killed run left updates pending and
-client state on disk). The full product is ``itertools.product(*AXES.values())``.
+client state on disk). The full product, ``itertools.product(*AXES.values())``,
+runs from the command line (the scheduled CI job does this)::
+
+    PYTHONPATH=src python -m tests.fl.test_parity_matrix
 """
 
 from __future__ import annotations
@@ -242,7 +246,9 @@ KILLS = [
     for name in AXES["algorithm"]
 ]
 # every algorithm through the pool and the two stacking executors, through
-# the degenerate buffer, and KILLS
+# the degenerate buffer, checkpointed and resumed on the plain sync server
+# (every round aggregates there, so server state that misses server_state()
+# shows without the host-bound literal tables), and KILLS
 CROSS = [
     cell
     for name in AXES["algorithm"]
@@ -252,6 +258,7 @@ CROSS = [
             for executor in ("parallel", "batched", None)
         ),
         Cell(name, "dirichlet", "serial", "eager", "degenerate", "none", "straight"),
+        Cell(name, "iid", "serial", "eager", "sync", "none", "resume"),
     )
 ] + KILLS
 
@@ -278,3 +285,28 @@ def test_pairwise_cover_holds_every_pair():
     for i, j in itertools.combinations(range(len(names)), 2):
         want = set(itertools.product(AXES[names[i]], AXES[names[j]]))
         assert {(c[i], c[j]) for c in PAIRWISE} == want, (names[i], names[j])
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+    import time
+    from pathlib import Path
+
+    cells = [Cell(*values) for values in itertools.product(*AXES.values())]
+    if not fork_available():
+        cells = [cell for cell in cells if cell.executor != "parallel"]
+    diverged = []
+    started = time.perf_counter()
+    for cell in cells:
+        with tempfile.TemporaryDirectory() as workdir:
+            try:
+                check(cell, Path(workdir))
+            except AssertionError as exc:
+                diverged.append(cell.id)
+                print(f"FAILED {cell.id}: {exc}", flush=True)
+    print(
+        f"{len(cells)} cells, {len(diverged)} failed, "
+        f"{time.perf_counter() - started:.0f} s"
+    )
+    sys.exit(1 if diverged else 0)

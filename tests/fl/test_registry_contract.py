@@ -319,3 +319,8 @@ def test_broken_subclass_fails_its_check(cls, check, message):
 
 def test_decorated_fingerprint_passes():
     check_fingerprint_execution_free(_build(_DecoratedFingerprint))
+
+
+def test_registry_contains_the_paper_algorithms():
+    names = set(ALGORITHM_REGISTRY.names())
+    assert {"fedavg", "fedkemf", "fedkd", "fedmd", "scaffold"} <= names

@@ -4,7 +4,7 @@ The containers in ``repro.fl.state_store`` promise that eviction and
 spilling are *invisible* — state round-trips by value, iteration orders
 are sorted, and snapshots are self-contained. These tests pin those
 promises directly; the end-to-end trajectory invariance is covered by
-``tests/fl/test_scale_parity.py``.
+the spill cells of ``tests/fl/test_parity_matrix.py``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,12 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.data.federated import build_federated_dataset
+from repro.data.synthetic import SyntheticImageDataset, SyntheticSpec
+from repro.fl.algorithms import ALGORITHM_REGISTRY, FLConfig
 from repro.fl.checkpoint import CheckpointError
 from repro.fl.state_store import ClientModelBank, ClientStateStore, LazyFactoryBank
-from repro.nn.models import MLP
+from repro.nn.models import MLP, build_model
 
 
 def blob(cid, n=4):
@@ -261,3 +264,20 @@ class TestClientModelBank:
             ClientModelBank(self.fns(), resident_limit=0)
         with pytest.raises(IndexError):
             ClientModelBank(self.fns())[4]
+
+
+@pytest.mark.parametrize("name", ["fedkemf", "fedkd"])
+def test_state_residency_counts_live_and_parked_models_together(name):
+    """``state_residency=1`` keeps one client's local model in RAM: touching
+    a second one spills the first to disk instead of parking it in RAM."""
+    world = SyntheticImageDataset(SyntheticSpec(num_classes=4, channels=1, image_size=8), seed=0)
+    fed = build_federated_dataset(
+        world, num_clients=4, n_train=32, n_test=8, n_public=8, seed=0
+    )
+    model_fn = functools.partial(
+        build_model, "mlp", num_classes=4, in_channels=1, image_size=8, width_mult=0.25, seed=1
+    )
+    bank = ALGORITHM_REGISTRY.get(name)(model_fn, fed, FLConfig(state_residency=1)).local_models
+    bank[0], bank[1]
+    assert bank.live_count == 1
+    assert bank.spilled_count >= 1
