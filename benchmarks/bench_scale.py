@@ -16,8 +16,9 @@ would use — so the measured RSS reflects the full constant-memory stack.
 ``test_scale_smoke`` is the CI gate: it writes
 ``benchmarks/results/scale_curve.txt`` and asserts (a) lazy == eager
 fingerprints at every smoke size, (b) peak RSS stays under
-``SMOKE_RSS_CEILING_MB``, and (c) growth is sub-linear — a 100x client
-increase must cost well under 10x the memory.
+``SMOKE_RSS_CEILING_MB``, (c) growth is sub-linear — a 100x client
+increase must cost well under 10x the memory — and (d) at the largest size
+the eager builder ran, the lazy run peaks no higher than the eager one.
 
 Runnable standalone (the full curve takes minutes at the 1e6 row)::
 
@@ -167,7 +168,7 @@ def _render(rows: "list[dict]") -> str:
         f"{growth:.2f}x for {hi['clients'] // lo['clients']}x the population",
         "gate (smoke): fingerprints match, RSS ceiling "
         f"{SMOKE_RSS_CEILING_MB:.0f} MB, growth < {SMOKE_SUBLINEAR_FACTOR:.0f}x "
-        "per 100x clients",
+        "per 100x clients, lazy RSS <= eager RSS at the largest eager size",
     ]
     return "\n".join(lines)
 
@@ -182,6 +183,12 @@ def _assert_smoke(rows: "list[dict]") -> None:
     assert peak < SMOKE_RSS_CEILING_MB, (
         f"peak RSS {peak:.1f} MB at {rows[-1]['clients']} clients exceeds the "
         f"{SMOKE_RSS_CEILING_MB:.0f} MB smoke ceiling"
+    )
+    both = [r for r in rows if r["eager"] is not None][-1]
+    lazy_peak, eager_peak = both["lazy"]["peak_rss_mb"], both["eager"]["peak_rss_mb"]
+    assert lazy_peak <= eager_peak, (
+        f"lazy peak RSS {lazy_peak:.1f} MB exceeds eager {eager_peak:.1f} MB at "
+        f"{both['clients']} clients — the lazy path holds more than the whole build"
     )
     lo, hi = rows[0]["lazy"], rows[-1]["lazy"]
     growth = hi["peak_rss_mb"] / lo["peak_rss_mb"]
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
     (RESULTS / "scale_curve.txt").write_text(text + "\n")
     if args.smoke:
         _assert_smoke(rows)
-        print("smoke gate ok: sub-linear RSS, fingerprints match")
+        print("smoke gate ok: sub-linear RSS, lazy <= eager RSS, fingerprints match")
     return 0
 
 

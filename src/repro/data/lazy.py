@@ -14,13 +14,14 @@ enormous populations, so a million-client federation keeps just the recipe:
   permutations (one O(n_train) int array, drawn from one stream in client
   order on first use).
 
-Client shards are materialized on demand — :meth:`prefetch` builds one
-round's cohort in a single draw through the federation's
-:class:`~repro.data.synthetic.NoiseSeekTable` (the first draw walks the
-corpus noise stream once, later ones seek to the rows they want) and
-evicts everything else. Materialization is pure in ``(seed, client)``:
-whatever subset of clients is built, in whatever order, the shard bytes
-are those of building every client at once (property-tested in
+Client shards are materialized on demand — :meth:`prefetch` evicts every
+client outside one round's cohort, then builds the cohort in a single draw
+through the federation's :class:`~repro.data.synthetic.NoiseSeekTable`
+(the first draw walks the corpus noise stream once, later ones seek to the
+rows they want), streamed in bounded chunks into one float32 array that
+the per-client shards are gathered from. Materialization is pure in
+``(seed, client)``: whatever subset of clients is built, in whatever order,
+the shard bytes are those of building every client at once (property-tested in
 ``tests/data/test_lazy.py``, and pinned there by literal digests), so lazy
 and eager runs produce bit-identical histories.
 
@@ -36,7 +37,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset, Dataset
 from repro.data.partition import DirichletPartitioner, Partitioner
-from repro.data.synthetic import NoiseSeekTable, SyntheticImageDataset
+from repro.data.synthetic import NoiseSeekTable, SyntheticImageDataset, _narrow, _narrow_dtype
 
 __all__ = ["LazyFederatedDataset"]
 
@@ -107,15 +108,20 @@ class LazyFederatedDataset:
         # (labels are the first consumption of the draw stream) and assign
         # in CSR form — no sample tensor exists yet.
         labels = world.sample_labels(self.n_train, seed=self.seed * 31 + 1)
-        self._order, self._offsets = partitioner.partition_assignment(labels)
-        if len(self._offsets) != num_clients + 1:
+        order, offsets = partitioner.partition_assignment(labels)
+        if len(offsets) != num_clients + 1:
             raise RuntimeError("partitioner produced wrong number of shards")
         # The local split rule: a shard of 4 rows or more gives
         # max(1, round(size · fraction)) of them to its test view; a smaller
         # one is not split, and its test view is its train view.
-        sizes = np.diff(self._offsets)
+        sizes = np.diff(offsets)
         held_out = np.maximum(1, np.rint(sizes * self.local_test_fraction)).astype(np.int64)
-        self._train_sizes = np.where(sizes < 4, sizes, sizes - held_out)
+        train_sizes = np.where(sizes < 4, sizes, sizes - held_out)
+        # The recipe arrays live for the whole run: each is kept in the
+        # narrowest integer dtype that holds its values exactly.
+        self._order = _narrow(order, 0, self.n_train - 1)
+        self._offsets = _narrow(offsets, 0, self.n_train)
+        self._train_sizes = _narrow(train_sizes, 0, int(sizes.max(initial=0)))
         self.server_test = world.sample(n_test, seed=self.seed * 31 + 2)
         self.server_public = world.sample(n_public, seed=self.seed * 31 + 3)
         self._split_concat: np.ndarray | None = None
@@ -150,7 +156,7 @@ class LazyFederatedDataset:
         return int(self._train_sizes[cid])
 
     def client_sizes(self) -> np.ndarray:
-        return self._train_sizes.copy()
+        return self._train_sizes.astype(np.int64)
 
     def validate(self) -> None:
         """Same contract as :meth:`FederatedDataset.validate`, index-only."""
@@ -170,16 +176,24 @@ class LazyFederatedDataset:
         one ``permutation(len(shard))`` per split shard, none for a shard
         the split rule leaves whole (its permutation is the identity). The
         permutations are stored concatenated, aligned with the assignment
-        offsets.
+        offsets, in the narrowest dtype that holds the largest shard's
+        positions. A run of consecutive shards of one size is drawn by one
+        ``Generator.permuted`` call over its rows, which makes the same
+        draws as that many ``permutation`` calls.
         """
         if self._split_concat is not None:
             return
         rng = np.random.default_rng(self.seed + 17)
-        out = np.empty(int(self._offsets[-1]), dtype=np.int64)
-        pos = 0
-        for size, n_train in zip(np.diff(self._offsets).tolist(), self._train_sizes.tolist()):
-            out[pos : pos + size] = rng.permutation(size) if n_train < size else np.arange(size)
-            pos += size
+        offsets = self._offsets.astype(np.int64)
+        sizes = np.diff(offsets)
+        out = np.empty(int(offsets[-1]), dtype=_narrow_dtype(0, int(sizes.max(initial=1)) - 1))
+        runs = np.append(np.flatnonzero(np.diff(sizes, prepend=-1)), len(sizes)).tolist()
+        for a, b in zip(runs[:-1], runs[1:]):
+            size = int(sizes[a])
+            shards = out[offsets[a] : offsets[b]].reshape(b - a, size)
+            shards[...] = np.arange(size)
+            if self._train_sizes[a] < size:
+                rng.permuted(shards, axis=1, out=shards)
         self._split_concat = out
 
     def _materialize(self, cids: "list[int]") -> None:
@@ -220,7 +234,8 @@ class LazyFederatedDataset:
         return cached
 
     def prefetch(self, cids) -> None:
-        """Materialize one round's cohort in a single pass; evict the rest.
+        """Evict every client outside one round's cohort, then materialize
+        the cohort in a single pass.
 
         The round loop calls this with the active client set, so resident
         shard memory is O(cohort), not O(touched-so-far). Materialization
@@ -228,11 +243,12 @@ class LazyFederatedDataset:
         evicted one.
         """
         want = dict.fromkeys(int(c) for c in cids)  # request order, no repeats
+        # evict first: departing shards are freed before the cohort is built
+        for c in [c for c in self._cache if c not in want]:
+            del self._cache[c]
         missing = [c for c in want if c not in self._cache]
         if missing:
             self._materialize(missing)
-        for c in [c for c in self._cache if c not in want]:
-            del self._cache[c]
 
     def resident_clients(self) -> "list[int]":
         """Client ids with materialized shards (tests/diagnostics)."""

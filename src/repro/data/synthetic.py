@@ -90,15 +90,29 @@ class SyntheticSpec:
 # leaves a wanted row only ≈ 4.5 images of drawing at 2 % row density.
 SEEK_STRIDE = 8
 
+# Transient bytes one chunk of a row draw may hold beside its float32
+# output, for distinct rows. A chunk of b whole blocks holds three float64
+# arrays of at most b·SEEK_STRIDE images: the noise stage, the noise taken
+# out of it, and the chunk's clean images. Unchunked, a draw held about five
+# times its output. Measured on the 2-vCPU dev host: the fedavg_population
+# benchmark peaks at 64.0–64.1 MB RSS with 1 MiB against 64.7 with 4 MiB at
+# equal rounds/s; world.sample(3000) of 3×32×32 images takes 0.22–0.23 s
+# (0.26–0.28 s unchunked) and peaks at 74 MB RSS (179 MB unchunked).
+_CHUNK_BYTES = 1 << 20
 
-def _narrow(col: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    """``col``, whose values lie in ``[lo, hi]``, in the narrowest integer
-    dtype that holds that range exactly."""
+
+def _narrow_dtype(lo: int, hi: int) -> np.dtype:
+    """The narrowest integer dtype that holds ``[lo, hi]`` exactly."""
     for dtype in (np.uint8, np.int8, np.uint16, np.int16, np.uint32, np.int32):
         info = np.iinfo(dtype)
         if info.min <= lo and hi <= info.max:
-            return col.astype(dtype)
-    return col
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
+
+
+def _narrow(col: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``col``, whose values lie in ``[lo, hi]``, in ``_narrow_dtype(lo, hi)``."""
+    return col.astype(_narrow_dtype(lo, hi), copy=False)
 
 
 class NoiseSeekTable:
@@ -162,9 +176,15 @@ class NoiseSeekTable:
     def draw(
         self, rng: np.random.Generator, n: int, per_image: int, rows: np.ndarray
     ) -> np.ndarray:
-        """Noise of images ``rows`` (any order, repeats allowed) of the
+        """Noise of images ``rows`` (ascending, repeats allowed) of the
         ``(n, per_image)`` standard-normal fill ``rng`` is about to make,
-        as ``(len(rows), per_image)`` float64 in the order given."""
+        as ``(len(rows), per_image)`` float64 in that order.
+
+        Each wanted block is drawn once into a stage of the images drawn,
+        and one indexed copy takes the rows out of it; the stage holds at
+        most ``SEEK_STRIDE`` images per distinct block of ``rows``, so the
+        caller bounds it by the blocks it asks for at once.
+        """
         bg = rng.bit_generator
         if self._bound is None:
             self._bound = (n, per_image, bg.state)
@@ -174,31 +194,30 @@ class NoiseSeekTable:
             self._record(bg)
         elif self._bound != (n, per_image, bg.state):
             raise ValueError("seek table was built on another corpus draw")
-        out = np.empty((len(rows), per_image))
-        order = np.argsort(rows, kind="stable")
-        srows = rows[order]
-        blocks, first = np.unique(srows // SEEK_STRIDE, return_index=True)
-        last = np.append(first[1:], len(srows))
+        if np.any(rows[1:] < rows[:-1]):
+            raise ValueError("rows must be in ascending order")
+        blocks, first, counts = np.unique(
+            rows // SEEK_STRIDE, return_index=True, return_counts=True
+        )
         # Beyond the table whole blocks are drawn, so the boundary behind each
         # can be recorded; inside it, only up to the last wanted image.
         need = np.where(
             blocks >= self._filled - 1,
             np.minimum(SEEK_STRIDE, n - blocks * SEEK_STRIDE),
-            srows[last - 1] % SEEK_STRIDE + 1,
+            rows[first + counts - 1] % SEEK_STRIDE + 1,
         )
-        dest, offs = order.tolist(), (srows % SEEK_STRIDE).tolist()
+        base = np.cumsum(need) - need  # each block's first image in the stage
+        stage = np.empty((int(need.sum()), per_image))
         at = 0
-        for b, lo, hi, m in zip(blocks.tolist(), first.tolist(), last.tolist(), need.tolist()):
+        for b, m, lo in zip(blocks.tolist(), need.tolist(), base.tolist()):
             if b != at:
                 self._seek(rng, b, at)
-            rng.standard_normal(out=self._buf[:m])
+            rng.standard_normal(out=stage[lo : lo + m])
             self.images_drawn += m
-            for i in range(lo, hi):
-                out[dest[i]] = self._buf[offs[i]]
             at = b + 1 if m == SEEK_STRIDE else -1
             if at == self._filled:
                 self._record(bg)
-        return out
+        return stage[np.repeat(base, counts) + rows % SEEK_STRIDE]
 
 
 class SyntheticImageDataset:
@@ -294,8 +313,10 @@ class SyntheticImageDataset:
         furthest row; later calls draw O(len(rows)) images. Without one a
         throwaway table serves the call. Without ``labels`` or
         ``class_probs`` the table also keeps the cheap columns, so later
-        calls skip their O(n) replay. Peak memory is O(len(rows)·C·H·W)
-        beyond those columns.
+        calls skip their O(n) replay. The rows are built in ascending order,
+        in chunks of whole seek blocks, straight into the float32 output:
+        beyond those columns, the output and O(len(rows)) index arrays, a
+        call of distinct rows holds at most ``_CHUNK_BYTES`` of transients.
         """
         s = self.spec
         rows = np.asarray(rows, dtype=np.int64)
@@ -306,33 +327,50 @@ class SyntheticImageDataset:
         replay = seek is not None and labels is None and class_probs is None
         if replay and seek.columns is not None and seek.columns[0] == key:
             _, columns, noise_start = seek.columns
-            rng.bit_generator.state = noise_start
         else:
             columns = self._draw_columns(rng, n, labels, class_probs)
+            noise_start = rng.bit_generator.state
             if replay and seek.columns is None:
-                seek.columns = (key, columns, rng.bit_generator.state)
-        y, proto_idx, dh, dw, amp = columns
+                seek.columns = (key, columns, noise_start)
+        table = NoiseSeekTable() if seek is None else seek
         k = len(rows)
-        x = self.prototypes[y[rows], proto_idx[rows]].copy()  # (k, C, H, W)
+        per_image = int(np.prod(self.sample_shape))
+        out = np.empty((k, *self.sample_shape), dtype=np.float32)
+        # Rows are built in ascending order, in chunks of whole seek blocks
+        # (a block split between two chunks would be drawn twice), each
+        # chunk's float64 images written straight into the float32 output.
+        order = np.argsort(rows, kind="stable")
+        srows = rows[order]
+        starts = np.flatnonzero(np.diff(srows // SEEK_STRIDE, prepend=-1))
+        blocks_per_chunk = max(1, _CHUNK_BYTES // (3 * 8 * SEEK_STRIDE * per_image))
+        cuts = np.append(starts[::blocks_per_chunk], k).tolist()
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            x = self._clean(srows[lo:hi], columns)
+            if s.noise_std > 0:
+                # the table is bound to the noise-start state: every chunk seeks from it
+                rng.bit_generator.state = noise_start
+                noise = table.draw(rng, n, per_image, srows[lo:hi]).reshape(x.shape)
+                noise *= s.noise_std
+                noise += x
+                x = noise
+            out[order[lo:hi]] = x
+        return ArrayDataset(out, columns[0][rows].astype(np.int64))
 
+    def _clean(self, rows: np.ndarray, columns: tuple) -> np.ndarray:
+        """The noise-free images of ``rows``: prototype, circular shift and
+        contrast (float32, or float64 once the contrast factor applies)."""
+        s = self.spec
+        y, proto_idx, dh, dw, amp = columns
+        x = self.prototypes[y[rows], proto_idx[rows]]  # (k, C, H, W)
         if dh is not None:
             h_idx = (np.arange(s.image_size)[None, :] - dh[rows, None]) % s.image_size
             w_idx = (np.arange(s.image_size)[None, :] - dw[rows, None]) % s.image_size
-            ki = np.arange(k)[:, None, None, None]
+            ki = np.arange(len(rows))[:, None, None, None]
             ci = np.arange(s.channels)[None, :, None, None]
             x = x[ki, ci, h_idx[:, None, :, None], w_idx[:, None, None, :]]
-
         if amp is not None:
             x = x * amp[rows, None, None, None]
-        if s.noise_std > 0 and k:
-            table = NoiseSeekTable() if seek is None else seek
-            # x + noise·σ in float64, formed in the noise buffer: no third
-            # image-sized temporary before the one float32 cast
-            noise = table.draw(rng, n, x[0].size, rows).reshape(x.shape)
-            noise *= s.noise_std
-            noise += x
-            x = noise
-        return ArrayDataset(x.astype(np.float32), y[rows].astype(np.int64))
+        return x
 
     def _draw_columns(self, rng: np.random.Generator, n: int, labels, class_probs) -> tuple:
         """The cheap per-image draws of :meth:`sample_rows`, in stream order:

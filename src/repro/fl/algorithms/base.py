@@ -200,10 +200,11 @@ class FLAlgorithm:
     def _prefetch_clients(self, round_idx: int, active: "list[int]") -> None:
         """Bound resident per-client state to this round's cohort.
 
-        Under a lazy federation (one exposing ``prefetch``) the cohort's
-        data shards are materialized in a single streaming pass and
-        everything outside the cohort is evicted; cached trainers over
-        evicted shards are dropped too, so they stop pinning the arrays.
+        Under a lazy federation (one exposing ``prefetch``) everything
+        outside the cohort is evicted and the cohort's data shards are
+        materialized in a single streaming pass. Cached trainers outside the
+        cohort are dropped first, so their shards are freed before the new
+        cohort is built rather than pinned through it.
         Construction purity makes all of this invisible to the trajectory —
         a rebuilt shard/trainer is bitwise the evicted one. Eager
         federations skip the hook entirely, keeping the legacy
@@ -212,8 +213,8 @@ class FLAlgorithm:
         prefetch = getattr(self.fed, "prefetch", None)
         if prefetch is None:
             return
-        prefetch(active)
         self.trainers.retain(set(active))
+        prefetch(active)
 
     def _client_trainer(self, round_idx: int, cid: int) -> LocalTrainer:
         """The trainer a client-work hook must use for this (round, client)

@@ -9,9 +9,10 @@ property over random worlds, partitioners and federation sizes, including
 the degenerate ``len(shard) < 4`` path that skips the local-split rng draw.
 ``TestSeekTable`` pins the layer below: any sequence of ``sample_rows``
 calls through one ``NoiseSeekTable`` equals the all-rows draw
-(``world.sample``) bit for bit, and later calls do cohort-sized work
-(counted, not timed). ``TestParentCapturedBytes`` holds literal digests of
-both, the anchor that does not move with the one implementation.
+(``world.sample``) bit for bit, at any chunk budget, and later calls do
+cohort-sized work (counted, not timed) in memory bounded by their output
+plus the budget (traced). ``TestParentCapturedBytes`` holds literal digests
+of both, the anchor that does not move with the one implementation.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from __future__ import annotations
 import hashlib
 import inspect
 import pickle
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.data import synthetic
 from repro.data.federated import build_federated_dataset
 from repro.data.lazy import LazyFederatedDataset
 from repro.data.partition import (
@@ -299,6 +303,37 @@ class TestSeekTable:
             assert_bitwise_rows(block, full, rows)
         assert table.images_drawn <= sum(SEEK_STRIDE * (len(r) + 1) for r in row_sets) + n
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3 * SEEK_STRIDE + 1, 120),
+        seed=st.integers(0, 30),
+        blocks_per_chunk=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_chunked_draw_is_the_full_draw(self, n, seed, blocks_per_chunk, data):
+        """Chunks of 1–3 blocks, duplicate and unsorted rows, on a fresh and
+        on a warm table: every call is split into several chunks, and its
+        rows are bitwise those of the one-chunk full draw."""
+        world = make_world(seed=seed % 3)
+        full = world.sample(n, seed=seed)
+        drawn = data.draw(st.lists(st.integers(0, n - 1), max_size=40))
+        # four blocks (more than one chunk holds), unsorted, a repeat
+        rows = drawn + [n - 1, 0, n - 1, 2 * SEEK_STRIDE, SEEK_STRIDE]
+        per_image = int(np.prod(world.sample_shape))
+        budget = blocks_per_chunk * 3 * 8 * SEEK_STRIDE * per_image
+        table = NoiseSeekTable()
+        chunks = []
+        draw = table.draw
+        table.draw = lambda *args: (chunks.append(args[3]), draw(*args))[1]
+        with mock.patch.object(synthetic, "_CHUNK_BYTES", budget):
+            for call in (rows, rows[::-1]):
+                chunks.clear()
+                block = world.sample_rows(n, np.array(call), seed=seed, seek=table)
+                assert_bitwise_rows(block, full, call)
+                assert len(chunks) >= 2
+                assert all(len(np.unique(c // SEEK_STRIDE)) <= blocks_per_chunk for c in chunks)
+                assert sorted(np.concatenate(chunks).tolist()) == sorted(call)
+
     def test_backward_then_forward_across_the_partial_block(self):
         world = make_world()
         n = 3 * SEEK_STRIDE + 3
@@ -320,6 +355,10 @@ class TestSeekTable:
             world.sample_rows(40, [7], seed=1, labels=np.zeros(40, dtype=np.int64), seek=table)
         with pytest.raises(ValueError, match="another corpus draw"):
             table.draw(np.random.Generator(np.random.MT19937(0)), 40, 36, np.array([7]))
+        rng = np.random.Generator(np.random.PCG64())
+        rng.bit_generator.state = table.columns[2]  # the bound noise-start state
+        with pytest.raises(ValueError, match="ascending"):
+            table.draw(rng, 40, 36, np.array([30, 7]))
         assert table.images_drawn == drawn  # refusals drew nothing
         full = world.sample(40, seed=1)
         assert_bitwise_rows(world.sample_rows(40, [3], seed=1, seek=table), full, [3])
@@ -436,6 +475,72 @@ class TestSeekTable:
         assert 0 < later <= SEEK_STRIDE * wanted
         assert later < 0.10 * n_train
 
+    def test_later_prefetch_holds_its_output_plus_the_budget(self, monkeypatch):
+        """Traced, not timed: a later prefetch of a disjoint cohort of the
+        same size evicts the departing shards first, then builds the new
+        cohort chunk by chunk into one float32 array, so its peak above its
+        start is that array plus the chunk budget plus O(rows) index
+        arrays. A build that forms the whole cohort in float64 peaks at
+        about five times the array."""
+        budget = 256 << 10
+        monkeypatch.setattr(synthetic, "_CHUNK_BYTES", budget)
+        num_clients = 4_000
+        lazy = LazyFederatedDataset(
+            make_world(image_size=8), num_clients=num_clients, n_train=8 * num_clients,
+            n_test=8, n_public=8, partitioner=IIDPartitioner(num_clients, seed=0), seed=0,
+        )
+        cohort = range(1, num_clients, 4)
+        rows = sum(lazy.shard_size(c) for c in cohort)
+        output = rows * int(np.prod(lazy.sample_shape)) * 4  # 2 MB
+        tracemalloc.start()
+        try:
+            lazy.prefetch(range(0, num_clients, 4))
+            start, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            lazy.prefetch(cohort)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert lazy.resident_clients() == list(cohort)
+        assert peak - start <= output + budget + 64 * rows
+
+    @pytest.mark.parametrize(
+        "partitioner",
+        [
+            DirichletPartitioner(40, alpha=0.3, min_size=1, seed=4),
+            QuantitySkewPartitioner(40, alpha=0.5, seed=2),
+            IIDPartitioner(40, seed=0),
+        ],
+        ids=["dirichlet", "quantity-skew", "iid-two-sizes"],
+    )
+    def test_grouped_split_draw_is_the_per_shard_draw(self, partitioner):
+        """One ``permuted`` call per run of equal-sized split shards makes
+        the per-shard ``permutation`` draws of the loop it replaced, shards
+        below the split threshold skipping theirs."""
+        lazy = LazyFederatedDataset(
+            make_world(), num_clients=40, n_train=410, n_test=8, n_public=8,
+            partitioner=partitioner, seed=3,
+        )
+        sizes = [lazy.shard_size(c) for c in range(40)]
+        assert len(set(sizes)) > 1  # mixed sizes
+        rng = np.random.default_rng(lazy.seed + 17)
+        want = np.concatenate([
+            rng.permutation(size) if lazy.client_size(c) < size else np.arange(size)
+            for c, size in enumerate(sizes)
+        ])
+        lazy._ensure_split_perms()
+        np.testing.assert_array_equal(lazy._split_concat, want)
+
+    def test_recipe_arrays_are_narrow(self):
+        lazy = LazyFederatedDataset(
+            make_world(), num_clients=300, n_train=70_000, n_test=8, n_public=8,
+            partitioner=IIDPartitioner(300, seed=0), seed=0,
+        )
+        lazy._ensure_split_perms()
+        assert lazy._order.dtype == lazy._offsets.dtype == np.uint32
+        assert lazy._train_sizes.dtype == lazy._split_concat.dtype == np.uint8
+        assert lazy.client_sizes().dtype == np.int64
+
 
 def digest(*datasets):
     """SHA-256 of the datasets' bytes, in order: each one's length, ``x``
@@ -536,6 +641,16 @@ FEDERATION_PINS = {
 }
 
 
+def federation_digest(builder, channels, kwargs):
+    """``digest`` of every client's train and test shard, in client order,
+    then the server test and public sets."""
+    fed = builder(pin_world(channels), n_test=11, n_public=9, **kwargs)
+    shards = [fed.client_train[c] for c in range(fed.num_clients)]
+    tests = [fed.client_test[c] for c in range(fed.num_clients)]
+    pairs = [ds for pair in zip(shards, tests) for ds in pair]
+    return digest(*pairs, fed.server_test, fed.server_public)
+
+
 class TestParentCapturedBytes:
     """Literal digests captured before the eager corpus draw and the eager
     shard builder became the row draw and the lazy recipe: with one
@@ -553,11 +668,18 @@ class TestParentCapturedBytes:
     @pytest.mark.parametrize("case", sorted(FEDERATION_PINS))
     def test_federation_bytes(self, case, builder):
         channels, kwargs, want = FEDERATION_PINS[case]
-        fed = builder(pin_world(channels), n_test=11, n_public=9, **kwargs)
-        shards = [fed.client_train[c] for c in range(fed.num_clients)]
-        tests = [fed.client_test[c] for c in range(fed.num_clients)]
-        pairs = [ds for pair in zip(shards, tests) for ds in pair]
-        assert digest(*pairs, fed.server_test, fed.server_public) == want
+        assert federation_digest(builder, channels, kwargs) == want
+
+    def test_every_pin_at_one_block_per_chunk(self, monkeypatch):
+        """The chunk budget moves no byte: with at most ``SEEK_STRIDE``
+        rows per chunk every draw and both builders give the pinned
+        digests of the default budget."""
+        monkeypatch.setattr(synthetic, "_CHUNK_BYTES", 1)
+        for world_args, kwargs, want in SAMPLE_PINS.values():
+            assert digest(pin_world(*world_args).sample(seed=5, **kwargs)) == want
+        for channels, kwargs, want in FEDERATION_PINS.values():
+            for builder in (build_federated_dataset, LazyFederatedDataset):
+                assert federation_digest(builder, channels, kwargs) == want
 
     def test_pinned_federation_reaches_the_degenerate_rule(self):
         channels, kwargs, _ = FEDERATION_PINS["dirichlet-tiny-shards"]
